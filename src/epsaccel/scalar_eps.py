@@ -34,6 +34,12 @@ A nearly singular 2 x 2 block of even entries trips the test twice, once on
 each of its columns; the second detection belongs to the same block and its
 endangered entry is already the one being repaired, so it is suppressed.  The
 counter ``sigma`` counts the repairs actually applied.
+
+Cost.  An append does O(max_col) work whatever the history: a scheduled
+repair carries the event it treats, and the suppression test reads only the
+firings of the previous diagonal, so a converged stream that repairs on
+every term stays linear in its length.  (With ``max_col=None`` the diagonals
+themselves grow, and an append is O(N).)
 """
 
 from __future__ import annotations
@@ -106,7 +112,10 @@ class ScalarEpsTable:
         self.sigma = 0
         self.events = []
         self._diags = []
+        # firings of the test on the diagonal being built and on the previous
+        # one, the only one the suppression test reads
         self._fired = set()
+        self._fired_prev = set()
         self._pending_next = {}
         self._flags = {}
 
@@ -126,6 +135,8 @@ class ScalarEpsTable:
         prev = self._diags[N - 1] if N else []
         pending = self._pending_next
         self._pending_next = {}
+        self._fired_prev, self._fired = self._fired, self._fired_prev
+        self._fired.clear()
 
         s = complex(s) if isinstance(s, complex) or np.iscomplexobj(s) else float(s)
         new = [s]
@@ -146,10 +157,9 @@ class ScalarEpsTable:
                     value = self._cross_east(info["C"], info["N"], new[t - 2], info["W"])
                     self.sigma += 1
                     self._flags[(t, N - t)] = "cross-rule"
-                    for ev in self.events:
-                        if ev.k == info["det"][0] and ev.n == info["det"][1]:
-                            ev.treated = True
-                            ev.victim = (t, N - t)
+                    event = info["event"]
+                    event.treated = True
+                    event.victim = (t, N - t)
                 else:
                     base = prev[t - 2] if t >= 2 else 0.0
                     value = base + _safe_inv(_diff(hi, lo))
@@ -175,8 +185,9 @@ class ScalarEpsTable:
 
         On an un-suppressed firing, schedules the cross-rule repair of the
         entry three columns east and one superscript down, which the next
-        diagonal will reach.  Returns the schedule record so the caller can
-        fill in the centre entry once it is computed, or None.
+        diagonal will reach.  The schedule record carries the event, which
+        the repair marks treated.  Returns the record so the caller can fill
+        in the centre entry once it is computed, or None.
         """
         if not self.particular_rules or self.p_threshold is None:
             return None
@@ -198,7 +209,7 @@ class ScalarEpsTable:
             return None
 
         self._fired.add((j, n_pair))
-        if (j - 2, n_pair + 1) in self._fired and j >= 2:
+        if (j - 2, n_pair + 1) in self._fired_prev and j >= 2:
             self.events.append(SingularEvent(j, n_pair, ratio, suppressed=True))
             return None
 
@@ -214,7 +225,7 @@ class ScalarEpsTable:
         if self.max_col is not None and t + 2 > self.max_col:
             return None
         west = new[j - 1] if j >= 1 else 0.0
-        sched = {"det": (j, n_pair), "N": prev[t], "W": west, "C": None}
+        sched = {"event": event, "N": prev[t], "W": west, "C": None}
         self._pending_next[t + 2] = sched
         return sched
 

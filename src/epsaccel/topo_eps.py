@@ -296,12 +296,13 @@ class TopoEpsTable:
         return _mul(num1, num2)
 
     def _sample_live(self, cur):
-        live = sum(x is not None for x in cur)
-        live += sum(x is not None for x in self._prev)
-        if self._older is not None:
-            live += sum(x is not None for x in self._older)
-        live += sum(x is not None
-                    for x in (self._tie_off, self._tie_diff, self._tie_due))
+        # counted in C: no entry compares equal to None
+        prev, older = self._prev, self._older
+        ties = (self._tie_off, self._tie_diff, self._tie_due)
+        live = (len(cur) - cur.count(None) + len(prev) - prev.count(None)
+                + len(ties) - ties.count(None))
+        if older is not None:
+            live += len(older) - older.count(None)
         if live > self.peak_slots:
             self.peak_slots = live
 
@@ -409,8 +410,10 @@ class TeaTable:
                 if base is None or diff is None or dual_hi is None or dual_lo is None:
                     val = None
                 else:
-                    den = (dual_hi.coefficient - dual_lo.coefficient) * f(diff)
-                    val = base + _inv(den) * diff
+                    coeff = _inv((dual_hi.coefficient - dual_lo.coefficient) * f(diff))
+                    # an infinite or NaN coefficient poisons the entry, as
+                    # in TopoEpsTable._combine: it is unformable, not NaN
+                    val = base + coeff * diff if np.isfinite(coeff) else None
             B[c] = val
             if (self.variant == "tea1" and c % 2 == 0 and c + 2 > cmax
                     and c // 2 < self.max_k):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epsaccel import Functional, ScalarEpsTable, as_element
 from epsaccel.oracle import shanks_scalar
@@ -189,3 +191,58 @@ def test_diagonal_sum_identities_missing_entries():
     tab.extend(LN2_SUMS[:3])
     with pytest.raises(LookupError):
         tab.diagonal_sum_identities(2, 5)
+
+
+class _UnscannableLog(list):
+    def __iter__(self):
+        raise AssertionError("the event log was scanned")
+
+
+def test_repairs_do_not_scan_the_event_log():
+    # a stream converged in float64 repairs on almost every term; scanning
+    # the whole log on each repair made such streams quadratic
+    tab = ScalarEpsTable(max_col=10)
+    tab.events = _UnscannableLog()
+    n_terms = 400
+    for n in range(n_terms):
+        tab.append(1.0 + 0.5**n + 0.3**n + 0.8**n)
+    events = [tab.events[i] for i in range(len(tab.events))]
+    treated = [ev for ev in events if ev.treated]
+    assert tab.sigma == len(treated) > n_terms // 2
+
+
+@st.composite
+def tied_geometric_streams(draw):
+    """Geometric streams with some terms replaced by near-copies of the last."""
+    n_terms = draw(st.integers(6, 40))
+    limit = draw(st.floats(-2.0, 2.0))
+    modes = draw(st.lists(st.tuples(st.floats(0.5, 1.5), st.floats(-0.95, 0.95)),
+                          min_size=1, max_size=4))
+    terms = [limit + sum(a * r**n for a, r in modes) for n in range(n_terms)]
+    ties = draw(st.lists(st.tuples(st.integers(1, n_terms - 1),
+                                   st.sampled_from([0.0, 1e-15, 1e-13, 1e-11])),
+                         max_size=4))
+    for i, rel in ties:
+        terms[i] = terms[i - 1] * (1.0 + rel)
+    return terms
+
+
+@settings(max_examples=150, deadline=None)
+@given(terms=tied_geometric_streams(), max_col=st.sampled_from([4, 6, 10, None]),
+       p=st.sampled_from([8, 10, 12]), parity=st.sampled_from(["both", "even", "odd"]))
+def test_event_bookkeeping(terms, max_col, p, parity):
+    tab = ScalarEpsTable(max_col=max_col, p_threshold=p, singular_parity=parity)
+    tab.extend(terms)
+    fired = {(ev.k, ev.n) for ev in tab.events}
+    assert len(fired) == len(tab.events)  # each pair is tested once
+    for ev in tab.events:
+        if ev.treated:
+            assert ev.victim == (ev.k + 3, ev.n - 1)
+            assert tab.flag(*ev.victim) == "cross-rule"
+        else:
+            assert ev.victim is None
+        # suppressed exactly when the pair two columns west, one row down,
+        # fired too (the other detection of the same block)
+        assert ev.suppressed == (ev.k >= 2 and (ev.k - 2, ev.n + 1) in fired)
+        assert not (ev.suppressed and ev.treated)
+    assert tab.sigma == sum(ev.treated for ev in tab.events)

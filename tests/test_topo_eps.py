@@ -1,6 +1,7 @@
 """Simplified and full topological epsilon tables."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -238,6 +239,25 @@ def test_exact_breakdown_marks_entries_invalid():
     assert tab.invalid
     best = tab.best()
     assert best is not None and best[2].is_finite()
+
+
+def test_full_tables_leave_unformable_entries_invalid():
+    # five modes converge in float64 within a few hundred terms; from then on
+    # the terms repeat exactly, the even step's coefficient 1/den is
+    # infinite, and the entry cannot be formed
+    rng = np.random.default_rng(8)
+    src = GeometricModes(rng.random(8) + 0.5, [1.0] * 5, [0.9, 0.8, 0.7, 0.6, 0.5],
+                         [rng.random(8) + 0.5 for _ in range(5)])
+    terms = src.take(3000)
+    f = Functional.dot(np.ones(8))
+    for variant in ("tea1", "tea2"):
+        tab = TeaTable(f, max_k=5, variant=variant)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for S in terms:
+                for col, n, e in tab.append(S):
+                    assert e.is_finite(), (variant, col, n)
+        assert tab.invalid, variant
 
 
 def test_ratio_series_single_mode():
