@@ -57,6 +57,27 @@ a third within the append whose column-2 update forms a difference before
 its column-4 update consumes the previous one, so a first-kind table whose
 column 0 ties holds up to ``2K + 5``.  ``peak_slots`` records the audited
 high-water mark, these slots included.
+
+Updates in place.  An update works block by block
+(:data:`epsaccel.vectorspace.BLOCK` entries) through the table's scratch of
+two blocks, one for the difference and one for the product (not element
+slots), so each block stays in cache and no full-size temporary is made.
+From column 4 on it writes its result into the buffer of the table-made
+operand the sweep drops right after it: ``E_{2k}^(n+1)`` for the second kind
+(which is the update's ``base`` and ``lo`` as well) and ``E_{2k}^(n)`` for
+the first; each block of ``hi - lo`` is read before the block it overwrites.
+The column-2 update reads column 0, which holds the caller's terms and is
+never written, so it writes into a new buffer.  The operations and their
+order are those of ``base + c * (hi - lo)``, so every result is
+bit-identical to it.  Where the result's dtype differs from the operand's (a
+complex coefficient over real terms), or an operand is not C-contiguous, the
+update is that plain expression.  So are the tie rule's updates.
+
+Ownership: the entries ``append``, ``entry``, ``last_entries`` and ``best``
+return are the table's own storage.  A second-kind entry in column 2 or
+above may be overwritten during the next append, a first-kind one during
+the append after that; callers copy what they keep.  Under ``debug_full``
+the side dict keeps copies, which never change.
 """
 
 from __future__ import annotations
@@ -64,7 +85,7 @@ from __future__ import annotations
 import numpy as np
 
 from .scalar_eps import ScalarEpsTable
-from .vectorspace import DualElement, Element, as_element
+from .vectorspace import BLOCK, DualElement, Element, as_element
 
 __all__ = [
     "TopoEpsTable",
@@ -98,8 +119,8 @@ class TopoEpsTable:
     p_threshold, particular_rules, singular_parity
         Passed to the underlying scalar table; see :class:`ScalarEpsTable`.
     debug_full : bool
-        Keep every element entry in a side dict (exempt from the storage
-        discipline) for inspection and testing.
+        Keep a copy of every element entry in a side dict (exempt from the
+        storage discipline) for inspection and testing.
 
     Attributes
     ----------
@@ -144,6 +165,9 @@ class TopoEpsTable:
         self._tie_off = None
         self._tie_diff = None
         self._tie_due = None
+        # the in-place updates' blocks of difference and product (module
+        # docstring)
+        self._scratch = None
 
     @property
     def sigma(self):
@@ -197,12 +221,12 @@ class TopoEpsTable:
                 elif j == 2 and self._tie_due is not None:
                     e = self._tie_column4(a, coeff)
                 else:
-                    e = self._combine(a, coeff, a, b)
+                    e = self._combine(a, coeff, a, b, into=b if j >= 2 else None)
                 self._older[j - 1] = None
             else:
                 a = self._prev[j - 1]       # E_{2k}^(n+1), one diagonal back
                 b = cur[j - 1]              # E_{2k}^(n+2), this diagonal
-                e = self._combine(a, coeff, b, a)
+                e = self._combine(a, coeff, b, a, into=a if j >= 2 else None)
                 self._prev[j - 1] = None
             cur[j] = e
             if e is None:
@@ -210,7 +234,7 @@ class TopoEpsTable:
             else:
                 out.append((2 * j, n, e))
             if self._full is not None:
-                self._full[(2 * j, n)] = e
+                self._full[(2 * j, n)] = None if e is None else e.copy()
             self._sample_live(cur)
 
         if self.variant == "stea1":
@@ -224,14 +248,51 @@ class TopoEpsTable:
             self.append(S)
         return self
 
-    @staticmethod
-    def _combine(base, coeff, hi, lo):
-        """``base + coeff * (hi - lo)`` with None/NaN poisoning."""
+    def _combine(self, base, coeff, hi, lo, into=None):
+        """``base + coeff * (hi - lo)`` with None/NaN poisoning.
+
+        ``into`` is a table-made operand the sweep drops after this update;
+        the result goes into its buffer, or into a new one without
+        ``into``, where dtypes and layouts allow (module docstring).
+        """
         if base is None or hi is None or lo is None or coeff is None:
             return None
         if not np.isfinite(coeff):
             return None
+        # the operands share one shape: append checks every term's
+        ops = (base.value, hi.value, lo.value)
+        dtype = np.result_type(*ops, coeff)
+        if ((into is None or into.value.dtype == dtype)
+                and all(x.flags.c_contiguous for x in ops)):
+            if into is None:
+                into = Element(np.empty(ops[0].shape, dtype))
+            self._update_into(into.value, coeff, *ops)
+            return into
         return base + coeff * (hi - lo)
+
+    def _update_into(self, out, coeff, base, hi, lo):
+        """``out[:] = base + coeff * (hi - lo)``, one block at a time.
+
+        ``out`` may be ``lo`` and ``base`` (second kind): each block of
+        ``hi - lo`` lands in the scratch before that block of ``out`` is
+        written.  The product goes to the second scratch block, not back
+        into the difference: numpy's complex multiply does not round alike
+        in place and out of place.
+        """
+        if self._scratch is None or self._scratch[0].dtype != out.dtype:
+            # an element of at most one block is its own single block
+            shape = out.shape if out.size <= BLOCK else (BLOCK,)
+            self._scratch = (np.empty(shape, out.dtype), np.empty(shape, out.dtype))
+        d, p = self._scratch
+        if out.size <= BLOCK:
+            _block_update(out, coeff, base, hi, lo, d, p)
+            return
+        out, base, hi, lo = (x.reshape(-1) for x in (out, base, hi, lo))
+        size = out.shape[0]
+        for i in range(0, size, BLOCK):
+            j = min(i + BLOCK, size)
+            _block_update(out[i:j], coeff, base[i:j], hi[i:j], lo[i:j],
+                          d[:j - i], p[:j - i])
 
     @staticmethod
     def _scaled(coeff, diff):
@@ -413,7 +474,10 @@ class TeaTable:
                     coeff = _inv((dual_hi.coefficient - dual_lo.coefficient) * f(diff))
                     # an infinite or NaN coefficient poisons the entry, as
                     # in TopoEpsTable._combine: it is unformable, not NaN
-                    val = base + coeff * diff if np.isfinite(coeff) else None
+                    if not np.isfinite(coeff):
+                        val = None
+                    else:
+                        val = self._scaled_add(base, coeff, diff)
             B[c] = val
             if (self.variant == "tea1" and c % 2 == 0 and c + 2 > cmax
                     and c // 2 < self.max_k):
@@ -436,6 +500,23 @@ class TeaTable:
         for S in terms:
             self.append(S)
         return self
+
+    @staticmethod
+    def _scaled_add(base, coeff, diff):
+        """``base + coeff * diff`` with no temporary beyond the result.
+
+        ``diff`` is the step's own, so a real product is formed in it; a
+        complex one goes to a new buffer, since numpy's complex multiply
+        does not round alike in place and out of place.  The sum is formed
+        in the product's buffer.
+        """
+        if np.result_type(diff.value, coeff).kind == "f":
+            np.multiply(diff.value, coeff, out=diff.value)
+            val = diff
+        else:
+            val = coeff * diff
+        np.add(base.value, val.value, out=val.value)
+        return val
 
     def _sample_live(self, temps):
         bufs = [self._diag, temps]
@@ -470,6 +551,13 @@ class TeaTable:
     def best(self):
         entries = self.last_entries()
         return entries[-1] if entries else None
+
+
+def _block_update(out, coeff, base, hi, lo, d, p):
+    """``out = base + coeff * (hi - lo)`` through the scratch blocks d, p."""
+    np.subtract(hi, lo, out=d)
+    np.multiply(d, coeff, out=p)
+    np.add(base, p, out=out)
 
 
 # -- coefficient arithmetic with None/zero poisoning -------------------------

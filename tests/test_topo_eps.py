@@ -1,6 +1,7 @@
 """Simplified and full topological epsilon tables."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,6 +19,7 @@ from epsaccel import (
 from epsaccel.harness import fit_geometric_rate
 from epsaccel.oracle import shanks_topo, solve_tolerance
 from epsaccel.sequences import GeometricModes, KernelRecurrence, LogarithmicModes
+from epsaccel.vectorspace import BLOCK
 
 LN2_SUMS = [1.0, 0.5, 5.0 / 6.0, 7.0 / 12.0, 47.0 / 60.0,
             0.6166666666666667, 0.7595238095238095]
@@ -157,27 +159,187 @@ def test_kernel_annihilation_with_repairs_first_kind():
         assert (e - ref).norm_inf() <= 1e-8, form
 
 
-def test_rules_off_first_kind_is_the_plain_update():
-    # with detection off every entry is base + c * (hi - lo), bit for bit
-    src = KernelRecurrence(20, "vector", seed=1)
+def _plain_update(tab, k, n):
+    """``a + c * (hi - lo)`` for entry ``(2k + 2, n)`` from the entries of
+    column 2k kept by ``debug_full``; None where it cannot be formed."""
+    a = tab.entry(2 * k, n + 1)
+    hi, lo = ((a, tab.entry(2 * k, n)) if tab.variant == "stea1"
+              else (tab.entry(2 * k, n + 2), a))
+    c = tab._coefficient(k, n)
+    if hi is None or lo is None or not np.isfinite(c):
+        return None
+    return a + c * (hi - lo)
+
+
+def _rules_off_plain_updates(variant, dim):
+    """Per form, the count of rules-off entries checked against the plain
+    update, which every one must equal bit for bit."""
+    src = KernelRecurrence(dim, "vector", seed=1)
     terms = [src.next_term() for _ in range(11)]
-    f = Functional.dot(np.ones(20))
+    f = Functional.dot(np.ones(dim))
+    counts = []
     for form in (1, 2, 3, 4):
-        tab = TopoEpsTable(f, max_k=5, variant="stea1", form=form,
+        tab = TopoEpsTable(f, max_k=5, variant=variant, form=form,
                            particular_rules=False, debug_full=True)
         tab.extend(terms)
         checked = 0
         for k in range(5):
             for n in range(len(terms) - 2 * k - 2):
                 got = tab.entry(2 * k + 2, n)
-                a, b = tab.entry(2 * k, n + 1), tab.entry(2 * k, n)
-                c = tab._coefficient(k, n)
-                if got is None or a is None or b is None or not np.isfinite(c):
+                want = _plain_update(tab, k, n)
+                if got is None or want is None:
                     assert got is None
                     continue
-                assert np.array_equal(got.value, (a + c * (a - b)).value)
+                assert np.array_equal(got.value, want.value)
                 checked += 1
-        assert checked == 25, form
+        counts.append(checked)
+    return counts
+
+
+def test_rules_off_first_kind_is_the_plain_update():
+    # with detection off every entry is base + c * (hi - lo), bit for bit,
+    # above one block too
+    for dim in (20, BLOCK + 1):
+        assert _rules_off_plain_updates("stea1", dim) == [25] * 4, dim
+
+
+def test_rules_off_second_kind_is_the_plain_update():
+    # the second kind's updates write into their own base and lo, block by
+    # block; every entry is still the plain update
+    for dim in (20, BLOCK + 1):
+        assert _rules_off_plain_updates("stea2", dim) == [25] * 4, dim
+
+
+def _read_only(arrays):
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+def _layout_cases():
+    """Read-only streams: sizes about the block, layouts, dtypes."""
+    rng = np.random.default_rng(41)
+    for dim in (300, 2 * BLOCK + 7):
+        terms, _ = smooth_terms(40, dim, 10)
+        yield f"real{dim}", _read_only(terms), Functional.dot(rng.uniform(0.5, 1.5, dim))
+    terms, _ = smooth_terms(42, 150 * 150, 10)
+    terms = [np.asfortranarray(t.reshape(150, 150)) for t in terms]
+    assert not terms[0].flags.c_contiguous
+    yield "fortran", _read_only(terms), Functional.trace_weighted(rng.random((150, 150)))
+    dim = BLOCK + 1
+    re, _ = smooth_terms(43, dim, 10)
+    im, _ = smooth_terms(44, dim, 10)
+    y = rng.uniform(0.5, 1.5, dim) + 1j * rng.uniform(-0.5, 0.5, dim)
+    yield "complex", _read_only([a + 1j * b for a, b in zip(re, im)]), Functional.dot(y)
+    # real terms, complex coefficients: results cannot go into real buffers
+    yield "complex-y", _read_only(re), Functional.dot(y)
+    yield "0-d", _read_only([t[0].copy() for t in re]), Functional.dot(np.asarray(1.3))
+
+
+def _appended(tab, terms):
+    """Copies of every entry each append returned, keyed by position."""
+    got = {}
+    for S in terms:
+        for col, n, e in tab.append(S):
+            got[(col, n)] = e.value.copy()
+    return got
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_updates_match_the_plain_update_for_any_layout_and_dtype():
+    for label, terms, f in _layout_cases():
+        for variant in ("stea1", "stea2"):
+            for form in (1, 2, 3, 4):
+                tab = TopoEpsTable(f, max_k=3, variant=variant, form=form,
+                                   particular_rules=False, debug_full=True)
+                got = _appended(tab, terms)
+                checked = 0
+                for (col, n), value in got.items():
+                    assert _same_bits(value, tab.entry(col, n).value), (label, variant, col, n)
+                    if col == 0:
+                        continue
+                    want = _plain_update(tab, col // 2 - 1, n)
+                    assert _same_bits(value, want.value), (label, variant, form, col, n)
+                    checked += 1
+                assert checked >= 12, (label, variant, form)
+        for variant in ("tea1", "tea2"):
+            tab = TeaTable(f, max_k=3, variant=variant, debug_full=True)
+            got = _appended(tab, terms)
+            checked = 0
+            for (col, n), value in got.items():
+                assert _same_bits(value, tab.entry(col, n).value), (label, variant, col, n)
+                if col == 0:
+                    continue
+                base = tab.entry(col - 2, n + 1)
+                if variant == "tea1":
+                    diff = base - tab.entry(col - 2, n)
+                else:
+                    diff = tab.entry(col - 2, n + 2) - base
+                duals = tab.entry(col - 1, n + 1).coefficient - tab.entry(col - 1, n).coefficient
+                want = base + (1.0 / (duals * f(diff))) * diff
+                assert _same_bits(value, want.value), (label, variant, col, n)
+                checked += 1
+            assert checked >= 12, (label, variant)
+
+
+def test_entries_are_table_storage_until_overwritten():
+    # a returned entry is the table's own buffer: a second-kind entry in
+    # column 2 or above becomes the next append's entry two columns up, a
+    # first-kind one the entry two columns up of the append after that;
+    # the debug copies never change
+    K = 3
+    terms, _ = smooth_terms(45, 40, 12)
+    f = Functional.dot(np.ones(40))
+    for variant, lag, shift in (("stea1", 2, 0), ("stea2", 1, -1)):
+        tab = TopoEpsTable(f, max_k=K, variant=variant, form=3,
+                           particular_rules=False, debug_full=True)
+        history, copies = [], {}
+        for S in terms:
+            new = tab.append(S)
+            history.append({(col, n): e for col, n, e in new})
+            copies.update({(col, n): e.value.copy() for col, n, e in new})
+        reused = 0
+        for i in range(len(history) - lag):
+            for (col, n), e in history[i].items():
+                if col < 2 or col >= 2 * K:
+                    continue
+                later = history[i + lag].get((col + 2, n + shift))
+                if later is None:
+                    continue
+                assert later is e, (variant, col, n)
+                assert not _same_bits(e.value, copies[(col, n)])
+                reused += 1
+        assert reused >= 10, variant
+        for (col, n), value in copies.items():
+            kept = tab.entry(col, n)
+            assert _same_bits(kept.value, value), (variant, col, n)
+            assert col == 0 or not any(np.shares_memory(kept.value, e.value)
+                                       for h in history for e in h.values())
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_steady_state_append_allocates_at_most_one_element():
+    dim = 2**17
+    terms, _ = smooth_terms(46, dim, 14)
+    f = Functional.dot(np.random.default_rng(47).uniform(0.5, 1.5, dim))
+    slack = 16 * 1024
+    for variant in ("stea1", "stea2"):
+        tab = TopoEpsTable(f, max_k=5, variant=variant)
+        tab.extend(terms[:-1])
+        peak = _traced_peak(lambda: tab.append(terms[-1]))
+        assert peak <= 8 * dim + 8 * BLOCK + slack, (variant, peak)
+    assert _traced_peak(lambda: f(terms[0])) <= 8 * BLOCK + slack
 
 
 def test_first_kind_tie_slots_are_audited():

@@ -1,9 +1,14 @@
 """Element algebra and functional evaluation."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epsaccel import DimensionMismatchError, DualElement, Element, Functional, as_element
+from epsaccel.vectorspace import BLOCK
 
 
 def test_kinds_and_shapes():
@@ -78,6 +83,37 @@ def test_real_dot_returns_python_float():
     f = Functional.dot(np.array([2.0, 0.5]))
     out = f(Element(np.array([1.0, 4.0])))
     assert isinstance(out, float) and out == 4.0
+
+
+def _bits(z):
+    z = complex(z)
+    return struct.pack("<dd", z.real, z.imag)
+
+
+# about the block and the splits, where an off-by-some split would show
+EDGES = [1, 7, 9, BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 9, 2 * BLOCK - 1, 2 * BLOCK,
+         2 * BLOCK + 7, 2 * BLOCK + 12, 3 * BLOCK - 5, 3 * BLOCK + 8]
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=st.one_of(st.sampled_from(EDGES), st.integers(1, 3 * BLOCK + 8)),
+       seed=st.integers(0, 2**32 - 1), y_complex=st.booleans(),
+       x_complex=st.booleans(), conjugate=st.booleans(),
+       spread=st.integers(0, 12))
+def test_blocked_dot_is_the_plain_sum_bit_for_bit(m, seed, y_complex, x_complex,
+                                                  conjugate, spread):
+    # above one block the dot functional sums block by block along numpy's
+    # own pairwise split; the result must be (yuse * x).sum() exactly
+    rng = np.random.default_rng(seed)
+
+    def draw(cplx):
+        v = rng.standard_normal(m) * 10.0 ** rng.integers(-spread, spread + 1, m)
+        return v + 1j * rng.standard_normal(m) if cplx else v
+
+    y, x = draw(y_complex), draw(x_complex)
+    yuse = np.conj(y) if conjugate else y
+    got = Functional.dot(y, conjugate=conjugate)(x)
+    assert _bits(got) == _bits((yuse * x).sum())
 
 
 def test_weighted_dot():
