@@ -11,17 +11,14 @@ transformation (:mod:`epsaccel.oracle`), generators for test and application
 sequences (:mod:`epsaccel.sequences`), an experiment harness
 (:mod:`epsaccel.harness`), plain-text sequence I/O (:mod:`epsaccel.seqio`),
 and a command line (``epsaccel``).
+
+Terms go in, and entries come out, as plain numpy arrays: float64 or
+complex128, of dimension 0 (scalars), 1 (vectors) or 2 (matrices).
 """
 
 from .scalar_eps import ScalarEpsTable, SingularEvent
 from .topo_eps import TeaTable, TopoEpsTable, ratio_series, stability_margin
-from .vectorspace import (
-    DimensionMismatchError,
-    DualElement,
-    Element,
-    Functional,
-    as_element,
-)
+from .vectorspace import DimensionMismatchError, Functional
 
 __version__ = "0.1.0"
 
@@ -32,10 +29,7 @@ __all__ = [
     "TeaTable",
     "ratio_series",
     "stability_margin",
-    "Element",
     "Functional",
-    "DualElement",
     "DimensionMismatchError",
-    "as_element",
     "__version__",
 ]

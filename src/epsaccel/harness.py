@@ -27,7 +27,7 @@ import numpy as np
 from . import sequences
 from .topo_eps import TeaTable, TopoEpsTable, ratio_series, stability_margin
 from .scalar_eps import ScalarEpsTable
-from .vectorspace import Element, Functional, as_element
+from .vectorspace import Functional, as_term
 
 __all__ = [
     "ExperimentSpec",
@@ -348,13 +348,17 @@ def run(spec, collect_residuals=None):
     table = build_table(spec.algorithm, functional)
 
     limit = src.limit()
-    limit_el = as_element(limit) if limit is not None else None
     has_residual = hasattr(src, "residual")
     if collect_residuals is None:
         collect_residuals = has_residual and spec.n_terms <= 200
-    scalar_only = isinstance(table, ScalarEpsTable)
-    # the scalar table's entries are compared with the reduced limit
-    limit_s = functional(limit_el) if scalar_only and limit_el is not None else None
+    # the scalar table is fed the reduced terms, its entries are compared
+    # with the reduced limit, and residuals are of elements only
+    scalar = isinstance(table, ScalarEpsTable)
+    collect_residuals = collect_residuals and has_residual and not scalar
+    if limit is not None:
+        limit = as_term(limit)
+        if scalar:
+            limit = functional(limit)
 
     entries = []
     t0 = time.perf_counter()
@@ -363,26 +367,21 @@ def run(spec, collect_residuals=None):
             term = src.next_term()
         except StopIteration:
             break
-        if scalar_only:
-            new = [(k, n, v) for (k, n, v) in table.append(functional(as_element(term)))
-                   if k % 2 == 0]
-        else:
-            new = table.append(term)
-        for col, n, value in new:
-            if scalar_only:
-                el = Element(np.array(value))
-            else:
-                el = value
+        fed = functional(as_term(term)) if scalar else term
+        for col, n, value in table.append(fed):
+            if col % 2:
+                continue
             row = {
                 "col": col, "n": n, "terms": col + n + 1,
-                "norm_inf": el.norm_inf(), "valid": el.is_finite(),
+                "norm_inf": float(np.max(np.abs(value))),
+                "valid": bool(np.all(np.isfinite(value))),
             }
-            if limit_el is not None and not scalar_only:
-                row["error_inf"] = (el - limit_el).norm_inf()
-            elif limit_el is not None:
-                row["error_inf"] = abs(value - limit_s)
-            if collect_residuals and has_residual and not scalar_only and el.is_finite():
-                row["residual"] = src.residual(el.value)
+            if limit is not None:
+                # abs() is numpy's on arrays and Python's on the scalar
+                # table's numbers, whose complex abs rounds otherwise
+                row["error_inf"] = float(np.max(abs(value - limit)))
+            if collect_residuals and row["valid"]:
+                row["residual"] = src.residual(value)
             entries.append(row)
         if (spec.stop_residual is not None and has_residual
                 and src.residual(np.asarray(term)) <= spec.stop_residual):
@@ -391,7 +390,7 @@ def run(spec, collect_residuals=None):
 
     sigma = getattr(table, "sigma", 0)
     events = []
-    shadow = table if scalar_only else getattr(table, "scalar", None)
+    shadow = table if scalar else getattr(table, "scalar", None)
     if shadow is not None:
         events = [{"k": ev.k, "n": ev.n, "ratio": ev.ratio,
                    "treated": ev.treated, "suppressed": ev.suppressed,

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .vectorspace import Element, as_element
+from .vectorspace import as_term
 
 __all__ = [
     "BreakdownError",
@@ -112,20 +112,20 @@ def shanks_topo(terms, functional, n, k, variant="first"):
     combination is then taken on the elements themselves.  ``variant``
     selects the window: "first" combines ``S_n .. S_{n+k}``, "second"
     combines ``S_{n+k} .. S_{n+2k}`` with the same coefficients.  Returns
-    an :class:`Element`.
+    an array.
     """
     if variant not in ("first", "second"):
         raise ValueError(f"variant must be 'first' or 'second', got {variant!r}")
-    terms = [as_element(t) for t in terms]
+    terms = [as_term(t) for t in terms]
     s = np.array([functional(t) for t in terms])
     coeffs = solve_coefficients(s, n, k)
     off = n + k if variant == "second" else n
-    acc = terms[off].zeros_like()
+    acc = np.zeros_like(terms[off])
     real = not np.iscomplexobj(coeffs.a)
     for i, ai in enumerate(coeffs.a):
         weight = float(ai.real) if real else complex(ai)
-        acc = acc + weight * terms[off + i]
-    return acc
+        acc = acc + terms[off + i] * weight
+    return np.asarray(acc)
 
 
 def shanks_scalar_determinantal(s, n, k):

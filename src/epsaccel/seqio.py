@@ -11,7 +11,8 @@ whitespace-separated line of m numbers per vector, and m consecutive lines of
 s numbers per matrix (blank lines between matrix blocks are allowed).  Lines
 starting with ``#`` are comments anywhere in the file.  Numbers accept
 anything python's ``complex()`` does, so ``1.5``, ``-2e-3``, and ``3+4j``
-all work; a file with no complex entries loads as float.
+all work; a file with no complex entries loads as float.  A term with a
+non-finite number (``nan``, ``inf``) is rejected.
 """
 
 from __future__ import annotations
@@ -53,7 +54,8 @@ def read_terms(path):
     """Read a sequence file; returns a list of numpy arrays.
 
     Scalars come back as 0-d arrays, vectors as 1-d, matrices as 2-d; dtype
-    is float64 unless any entry is complex.
+    is float64 unless any entry is complex.  Raises :class:`FormatError`
+    naming the line of a term's first number when the term is not finite.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -80,28 +82,32 @@ def read_terms(path):
     else:
         raise FormatError(f"line {lineno}: unknown kind {header.split()[0]!r}")
 
-    rows = []
+    rows = []     # (line of the term's first number, term)
     if kind == "scalar":
         for lineno, line in lines:
             tokens = line.split()
             for t in tokens:
-                rows.append(np.array(_parse_number(t, lineno)))
+                rows.append((lineno, np.array(_parse_number(t, lineno))))
     elif kind == "vector":
         for lineno, line in lines:
-            rows.append(np.array(_parse_row(line, lineno, shape[0])))
+            rows.append((lineno, np.array(_parse_row(line, lineno, shape[0]))))
     else:
         block = []
         for lineno, line in lines:
+            if not block:
+                first = lineno
             block.append(_parse_row(line, lineno, shape[1]))
             if len(block) == shape[0]:
-                rows.append(np.array(block))
+                rows.append((first, np.array(block)))
                 block = []
         if block:
             raise FormatError(
                 f"trailing partial matrix block of {len(block)} rows")
 
     terms = []
-    for arr in rows:
+    for lineno, arr in rows:
+        if not np.isfinite(arr).all():
+            raise FormatError(f"line {lineno}: term is not finite")
         if np.all(arr.imag == 0):
             terms.append(arr.real.astype(np.float64))
         else:

@@ -2,8 +2,13 @@
 
 The full algorithms (:class:`TeaTable`) accelerate a sequence of elements by
 alternating between the element space and its dual: odd entries are scalar
-multiples of the chosen functional, even entries are elements.  They are kept
-here as references.
+multiples of the chosen functional, even entries are elements.  The
+functional is fixed per table, so an odd entry is stored as its coefficient.
+They are kept here as references.
+
+Terms and entries are plain float64 or complex128 ndarrays.  ``append``
+converts each term once (:func:`epsaccel.vectorspace.as_term`) and checks
+that it has the first term's shape.
 
 The simplified algorithms (:class:`TopoEpsTable`) observe that the whole dual
 detour can be collapsed: run the plain scalar epsilon algorithm on the scalar
@@ -82,10 +87,13 @@ the side dict keeps copies, which never change.
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import is_not
+
 import numpy as np
 
 from .scalar_eps import ScalarEpsTable
-from .vectorspace import BLOCK, DualElement, Element, as_element
+from .vectorspace import BLOCK, DimensionMismatchError, as_term
 
 __all__ = [
     "TopoEpsTable",
@@ -146,6 +154,7 @@ class TopoEpsTable:
         self.max_k = max_k
         self.variant = variant
         self.form = form
+        self._offsets, self._combiner = _FORMS[(variant, form)]
         self.scalar = ScalarEpsTable(
             max_col=2 * max_k + 2, p_threshold=p_threshold,
             particular_rules=particular_rules, singular_parity=singular_parity)
@@ -176,12 +185,8 @@ class TopoEpsTable:
     # -- building ----------------------------------------------------------
 
     def append(self, S):
-        """Add one term; returns new even entries as ``(column, n, Element)``."""
-        S = as_element(S)
-        if self._shape is None:
-            self._shape = S.shape
-        elif S.shape != self._shape:
-            raise ValueError(f"term shape {S.shape} != first term {self._shape}")
+        """Add one term; returns new even entries as ``(column, n, array)``."""
+        S = _term(self, S)
         s = self.functional(S)
         seen = len(self.scalar.events)
         self.scalar.append(s)
@@ -207,7 +212,12 @@ class TopoEpsTable:
         out = [(0, N, S)]
         if self._full is not None:
             self._full[(0, N)] = S
-        self._sample_live(cur)
+        # element slots held in cur, prev and older, kept as the sweep drops
+        # and fills them
+        held = _live(self._prev) + 1
+        if self._older is not None:
+            held += _live(self._older)
+        self._note_live(held)
 
         for j in range(1, jmax + 1):
             k = j - 1
@@ -223,19 +233,22 @@ class TopoEpsTable:
                 else:
                     e = self._combine(a, coeff, a, b, into=b if j >= 2 else None)
                 self._older[j - 1] = None
+                held -= b is not None
             else:
                 a = self._prev[j - 1]       # E_{2k}^(n+1), one diagonal back
                 b = cur[j - 1]              # E_{2k}^(n+2), this diagonal
                 e = self._combine(a, coeff, b, a, into=a if j >= 2 else None)
                 self._prev[j - 1] = None
+                held -= a is not None
             cur[j] = e
             if e is None:
                 self.invalid.add((2 * j, n))
             else:
+                held += 1
                 out.append((2 * j, n, e))
             if self._full is not None:
                 self._full[(2 * j, n)] = None if e is None else e.copy()
-            self._sample_live(cur)
+            self._note_live(held)
 
         if self.variant == "stea1":
             self._older = self._prev
@@ -260,15 +273,15 @@ class TopoEpsTable:
         if not np.isfinite(coeff):
             return None
         # the operands share one shape: append checks every term's
-        ops = (base.value, hi.value, lo.value)
+        ops = (base, hi, lo)
         dtype = np.result_type(*ops, coeff)
-        if ((into is None or into.value.dtype == dtype)
+        if ((into is None or into.dtype == dtype)
                 and all(x.flags.c_contiguous for x in ops)):
             if into is None:
-                into = Element(np.empty(ops[0].shape, dtype))
-            self._update_into(into.value, coeff, *ops)
+                into = np.empty(base.shape, dtype)
+            self._update_into(into, coeff, *ops)
             return into
-        return base + coeff * (hi - lo)
+        return _add(base, _scaled(coeff, hi - lo))
 
     def _update_into(self, out, coeff, base, hi, lo):
         """``out[:] = base + coeff * (hi - lo)``, one block at a time.
@@ -294,13 +307,6 @@ class TopoEpsTable:
             _block_update(out[i:j], coeff, base[i:j], hi[i:j], lo[i:j],
                           d[:j - i], p[:j - i])
 
-    @staticmethod
-    def _scaled(coeff, diff):
-        """``coeff * diff``, or None where :meth:`_combine` would poison."""
-        if diff is None or coeff is None or not np.isfinite(coeff):
-            return None
-        return coeff * diff
-
     def _tie_column2(self, tie, base, coeff, lo):
         """Column-2 update of the first-kind tie rule (module docstring).
 
@@ -309,68 +315,37 @@ class TopoEpsTable:
         tie detected on this append keeps this update's offset.
         """
         diff = _d(base, lo)
-        step = self._scaled(coeff, diff)
+        step = _scaled(coeff, diff)
         if self._tie_off is not None and step is not None:
             self._tie_diff = diff + step - self._tie_off
         self._tie_off = step if tie else None
-        return None if step is None else base + step
+        return None if step is None else _add(base, step)
 
     def _tie_column4(self, base, coeff):
         """Column-4 update across a tie, from the kept column-2 difference."""
-        step = self._scaled(coeff, self._tie_due)
+        step = _scaled(coeff, self._tie_due)
         self._tie_due = None
-        return None if base is None or step is None else base + step
+        return None if base is None or step is None else _add(base, step)
 
     def _coefficient(self, k, n):
         """Scalar coefficient for the entry in column ``2k + 2`` at ``n``."""
+        (c1, m1), (c2, m2), (c3, m3), (c4, m4) = self._offsets
         sc = self.scalar.entry
-        if self.variant == "stea1":
-            if self.form == 1:
-                d1 = _d(sc(2 * k, n + 1), sc(2 * k, n))
-                d2 = _d(sc(2 * k + 1, n + 1), sc(2 * k + 1, n))
-                return _mulinv(d1, d2)
-            if self.form == 2:
-                num = _d(sc(2 * k + 1, n), sc(2 * k - 1, n + 1))
-                den = _d(sc(2 * k + 1, n + 1), sc(2 * k + 1, n))
-                return _ratio(num, den)
-            if self.form == 3:
-                num = _d(sc(2 * k + 2, n), sc(2 * k, n + 1))
-                den = _d(sc(2 * k, n + 1), sc(2 * k, n))
-                return _ratio(num, den)
-            num1 = _d(sc(2 * k + 1, n), sc(2 * k - 1, n + 1))
-            num2 = _d(sc(2 * k + 2, n), sc(2 * k, n + 1))
-            return _mul(num1, num2)
-        if self.form == 1:
-            d1 = _d(sc(2 * k, n + 2), sc(2 * k, n + 1))
-            d2 = _d(sc(2 * k + 1, n + 1), sc(2 * k + 1, n))
-            return _mulinv(d1, d2)
-        if self.form == 2:
-            num = _d(sc(2 * k + 1, n + 1), sc(2 * k - 1, n + 2))
-            den = _d(sc(2 * k + 1, n + 1), sc(2 * k + 1, n))
-            return _ratio(num, den)
-        if self.form == 3:
-            num = _d(sc(2 * k + 2, n), sc(2 * k, n + 1))
-            den = _d(sc(2 * k, n + 2), sc(2 * k, n + 1))
-            return _ratio(num, den)
-        num1 = _d(sc(2 * k + 1, n + 1), sc(2 * k - 1, n + 2))
-        num2 = _d(sc(2 * k + 2, n), sc(2 * k, n + 1))
-        return _mul(num1, num2)
+        c = 2 * k
+        return self._combiner(_d(sc(c + c1, n + m1), sc(c + c2, n + m2)),
+                              _d(sc(c + c3, n + m3), sc(c + c4, n + m4)))
 
-    def _sample_live(self, cur):
-        # counted in C: no entry compares equal to None
-        prev, older = self._prev, self._older
-        ties = (self._tie_off, self._tie_diff, self._tie_due)
-        live = (len(cur) - cur.count(None) + len(prev) - prev.count(None)
-                + len(ties) - ties.count(None))
-        if older is not None:
-            live += len(older) - older.count(None)
+    def _note_live(self, held):
+        """Record ``held`` element slots plus the tie rule's in ``peak_slots``."""
+        live = (held + (self._tie_off is not None) + (self._tie_diff is not None)
+                + (self._tie_due is not None))
         if live > self.peak_slots:
             self.peak_slots = live
 
     # -- access --------------------------------------------------------------
 
     def entry(self, col, n):
-        """Element at even column ``col``; None unless kept (buffers or debug)."""
+        """Entry at even column ``col``; None unless kept (buffers or debug)."""
         if col % 2 != 0:
             raise ValueError("element entries live in even columns")
         if self._full is not None:
@@ -386,7 +361,7 @@ class TopoEpsTable:
         return None
 
     def last_entries(self):
-        """Live even entries of the newest diagonal as ``(column, n, Element)``."""
+        """Live even entries of the newest diagonal as ``(column, n, array)``."""
         N = self.n_terms - 1
         return [(2 * j, N - 2 * j, e)
                 for j, e in enumerate(self._prev) if e is not None]
@@ -400,10 +375,11 @@ class TopoEpsTable:
 class TeaTable:
     """Full topological epsilon algorithm, first or second kind.
 
-    Even entries are elements, odd entries are multiples of the functional
-    (:class:`DualElement`).  Slower and hungrier than :class:`TopoEpsTable`
-    and with no singular-block protection; kept as the reference the
-    simplified tables are checked against.
+    Even entries are elements, odd entries multiples ``c * f`` of the
+    table's functional, stored as the coefficients ``c``.  Slower and
+    hungrier than :class:`TopoEpsTable` and with no singular-block
+    protection; kept as the reference the simplified tables are checked
+    against.
 
     Storage: each new ascending diagonal overwrites the previous one in
     place, under a two-slot chain of the just-unseated entries (the western
@@ -411,8 +387,9 @@ class TeaTable:
     also reads even entries two diagonals back, so those are parked in a
     half-length side buffer as they are unseated.  Peak storage is therefore
     one mixed diagonal plus two temporaries (second kind) plus the half
-    diagonal (first kind); ``peak_slots``/``peak_duals``/``peak_total``
-    record the audited high-water marks.
+    diagonal (first kind).  ``peak_slots`` records the audited high-water
+    mark of element slots, ``peak_total`` that of element and coefficient
+    slots together.
     """
 
     def __init__(self, functional, max_k, variant="tea1", debug_full=False):
@@ -425,15 +402,15 @@ class TeaTable:
         self._full = {} if debug_full else None
         self.invalid = set()
         self.n_terms = 0
+        self._shape = None
         self.peak_slots = 0
-        self.peak_duals = 0
         self.peak_total = 0
         self._diag = [None] * (2 * max_k + 1)
         self._half = [None] * max_k if variant == "tea1" else None
 
     def append(self, S):
-        """Add one term; returns new even entries as ``(column, n, Element)``."""
-        S = as_element(S)
+        """Add one term; returns new even entries as ``(column, n, array)``."""
+        S = _term(self, S)
         N = self.n_terms
         cmax = min(N, 2 * self.max_k)
         f = self.functional
@@ -448,13 +425,12 @@ class TeaTable:
             if c == 0:
                 val = S
             elif c % 2 == 1:
-                base = t2 if c >= 3 else DualElement(0.0, f)
+                base = t2 if c >= 3 else 0.0
                 hi, lo = B[c - 1], t1
                 if base is None or hi is None or lo is None:
                     val = None
                 else:
-                    den = f(hi - lo)
-                    val = DualElement(base.coefficient + _inv(den), f)
+                    val = base + _inv(f(hi - lo))
             else:
                 base = t2
                 dual_hi, dual_lo = B[c - 1], t1
@@ -471,7 +447,9 @@ class TeaTable:
                 if base is None or diff is None or dual_hi is None or dual_lo is None:
                     val = None
                 else:
-                    coeff = _inv((dual_hi.coefficient - dual_lo.coefficient) * f(diff))
+                    # the step's own buffer, 0-d included (_scaled_add)
+                    diff = np.asarray(diff)
+                    coeff = _inv((dual_hi - dual_lo) * f(diff))
                     # an infinite or NaN coefficient poisons the entry, as
                     # in TopoEpsTable._combine: it is unformable, not NaN
                     if not np.isfinite(coeff):
@@ -491,7 +469,7 @@ class TeaTable:
                 out.append((c, n, val))
             if self._full is not None:
                 self._full[(c, n)] = val
-            self._sample_live((t1, t2))
+            self._sample_live(c, t1, t2)
 
         self.n_terms = N + 1
         return out
@@ -510,26 +488,30 @@ class TeaTable:
         does not round alike in place and out of place.  The sum is formed
         in the product's buffer.
         """
-        if np.result_type(diff.value, coeff).kind == "f":
-            np.multiply(diff.value, coeff, out=diff.value)
+        if np.result_type(diff, coeff).kind == "f":
+            np.multiply(diff, coeff, out=diff)
             val = diff
         else:
-            val = coeff * diff
-        np.add(base.value, val.value, out=val.value)
+            val = _scaled(coeff, diff)
+        np.add(base, val, out=val)
         return val
 
-    def _sample_live(self, temps):
-        bufs = [self._diag, temps]
+    def _sample_live(self, c, t1, t2):
+        """Peak counts of live slots, told apart by position: even columns
+        and the half diagonal hold elements, odd columns coefficients; ``t1``
+        is the unseated entry of column ``c``, ``t2`` that of column ``c-1``."""
+        B = self._diag
+        slots = _live(B[0::2])
         if self._half is not None:
-            bufs.append(self._half)
-        live = sum(isinstance(x, Element) for buf in bufs for x in buf)
-        duals = sum(isinstance(x, DualElement) for buf in bufs for x in buf)
-        if live > self.peak_slots:
-            self.peak_slots = live
-        if duals > self.peak_duals:
-            self.peak_duals = duals
-        if live + duals > self.peak_total:
-            self.peak_total = live + duals
+            slots += _live(self._half)
+        coeffs = _live(B[1::2])
+        even_t, odd_t = (t1, t2) if c % 2 == 0 else (t2, t1)
+        slots += even_t is not None
+        coeffs += odd_t is not None
+        if slots > self.peak_slots:
+            self.peak_slots = slots
+        if slots + coeffs > self.peak_total:
+            self.peak_total = slots + coeffs
 
     def entry(self, col, n):
         """Kept entry at ``(col, n)``: buffers, or anything in debug mode."""
@@ -551,6 +533,39 @@ class TeaTable:
     def best(self):
         entries = self.last_entries()
         return entries[-1] if entries else None
+
+
+def _term(table, S):
+    """``S`` as an array (:func:`as_term`) of the table's first term's shape."""
+    S = as_term(S)
+    if table._shape is None:
+        table._shape = S.shape
+    elif S.shape != table._shape:
+        raise DimensionMismatchError(
+            f"term shape {S.shape} != first term {table._shape}")
+    return S
+
+
+def _live(slots):
+    """Count of the slots that are not None (``list.count(None)`` would
+    compare each array with ``==``)."""
+    return sum(map(is_not, slots, repeat(None)))
+
+
+def _scaled(coeff, diff):
+    """``diff * coeff`` as an array, or None where an update would poison.
+
+    A 0-d difference stays an array: numpy scalars multiply complex numbers
+    with other rounding than the array loop.
+    """
+    if diff is None or coeff is None or not np.isfinite(coeff):
+        return None
+    return np.asarray(np.asarray(diff) * coeff)
+
+
+def _add(base, step):
+    """``base + step`` as an array, so that a 0-d result can be written into."""
+    return np.asarray(base + step)
 
 
 def _block_update(out, coeff, base, hi, lo, d, p):
@@ -585,6 +600,21 @@ def _mulinv(d1, d2):
         return None
     prod = d1 * d2
     return _inv(prod)
+
+
+# the coefficient forms of TopoEpsTable, by (variant, form): the scalar
+# entries (column offset from 2k, superscript offset from n) whose two
+# differences the combiner takes, first entry minus second, third minus fourth
+_FORMS = {
+    ("stea1", 1): (((0, 1), (0, 0), (1, 1), (1, 0)), _mulinv),
+    ("stea1", 2): (((1, 0), (-1, 1), (1, 1), (1, 0)), _ratio),
+    ("stea1", 3): (((2, 0), (0, 1), (0, 1), (0, 0)), _ratio),
+    ("stea1", 4): (((1, 0), (-1, 1), (2, 0), (0, 1)), _mul),
+    ("stea2", 1): (((0, 2), (0, 1), (1, 1), (1, 0)), _mulinv),
+    ("stea2", 2): (((1, 1), (-1, 2), (1, 1), (1, 0)), _ratio),
+    ("stea2", 3): (((2, 0), (0, 1), (0, 2), (0, 1)), _ratio),
+    ("stea2", 4): (((1, 1), (-1, 2), (2, 0), (0, 1)), _mul),
+}
 
 
 # -- diagnostics --------------------------------------------------------------

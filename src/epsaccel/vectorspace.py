@@ -2,14 +2,16 @@
 
 The acceleration tables in this package run one and the same recursion whether
 the sequence lives in R, R^m, or C^(m x s): all they need from the underlying
-space is addition, scaling, and a linear functional.  ``Element`` wraps a
-numpy array (0-d, 1-d, or 2-d) and supplies exactly that algebra, with shape
-checking that fails loudly instead of broadcasting silently.  ``Functional``
-covers the reductions used in practice (dot products, weighted dot products,
-traces, bilinear forms), and ``DualElement`` represents scalar multiples of a
-functional, which is what the odd entries of the topological tables are.
+space is addition, scaling, and a linear functional.  The elements are plain
+float64 or complex128 ndarrays of dimension 0, 1, or 2, so numpy supplies the
+algebra.  :func:`as_term` converts a term to one, once, and the tables check
+that every term has the first one's shape, so nothing broadcasts silently.
+``Functional`` covers the reductions used in practice (dot products, weighted
+dot products, traces, bilinear forms).  The odd entries of the full
+topological tables are scalar multiples of the table's one functional, so
+they are stored as the plain coefficients.
 
-Blocked work.  Element updates (in :mod:`epsaccel.topo_eps`) and the dot
+Blocked work.  The element updates (in :mod:`epsaccel.topo_eps`) and the dot
 functional work on long elements in blocks of :data:`BLOCK` entries through
 scratch buffers of one block, so that each block stays in a core's L2 cache
 and no full-size temporary is made.  A dot functional over more than one
@@ -31,10 +33,8 @@ import numpy as np
 __all__ = [
     "BLOCK",
     "DimensionMismatchError",
-    "Element",
     "Functional",
-    "DualElement",
-    "as_element",
+    "as_term",
 ]
 
 
@@ -47,93 +47,23 @@ class DimensionMismatchError(ValueError):
     """Shapes of two elements, or of an element and a functional, disagree."""
 
 
-class Element:
-    """A scalar, vector, or matrix, closed under addition and scaling.
+def as_term(value):
+    """``value`` as a float64 or complex128 ndarray of dimension 0, 1 or 2.
 
-    The wrapped value is always a float64 or complex128 ndarray of dimension
-    0, 1, or 2.  Arithmetic between elements requires identical shapes;
-    multiplication is by scalars only.
+    The tables call it once per term, beside their check that every term has
+    the first one's shape.  An array already of one of those dtypes passes
+    through uncopied.
     """
-
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        arr = np.asarray(value)
-        if arr.ndim > 2:
-            raise DimensionMismatchError(
-                f"elements are scalars, vectors, or matrices; got ndim={arr.ndim}"
-            )
-        if not np.issubdtype(arr.dtype, np.number):
-            raise TypeError(f"element dtype must be numeric, got {arr.dtype}")
-        if np.iscomplexobj(arr):
-            arr = arr.astype(np.complex128, copy=False)
-        else:
-            arr = arr.astype(np.float64, copy=False)
-        self.value = arr
-
-    @property
-    def kind(self):
-        return ("scalar", "vector", "matrix")[self.value.ndim]
-
-    @property
-    def shape(self):
-        return self.value.shape
-
-    def _check_compatible(self, other):
-        if not isinstance(other, Element):
-            raise TypeError(f"expected Element, got {type(other).__name__}")
-        if self.value.shape != other.value.shape:
-            raise DimensionMismatchError(
-                f"shape mismatch: {self.value.shape} vs {other.value.shape}"
-            )
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        return Element(self.value + other.value)
-
-    def __sub__(self, other):
-        self._check_compatible(other)
-        return Element(self.value - other.value)
-
-    def __neg__(self):
-        return Element(-self.value)
-
-    def __mul__(self, c):
-        if isinstance(c, Element):
-            raise TypeError("elements multiply by scalars only")
-        return Element(self.value * c)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, c):
-        if isinstance(c, Element):
-            raise TypeError("elements divide by scalars only")
-        return Element(self.value / c)
-
-    def norm_inf(self):
-        """Largest entry magnitude (the reporting norm for every kind)."""
-        return float(np.max(np.abs(self.value))) if self.value.size else 0.0
-
-    def norm_fro(self):
-        """Frobenius norm; for vectors the Euclidean norm, for scalars abs."""
-        return float(np.linalg.norm(self.value))
-
-    def is_finite(self):
-        return bool(np.all(np.isfinite(self.value)))
-
-    def zeros_like(self):
-        return Element(np.zeros_like(self.value))
-
-    def copy(self):
-        return Element(self.value.copy())
-
-    def __repr__(self):
-        return f"Element({self.kind}, shape={self.value.shape})"
-
-
-def as_element(x):
-    """Wrap ``x`` in an :class:`Element`, passing actual elements through."""
-    return x if isinstance(x, Element) else Element(x)
+    arr = np.asarray(value)
+    if arr.ndim > 2:
+        raise DimensionMismatchError(
+            f"elements are scalars, vectors, or matrices; got ndim={arr.ndim}"
+        )
+    if not np.issubdtype(arr.dtype, np.number):
+        raise TypeError(f"element dtype must be numeric, got {arr.dtype}")
+    if np.iscomplexobj(arr):
+        return arr.astype(np.complex128, copy=False)
+    return arr.astype(np.float64, copy=False)
 
 
 class Functional:
@@ -238,9 +168,8 @@ class Functional:
         return cls("bilinear", apply_fn, "bilinear", conjugate)
 
     def apply(self, x):
-        """Evaluate on an Element (or bare array); returns a python scalar."""
-        arr = x.value if isinstance(x, Element) else np.asarray(x)
-        out = self._apply(arr)
+        """Evaluate on an array; returns a python scalar."""
+        out = self._apply(np.asarray(x))
         out = complex(out) if np.iscomplexobj(out) else float(out)
         return out
 
@@ -272,47 +201,3 @@ def _pairwise_sum(yuse, x, lo, m, scratch):
         n2 -= n2 % 8
     return (_pairwise_sum(yuse, x, lo, n2, scratch)
             + _pairwise_sum(yuse, x, lo + n2, m - n2, scratch))
-
-
-class DualElement:
-    """A scalar multiple ``c * f`` of a functional ``f``.
-
-    The odd entries of the full topological tables live in the dual space and
-    are exactly such multiples, so storing the coefficient is enough.
-    """
-
-    __slots__ = ("coefficient", "functional")
-
-    def __init__(self, coefficient, functional):
-        self.coefficient = coefficient
-        self.functional = functional
-
-    def apply(self, x):
-        return self.coefficient * self.functional.apply(x)
-
-    __call__ = apply
-
-    def _check(self, other):
-        if not isinstance(other, DualElement):
-            raise TypeError(f"expected DualElement, got {type(other).__name__}")
-        if other.functional is not self.functional:
-            raise DimensionMismatchError("dual elements built on different functionals")
-
-    def __add__(self, other):
-        self._check(other)
-        return DualElement(self.coefficient + other.coefficient, self.functional)
-
-    def __sub__(self, other):
-        self._check(other)
-        return DualElement(self.coefficient - other.coefficient, self.functional)
-
-    def __mul__(self, c):
-        return DualElement(self.coefficient * c, self.functional)
-
-    __rmul__ = __mul__
-
-    def is_finite(self):
-        return bool(np.isfinite(self.coefficient))
-
-    def __repr__(self):
-        return f"DualElement({self.coefficient!r})"

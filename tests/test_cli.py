@@ -73,6 +73,13 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     assert "epsaccel:" in capsys.readouterr().err
 
 
+def test_non_finite_input_exits_2(tmp_path, capsys):
+    path = tmp_path / "nan.txt"
+    path.write_text("vector 2\n1 2\n1.5 nan\n1.25 2\n")
+    assert main(["accelerate", str(path)]) == 2
+    assert "line 3" in capsys.readouterr().err
+
+
 def test_breakdown_exits_1(tmp_path, capsys):
     path = tmp_path / "const.txt"
     write_terms(path, [np.array(2.0)] * 8)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from epsaccel import Functional, as_element
+from epsaccel import Functional
 from epsaccel.oracle import (
     BreakdownError,
     shanks_scalar,
@@ -49,7 +49,7 @@ def test_recurrence_coefficients_recovered():
     # shadow of S_n = 3S_{n-1} - S_{n-2} + 2S_{n-3} + S_{n-4} - 5S_{n-5}
     src = KernelRecurrence(50, "vector", seed=0)
     f = Functional.dot(np.ones(50))
-    s = [float(f(as_element(src.next_term()))) for _ in range(12)]
+    s = [float(f(src.next_term())) for _ in range(12)]
     co = solve_coefficients(s, 0, 5)
     assert co.a == pytest.approx([5.0, -1.0, -2.0, 1.0, -3.0, 1.0], abs=1e-6)
 
@@ -90,7 +90,7 @@ def test_first_and_second_kind_agree_for_scalars():
 def test_topo_windows():
     terms = smooth_terms(2, 4, 12)
     f = Functional.dot(np.random.default_rng(3).uniform(0.5, 1.5, 4))
-    s = [f(as_element(t)) for t in terms]
+    s = [f(t) for t in terms]
     for k, n in ((1, 0), (2, 1)):
         a = solve_coefficients(s, n, k).a
         first = shanks_topo(terms, f, n, k, variant="first")
@@ -99,8 +99,8 @@ def test_topo_windows():
                          np.zeros(4))
         want_second = sum((ai * terms[n + k + i] for i, ai in enumerate(a)),
                           np.zeros(4))
-        assert (first - as_element(want_first)).norm_inf() < 1e-12
-        assert (second - as_element(want_second)).norm_inf() < 1e-12
+        assert np.max(np.abs(first - want_first)) < 1e-12
+        assert np.max(np.abs(second - want_second)) < 1e-12
     with pytest.raises(ValueError):
         shanks_topo(terms, f, 0, 1, variant="third")
 
@@ -110,7 +110,7 @@ def test_topo_reduces_to_scalar_in_dim_one():
     f = Functional.dot(np.ones(1))
     for k, n in ((1, 0), (2, 2)):
         e = shanks_topo([np.array([x]) for x in s], f, n, k)
-        assert float(e.value[0]) == pytest.approx(shanks_scalar(s, n, k), rel=1e-12)
+        assert float(e[0]) == pytest.approx(shanks_scalar(s, n, k), rel=1e-12)
 
 
 def test_short_input_raises():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epsaccel import Functional, ScalarEpsTable, as_element
+from epsaccel import Functional, ScalarEpsTable
 from epsaccel.oracle import shanks_scalar
 from epsaccel.sequences import KernelRecurrence
 
@@ -28,7 +28,7 @@ def kernel_shadow(p, n_terms=11, dim=50, parity="both", rules=True):
     tab = ScalarEpsTable(max_col=10, p_threshold=p, particular_rules=rules,
                          singular_parity=parity)
     for _ in range(n_terms):
-        tab.append(float(f(as_element(src.next_term()))))
+        tab.append(float(f(src.next_term())))
     return tab
 
 
@@ -132,7 +132,7 @@ def test_sigma_is_monotone_across_appends():
     tab = ScalarEpsTable(max_col=10, p_threshold=10)
     seen = [0]
     for _ in range(11):
-        tab.append(float(f(as_element(src.next_term()))))
+        tab.append(float(f(src.next_term())))
         assert tab.sigma >= seen[-1]
         seen.append(tab.sigma)
     assert seen[-1] == 2

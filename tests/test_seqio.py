@@ -90,6 +90,19 @@ def test_bad_number_and_width_rejected(tmp_path):
         read_terms(path)
 
 
+def test_non_finite_terms_rejected(tmp_path):
+    # complex() parses nan and inf; each term is checked once, and the error
+    # names the line where the bad term starts
+    path = tmp_path / "seq.txt"
+    for text, line in (("scalar\n1.0\n# note\nnan\n", 4),
+                       ("vector 2\n1 2\n3 -inf\n", 3),
+                       ("vector 2\n1 2\n3 1+infj\n", 3),
+                       ("matrix 2 2\n1 0\n0 1\n\n1 0\n0 inf\n", 5)):
+        path.write_text(text)
+        with pytest.raises(FormatError, match=f"line {line}:"):
+            read_terms(path)
+
+
 def test_partial_matrix_block_rejected(tmp_path):
     path = tmp_path / "seq.txt"
     path.write_text("matrix 2 2\n1 0\n")
