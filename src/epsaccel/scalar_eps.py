@@ -39,11 +39,20 @@ Cost.  An append does O(max_col) work whatever the history: a scheduled
 repair carries the event it treats, and the suppression test reads only the
 firings of the previous diagonal, so a converged stream that repairs on
 every term stays linear in its length.  (With ``max_col=None`` the diagonals
-themselves grow, and an append is O(N).)
+themselves grow, and an append is O(N).)  The work is one sweep over Python
+numbers, so its cost is the interpreter's, not numpy's per-call overhead:
+the test's trigger and the watched parities are fixed at construction, the
+finiteness tests are ``math.isfinite`` (``cmath.isfinite`` once the table has
+seen a complex term), and ``1/d`` is Python's IEEE division, with the
+infinity of d's sign at ``d == 0`` (``inf+0j`` for a complex zero).  That is
+bit for bit what numpy's scalar division gives a float.  A complex modulus
+too large for a float reads as inf in the test instead of raising.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,7 +83,10 @@ class SingularEvent:
 
 
 class ScalarEpsTable:
-    """Streaming epsilon table over python/numpy scalars.
+    """Streaming epsilon table over scalar terms.
+
+    Terms may be Python or numpy numbers; each is stored as a Python
+    ``float``, or ``complex`` when complex, and every entry is one too.
 
     Parameters
     ----------
@@ -118,6 +130,14 @@ class ScalarEpsTable:
         self._fired_prev = set()
         self._pending_next = {}
         self._flags = {}
+        # the sweep's constants: whether the test watches column j, by j % 2,
+        # and its relative trigger
+        detect = particular_rules and p_threshold is not None
+        self._watch = (detect and singular_parity != "odd",
+                       detect and singular_parity != "even")
+        self._trigger = 10.0 ** (-p_threshold) if detect else None
+        # set by the first complex term: from then on entries may be complex
+        self._complex = False
 
     # -- building ---------------------------------------------------------
 
@@ -138,39 +158,56 @@ class ScalarEpsTable:
         self._fired_prev, self._fired = self._fired, self._fired_prev
         self._fired.clear()
 
-        s = complex(s) if isinstance(s, complex) or np.iscomplexobj(s) else float(s)
+        if type(s) is not float:
+            s = complex(s) if isinstance(s, complex) or np.iscomplexobj(s) else float(s)
+            self._complex = self._complex or type(s) is complex
+        # 1/d is IEEE division wherever d is not zero; at zero, the signed
+        # infinity numpy's division gives a float, inf+0j a complex; a
+        # complex modulus too large for a float reads as inf
+        at_zero, finite, mag = ((_inv_any, cmath.isfinite, _abs_any) if self._complex
+                                else (_inv_real_zero, math.isfinite, abs))
+        watch = self._watch
+        trigger = self._trigger
         new = [s]
-        out = [(0, N, s)]
         top = N if self.max_col is None else min(N, self.max_col)
 
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for t in range(1, top + 1):
-                j = t - 1
-                n_pair = N - 1 - j
-                hi = new[j]      # eps_j^(n_pair + 1)
-                lo = prev[j]     # eps_j^(n_pair)
+        for t in range(1, top + 1):
+            j = t - 1
+            hi = new[j]      # eps_j^(N - t + 1)
+            lo = prev[j]     # eps_j^(N - t)
 
-                sched = self._maybe_detect(j, n_pair, hi, lo, prev, new)
-
-                if t in pending:
-                    info = pending[t]
-                    value = self._cross_east(info["C"], info["N"], new[t - 2], info["W"])
-                    self.sigma += 1
-                    self._flags[(t, N - t)] = "cross-rule"
-                    event = info["event"]
-                    event.treated = True
-                    event.victim = (t, N - t)
+            # the near-coincidence test on the pair (hi, lo)
+            sched = None
+            if watch[j & 1] and finite(hi) and finite(lo):
+                d = mag(hi - lo)
+                if lo != 0:
+                    ratio = d / mag(lo)
+                    fired = ratio < trigger
                 else:
-                    base = prev[t - 2] if t >= 2 else 0.0
-                    value = base + _safe_inv(_diff(hi, lo))
+                    ratio = d
+                    fired = d < _EPS
+                if fired:
+                    sched = self._fire(j, N - t, ratio, prev, new)
 
-                new.append(value)
-                out.append((t, N - t, value))
-                if sched is not None:
-                    sched["C"] = value
+            if t in pending:
+                info = pending[t]
+                value = _cross_east(info["C"], info["N"], new[t - 2], info["W"], finite)
+                self.sigma += 1
+                self._flags[(t, N - t)] = "cross-rule"
+                event = info["event"]
+                event.treated = True
+                event.victim = (t, N - t)
+            else:
+                base = prev[t - 2] if t >= 2 else 0.0
+                d = hi - lo
+                value = base + (1.0 / d if d else at_zero(d))
+
+            new.append(value)
+            if sched is not None:
+                sched["C"] = value
 
         self._diags.append(new)
-        return out
+        return [(t, N - t, value) for t, value in enumerate(new)]
 
     def extend(self, terms):
         """Append every term of an iterable; returns the table itself."""
@@ -180,34 +217,15 @@ class ScalarEpsTable:
 
     # -- singular machinery -------------------------------------------------
 
-    def _maybe_detect(self, j, n_pair, hi, lo, prev, new):
-        """Run the near-coincidence test on the pair ``(hi, lo)`` in column j.
+    def _fire(self, j, n_pair, ratio, prev, new):
+        """Record a firing of the test on the pair in column j at ``n_pair``.
 
-        On an un-suppressed firing, schedules the cross-rule repair of the
-        entry three columns east and one superscript down, which the next
-        diagonal will reach.  The schedule record carries the event, which
-        the repair marks treated.  Returns the record so the caller can fill
-        in the centre entry once it is computed, or None.
+        Unless suppressed, schedules the cross-rule repair of the entry three
+        columns east and one superscript down, which the next diagonal will
+        reach.  The schedule record carries the event, which the repair marks
+        treated.  Returns the record so the caller can fill in the centre
+        entry once it is computed, or None.
         """
-        if not self.particular_rules or self.p_threshold is None:
-            return None
-        if self.singular_parity == "even" and j % 2 != 0:
-            return None
-        if self.singular_parity == "odd" and j % 2 != 1:
-            return None
-        if not (np.isfinite(hi) and np.isfinite(lo)):
-            return None
-
-        d = abs(hi - lo)
-        if lo != 0:
-            ratio = d / abs(lo)
-            fired = ratio < 10.0 ** (-self.p_threshold)
-        else:
-            ratio = d
-            fired = d < _EPS
-        if not fired:
-            return None
-
         self._fired.add((j, n_pair))
         if (j - 2, n_pair + 1) in self._fired_prev and j >= 2:
             self.events.append(SingularEvent(j, n_pair, ratio, suppressed=True))
@@ -228,19 +246,6 @@ class ScalarEpsTable:
         sched = {"event": event, "N": prev[t], "W": west, "C": None}
         self._pending_next[t + 2] = sched
         return sched
-
-    @staticmethod
-    def _cross_east(C, Nn, S, W):
-        """Eastern neighbour from the cross identity, huge-centre-stable form."""
-        if C is None:
-            return float("nan")
-        if not np.isfinite(C):
-            return Nn + S - W
-        try:
-            psi = S / (C - S) + Nn / (C - Nn) - W / (C - W)
-            return C * psi / (1.0 + psi)
-        except ZeroDivisionError:
-            return float("nan")
 
     # -- access -------------------------------------------------------------
 
@@ -293,38 +298,52 @@ class ScalarEpsTable:
         which telescope to ``eps_{2k}^(n)`` and ``eps_{2k+1}^(n)``.  Raises
         LookupError if any required entry is not in the table yet.
         """
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            even_sum = self.entry(0, n + k)
-            if even_sum is None:
-                raise LookupError(f"entry (0, {n + k}) unavailable")
-            for i in range(1, k + 1):
-                a = self.entry(2 * i - 1, n + k - i + 1)
-                b = self.entry(2 * i - 1, n + k - i)
-                if a is None or b is None:
-                    raise LookupError(f"odd column {2 * i - 1} unavailable")
-                even_sum = even_sum + _safe_inv(_diff(a, b))
-            odd_sum = 0.0
-            for i in range(0, k + 1):
-                a = self.entry(2 * i, n + k - i + 1)
-                b = self.entry(2 * i, n + k - i)
-                if a is None or b is None:
-                    raise LookupError(f"even column {2 * i} unavailable")
-                odd_sum = odd_sum + _safe_inv(_diff(a, b))
+        even_sum = self.entry(0, n + k)
+        if even_sum is None:
+            raise LookupError(f"entry (0, {n + k}) unavailable")
+        for i in range(1, k + 1):
+            a = self.entry(2 * i - 1, n + k - i + 1)
+            b = self.entry(2 * i - 1, n + k - i)
+            if a is None or b is None:
+                raise LookupError(f"odd column {2 * i - 1} unavailable")
+            even_sum = even_sum + _inv_any(a - b)
+        odd_sum = 0.0
+        for i in range(0, k + 1):
+            a = self.entry(2 * i, n + k - i + 1)
+            b = self.entry(2 * i, n + k - i)
+            if a is None or b is None:
+                raise LookupError(f"even column {2 * i} unavailable")
+            odd_sum = odd_sum + _inv_any(a - b)
         return even_sum, odd_sum
 
 
-def _diff(a, b):
+def _cross_east(C, Nn, S, W, finite):
+    """Eastern neighbour from the cross identity, huge-centre-stable form."""
+    if not finite(C):
+        return Nn + S - W
     try:
-        return a - b
-    except TypeError:
+        psi = S / (C - S) + Nn / (C - Nn) - W / (C - W)
+        return C * psi / (1.0 + psi)
+    except ZeroDivisionError:
         return float("nan")
 
 
-def _safe_inv(x):
-    """1/x through numpy so an exact zero gives inf instead of raising."""
+def _inv_real_zero(x):
+    """1/x of a float zero: the infinity of its sign, as IEEE division gives."""
+    return math.copysign(math.inf, x)
+
+
+def _abs_any(z):
+    """``abs(z)``, or inf where a complex z's modulus overflows (``abs``
+    raises OverflowError there)."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
+def _inv_any(x):
+    """1/x of a float or complex; an exact complex zero gives ``inf+0j``."""
     if isinstance(x, complex):
-        if x == 0:
-            return complex("inf")
-        return 1.0 / x
-    out = np.divide(1.0, np.float64(x))
-    return float(out)
+        return complex("inf") if x == 0 else 1.0 / x
+    return 1.0 / x if x else _inv_real_zero(x)

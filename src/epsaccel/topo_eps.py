@@ -76,7 +76,9 @@ never written, so it writes into a new buffer.  The operations and their
 order are those of ``base + c * (hi - lo)``, so every result is
 bit-identical to it.  Where the result's dtype differs from the operand's (a
 complex coefficient over real terms), or an operand is not C-contiguous, the
-update is that plain expression.  So are the tie rule's updates.
+update is that plain expression.  So are the tie rule's updates.  While every
+term is C-contiguous and keeps the first one's dtype, that is decided once
+per term, not per update (:meth:`TopoEpsTable._combine`).
 
 Ownership: the entries ``append``, ``entry``, ``last_entries`` and ``best``
 return are the table's own storage.  A second-kind entry in column 2 or
@@ -87,6 +89,7 @@ the side dict keeps copies, which never change.
 
 from __future__ import annotations
 
+import cmath
 from itertools import repeat
 from operator import is_not
 
@@ -154,7 +157,7 @@ class TopoEpsTable:
         self.max_k = max_k
         self.variant = variant
         self.form = form
-        self._offsets, self._combiner = _FORMS[(variant, form)]
+        self._reads, self._combiner = _FORMS[(variant, form)]
         self.scalar = ScalarEpsTable(
             max_col=2 * max_k + 2, p_threshold=p_threshold,
             particular_rules=particular_rules, singular_parity=singular_parity)
@@ -177,6 +180,12 @@ class TopoEpsTable:
         # the in-place updates' blocks of difference and product (module
         # docstring)
         self._scratch = None
+        # the first term's dtype and shadow type, the dtype of every update
+        # they give, and whether every term so far shared them and was
+        # C-contiguous (see _combine)
+        self._layout = None
+        self._dtype = None
+        self._uniform = True
 
     @property
     def sigma(self):
@@ -190,10 +199,19 @@ class TopoEpsTable:
         s = self.functional(S)
         seen = len(self.scalar.events)
         self.scalar.append(s)
+        diags = self.scalar._diags
 
         N = self.n_terms
         K = self.max_k
         jmax = min(N, 2 * K) // 2
+        # the shadow's column 0 holds s as the shadow converted it
+        layout = (S.dtype, type(diags[-1][0]))
+        if self._layout is None:
+            self._layout = layout
+            self._dtype = np.result_type(S.dtype, diags[-1][0])
+        self._uniform = (self._uniform and layout == self._layout
+                         and S.flags.c_contiguous)
+        coeffs = self._coefficients(diags, jmax)
 
         # Slots the coming sweep will never read are dead: drop them first.
         stale = self._older if self.variant == "stea1" else self._prev
@@ -213,23 +231,26 @@ class TopoEpsTable:
         if self._full is not None:
             self._full[(0, N)] = S
         # element slots held in cur, prev and older, kept as the sweep drops
-        # and fills them
+        # and fills them, and the tie rule's, which change only in its
+        # updates; their high-water mark over the sweep
         held = _live(self._prev) + 1
         if self._older is not None:
             held += _live(self._older)
-        self._note_live(held)
+        ties = self._tie_slots()
+        peak = held + ties
 
         for j in range(1, jmax + 1):
-            k = j - 1
             n = N - 2 * j
-            coeff = self._coefficient(k, n)
+            coeff = coeffs[j - 1]
             if self.variant == "stea1":
                 a = self._prev[j - 1]       # E_{2k}^(n+1), one diagonal back
                 b = self._older[j - 1]      # E_{2k}^(n),  two diagonals back
                 if j == 1 and (tie or self._tie_off is not None):
                     e = self._tie_column2(tie, a, coeff, b)
+                    ties = self._tie_slots()
                 elif j == 2 and self._tie_due is not None:
                     e = self._tie_column4(a, coeff)
+                    ties = self._tie_slots()
                 else:
                     e = self._combine(a, coeff, a, b, into=b if j >= 2 else None)
                 self._older[j - 1] = None
@@ -248,8 +269,11 @@ class TopoEpsTable:
                 out.append((2 * j, n, e))
             if self._full is not None:
                 self._full[(2 * j, n)] = None if e is None else e.copy()
-            self._note_live(held)
+            if held + ties > peak:
+                peak = held + ties
 
+        if peak > self.peak_slots:
+            self.peak_slots = peak
         if self.variant == "stea1":
             self._older = self._prev
         self._prev = cur
@@ -267,21 +291,28 @@ class TopoEpsTable:
         ``into`` is a table-made operand the sweep drops after this update;
         the result goes into its buffer, or into a new one without
         ``into``, where dtypes and layouts allow (module docstring).
+
+        While every term is C-contiguous, of the first term's dtype and with
+        a shadow value of the first one's type, they always allow it: every
+        finite coefficient then has that type, so every entry the table
+        makes is C-contiguous, of the one dtype ``self._dtype`` fixed at the
+        first term.  Otherwise each update checks its operands.
         """
-        if base is None or hi is None or lo is None or coeff is None:
-            return None
-        if not np.isfinite(coeff):
+        if base is None or hi is None or lo is None or not cmath.isfinite(coeff):
             return None
         # the operands share one shape: append checks every term's
         ops = (base, hi, lo)
-        dtype = np.result_type(*ops, coeff)
-        if ((into is None or into.dtype == dtype)
-                and all(x.flags.c_contiguous for x in ops)):
-            if into is None:
-                into = np.empty(base.shape, dtype)
-            self._update_into(into, coeff, *ops)
-            return into
-        return _add(base, _scaled(coeff, hi - lo))
+        if self._uniform:
+            dtype = self._dtype
+        else:
+            dtype = np.result_type(*ops, coeff)
+            if not ((into is None or into.dtype == dtype)
+                    and all(x.flags.c_contiguous for x in ops)):
+                return _add(base, _scaled(coeff, hi - lo))
+        if into is None:
+            into = np.empty(base.shape, dtype)
+        self._update_into(into, coeff, *ops)
+        return into
 
     def _update_into(self, out, coeff, base, hi, lo):
         """``out[:] = base + coeff * (hi - lo)``, one block at a time.
@@ -327,20 +358,26 @@ class TopoEpsTable:
         self._tie_due = None
         return None if base is None or step is None else _add(base, step)
 
-    def _coefficient(self, k, n):
-        """Scalar coefficient for the entry in column ``2k + 2`` at ``n``."""
-        (c1, m1), (c2, m2), (c3, m3), (c4, m4) = self._offsets
-        sc = self.scalar.entry
-        c = 2 * k
-        return self._combiner(_d(sc(c + c1, n + m1), sc(c + c2, n + m2)),
-                              _d(sc(c + c3, n + m3), sc(c + c4, n + m4)))
+    def _coefficients(self, diags, jmax):
+        """The scalar coefficients of the entries in columns ``2, .., 2*jmax``
+        of the newest diagonal, read off ``diags``, the shadow's diagonals.
 
-    def _note_live(self, held):
-        """Record ``held`` element slots plus the tie rule's in ``peak_slots``."""
-        live = (held + (self._tie_off is not None) + (self._tie_diff is not None)
+        Every form reads only the last three, where the entries of column c
+        sit at index c + 1 once the boundary column -1 (zero) is prepended.
+        """
+        if not jmax:
+            return []
+        rows = [[0.0, *d] for d in diags[-3:]]
+        (r1, c1), (r2, c2), (r3, c3), (r4, c4) = self._reads
+        a, b, c, d = rows[r1], rows[r2], rows[r3], rows[r4]
+        combiner = self._combiner
+        return [combiner(a[i + c1] - b[i + c2], c[i + c3] - d[i + c4])
+                for i in range(0, 2 * jmax, 2)]
+
+    def _tie_slots(self):
+        """Element slots the first-kind tie rule holds."""
+        return ((self._tie_off is not None) + (self._tie_diff is not None)
                 + (self._tie_due is not None))
-        if live > self.peak_slots:
-            self.peak_slots = live
 
     # -- access --------------------------------------------------------------
 
@@ -452,7 +489,7 @@ class TeaTable:
                     coeff = _inv((dual_hi - dual_lo) * f(diff))
                     # an infinite or NaN coefficient poisons the entry, as
                     # in TopoEpsTable._combine: it is unformable, not NaN
-                    if not np.isfinite(coeff):
+                    if not cmath.isfinite(coeff):
                         val = None
                     else:
                         val = self._scaled_add(base, coeff, diff)
@@ -558,7 +595,7 @@ def _scaled(coeff, diff):
     A 0-d difference stays an array: numpy scalars multiply complex numbers
     with other rounding than the array loop.
     """
-    if diff is None or coeff is None or not np.isfinite(coeff):
+    if diff is None or not cmath.isfinite(coeff):
         return None
     return np.asarray(np.asarray(diff) * coeff)
 
@@ -584,28 +621,22 @@ def _d(a, b):
 
 
 def _mul(a, b):
-    if a is None or b is None:
-        return None
     return a * b
 
 
 def _ratio(num, den):
-    if num is None or den is None:
-        return None
     return num * _inv(den) if den == 0 else num / den
 
 
 def _mulinv(d1, d2):
-    if d1 is None or d2 is None:
-        return None
-    prod = d1 * d2
-    return _inv(prod)
+    return _inv(d1 * d2)
 
 
 # the coefficient forms of TopoEpsTable, by (variant, form): the scalar
-# entries (column offset from 2k, superscript offset from n) whose two
-# differences the combiner takes, first entry minus second, third minus fourth
-_FORMS = {
+# entries eps_{2k+i}^(n+m) whose two differences the combiner takes, first
+# entry minus second, third minus fourth, given by their offsets (i, m) from
+# (2k, n)
+_OFFSETS = {
     ("stea1", 1): (((0, 1), (0, 0), (1, 1), (1, 0)), _mulinv),
     ("stea1", 2): (((1, 0), (-1, 1), (1, 1), (1, 0)), _ratio),
     ("stea1", 3): (((2, 0), (0, 1), (0, 1), (0, 0)), _ratio),
@@ -615,6 +646,14 @@ _FORMS = {
     ("stea2", 3): (((2, 0), (0, 1), (0, 2), (0, 1)), _ratio),
     ("stea2", 4): (((1, 1), (-1, 2), (2, 0), (0, 1)), _mul),
 }
+
+# the same entries as TopoEpsTable._coefficients reads them: with
+# n = N - 2k - 2 on the append of term N, eps_{2k+i}^(n+m) lies on diagonal
+# N - 2 + i + m, one of the shadow's last three (index i + m of them), at
+# column 2k + i, which is index 2k + i + 1 of that diagonal with column -1
+# prepended
+_FORMS = {key: (tuple((i + m, i + 1) for i, m in offsets), combiner)
+          for key, (offsets, combiner) in _OFFSETS.items()}
 
 
 # -- diagnostics --------------------------------------------------------------

@@ -42,6 +42,11 @@ __all__ = [
 # float64 block is 128 KiB
 BLOCK = 1 << 14
 
+_F64 = np.dtype(np.float64)
+_C128 = np.dtype(np.complex128)
+# the Python type a functional's value of each common numpy type becomes
+_PYTHON_SCALAR = {np.float64: float, np.complex128: complex}
+
 
 class DimensionMismatchError(ValueError):
     """Shapes of two elements, or of an element and a functional, disagree."""
@@ -54,6 +59,9 @@ def as_term(value):
     the first one's shape.  An array already of one of those dtypes passes
     through uncopied.
     """
+    if (type(value) is np.ndarray and value.ndim <= 2
+            and (value.dtype == _F64 or value.dtype == _C128)):
+        return value
     arr = np.asarray(value)
     if arr.ndim > 2:
         raise DimensionMismatchError(
@@ -139,14 +147,16 @@ class Functional:
         Yarr = np.asarray(Y)
         if Yarr.ndim != 2:
             raise DimensionMismatchError("trace_weighted wants a matrix Y")
-        Yuse = Yarr.conj().T if conjugate else Yarr
+        # trace(Y^H X) = sum(conj(Y) * X) and trace(Y X) = sum(Y^T * X): the
+        # elementwise sum is O(s^2) and makes no s x s product
+        W = np.ascontiguousarray(np.conj(Yarr) if conjugate else Yarr.T)
 
         def apply_fn(x):
             if x.ndim != 2 or x.shape != Yarr.shape:
                 raise DimensionMismatchError(
                     f"trace_weighted shapes {Yarr.shape} vs {x.shape}"
                 )
-            return np.trace(Yuse @ x)
+            return (W * x).sum()
 
         return cls("trace_weighted", apply_fn, "trace_weighted", conjugate)
 
@@ -170,8 +180,10 @@ class Functional:
     def apply(self, x):
         """Evaluate on an array; returns a python scalar."""
         out = self._apply(np.asarray(x))
-        out = complex(out) if np.iscomplexobj(out) else float(out)
-        return out
+        kind = _PYTHON_SCALAR.get(type(out))
+        if kind is None:
+            kind = complex if np.iscomplexobj(out) else float
+        return kind(out)
 
     __call__ = apply
 

@@ -1,8 +1,11 @@
 """Scalar epsilon algorithm: rhombus rule, detection, cross-rule repairs."""
 
+import math
+import struct
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epsaccel import Functional, ScalarEpsTable
@@ -246,3 +249,160 @@ def test_event_bookkeeping(terms, max_col, p, parity):
         assert ev.suppressed == (ev.k >= 2 and (ev.k - 2, ev.n + 1) in fired)
         assert not (ev.suppressed and ev.treated)
     assert tab.sigma == sum(ev.treated for ev in tab.events)
+
+
+def test_signed_zero_difference_gives_signed_infinity():
+    # 1/d at d == -0.0 is -inf, as IEEE division (and numpy's) gives it
+    tab = ScalarEpsTable(max_col=4)
+    tab.extend([0.0, -0.0])
+    assert tab.entry(1, 0) == -np.inf
+    tab = ScalarEpsTable(max_col=4)
+    tab.extend([-0.0, 0.0])
+    assert tab.entry(1, 0) == np.inf
+
+
+def _reference_shadow(terms, max_col, p, rules, parity):
+    """The table's rhombus rule, detection and cross-rule repair, written
+    plainly over the whole history with numpy's scalar division and
+    finiteness test for real numbers (complex ones divide in Python).
+
+    Returns each append's ``(k, n, value)`` list, sigma, the events as
+    ``(k, n, ratio, treated, suppressed, victim)`` and the flagged entries.
+    A complex modulus that overflows counts as inf.
+    """
+    def mag(z):
+        try:
+            return abs(z)
+        except OverflowError:
+            return float("inf")
+
+    def inv(x):
+        if isinstance(x, complex):
+            return complex("inf") if x == 0 else 1.0 / x
+        return float(np.divide(1.0, np.float64(x)))
+
+    diags, outs, events, flags, fired = [], [], [], set(), set()
+    sigma, pending = 0, {}
+    for s in terms:
+        s = complex(s) if np.iscomplexobj(s) else float(s)
+        N = len(diags)
+        prev = diags[-1] if diags else []
+        due, pending = pending, {}
+        new = [s]
+        top = N if max_col is None else min(N, max_col)
+        for t in range(1, top + 1):
+            j, n_pair = t - 1, N - t
+            hi, lo = new[j], prev[j]
+            sched = None
+            watched = parity == "both" or (j % 2 == 0) == (parity == "even")
+            if (rules and p is not None and watched
+                    and np.isfinite(hi) and np.isfinite(lo)):
+                d = mag(hi - lo)
+                ratio = d / mag(lo) if lo != 0 else d
+                if (ratio < 10.0 ** -p) if lo != 0 else (d < np.finfo(float).eps):
+                    fired.add((j, n_pair))
+                    ev = [j, n_pair, ratio, False, False, None]
+                    events.append(ev)
+                    if j >= 2 and (j - 2, n_pair + 1) in fired:
+                        ev[4] = True
+                    elif (n_pair >= 1 and t < len(prev)
+                          and (max_col is None or t + 2 <= max_col)):
+                        sched = {"ev": ev, "N": prev[t],
+                                 "W": new[j - 1] if j >= 1 else 0.0}
+                        pending[t + 2] = sched
+            if t in due:
+                C, Nn, S, W = due[t]["C"], due[t]["N"], new[t - 2], due[t]["W"]
+                if not np.isfinite(C):
+                    value = Nn + S - W
+                else:
+                    try:
+                        psi = S / (C - S) + Nn / (C - Nn) - W / (C - W)
+                        value = C * psi / (1.0 + psi)
+                    except ZeroDivisionError:
+                        value = float("nan")
+                sigma += 1
+                flags.add((t, N - t))
+                due[t]["ev"][3] = True
+                due[t]["ev"][5] = (t, N - t)
+            else:
+                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                    value = (prev[t - 2] if t >= 2 else 0.0) + inv(hi - lo)
+            new.append(value)
+            if sched is not None:
+                sched["C"] = value
+        diags.append(new)
+        outs.append([(k, N - k, v) for k, v in enumerate(new)])
+    return outs, sigma, [tuple(ev) for ev in events], flags
+
+
+def _scalar_bits(v):
+    """Type and bits of a number, any NaN part as the one canonical NaN: the
+    sign of a NaN that CPython's float operations return depends on whether
+    the interpreter has specialised the operation yet."""
+    z = complex(v)
+    parts = (math.nan if x != x else x for x in (z.real, z.imag))
+    return type(v), struct.pack("<dd", *parts)
+
+
+@st.composite
+def shadow_streams(draw):
+    """Geometric streams with planted exact and near ties, signed zeros,
+    infinities and NaN, as floats, numpy floats or complex numbers."""
+    n_terms = draw(st.integers(1, 30))
+    limit = draw(st.floats(-2.0, 2.0))
+    modes = draw(st.lists(st.tuples(st.floats(0.5, 1.5), st.floats(-0.95, 0.95)),
+                          min_size=1, max_size=3))
+    terms = [limit + sum(a * r**n for a, r in modes) for n in range(n_terms)]
+    for i, what in draw(st.lists(st.tuples(
+            st.integers(0, n_terms - 1),
+            st.sampled_from(["tie", "near", "zeros", "inf", "-inf", "nan"])),
+            max_size=5)):
+        if what == "tie" and i:
+            terms[i] = terms[i - 1]
+        elif what == "near" and i:
+            terms[i] = terms[i - 1] * (1.0 + draw(st.sampled_from([1e-15, 1e-13, 1e-11])))
+        elif what == "zeros":
+            terms[i:i + 2] = [0.0, -0.0][:len(terms[i:i + 2])]
+        elif what in ("inf", "-inf", "nan"):
+            terms[i] = float(what)
+    kind = draw(st.sampled_from(["float", "numpy", "complex", "turns-complex"]))
+    if kind == "numpy":
+        terms = [np.float64(s) for s in terms]
+    elif kind == "complex":
+        w = complex(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
+        terms = [s * (1.0 + w) for s in terms]
+    elif kind == "turns-complex":
+        cut = draw(st.integers(0, n_terms))
+        terms = terms[:cut] + [complex(s, 1e-3) for s in terms[cut:]]
+    return terms
+
+
+@settings(max_examples=400, deadline=None)
+# column-1 entries near 1e308 in both parts, whose difference's modulus
+# overflows: abs() raised OverflowError out of append
+@example(terms=[0j, 7e-309 * (1 + 1j), 0j, 7e-309 * (1 + 1j), 0j], max_col=None,
+         p=10, rules=True, parity="both")
+# a repair whose operands are inf and NaN: its NaN's sign is CPython's choice
+@example(terms=[math.nan, math.nan, 0.512438087268418, 0.5124380872684186,
+                0.5124380872684186], max_col=None, p=10, rules=True, parity="both")
+@given(terms=shadow_streams(), max_col=st.sampled_from([2, 4, 6, 10, None]),
+       p=st.sampled_from([None, 7, 10, 12]), rules=st.booleans(),
+       parity=st.sampled_from(["both", "even", "odd"]))
+def test_sweep_matches_the_reference_rhombus_bit_for_bit(terms, max_col, p, rules,
+                                                         parity):
+    # the sweep runs on Python numbers (IEEE 1/d, a signed infinity at zero,
+    # math.isfinite); the reference uses numpy's division and isfinite
+    tab = ScalarEpsTable(max_col=max_col, p_threshold=p, particular_rules=rules,
+                         singular_parity=parity)
+    outs, sigma, events, flags = _reference_shadow(terms, max_col, p, rules, parity)
+    for s, want in zip(terms, outs):
+        got = tab.append(s)
+        assert [(k, n) for k, n, _ in got] == [(k, n) for k, n, _ in want]
+        assert ([_scalar_bits(v) for _, _, v in got]
+                == [_scalar_bits(v) for _, _, v in want])
+    assert tab.sigma == sigma
+    assert [(ev.k, ev.n, struct.pack("<d", ev.ratio), ev.treated, ev.suppressed,
+             ev.victim) for ev in tab.events] == [
+        (k, n, struct.pack("<d", r), tr, su, vi) for k, n, r, tr, su, vi in events]
+    size = len(terms) + 1
+    assert {(k, n) for k in range(size) for n in range(size) if tab.flag(k, n)} == flags

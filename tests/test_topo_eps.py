@@ -19,6 +19,7 @@ from epsaccel import (
 from epsaccel.harness import fit_geometric_rate
 from epsaccel.oracle import shanks_topo, solve_tolerance
 from epsaccel.sequences import GeometricModes, KernelRecurrence, LogarithmicModes
+from epsaccel.topo_eps import _OFFSETS
 from epsaccel.vectorspace import BLOCK
 
 LN2_SUMS = [1.0, 0.5, 5.0 / 6.0, 7.0 / 12.0, 47.0 / 60.0,
@@ -163,13 +164,21 @@ def test_kernel_annihilation_with_repairs_first_kind():
         assert _norm(e - ref) <= 1e-8, form
 
 
+def _shadow_coefficient(tab, k, n):
+    """The coefficient of entry ``(2k + 2, n)``, read from the shadow's
+    entries at the form's offsets through ``ScalarEpsTable.entry``."""
+    offsets, combiner = _OFFSETS[(tab.variant, tab.form)]
+    e = [tab.scalar.entry(2 * k + i, n + m) for i, m in offsets]
+    return combiner(e[0] - e[1], e[2] - e[3])
+
+
 def _plain_update(tab, k, n):
     """``a + c * (hi - lo)`` for entry ``(2k + 2, n)`` from the entries of
     column 2k kept by ``debug_full``; None where it cannot be formed."""
     a = tab.entry(2 * k, n + 1)
     hi, lo = ((a, tab.entry(2 * k, n)) if tab.variant == "stea1"
               else (tab.entry(2 * k, n + 2), a))
-    c = tab._coefficient(k, n)
+    c = _shadow_coefficient(tab, k, n)
     if hi is None or lo is None or not np.isfinite(c):
         return None
     return a + (hi - lo) * c
@@ -238,6 +247,10 @@ def _layout_cases():
     # real terms, complex coefficients: results cannot go into real buffers
     yield "complex-y", _read_only(re), Functional.dot(y)
     yield "0-d", _read_only([t[0].copy() for t in re]), Functional.dot(np.asarray(1.3))
+    # a stream that turns complex: the dtype the first term fixed no longer
+    # holds, so each update checks its own
+    turns = re[:6] + [a + 1j * b for a, b in zip(re[6:], im[6:])]
+    yield "turns-complex", _read_only(turns), Functional.dot(y.real)
 
 
 def _appended(tab, terms):
@@ -424,6 +437,26 @@ def test_full_tables_leave_unformable_entries_invalid():
                 for col, n, e in tab.append(S):
                     assert np.isfinite(e).all(), (variant, col, n)
         assert tab.invalid, variant
+
+
+def test_coefficients_read_the_shadow_diagonals_directly(monkeypatch):
+    # every form reads only the shadow's last three diagonals, which the
+    # table indexes itself; a bounds-checked entry() call per read cost
+    # more than the element update at dim 100
+    def no_entry(self, k, n):
+        raise AssertionError("ScalarEpsTable.entry was called")
+
+    rng = np.random.default_rng(9)
+    src = GeometricModes(rng.random(6) + 0.5, [1.0] * 3, [0.8, 0.6, 0.4],
+                         [rng.random(6) + 0.5 for _ in range(3)])
+    terms = src.take(300)  # converged in float64, repairing on most terms
+    f = Functional.dot(np.ones(6))
+    monkeypatch.setattr(ScalarEpsTable, "entry", no_entry)
+    for variant in ("stea1", "stea2"):
+        for form in (1, 2, 3, 4):
+            tab = TopoEpsTable(f, max_k=5, variant=variant, form=form)
+            formed = sum(len(tab.append(S)) for S in terms)
+            assert formed > len(terms) and tab.sigma > 0, (variant, form)
 
 
 def test_ratio_series_single_mode():

@@ -81,6 +81,27 @@ def test_blocked_dot_is_the_plain_sum_bit_for_bit(m, seed, y_complex, x_complex,
     assert _bits(got) == _bits((yuse * x).sum())
 
 
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("conjugate", [True, False])
+def test_trace_weighted_is_the_trace_of_the_product(complex_, conjugate):
+    # the functional sums W * X elementwise instead of forming Y^H @ X; the
+    # two round differently, each within about s * eps of sum |Y| |X|
+    s = 150
+    rng = np.random.default_rng(17)
+    for trial in range(4):
+        Y, X = rng.standard_normal((2, s, s))
+        if complex_:
+            Y = Y + 1j * rng.standard_normal((s, s))
+            X = X + 1j * rng.standard_normal((s, s))
+        if trial % 2:
+            X = np.asfortranarray(X)
+        want = np.trace((Y.conj().T if conjugate else Y) @ X)
+        got = Functional.trace_weighted(Y, conjugate=conjugate)(X)
+        assert isinstance(got, complex if complex_ else float)
+        scale = np.abs(Y).ravel() @ np.abs(X).ravel()
+        assert abs(got - want) <= 2 * s * np.finfo(float).eps * scale
+
+
 def test_weighted_dot():
     M = np.array([[1.0, 2.0], [0.0, 1.0]])
     y = np.array([1.0, 1.0])
