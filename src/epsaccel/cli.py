@@ -133,7 +133,7 @@ def _cmd_accelerate(args):
         return 2
 
     seed = _resolve_seed(args.seed)
-    source = {"kind": "file", "path": args.input}
+    source = {"kind": "file", "path": args.input, "terms": terms}
     if args.limit_file:
         source["limit_path"] = args.limit_file
     algo = {"variant": args.algo, "form": args.form, "max_k": args.kmax,

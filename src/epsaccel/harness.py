@@ -79,7 +79,8 @@ class ExperimentSpec:
 
     def to_dict(self):
         out = {
-            "source": self.source,
+            # a file source names its terms by the path they were read from
+            "source": {k: v for k, v in self.source.items() if k != "terms"},
             "algorithm": self.algorithm,
             "functional": self.functional,
             "n_terms": self.n_terms,
@@ -148,7 +149,10 @@ def build_source(conf, seed=0):
             conf.pop("dim"), conf.pop("rho", 0.9), conf.pop("n_rhs", 3), seed)
     if kind == "file":
         from .seqio import read_terms
-        terms = read_terms(conf.pop("path"))
+        # the file's terms, when the caller has parsed it already
+        terms = conf.pop("terms", None)
+        if terms is None:
+            terms = read_terms(conf.pop("path"))
         limit = None
         if conf.get("limit_path"):
             limit = read_terms(conf.pop("limit_path"))[0]

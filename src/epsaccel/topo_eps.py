@@ -4,7 +4,10 @@ The full algorithms (:class:`TeaTable`) accelerate a sequence of elements by
 alternating between the element space and its dual: odd entries are scalar
 multiples of the chosen functional, even entries are elements.  The
 functional is fixed per table, so an odd entry is stored as its coefficient.
-They are kept here as references.
+They are kept here as references.  Each odd entry costs one functional call,
+``f(hi, lo)`` of an element difference, and each even entry's ``f`` of a
+difference is one an odd step already made, so a full table calls its
+functional about K times per term (:class:`TeaTable`).
 
 Terms and entries are plain float64 or complex128 ndarrays.  ``append``
 converts each term once (:func:`epsaccel.vectorspace.as_term`) and checks
@@ -63,7 +66,8 @@ its column-4 update consumes the previous one, so a first-kind table whose
 column 0 ties holds up to ``2K + 5``.  ``peak_slots`` records the audited
 high-water mark, these slots included.
 
-Updates in place.  An update works block by block
+Updates in place.  Both table families share one element update
+(``_InPlaceTable``).  An update works block by block
 (:data:`epsaccel.vectorspace.BLOCK` entries) through the table's scratch of
 two blocks, one for the difference and one for the product (not element
 slots), so each block stays in cache and no full-size temporary is made.
@@ -78,13 +82,16 @@ bit-identical to it.  Where the result's dtype differs from the operand's (a
 complex coefficient over real terms), or an operand is not C-contiguous, the
 update is that plain expression.  So are the tie rule's updates.  While every
 term is C-contiguous and keeps the first one's dtype, that is decided once
-per term, not per update (:meth:`TopoEpsTable._combine`).
+per term, not per update (``_InPlaceTable._combine``).  The full tables'
+even updates write likewise into the operand their sweep drops
+(:class:`TeaTable`).
 
 Ownership: the entries ``append``, ``entry``, ``last_entries`` and ``best``
-return are the table's own storage.  A second-kind entry in column 2 or
-above may be overwritten during the next append, a first-kind one during
-the append after that; callers copy what they keep.  Under ``debug_full``
-the side dict keeps copies, which never change.
+return are the table's own storage, in every table here.  A second-kind
+entry (``stea2``, ``tea2``) in column 2 or above may be overwritten during
+the next append, a first-kind one (``stea1``, ``tea1``) during the append
+after that; callers copy what they keep.  Under ``debug_full`` the side
+dict keeps copies, which never change.
 """
 
 from __future__ import annotations
@@ -113,7 +120,81 @@ def _inv(x):
     return 1.0 / x
 
 
-class TopoEpsTable:
+class _InPlaceTable:
+    """The blocked, in-place element update every element table runs
+    (module docstring, "Updates in place")."""
+
+    # the updates' blocks of difference and product
+    _scratch = None
+    # the first term's layout, the dtype of every update it gives, and
+    # whether every term so far shared that layout and was C-contiguous
+    _layout = None
+    _dtype = None
+    _uniform = True
+
+    def _note_term(self, S, layout):
+        """Keep ``_uniform`` up to date for the new term ``S``."""
+        if self._layout is None:
+            self._layout = layout
+        self._uniform = (self._uniform and layout == self._layout
+                         and S.flags.c_contiguous)
+
+    def _combine(self, base, coeff, hi, lo, into=None):
+        """``base + coeff * (hi - lo)`` with None/NaN poisoning.
+
+        ``into`` is a table-made operand the sweep drops after this update;
+        the result goes into its buffer, or into a new one without
+        ``into``, where dtypes and layouts allow (module docstring).
+
+        While every term is C-contiguous and of the first term's layout
+        (:meth:`_note_term`), they always allow it: every finite coefficient
+        then has one type, so every entry the table makes is C-contiguous,
+        of the one dtype ``self._dtype`` fixed at the first update.
+        Otherwise each update checks its operands.
+        """
+        if base is None or hi is None or lo is None or not cmath.isfinite(coeff):
+            return None
+        # the operands share one shape: append checks every term's
+        ops = (base, hi, lo)
+        dtype = self._dtype if self._uniform else None
+        if dtype is None:
+            dtype = np.result_type(*ops, coeff)
+            if not ((into is None or into.dtype == dtype)
+                    and all(x.flags.c_contiguous for x in ops)):
+                return _add(base, _scaled(coeff, hi - lo))
+            if self._uniform:
+                self._dtype = dtype
+        if into is None:
+            into = np.empty(base.shape, dtype)
+        self._update_into(into, coeff, *ops)
+        return into
+
+    def _update_into(self, out, coeff, base, hi, lo):
+        """``out[:] = base + coeff * (hi - lo)``, one block at a time.
+
+        ``out`` may be ``lo`` and ``base`` (second kind): each block of
+        ``hi - lo`` lands in the scratch before that block of ``out`` is
+        written.  The product goes to the second scratch block, not back
+        into the difference: numpy's complex multiply does not round alike
+        in place and out of place.
+        """
+        if self._scratch is None or self._scratch[0].dtype != out.dtype:
+            # an element of at most one block is its own single block
+            shape = out.shape if out.size <= BLOCK else (BLOCK,)
+            self._scratch = (np.empty(shape, out.dtype), np.empty(shape, out.dtype))
+        d, p = self._scratch
+        if out.size <= BLOCK:
+            _block_update(out, coeff, base, hi, lo, d, p)
+            return
+        out, base, hi, lo = (x.reshape(-1) for x in (out, base, hi, lo))
+        size = out.shape[0]
+        for i in range(0, size, BLOCK):
+            j = min(i + BLOCK, size)
+            _block_update(out[i:j], coeff, base[i:j], hi[i:j], lo[i:j],
+                          d[:j - i], p[:j - i])
+
+
+class TopoEpsTable(_InPlaceTable):
     """Simplified topological epsilon algorithm, first or second kind.
 
     Parameters
@@ -177,15 +258,6 @@ class TopoEpsTable:
         self._tie_off = None
         self._tie_diff = None
         self._tie_due = None
-        # the in-place updates' blocks of difference and product (module
-        # docstring)
-        self._scratch = None
-        # the first term's dtype and shadow type, the dtype of every update
-        # they give, and whether every term so far shared them and was
-        # C-contiguous (see _combine)
-        self._layout = None
-        self._dtype = None
-        self._uniform = True
 
     @property
     def sigma(self):
@@ -205,12 +277,7 @@ class TopoEpsTable:
         K = self.max_k
         jmax = min(N, 2 * K) // 2
         # the shadow's column 0 holds s as the shadow converted it
-        layout = (S.dtype, type(diags[-1][0]))
-        if self._layout is None:
-            self._layout = layout
-            self._dtype = np.result_type(S.dtype, diags[-1][0])
-        self._uniform = (self._uniform and layout == self._layout
-                         and S.flags.c_contiguous)
+        self._note_term(S, (S.dtype, type(diags[-1][0])))
         coeffs = self._coefficients(diags, jmax)
 
         # Slots the coming sweep will never read are dead: drop them first.
@@ -285,59 +352,6 @@ class TopoEpsTable:
             self.append(S)
         return self
 
-    def _combine(self, base, coeff, hi, lo, into=None):
-        """``base + coeff * (hi - lo)`` with None/NaN poisoning.
-
-        ``into`` is a table-made operand the sweep drops after this update;
-        the result goes into its buffer, or into a new one without
-        ``into``, where dtypes and layouts allow (module docstring).
-
-        While every term is C-contiguous, of the first term's dtype and with
-        a shadow value of the first one's type, they always allow it: every
-        finite coefficient then has that type, so every entry the table
-        makes is C-contiguous, of the one dtype ``self._dtype`` fixed at the
-        first term.  Otherwise each update checks its operands.
-        """
-        if base is None or hi is None or lo is None or not cmath.isfinite(coeff):
-            return None
-        # the operands share one shape: append checks every term's
-        ops = (base, hi, lo)
-        if self._uniform:
-            dtype = self._dtype
-        else:
-            dtype = np.result_type(*ops, coeff)
-            if not ((into is None or into.dtype == dtype)
-                    and all(x.flags.c_contiguous for x in ops)):
-                return _add(base, _scaled(coeff, hi - lo))
-        if into is None:
-            into = np.empty(base.shape, dtype)
-        self._update_into(into, coeff, *ops)
-        return into
-
-    def _update_into(self, out, coeff, base, hi, lo):
-        """``out[:] = base + coeff * (hi - lo)``, one block at a time.
-
-        ``out`` may be ``lo`` and ``base`` (second kind): each block of
-        ``hi - lo`` lands in the scratch before that block of ``out`` is
-        written.  The product goes to the second scratch block, not back
-        into the difference: numpy's complex multiply does not round alike
-        in place and out of place.
-        """
-        if self._scratch is None or self._scratch[0].dtype != out.dtype:
-            # an element of at most one block is its own single block
-            shape = out.shape if out.size <= BLOCK else (BLOCK,)
-            self._scratch = (np.empty(shape, out.dtype), np.empty(shape, out.dtype))
-        d, p = self._scratch
-        if out.size <= BLOCK:
-            _block_update(out, coeff, base, hi, lo, d, p)
-            return
-        out, base, hi, lo = (x.reshape(-1) for x in (out, base, hi, lo))
-        size = out.shape[0]
-        for i in range(0, size, BLOCK):
-            j = min(i + BLOCK, size)
-            _block_update(out[i:j], coeff, base[i:j], hi[i:j], lo[i:j],
-                          d[:j - i], p[:j - i])
-
     def _tie_column2(self, tie, base, coeff, lo):
         """Column-2 update of the first-kind tie rule (module docstring).
 
@@ -409,7 +423,7 @@ class TopoEpsTable:
         return entries[-1] if entries else None
 
 
-class TeaTable:
+class TeaTable(_InPlaceTable):
     """Full topological epsilon algorithm, first or second kind.
 
     Even entries are elements, odd entries multiples ``c * f`` of the
@@ -417,6 +431,13 @@ class TeaTable:
     hungrier than :class:`TopoEpsTable` and with no singular-block
     protection; kept as the reference the simplified tables are checked
     against.
+
+    Functional calls.  The even step's ``f`` of an element difference is
+    one an odd step already took, on the same operands in the same order:
+    for the second kind the odd step just before it, for the first kind the
+    same odd column's step on the previous append (kept, one value per odd
+    column).  So the table calls ``f(hi, lo)`` once per odd entry, about K
+    times per term, bit-identically to calling it again.
 
     Storage: each new ascending diagonal overwrites the previous one in
     place, under a two-slot chain of the just-unseated entries (the western
@@ -427,6 +448,11 @@ class TeaTable:
     diagonal (first kind).  ``peak_slots`` records the audited high-water
     mark of element slots, ``peak_total`` that of element and coefficient
     slots together.
+
+    The even updates run the simplified tables' in-place kernel (module
+    docstring), from column 4 on into the operand the sweep drops: the
+    unseated ``E_{2k}^(n+1)`` (second kind) or the parked ``E_{2k}^(n)``
+    (first kind).  Entries are owned as in :class:`TopoEpsTable`.
     """
 
     def __init__(self, functional, max_k, variant="tea1", debug_full=False):
@@ -444,17 +470,27 @@ class TeaTable:
         self.peak_total = 0
         self._diag = [None] * (2 * max_k + 1)
         self._half = [None] * max_k if variant == "tea1" else None
+        # the first kind's f(hi - lo) of each odd column, from the last sweep
+        self._fodd = [None] * max_k if variant == "tea1" else None
 
     def append(self, S):
         """Add one term; returns new even entries as ``(column, n, array)``."""
         S = _term(self, S)
+        self._note_term(S, S.dtype)
         N = self.n_terms
         cmax = min(N, 2 * self.max_k)
         f = self.functional
         B = self._diag
+        half, fodd = self._half, self._fodd
         out = []
         t1 = None   # unseated B[c-1], the previous diagonal one column west
         t2 = None   # unseated B[c-2]
+        fdiff = None    # the f(hi - lo) the coming even step reads
+        # live slots by position, kept as the sweep unseats and fills them:
+        # even columns and the half diagonal hold elements, odd columns
+        # coefficients
+        elems = _live(B[0::2]) + (_live(half) if half is not None else 0)
+        coefs = _live(B[1::2])
 
         for c in range(0, cmax + 1):
             old = B[c]
@@ -464,49 +500,57 @@ class TeaTable:
             elif c % 2 == 1:
                 base = t2 if c >= 3 else 0.0
                 hi, lo = B[c - 1], t1
-                if base is None or hi is None or lo is None:
-                    val = None
-                else:
-                    val = base + _inv(f(hi - lo))
+                fval = None if hi is None or lo is None else f(hi, lo)
+                fdiff = fval
+                if fodd is not None:
+                    fdiff, fodd[c // 2] = fodd[c // 2], fval
+                val = None if base is None or fval is None else base + _inv(fval)
             else:
-                base = t2
                 dual_hi, dual_lo = B[c - 1], t1
-                if self.variant == "tea1":
+                if half is not None:
                     j = (c - 2) // 2
-                    other = self._half[j]
-                    # base is this diagonal's unseated even entry at c-2:
+                    hi, lo = t2, half[j]
+                    # t2 is this diagonal's unseated even entry at c-2:
                     # exactly what the next sweep reads two diagonals back
-                    self._half[j] = base
-                    diff = None if (base is None or other is None) else base - other
+                    half[j] = t2
+                    elems += (t2 is not None) - (lo is not None)
                 else:
-                    other = B[c - 2]
-                    diff = None if (base is None or other is None) else other - base
-                if base is None or diff is None or dual_hi is None or dual_lo is None:
+                    hi, lo = B[c - 2], t2
+                if fdiff is None or dual_hi is None or dual_lo is None:
                     val = None
                 else:
-                    # the step's own buffer, 0-d included (_scaled_add)
-                    diff = np.asarray(diff)
-                    coeff = _inv((dual_hi - dual_lo) * f(diff))
-                    # an infinite or NaN coefficient poisons the entry, as
-                    # in TopoEpsTable._combine: it is unformable, not NaN
-                    if not cmath.isfinite(coeff):
-                        val = None
-                    else:
-                        val = self._scaled_add(base, coeff, diff)
+                    # an infinite or NaN coefficient leaves the entry
+                    # unformed (_combine), not NaN
+                    coeff = _inv((dual_hi - dual_lo) * fdiff)
+                    val = self._combine(t2, coeff, hi, lo,
+                                        into=lo if c >= 4 else None)
             B[c] = val
-            if (self.variant == "tea1" and c % 2 == 0 and c + 2 > cmax
+            if c % 2:
+                coefs += (val is not None) - (old is not None)
+            else:
+                elems += (val is not None) - (old is not None)
+            if (half is not None and c % 2 == 0 and c + 2 > cmax
                     and c // 2 < self.max_k):
                 # the parking step c+2 is beyond this sweep (growing table):
                 # park the unseated even entry now or it is lost
-                self._half[c // 2] = old
+                elems += (old is not None) - (half[c // 2] is not None)
+                half[c // 2] = old
             t1, t2 = old, t1
             if val is None:
                 self.invalid.add((c, n))
             elif c % 2 == 0:
                 out.append((c, n, val))
             if self._full is not None:
-                self._full[(c, n)] = val
-            self._sample_live(c, t1, t2)
+                keep = c and c % 2 == 0 and val is not None
+                self._full[(c, n)] = val.copy() if keep else val
+            # t1 is the unseated entry of column c, t2 that of column c-1
+            even_t, odd_t = (t1, t2) if c % 2 == 0 else (t2, t1)
+            slots = elems + (even_t is not None)
+            if slots > self.peak_slots:
+                self.peak_slots = slots
+            total = slots + coefs + (odd_t is not None)
+            if total > self.peak_total:
+                self.peak_total = total
 
         self.n_terms = N + 1
         return out
@@ -515,40 +559,6 @@ class TeaTable:
         for S in terms:
             self.append(S)
         return self
-
-    @staticmethod
-    def _scaled_add(base, coeff, diff):
-        """``base + coeff * diff`` with no temporary beyond the result.
-
-        ``diff`` is the step's own, so a real product is formed in it; a
-        complex one goes to a new buffer, since numpy's complex multiply
-        does not round alike in place and out of place.  The sum is formed
-        in the product's buffer.
-        """
-        if np.result_type(diff, coeff).kind == "f":
-            np.multiply(diff, coeff, out=diff)
-            val = diff
-        else:
-            val = _scaled(coeff, diff)
-        np.add(base, val, out=val)
-        return val
-
-    def _sample_live(self, c, t1, t2):
-        """Peak counts of live slots, told apart by position: even columns
-        and the half diagonal hold elements, odd columns coefficients; ``t1``
-        is the unseated entry of column ``c``, ``t2`` that of column ``c-1``."""
-        B = self._diag
-        slots = _live(B[0::2])
-        if self._half is not None:
-            slots += _live(self._half)
-        coeffs = _live(B[1::2])
-        even_t, odd_t = (t1, t2) if c % 2 == 0 else (t2, t1)
-        slots += even_t is not None
-        coeffs += odd_t is not None
-        if slots > self.peak_slots:
-            self.peak_slots = slots
-        if slots + coeffs > self.peak_total:
-            self.peak_total = slots + coeffs
 
     def entry(self, col, n):
         """Kept entry at ``(col, n)``: buffers, or anything in debug mode."""

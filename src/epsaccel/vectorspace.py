@@ -23,7 +23,9 @@ reals), multiplies each leaf of at most one block into the scratch, sums it
 with ``.sum()`` and adds the halves as numpy does.  The product and the
 summation order are numpy's, so the result is bit-identical to
 ``(yuse * x).sum()``.  It never calls ``np.dot`` or BLAS, whose rounding
-differs.
+differs.  Given a second operand, ``f(hi, lo)`` is ``f(hi - lo)`` bit for
+bit; the blocked dot then forms each leaf of ``hi - lo`` in a second scratch
+block, so the full-size difference is never made.
 """
 
 from __future__ import annotations
@@ -105,13 +107,15 @@ class Functional:
             raise DimensionMismatchError("dot functional wants a scalar or vector y")
         yuse = np.conj(yarr) if conjugate else yarr
 
-        def apply_fn(x):
+        def apply_fn(x, lo=None):
             if x.shape != yarr.shape:
                 raise DimensionMismatchError(
                     f"functional shape {yarr.shape} vs element shape {x.shape}"
                 )
             if x.ndim == 1 and x.shape[0] > BLOCK:
-                return _pairwise_dot(yuse, x)
+                return _pairwise_dot(yuse, x, lo)
+            if lo is not None:
+                x = np.asarray(x - lo)
             return (yuse * x).sum()
 
         return cls("dot", apply_fn, f"dot(dim={yarr.size})", conjugate)
@@ -177,9 +181,16 @@ class Functional:
 
         return cls("bilinear", apply_fn, "bilinear", conjugate)
 
-    def apply(self, x):
-        """Evaluate on an array; returns a python scalar."""
-        out = self._apply(np.asarray(x))
+    def apply(self, x, lo=None):
+        """Evaluate on an array, or on ``x - lo`` bit for bit when ``lo`` is
+        given (module docstring); returns a python scalar."""
+        x = np.asarray(x)
+        if lo is None:
+            out = self._apply(x)
+        elif self.kind == "dot":
+            out = self._apply(x, np.asarray(lo))
+        else:
+            out = self._apply(np.asarray(x - lo))
         kind = _PYTHON_SCALAR.get(type(out))
         if kind is None:
             kind = complex if np.iscomplexobj(out) else float
@@ -191,25 +202,31 @@ class Functional:
         return f"Functional({self.label})"
 
 
-def _pairwise_dot(yuse, x):
-    """``(yuse * x).sum()`` of 1-d operands, bit for bit, one block at a time.
+def _pairwise_dot(yuse, x, lo=None):
+    """``(yuse * x).sum()`` of 1-d operands, bit for bit, one block at a time,
+    or ``(yuse * (x - lo)).sum()`` given ``lo``.
 
     The scratch is made per call: a functional may be shared by threads.
     """
-    scratch = np.empty(BLOCK, np.result_type(yuse, x))
-    return _pairwise_sum(yuse, x, 0, x.shape[0], scratch)
+    diff = None if lo is None else np.empty(BLOCK, np.result_type(x, lo))
+    scratch = np.empty(BLOCK, np.result_type(yuse, x if lo is None else diff))
+    return _pairwise_sum(yuse, x, lo, 0, x.shape[0], scratch, diff)
 
 
-def _pairwise_sum(yuse, x, lo, m, scratch):
-    """Sum of ``yuse * x`` over ``[lo, lo + m)``, split as numpy splits it."""
+def _pairwise_sum(yuse, x, lo, i, m, scratch, diff):
+    """Sum of ``yuse * (x - lo)`` (``yuse * x`` without ``lo``) over
+    ``[i, i + m)``, split as numpy splits it."""
     if m <= BLOCK:
         leaf = scratch[:m]
-        np.multiply(yuse[lo:lo + m], x[lo:lo + m], out=leaf)
+        xs = x[i:i + m]
+        if lo is not None:
+            xs = np.subtract(xs, lo[i:i + m], out=diff[:m])
+        np.multiply(yuse[i:i + m], xs, out=leaf)
         return leaf.sum()
     if scratch.dtype.kind == "c":
         n2 = (m - m % 8) // 2
     else:
         n2 = m // 2
         n2 -= n2 % 8
-    return (_pairwise_sum(yuse, x, lo, n2, scratch)
-            + _pairwise_sum(yuse, x, lo + n2, m - n2, scratch))
+    return (_pairwise_sum(yuse, x, lo, i, n2, scratch, diff)
+            + _pairwise_sum(yuse, x, lo, i + n2, m - n2, scratch, diff))

@@ -61,6 +61,30 @@ def test_accelerate_out_file_and_limit(ln2_file, tmp_path, capsys):
     assert errs and min(errs) < 1e-4
 
 
+def test_accelerate_reads_each_input_file_once(ln2_file, tmp_path, capsys,
+                                               monkeypatch):
+    # the command line parses the input to check it and hands the parsed
+    # terms to the harness, which reads only the limit file
+    from epsaccel import seqio
+
+    limit = tmp_path / "limit.txt"
+    write_terms(limit, [np.array(np.log(2.0))])
+    reads = []
+    read_terms = seqio.read_terms
+
+    def counted(path):
+        reads.append(str(path))
+        return read_terms(path)
+
+    monkeypatch.setattr(seqio, "read_terms", counted)
+    assert main(["accelerate", ln2_file, "--limit-file", str(limit),
+                 "--format", "json"]) == 0
+    assert sorted(reads) == sorted([ln2_file, str(limit)])
+    spec = json.loads(capsys.readouterr().out)["spec"]
+    assert spec["source"] == {"kind": "file", "path": ln2_file,
+                              "limit_path": str(limit)}
+
+
 def test_missing_input_exits_2(capsys):
     assert main(["accelerate", "/no/such/file.txt"]) == 2
     assert "epsaccel:" in capsys.readouterr().err

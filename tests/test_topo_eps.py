@@ -303,16 +303,22 @@ def test_updates_match_the_plain_update_for_any_layout_and_dtype():
 
 
 def test_entries_are_table_storage_until_overwritten():
-    # a returned entry is the table's own buffer: a second-kind entry in
-    # column 2 or above becomes the next append's entry two columns up, a
-    # first-kind one the entry two columns up of the append after that;
-    # the debug copies never change
+    # a returned entry is the table's own buffer, in the simplified and the
+    # full tables alike: a second-kind entry in column 2 or above becomes
+    # the next append's entry two columns up, a first-kind one the entry two
+    # columns up of the append after that; the caller's terms are never
+    # written and the debug copies never change
     K = 3
     terms, _ = smooth_terms(45, 40, 12)
+    given = [S.copy() for S in terms]
     f = Functional.dot(np.ones(40))
-    for variant, lag, shift in (("stea1", 2, 0), ("stea2", 1, -1)):
-        tab = TopoEpsTable(f, max_k=K, variant=variant, form=3,
-                           particular_rules=False, debug_full=True)
+    for variant, lag, shift in (("stea1", 2, 0), ("stea2", 1, -1),
+                                ("tea1", 2, 0), ("tea2", 1, -1)):
+        if variant.startswith("tea"):
+            tab = TeaTable(f, max_k=K, variant=variant, debug_full=True)
+        else:
+            tab = TopoEpsTable(f, max_k=K, variant=variant, form=3,
+                               particular_rules=False, debug_full=True)
         history, copies = [], {}
         for S in terms:
             new = tab.append(S)
@@ -330,6 +336,7 @@ def test_entries_are_table_storage_until_overwritten():
                 assert not _same_bits(e, copies[(col, n)])
                 reused += 1
         assert reused >= 10, variant
+        assert all(_same_bits(S, S0) for S, S0 in zip(terms, given)), variant
         for (col, n), value in copies.items():
             kept = tab.entry(col, n)
             assert _same_bits(kept, value), (variant, col, n)
@@ -357,6 +364,39 @@ def test_steady_state_append_allocates_at_most_one_element():
         peak = _traced_peak(lambda: tab.append(terms[-1]))
         assert peak <= 8 * dim + 8 * BLOCK + slack, (variant, peak)
     assert _traced_peak(lambda: f(terms[0])) <= 8 * BLOCK + slack
+    # the full tables: the column-2 entry, and the functional's blocks of
+    # difference and product
+    for variant in ("tea1", "tea2"):
+        tab = TeaTable(f, max_k=5, variant=variant)
+        tab.extend(terms[:-1])
+        peak = _traced_peak(lambda: tab.append(terms[-1]))
+        assert peak <= 8 * dim + 16 * BLOCK + slack, (variant, peak)
+    assert _traced_peak(lambda: f(terms[1], terms[0])) <= 16 * BLOCK + slack
+
+
+def test_full_tables_call_the_functional_once_per_odd_entry(monkeypatch):
+    # an even step's f of a difference is an odd step's, read again: a
+    # steady-state append makes K calls, not about 2K
+    K = 5
+    terms, _ = smooth_terms(49, 30, 3 * K)
+    f = Functional.dot(np.ones(30))
+    calls = []
+    apply = Functional.apply
+
+    def counted(self, *args):
+        calls.append(args)
+        return apply(self, *args)
+
+    # __call__ is bound to the original apply, so both names are wrapped
+    monkeypatch.setattr(Functional, "apply", counted)
+    monkeypatch.setattr(Functional, "__call__", counted)
+    for variant in ("tea1", "tea2"):
+        tab = TeaTable(f, max_k=K, variant=variant)
+        for S in terms:
+            calls.clear()
+            tab.append(S)
+        assert len(calls) <= K + 1, (variant, len(calls))
+        assert all(len(args) == 2 for args in calls), variant
 
 
 def test_first_kind_tie_slots_are_audited():

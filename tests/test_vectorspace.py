@@ -81,6 +81,42 @@ def test_blocked_dot_is_the_plain_sum_bit_for_bit(m, seed, y_complex, x_complex,
     assert _bits(got) == _bits((yuse * x).sum())
 
 
+@settings(max_examples=150, deadline=None)
+@given(m=st.one_of(st.sampled_from(EDGES), st.integers(1, 3 * BLOCK + 8)),
+       seed=st.integers(0, 2**32 - 1), y_complex=st.booleans(),
+       hi_complex=st.booleans(), lo_complex=st.booleans(),
+       conjugate=st.booleans())
+def test_functional_of_a_difference_is_bit_identical(m, seed, y_complex, hi_complex,
+                                                     lo_complex, conjugate):
+    # f(hi, lo) forms hi - lo leaf by leaf above one block; it must give
+    # f(hi - lo) exactly, of the same Python type
+    rng = np.random.default_rng(seed)
+
+    def draw(cplx):
+        v = rng.standard_normal(m)
+        return v + 1j * rng.standard_normal(m) if cplx else v
+
+    y, hi, lo = draw(y_complex), draw(hi_complex), draw(lo_complex)
+    f = Functional.dot(y, conjugate=conjugate)
+    got, want = f(hi, lo), f(hi - lo)
+    assert type(got) is type(want)
+    assert _bits(got) == _bits(want)
+
+
+def test_functional_of_a_difference_for_every_kind():
+    # kinds without a blocked sum evaluate the difference itself
+    rng = np.random.default_rng(5)
+    X, Z = rng.standard_normal((2, 3, 3))
+    u, v = rng.standard_normal((2, 3))
+    for f in (Functional.trace(), Functional.trace_weighted(Z),
+              Functional.bilinear(u, v)):
+        assert _bits(f(X, Z)) == _bits(f(X - Z))
+    g = Functional.weighted_dot(u, Z)
+    assert _bits(g(u, v)) == _bits(g(u - v))
+    h = Functional.dot(2.0 - 1.0j)
+    assert _bits(h(np.asarray(1.5), np.asarray(0.25))) == _bits(h(np.asarray(1.25)))
+
+
 @pytest.mark.parametrize("complex_", [False, True])
 @pytest.mark.parametrize("conjugate", [True, False])
 def test_trace_weighted_is_the_trace_of_the_product(complex_, conjugate):

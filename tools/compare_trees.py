@@ -166,6 +166,22 @@ def configurations(workdir):
     for name, (terms, f) in streams.items():
         yield from _stream_configs(name, terms, f)
 
+    # 1-d dot streams above one block, where the functional of a difference
+    # is summed leaf by leaf without forming the difference
+    from epsaccel.vectorspace import BLOCK
+    for dim in (BLOCK + 1, 2 * BLOCK + 7, 100_003):
+        u, v, w = (rng.random(dim) + 0.5 for _ in range(3))
+        y = rng.random(dim) + 0.5
+        cy = y + 1j * u[::-1]
+        real = [0.3 + 0.8 ** n * u + 0.5 ** n * v for n in range(14)]
+        cplx = [(1 + 0.5j) * S + 1j * 0.6 ** n * w for n, S in enumerate(real)]
+        for name, terms, f in (("real", real, Functional.dot(y)),
+                               ("complex", cplx, Functional.dot(cy)),
+                               ("real-complex-y", real, Functional.dot(cy)),
+                               ("complex-y-noconj", cplx,
+                                Functional.dot(cy, conjugate=False))):
+            yield from _stream_configs(f"above-block-{dim}/{name}", terms, f)
+
     # the scalar table alone: every parity and threshold, planted exact and
     # near ties, signed zeros, infinities, NaN, complex and mixed streams
     tied = list(scal[:60])
