@@ -34,6 +34,14 @@ _ALGOS = ("scalar", "stea1", "stea2", "tea1", "tea2")
 _FUNCTIONALS = ("auto", "dot", "random-dot", "trace", "trace-y", "bilinear")
 
 
+def _order(text):
+    """A transform order from the command line: an integer >= 0."""
+    k = int(text)
+    if k < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, not {k}")
+    return k
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="epsaccel",
@@ -47,7 +55,7 @@ def _build_parser():
                      help="table variant (default stea2)")
     acc.add_argument("--form", type=int, choices=(1, 2, 3, 4), default=3,
                      help="coefficient form for stea variants (default 3)")
-    acc.add_argument("--kmax", type=int, default=5,
+    acc.add_argument("--kmax", type=_order, default=5,
                      help="highest transform order (default 5)")
     acc.add_argument("--p", type=int, default=10,
                      help="singular detection threshold digits (default 10)")
@@ -73,7 +81,7 @@ def _build_parser():
     rep.add_argument("--dim", type=int, default=None)
     rep.add_argument("--p", type=int, default=None,
                      help="singular detection threshold digits")
-    rep.add_argument("--kmax", type=int, default=None)
+    rep.add_argument("--kmax", type=_order, default=None)
     rep.add_argument("--seed", type=int, default=None)
     rep.add_argument("--jobs", type=int, default=1,
                      help="worker threads for independent runs")

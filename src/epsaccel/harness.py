@@ -241,6 +241,8 @@ def build_table(conf, functional):
     form = conf.pop("form", 3)
     debug_full = conf.pop("debug_full", False)
     if variant == "scalar":
+        if max_k < 0:
+            raise ValueError("max_k must be >= 0")
         return ScalarEpsTable(max_col=2 * max_k + 2, p_threshold=p,
                               particular_rules=rules, singular_parity=parity)
     if variant in ("stea1", "stea2"):

@@ -54,20 +54,26 @@ own: it acts where the shadow's detection fires, so with
 ``particular_rules=False`` (or no column-0 tie) every output is the plain
 update, bit for bit.  The second kind has no such rule.
 
-Storage: the element buffers hold only what later updates still read.  The
-first kind needs the two previous half-diagonals of even entries, the second
-kind just one; consumed slots are dropped eagerly, so a table of maximal
-order K holds at most ``2K + 2`` (first kind) or ``K + 2`` (second kind)
-elements at any step boundary, with the update's two operands as the only
-transients.  The first-kind rule adds up to two slots between appends (a
-kept offset and a kept difference, when ties come on consecutive terms) and
-a third within the append whose column-2 update forms a difference before
-its column-4 update consumes the previous one, so a first-kind table whose
-column 0 ties holds up to ``2K + 5``.  ``peak_slots`` records the audited
-high-water mark, these slots included.
+Storage: one discipline for every table here.  An append runs one sweep
+over the new ascending diagonal (``_ElementTable._sweep``), which holds the
+even entries in half-diagonals: ``cur``, the new one, ``prev``, the one
+before, and for the first kind ``older``, the one before that.  The update
+of column ``2j`` reads ``base = prev[j-1]`` and ``hi - lo``, which is
+``prev[j-1] - older[j-1]`` (first kind) or ``cur[j-1] - prev[j-1]`` (second
+kind), then drops ``lo``; slots no update of the sweep reads are dropped
+before it starts.  So a table of maximal order K holds at most ``2K + 2``
+(first kind) or ``K + 1`` (second kind) elements at any step boundary, with
+the update's two operands as the only transients.  The first-kind rule adds
+up to two slots between appends (a kept offset and a kept difference, when
+ties come on consecutive terms) and a third within the append whose column-2
+update forms a difference before its column-4 update consumes the previous
+one, so a first-kind table whose column 0 ties holds up to ``2K + 5``.
+``peak_slots`` records the audited high-water mark, these slots included.
+A full table holds the elements its simplified kind holds and, besides
+them, the K odd coefficients of its newest diagonal (:class:`TeaTable`).
 
-Updates in place.  Both table families share one element update
-(``_InPlaceTable``).  An update works block by block
+Updates in place.  Every table runs one element update
+(``_ElementTable._combine``).  An update works block by block
 (:data:`epsaccel.vectorspace.BLOCK` entries) through the table's scratch of
 two blocks, one for the difference and one for the product (not element
 slots), so each block stays in cache and no full-size temporary is made.
@@ -82,9 +88,7 @@ bit-identical to it.  Where the result's dtype differs from the operand's (a
 complex coefficient over real terms), or an operand is not C-contiguous, the
 update is that plain expression.  So are the tie rule's updates.  While every
 term is C-contiguous and keeps the first one's dtype, that is decided once
-per term, not per update (``_InPlaceTable._combine``).  The full tables'
-even updates write likewise into the operand their sweep drops
-(:class:`TeaTable`).
+per term, not per update.
 
 Ownership: the entries ``append``, ``entry``, ``last_entries`` and ``best``
 return are the table's own storage, in every table here.  A second-kind
@@ -97,8 +101,6 @@ dict keeps copies, which never change.
 from __future__ import annotations
 
 import cmath
-from itertools import repeat
-from operator import is_not
 
 import numpy as np
 
@@ -120,9 +122,10 @@ def _inv(x):
     return 1.0 / x
 
 
-class _InPlaceTable:
-    """The blocked, in-place element update every element table runs
-    (module docstring, "Updates in place")."""
+class _ElementTable:
+    """What every element table shares: the one sweep over a new diagonal
+    of even entries (module docstring, "Storage") and the blocked, in-place
+    element update it runs ("Updates in place")."""
 
     # the updates' blocks of difference and product
     _scratch = None
@@ -131,6 +134,120 @@ class _InPlaceTable:
     _layout = None
     _dtype = None
     _uniform = True
+
+    def __init__(self, functional, max_k, first, debug_full):
+        if max_k < 0:
+            raise ValueError("max_k must be >= 0")
+        self.functional = functional
+        self.max_k = max_k
+        self.debug_full = debug_full
+        self._full = {} if debug_full else None
+        self.invalid = set()
+        self.peak_slots = 0
+        self.n_terms = 0
+        self._shape = None
+        # the even entries of the newest diagonal, and (first kind) of the
+        # one before it, by column // 2, and how many of them are live
+        self._prev = [None] * (max_k + 1)
+        self._older = [None] * (max_k + 1) if first else None
+        self._held = 0
+
+    def _sweep(self, S, coeffs, rules=None, ties=0):
+        """Add the diagonal of the new term ``S``; returns its new even
+        entries as ``(column, n, array)``.
+
+        ``coeffs`` holds the coefficients of the even entries ``2, 4, ..``
+        (simplified tables), or is None: a full table then forms each from
+        the odd entry before it (:meth:`TeaTable._step`), and a sweep that
+        ends on an odd column takes one trailing odd step.  ``rules`` maps
+        ``j`` to an update ``rule(base, coeff, lo)`` that replaces the plain
+        one for column ``2j``, and ``ties`` counts the element slots such
+        rules hold (the first-kind tie rule's).
+        """
+        N = self.n_terms
+        K = self.max_k
+        jmax = min(N, 2 * K) // 2
+        prev, older = self._prev, self._older
+        first = older is not None
+        trail = coeffs is None and N % 2 == 1 and N < 2 * K
+        # element slots held in cur, prev and older, kept as the sweep drops
+        # and fills them, and the rules', which change only in their
+        # updates; their high-water mark over the sweep
+        held = self._held + 1
+        # Slots the coming sweep will never read are dead: drop them first.
+        # (The trailing odd step reads prev[jmax]; older[jmax] is then empty.)
+        stale = older if first else prev
+        for m in range(jmax + trail, K + 1):
+            held -= stale[m] is not None
+            stale[m] = None
+
+        cur = [None] * (K + 1)
+        cur[0] = S
+        out = [(0, N, S)]
+        full = self._full
+        if full is not None:
+            full[(0, N)] = S
+        peak = held + ties
+
+        for j in range(1, jmax + 1):
+            n = N - 2 * j
+            base = prev[j - 1]              # E_{2k}^(n+1), one diagonal back
+            if first:
+                hi, lo = base, older[j - 1]     # E_{2k}^(n), two back
+                older[j - 1] = None
+            else:
+                hi, lo = cur[j - 1], base       # E_{2k}^(n+2), this diagonal
+                prev[j - 1] = None
+            if coeffs is None:
+                coeff = self._step(j, cur[j - 1], base, held)
+            else:
+                coeff = coeffs[j - 1]
+            if rules and j in rules:
+                e = rules[j](base, coeff, lo)
+                ties = self._tie_slots()
+            else:
+                e = self._combine(base, coeff, hi, lo, into=lo if j >= 2 else None)
+            held -= lo is not None
+            cur[j] = e
+            if e is None:
+                self.invalid.add((2 * j, n))
+            else:
+                held += 1
+                out.append((2 * j, n, e))
+            if full is not None:
+                full[(2 * j, n)] = None if e is None else e.copy()
+            if held + ties > peak:
+                peak = held + ties
+        if trail:
+            self._step(jmax + 1, cur[jmax], prev[jmax], held)
+            if not first:
+                held -= prev[jmax] is not None
+
+        self._held = held
+        if peak > self.peak_slots:
+            self.peak_slots = peak
+        if first:
+            self._older = prev
+        self._prev = cur
+        self.n_terms = N + 1
+        return out
+
+    def extend(self, terms):
+        for S in terms:
+            self.append(S)
+        return self
+
+    def _term(self, S):
+        """``S`` as an array (:func:`as_term`) of the first term's shape."""
+        S = as_term(S)
+        if self._shape is None:
+            self._shape = S.shape
+        elif S.shape != self._shape:
+            raise DimensionMismatchError(
+                f"term shape {S.shape} != first term {self._shape}")
+        return S
+
+    # -- the element update ------------------------------------------------
 
     def _note_term(self, S, layout):
         """Keep ``_uniform`` up to date for the new term ``S``."""
@@ -193,8 +310,38 @@ class _InPlaceTable:
             _block_update(out[i:j], coeff, base[i:j], hi[i:j], lo[i:j],
                           d[:j - i], p[:j - i])
 
+    # -- access --------------------------------------------------------------
 
-class TopoEpsTable(_InPlaceTable):
+    def entry(self, col, n):
+        """Kept entry at ``(col, n)``: the buffers (an odd column's, of a
+        full table, only on the newest diagonal), or anything under
+        ``debug_full``; None for an entry not kept or outside the table."""
+        if self._full is not None:
+            return self._full.get((col, n))
+        if not 0 <= col <= 2 * self.max_k or n < 0:
+            return None
+        back = self.n_terms - 1 - col - n     # diagonals behind the newest
+        if col % 2:
+            return self._odd[col // 2] if back == 0 else None
+        if back == 0:
+            return self._prev[col // 2]
+        if back == 1 and self._older is not None:
+            return self._older[col // 2]
+        return None
+
+    def last_entries(self):
+        """Live even entries of the newest diagonal as ``(column, n, array)``."""
+        N = self.n_terms - 1
+        return [(2 * j, N - 2 * j, e)
+                for j, e in enumerate(self._prev) if e is not None]
+
+    def best(self):
+        """Highest-order live entry of the newest diagonal."""
+        entries = self.last_entries()
+        return entries[-1] if entries else None
+
+
+class TopoEpsTable(_ElementTable):
     """Simplified topological epsilon algorithm, first or second kind.
 
     Parameters
@@ -232,32 +379,22 @@ class TopoEpsTable(_InPlaceTable):
             raise ValueError(f"bad variant: {variant!r}")
         if form not in (1, 2, 3, 4):
             raise ValueError(f"bad form: {form!r}")
-        if max_k < 0:
-            raise ValueError("max_k must be >= 0")
-        self.functional = functional
-        self.max_k = max_k
+        super().__init__(functional, max_k, variant == "stea1", debug_full)
         self.variant = variant
         self.form = form
         self._reads, self._combiner = _FORMS[(variant, form)]
         self.scalar = ScalarEpsTable(
             max_col=2 * max_k + 2, p_threshold=p_threshold,
             particular_rules=particular_rules, singular_parity=singular_parity)
-        self.debug_full = debug_full
-        self._full = {} if debug_full else None
-        self.invalid = set()
-        self.peak_slots = 0
-        self.n_terms = 0
-        self._shape = None
-        K = max_k
-        self._prev = [None] * (K + 1)
-        self._older = [None] * (K + 1) if variant == "stea1" else None
         # first-kind tie rule (module docstring): the column-2 offset kept
         # from the append that detected a column-0 tie, the column-2
         # difference it becomes one append later, and that difference while
-        # the column-4 update of the following append is due to read it
+        # the column-4 update of the following append is due to read it;
+        # and whether this append's shadow detected a column-0 tie
         self._tie_off = None
         self._tie_diff = None
         self._tie_due = None
+        self._tie_now = False
 
     @property
     def sigma(self):
@@ -267,92 +404,30 @@ class TopoEpsTable(_InPlaceTable):
 
     def append(self, S):
         """Add one term; returns new even entries as ``(column, n, array)``."""
-        S = _term(self, S)
+        S = self._term(S)
         s = self.functional(S)
         seen = len(self.scalar.events)
         self.scalar.append(s)
         diags = self.scalar._diags
-
-        N = self.n_terms
-        K = self.max_k
-        jmax = min(N, 2 * K) // 2
         # the shadow's column 0 holds s as the shadow converted it
         self._note_term(S, (S.dtype, type(diags[-1][0])))
-        coeffs = self._coefficients(diags, jmax)
-
-        # Slots the coming sweep will never read are dead: drop them first.
-        stale = self._older if self.variant == "stea1" else self._prev
-        for m in range(jmax, K + 1):
-            stale[m] = None
+        coeffs = self._coefficients(diags, min(self.n_terms, 2 * self.max_k) // 2)
 
         # a column-0 tie (S_{N-1}, S_N) the shadow detected just now (its
         # column-0 events are never suppressed); the rule feeds column 4,
         # so a table without column 4 keeps no slot for it
-        tie = (self.variant == "stea1" and K >= 2
+        tie = (self.variant == "stea1" and self.max_k >= 2
                and any(ev.k == 0 for ev in self.scalar.events[seen:]))
         self._tie_due, self._tie_diff = self._tie_diff, None
+        self._tie_now = tie
+        rules = {}
+        if tie or self._tie_off is not None:
+            rules[1] = self._tie_column2
+        if self._tie_due is not None:
+            rules[2] = self._tie_column4
+        return self._sweep(S, coeffs, rules, self._tie_slots())
 
-        cur = [None] * (K + 1)
-        cur[0] = S
-        out = [(0, N, S)]
-        if self._full is not None:
-            self._full[(0, N)] = S
-        # element slots held in cur, prev and older, kept as the sweep drops
-        # and fills them, and the tie rule's, which change only in its
-        # updates; their high-water mark over the sweep
-        held = _live(self._prev) + 1
-        if self._older is not None:
-            held += _live(self._older)
-        ties = self._tie_slots()
-        peak = held + ties
-
-        for j in range(1, jmax + 1):
-            n = N - 2 * j
-            coeff = coeffs[j - 1]
-            if self.variant == "stea1":
-                a = self._prev[j - 1]       # E_{2k}^(n+1), one diagonal back
-                b = self._older[j - 1]      # E_{2k}^(n),  two diagonals back
-                if j == 1 and (tie or self._tie_off is not None):
-                    e = self._tie_column2(tie, a, coeff, b)
-                    ties = self._tie_slots()
-                elif j == 2 and self._tie_due is not None:
-                    e = self._tie_column4(a, coeff)
-                    ties = self._tie_slots()
-                else:
-                    e = self._combine(a, coeff, a, b, into=b if j >= 2 else None)
-                self._older[j - 1] = None
-                held -= b is not None
-            else:
-                a = self._prev[j - 1]       # E_{2k}^(n+1), one diagonal back
-                b = cur[j - 1]              # E_{2k}^(n+2), this diagonal
-                e = self._combine(a, coeff, b, a, into=a if j >= 2 else None)
-                self._prev[j - 1] = None
-                held -= a is not None
-            cur[j] = e
-            if e is None:
-                self.invalid.add((2 * j, n))
-            else:
-                held += 1
-                out.append((2 * j, n, e))
-            if self._full is not None:
-                self._full[(2 * j, n)] = None if e is None else e.copy()
-            if held + ties > peak:
-                peak = held + ties
-
-        if peak > self.peak_slots:
-            self.peak_slots = peak
-        if self.variant == "stea1":
-            self._older = self._prev
-        self._prev = cur
-        self.n_terms = N + 1
-        return out
-
-    def extend(self, terms):
-        for S in terms:
-            self.append(S)
-        return self
-
-    def _tie_column2(self, tie, base, coeff, lo):
+    def _tie_column2(self, base, coeff, lo):
         """Column-2 update of the first-kind tie rule (module docstring).
 
         Forms ``base + coeff * (base - lo)`` as :meth:`_combine` does; a kept
@@ -363,11 +438,12 @@ class TopoEpsTable(_InPlaceTable):
         step = _scaled(coeff, diff)
         if self._tie_off is not None and step is not None:
             self._tie_diff = diff + step - self._tie_off
-        self._tie_off = step if tie else None
+        self._tie_off = step if self._tie_now else None
         return None if step is None else _add(base, step)
 
-    def _tie_column4(self, base, coeff):
-        """Column-4 update across a tie, from the kept column-2 difference."""
+    def _tie_column4(self, base, coeff, lo):
+        """Column-4 update across a tie, from the kept column-2 difference
+        (``lo``'s own is not read)."""
         step = _scaled(coeff, self._tie_due)
         self._tie_due = None
         return None if base is None or step is None else _add(base, step)
@@ -399,204 +475,92 @@ class TopoEpsTable(_InPlaceTable):
         """Entry at even column ``col``; None unless kept (buffers or debug)."""
         if col % 2 != 0:
             raise ValueError("element entries live in even columns")
-        if self._full is not None:
-            return self._full.get((col, n))
-        d = col + n
-        j = col // 2
-        if j > self.max_k or n < 0:
-            return None
-        if d == self.n_terms - 1:
-            return self._prev[j]
-        if self.variant == "stea1" and d == self.n_terms - 2:
-            return self._older[j]
-        return None
-
-    def last_entries(self):
-        """Live even entries of the newest diagonal as ``(column, n, array)``."""
-        N = self.n_terms - 1
-        return [(2 * j, N - 2 * j, e)
-                for j, e in enumerate(self._prev) if e is not None]
-
-    def best(self):
-        """Highest-order live entry of the newest diagonal."""
-        entries = self.last_entries()
-        return entries[-1] if entries else None
+        return super().entry(col, n)
 
 
-class TeaTable(_InPlaceTable):
+class TeaTable(_ElementTable):
     """Full topological epsilon algorithm, first or second kind.
 
     Even entries are elements, odd entries multiples ``c * f`` of the
-    table's functional, stored as the coefficients ``c``.  Slower and
-    hungrier than :class:`TopoEpsTable` and with no singular-block
-    protection; kept as the reference the simplified tables are checked
-    against.
+    table's functional, stored as the coefficients ``c``.  Slower than
+    :class:`TopoEpsTable` and with no singular-block protection; kept as
+    the reference the simplified tables are checked against.
+
+    The even entries run the simplified tables' sweep and storage (module
+    docstring): a ``tea1`` table holds the elements ``stea1`` holds, a
+    ``tea2`` table those of ``stea2``.  Besides them it keeps the K odd
+    coefficients of its newest diagonal.  Each even update's coefficient
+    comes from the odd step just before it (:meth:`_step`), which forms odd
+    entry ``2j - 1`` from ``f(hi, lo)`` of ``E_{2j-2}^(n+1)`` in this
+    diagonal and ``E_{2j-2}^(n)`` one diagonal back; a growing table whose
+    sweep ends on an odd column takes one trailing odd step.
+    ``peak_slots`` records the high-water mark of element slots,
+    ``peak_total`` that of element and coefficient slots together, taken
+    at each odd step, while the even update after it has all its operands
+    and the replaced coefficient waits for the next odd step.
 
     Functional calls.  The even step's ``f`` of an element difference is
     one an odd step already took, on the same operands in the same order:
     for the second kind the odd step just before it, for the first kind the
     same odd column's step on the previous append (kept, one value per odd
     column).  So the table calls ``f(hi, lo)`` once per odd entry, about K
-    times per term, bit-identically to calling it again.
-
-    Storage: each new ascending diagonal overwrites the previous one in
-    place, under a two-slot chain of the just-unseated entries (the western
-    operands).  That alone suffices for the second kind.  The first kind
-    also reads even entries two diagonals back, so those are parked in a
-    half-length side buffer as they are unseated.  Peak storage is therefore
-    one mixed diagonal plus two temporaries (second kind) plus the half
-    diagonal (first kind).  ``peak_slots`` records the audited high-water
-    mark of element slots, ``peak_total`` that of element and coefficient
-    slots together.
-
-    The even updates run the simplified tables' in-place kernel (module
-    docstring), from column 4 on into the operand the sweep drops: the
-    unseated ``E_{2k}^(n+1)`` (second kind) or the parked ``E_{2k}^(n)``
-    (first kind).  Entries are owned as in :class:`TopoEpsTable`.
+    times per term, bit-identically to calling it again.  Entries are owned
+    as in :class:`TopoEpsTable`.
     """
 
     def __init__(self, functional, max_k, variant="tea1", debug_full=False):
         if variant not in ("tea1", "tea2"):
             raise ValueError(f"bad variant: {variant!r}")
-        self.functional = functional
-        self.max_k = max_k
+        super().__init__(functional, max_k, variant == "tea1", debug_full)
         self.variant = variant
-        self.debug_full = debug_full
-        self._full = {} if debug_full else None
-        self.invalid = set()
-        self.n_terms = 0
-        self._shape = None
-        self.peak_slots = 0
         self.peak_total = 0
-        self._diag = [None] * (2 * max_k + 1)
-        self._half = [None] * max_k if variant == "tea1" else None
+        # the odd coefficients of the newest diagonal, by column // 2, and
+        # how many are live
+        self._odd = [None] * max_k
+        self._coefs = 0
+        # the previous diagonal's coefficient the last odd step replaced:
+        # the next odd step's base
+        self._below = None
         # the first kind's f(hi - lo) of each odd column, from the last sweep
         self._fodd = [None] * max_k if variant == "tea1" else None
 
     def append(self, S):
         """Add one term; returns new even entries as ``(column, n, array)``."""
-        S = _term(self, S)
+        S = self._term(S)
         self._note_term(S, S.dtype)
-        N = self.n_terms
-        cmax = min(N, 2 * self.max_k)
-        f = self.functional
-        B = self._diag
-        half, fodd = self._half, self._fodd
-        out = []
-        t1 = None   # unseated B[c-1], the previous diagonal one column west
-        t2 = None   # unseated B[c-2]
-        fdiff = None    # the f(hi - lo) the coming even step reads
-        # live slots by position, kept as the sweep unseats and fills them:
-        # even columns and the half diagonal hold elements, odd columns
-        # coefficients
-        elems = _live(B[0::2]) + (_live(half) if half is not None else 0)
-        coefs = _live(B[1::2])
-
-        for c in range(0, cmax + 1):
-            old = B[c]
-            n = N - c
-            if c == 0:
-                val = S
-            elif c % 2 == 1:
-                base = t2 if c >= 3 else 0.0
-                hi, lo = B[c - 1], t1
-                fval = None if hi is None or lo is None else f(hi, lo)
-                fdiff = fval
-                if fodd is not None:
-                    fdiff, fodd[c // 2] = fodd[c // 2], fval
-                val = None if base is None or fval is None else base + _inv(fval)
-            else:
-                dual_hi, dual_lo = B[c - 1], t1
-                if half is not None:
-                    j = (c - 2) // 2
-                    hi, lo = t2, half[j]
-                    # t2 is this diagonal's unseated even entry at c-2:
-                    # exactly what the next sweep reads two diagonals back
-                    half[j] = t2
-                    elems += (t2 is not None) - (lo is not None)
-                else:
-                    hi, lo = B[c - 2], t2
-                if fdiff is None or dual_hi is None or dual_lo is None:
-                    val = None
-                else:
-                    # an infinite or NaN coefficient leaves the entry
-                    # unformed (_combine), not NaN
-                    coeff = _inv((dual_hi - dual_lo) * fdiff)
-                    val = self._combine(t2, coeff, hi, lo,
-                                        into=lo if c >= 4 else None)
-            B[c] = val
-            if c % 2:
-                coefs += (val is not None) - (old is not None)
-            else:
-                elems += (val is not None) - (old is not None)
-            if (half is not None and c % 2 == 0 and c + 2 > cmax
-                    and c // 2 < self.max_k):
-                # the parking step c+2 is beyond this sweep (growing table):
-                # park the unseated even entry now or it is lost
-                elems += (old is not None) - (half[c // 2] is not None)
-                half[c // 2] = old
-            t1, t2 = old, t1
-            if val is None:
-                self.invalid.add((c, n))
-            elif c % 2 == 0:
-                out.append((c, n, val))
-            if self._full is not None:
-                keep = c and c % 2 == 0 and val is not None
-                self._full[(c, n)] = val.copy() if keep else val
-            # t1 is the unseated entry of column c, t2 that of column c-1
-            even_t, odd_t = (t1, t2) if c % 2 == 0 else (t2, t1)
-            slots = elems + (even_t is not None)
-            if slots > self.peak_slots:
-                self.peak_slots = slots
-            total = slots + coefs + (odd_t is not None)
-            if total > self.peak_total:
-                self.peak_total = total
-
-        self.n_terms = N + 1
+        out = self._sweep(S, None)
+        # the elements alone, where no odd step has counted them yet
+        if self.peak_slots > self.peak_total:
+            self.peak_total = self.peak_slots
         return out
 
-    def extend(self, terms):
-        for S in terms:
-            self.append(S)
-        return self
-
-    def entry(self, col, n):
-        """Kept entry at ``(col, n)``: buffers, or anything in debug mode."""
+    def _step(self, j, hi, lo, held):
+        """Odd entry ``2j - 1`` of the new diagonal, from ``f(hi, lo)``;
+        returns the coefficient of even entry ``2j`` (NaN where there is
+        none).  ``held`` is the sweep's count of element slots."""
+        odd = self._odd
+        fval = None if hi is None or lo is None else self.functional(hi, lo)
+        fdiff = fval
+        if self._fodd is not None:
+            fdiff, self._fodd[j - 1] = self._fodd[j - 1], fval
+        base = self._below if j >= 2 else 0.0
+        val = None if base is None or fval is None else base + _inv(fval)
+        old = self._below = odd[j - 1]
+        odd[j - 1] = val
+        m = self.n_terms - 2 * j + 1
+        if val is None:
+            self.invalid.add((2 * j - 1, m))
         if self._full is not None:
-            return self._full.get((col, n))
-        d = col + n
-        if d == self.n_terms - 1:
-            return self._diag[col]
-        if (self._half is not None and d == self.n_terms - 2
-                and col % 2 == 0 and col // 2 < self.max_k):
-            return self._half[col // 2]
-        return None
-
-    def last_entries(self):
-        N = self.n_terms - 1
-        return [(c, N - c, e) for c, e in enumerate(self._diag)
-                if e is not None and c % 2 == 0]
-
-    def best(self):
-        entries = self.last_entries()
-        return entries[-1] if entries else None
-
-
-def _term(table, S):
-    """``S`` as an array (:func:`as_term`) of the table's first term's shape."""
-    S = as_term(S)
-    if table._shape is None:
-        table._shape = S.shape
-    elif S.shape != table._shape:
-        raise DimensionMismatchError(
-            f"term shape {S.shape} != first term {table._shape}")
-    return S
-
-
-def _live(slots):
-    """Count of the slots that are not None (``list.count(None)`` would
-    compare each array with ``==``)."""
-    return sum(map(is_not, slots, repeat(None)))
+            self._full[(2 * j - 1, m)] = val
+        # the old coefficient stays live until the next odd step reads it
+        self._coefs += (val is not None) - (old is not None)
+        total = held + self._coefs + (old is not None)
+        if total > self.peak_total:
+            self.peak_total = total
+        if fdiff is None or val is None or old is None:
+            return cmath.nan
+        # an infinite or NaN coefficient leaves the entry unformed
+        return _inv((val - old) * fdiff)
 
 
 def _scaled(coeff, diff):

@@ -149,6 +149,16 @@ def test_reproduce_table(capsys):
     assert "stea2 form 3" in out
 
 
+def test_negative_kmax_exits_2(ln2_file, capsys):
+    for argv in ([["accelerate", ln2_file, "--algo", algo]
+                  for algo in ("scalar", "stea1", "stea2", "tea1", "tea2")]
+                 + [["reproduce", "ns"]]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--kmax", "-1"])
+        assert exc.value.code == 2, argv
+        assert "--kmax" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["transmogrify"])

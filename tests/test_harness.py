@@ -176,6 +176,9 @@ def test_build_table_variants():
     assert isinstance(build_table({"variant": "stea1"}, f), TopoEpsTable)
     with pytest.raises(ValueError):
         build_table({"variant": "rho"}, f)
+    for variant in ("scalar", "stea1", "stea2", "tea1", "tea2"):
+        with pytest.raises(ValueError):
+            build_table({"variant": variant, "max_k": -1}, f)
     with pytest.raises(ValueError):
         build_source({"kind": "fibonacci"})
 

@@ -109,10 +109,10 @@ def test_full_tables_match_simplified():
         simple.extend(terms)
         for k in range(1, 4):
             for n in range(4):
+                # every entry is formed, the growing start's included
                 a = full.entry(2 * k, n)
                 b = simple.entry(2 * k, n)
-                if a is None or b is None:
-                    continue
+                assert a is not None and b is not None, (full_variant, k, n)
                 rel = _norm(a - b) / max(_norm(a), 1e-30)
                 assert rel < 1e-8, (full_variant, k, n)
 
@@ -442,6 +442,9 @@ def test_storage_budgets():
         tab.extend(terms)
         peaks[variant] = tab.peak_total
         assert tab.peak_total <= budget, variant
+        # one storage discipline: a full table holds the elements its
+        # simplified kind holds
+        assert tab.peak_slots == peaks["s" + variant], variant
     # first kind carries the extra half diagonal
     assert peaks["tea1"] > peaks["tea2"]
 
@@ -662,6 +665,34 @@ def test_bad_arguments_rejected():
         TopoEpsTable(f, max_k=2, form=5)
     with pytest.raises(ValueError):
         TeaTable(f, max_k=2, variant="tea3")
+    for variant in ("stea1", "stea2"):
+        with pytest.raises(ValueError):
+            TopoEpsTable(f, max_k=-1, variant=variant)
+    for variant in ("tea1", "tea2"):
+        with pytest.raises(ValueError):
+            TeaTable(f, max_k=-1, variant=variant)
+
+
+def test_entry_outside_the_table_is_none():
+    # no column below 0 or above 2K, and no superscript below 0, wraps round
+    # to a kept entry or raises
+    K = 2
+    terms, _ = smooth_terms(50, 3, 9)
+    f = Functional.dot(np.ones(3))
+    for tab in _every_table(f, K):
+        tab.extend(terms)
+        N = tab.n_terms - 1
+        assert tab.entry(2 * K, N - 2 * K) is not None, tab.variant
+        for col, n in ((-2, N + 2), (-2, N + 1), (2 * K + 2, N - 2 * K - 2),
+                       (2 * K + 2, N - 2 * K - 3), (0, -1), (2 * K, -1)):
+            assert tab.entry(col, n) is None, (tab.variant, col, n)
+        if tab.variant.startswith("tea"):
+            assert tab.entry(2 * K - 1, N - 2 * K + 1) is not None
+            for col, n in ((-1, N + 1), (2 * K + 1, N - 2 * K - 1), (1, -1)):
+                assert tab.entry(col, n) is None, (tab.variant, col, n)
+        else:
+            with pytest.raises(ValueError):
+                tab.entry(-1, N + 1)
 
 
 def _every_table(f, K=2):

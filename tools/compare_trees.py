@@ -5,24 +5,29 @@
 ``OLD_TREE`` and ``NEW_TREE`` are checkouts of this repository (for example
 the parent commit, exported with ``git archive``, and the working tree).
 Each tree's ``src`` is imported in its own subprocess, which runs the fixed
-list of configurations in :func:`configurations` and prints one SHA-256
-digest per configuration.  A table's digest covers the bytes (any NaN as the
-canonical one), dtype, shape and Python type of every entry each ``append``
-returned, then ``sigma``, the event log (k, n, ratio, treated, suppressed,
-victim), the repair flags, ``invalid`` and ``peak_slots``/``peak_total``.  A command's digest covers its
-exit code and output, with ``wall_time_s`` removed.
+list of configurations in :func:`configurations`.  A table gives two
+SHA-256 digests, so that a change of counters cannot hide a change of
+entries.  The entries digest covers the bytes (any NaN as the canonical
+one), dtype, shape and Python type of every entry each ``append``
+returned and, for the full tables, of every odd coefficient of the newest
+diagonal after each ``append`` (``entry(2j+1, n)``).  The counters digest
+covers ``sigma``, the event log (k, n, ratio, treated, suppressed, victim),
+the repair flags, ``invalid`` and ``peak_slots``/``peak_total``.  A command
+gives its exit code and output, with ``wall_time_s`` removed; for each
+command that differs, the lines that differ are printed.
 
 ``Functional.trace_weighted`` sums in another order than the parent's
 ``np.trace(Y^H @ X)``, so its values are compared within ``TW_RTOL`` of the
 sum of the absolute products, not bit for bit, and no table is fed by it.
 
-Exits 0 when every digest agrees and 1 otherwise, naming each configuration
-that differs.
+Exits 0 when every digest and output agrees and 1 otherwise, naming each
+configuration that differs and what differs in it.
 """
 
 from __future__ import annotations
 
 import contextlib
+import difflib
 import hashlib
 import io
 import json
@@ -55,15 +60,21 @@ def _feed(h, value):
 
 
 def _digest_table(tab, terms):
-    """Digest of every entry ``append`` returns and the table's counters."""
+    """Digests of the entries a table gives and of its counters."""
     h = hashlib.sha256()
+    full = getattr(tab, "variant", "").startswith("tea")
+    odd = range(1, 2 * tab.max_k, 2) if full else ()
     for S in terms:
-        for k, n, value in tab.append(S):
+        new = tab.append(S)
+        N = tab.n_terms - 1
+        for k, n, value in new + [(c, N - c, tab.entry(c, N - c)) for c in odd]:
             h.update(f"{k},{n}:".encode())
             if value is None:
                 h.update(b"None")
             else:
                 _feed(h, value)
+    entries = h.hexdigest()
+    h = hashlib.sha256()
     scalar = getattr(tab, "scalar", tab)
     if hasattr(scalar, "events"):
         h.update(f"sigma={scalar.sigma}".encode())
@@ -75,7 +86,7 @@ def _digest_table(tab, terms):
         if hasattr(tab, attr):
             value = getattr(tab, attr)
             h.update(f"{attr}={sorted(value) if attr == 'invalid' else value}".encode())
-    return h.hexdigest()
+    return {"entries": entries, "counters": h.hexdigest()}
 
 
 def _five_modes(dim, seed):
@@ -114,8 +125,9 @@ def _stream_configs(name, terms, f, **kw):
 
 
 def configurations(workdir):
-    """``(name, thunk)`` pairs; each thunk returns a digest string.  The
-    command-line runs write their input files under ``workdir``."""
+    """``(name, thunk)`` pairs; each thunk returns a dict of the parts to
+    compare (:func:`_digest_table`, :func:`_call`).  The command-line runs
+    write their input files under ``workdir``."""
     import numpy as np
 
     from epsaccel import Functional, ScalarEpsTable, TopoEpsTable, harness
@@ -222,8 +234,8 @@ def configurations(workdir):
 
 
 def _call(argv, workdir=None):
-    """Digest of a command's exit code and output; the timing and the
-    temporary directory's name are taken out."""
+    """A command's exit code and output; the timing and the temporary
+    directory's name are taken out."""
     from epsaccel import cli
 
     out = io.StringIO()
@@ -232,7 +244,7 @@ def _call(argv, workdir=None):
     text = re.sub(r'"?wall_time_s"?[:=]\s*[-+0-9.eE]+', "wall_time_s", out.getvalue())
     if workdir:
         text = text.replace(workdir, "<workdir>")
-    return hashlib.sha256(f"{code}\n{text}".encode()).hexdigest()
+    return {"output": f"exit {code}\n{text}"}
 
 
 def _cli_configs(tmp):
@@ -322,18 +334,33 @@ def main(argv):
         return 2
     old, new = (run_tree(tree) for tree in argv)
     bad = []
+    counts = {}
     for name in sorted(set(old["digests"]) | set(new["digests"])):
-        if old["digests"].get(name) != new["digests"].get(name):
-            bad.append(name)
+        a, b = old["digests"].get(name), new["digests"].get(name)
+        if a is None or b is None:
+            bad.append(f"{name} (only in {'new' if a is None else 'old'})")
+            continue
+        parts = [part for part in a if a[part] != b[part]]
+        for part in parts:
+            counts[part] = counts.get(part, 0) + 1
+        if parts:
+            bad.append(f"{name} ({', '.join(parts)})")
+        if "output" in parts:
+            lines = difflib.unified_diff(a["output"].splitlines(),
+                                         b["output"].splitlines(), lineterm="", n=0)
+            bad.extend(f"    {line}" for line in lines
+                       if line[:1] in "+-" and line[:3] not in ("+++", "---"))
     for name, (re0, im0, scale) in old["trace_weighted"].items():
         re1, im1, _ = new["trace_weighted"][name]
         err = abs(complex(re1, im1) - complex(re0, im0)) / scale
         print(f"trace_weighted {name}: relative difference {err:.2e} (bound {TW_RTOL:g})")
         if err > TW_RTOL:
             bad.append(f"trace_weighted {name}")
-    for name in bad:
-        print(f"DIFFERS: {name}")
-    print(f"{len(old['digests'])} configurations, {len(bad)} differ")
+    for line in bad:
+        print(line if line.startswith("    ") else f"DIFFERS: {line}")
+    differ = ", ".join(f"{counts.get(part, 0)} in {part}"
+                       for part in ("entries", "counters", "output"))
+    print(f"{len(old['digests'])} configurations; differing: {differ}")
     return 1 if bad else 0
 
 
