@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -181,9 +182,6 @@ class _ListSource(sequences._Source):
     def limit(self):
         return self._limit
 
-    def clone(self):
-        return _ListSource(self._terms, self._limit)
-
 
 def build_functional(conf, shape, seed=0):
     """Instantiate a functional matched to the term shape.
@@ -338,29 +336,26 @@ def _json_default(x):
     raise TypeError(f"not JSON-serializable: {type(x)!r}")
 
 
-def run(spec, collect_residuals=None):
+def run(spec):
     """Execute one experiment and return its :class:`RunReport`.
 
-    ``collect_residuals`` forces equation-residual evaluation on or off;
-    the default evaluates them when the source has a ``residual`` method and
-    the run is small enough to afford it.
+    Equation residuals are evaluated when the source has a ``residual``
+    method and the run is small enough to afford it.
     """
     if isinstance(spec, dict):
         spec = ExperimentSpec(**spec)
     src = build_source(spec.source, spec.seed)
-    probe = src.clone().next_term()
-    shape = np.asarray(probe).shape
-    functional = build_functional(spec.functional, shape, spec.seed)
+    # the first term sets the functional's shape, and is fed like the rest
+    first = src.next_term()
+    functional = build_functional(spec.functional, np.shape(first), spec.seed)
     table = build_table(spec.algorithm, functional)
 
     limit = src.limit()
     has_residual = hasattr(src, "residual")
-    if collect_residuals is None:
-        collect_residuals = has_residual and spec.n_terms <= 200
     # the scalar table is fed the reduced terms, its entries are compared
     # with the reduced limit, and residuals are of elements only
     scalar = isinstance(table, ScalarEpsTable)
-    collect_residuals = collect_residuals and has_residual and not scalar
+    collect_residuals = has_residual and spec.n_terms <= 200 and not scalar
     if limit is not None:
         limit = as_term(limit)
         if scalar:
@@ -368,11 +363,7 @@ def run(spec, collect_residuals=None):
 
     entries = []
     t0 = time.perf_counter()
-    for _ in range(spec.n_terms):
-        try:
-            term = src.next_term()
-        except StopIteration:
-            break
+    for term in itertools.islice(itertools.chain([first], src), spec.n_terms):
         fed = functional(as_term(term)) if scalar else term
         for col, n, value in table.append(fed):
             if col % 2:
@@ -528,7 +519,10 @@ def _reproduce_kernel(name, dim, p, seed, kmax, jobs):
     p = 12 if p is None else p
     kmax = kmax or 5
     n_terms = 2 * kmax + 1
-    source = {"kind": "kernel_recurrence", "dim": dim, "space": space}
+    # every run replays the one list of terms; column 0 holds the caller's
+    # terms, which no table writes into
+    terms = sequences.KernelRecurrence(dim, space, seed).take(n_terms)
+    source = {"kind": "file", "terms": terms}
     # uniform-weight dot for vectors, plain trace for matrices: the scalar
     # shadow then sees the planted near-collisions at full strength
     functional = ({"kind": "dot"} if space == "vector"
@@ -545,8 +539,9 @@ def _reproduce_kernel(name, dim, p, seed, kmax, jobs):
     rows = []
     for spec_on, rep_on, rep_off in zip(specs[::2], reports[::2], reports[1::2]):
         def final_norm(rep):
+            # the recurrence's limit is exactly zero, so the error is the norm
             vals = [e for e in rep.entries if e["col"] == 2 * kmax and e["n"] == 0]
-            return vals[0]["error_inf"] if vals else None
+            return vals[0]["norm_inf"] if vals else None
         on, off = final_norm(rep_on), final_norm(rep_off)
         rows.append({
             "algorithm": spec_on.label,

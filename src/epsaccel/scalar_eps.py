@@ -262,10 +262,6 @@ class ScalarEpsTable:
         diag = self._diags[d]
         return diag[k] if k < len(diag) else None
 
-    def diagonal(self, d):
-        """The d-th ascending diagonal, entries ``eps_k^(d-k)`` for k = 0..."""
-        return list(self._diags[d])
-
     @property
     def last_diagonal(self):
         return list(self._diags[-1]) if self._diags else []

@@ -104,7 +104,7 @@ import cmath
 
 import numpy as np
 
-from .scalar_eps import ScalarEpsTable
+from .scalar_eps import ScalarEpsTable, _inv_any
 from .vectorspace import BLOCK, DimensionMismatchError, as_term
 
 __all__ = [
@@ -113,13 +113,6 @@ __all__ = [
     "ratio_series",
     "stability_margin",
 ]
-
-
-def _inv(x):
-    """1/x that overflows to inf instead of raising on exact zeros."""
-    if x == 0:
-        return complex("inf") if isinstance(x, complex) else float("inf")
-    return 1.0 / x
 
 
 class _ElementTable:
@@ -544,7 +537,7 @@ class TeaTable(_ElementTable):
         if self._fodd is not None:
             fdiff, self._fodd[j - 1] = self._fodd[j - 1], fval
         base = self._below if j >= 2 else 0.0
-        val = None if base is None or fval is None else base + _inv(fval)
+        val = None if base is None or fval is None else base + _inv_any(fval)
         old = self._below = odd[j - 1]
         odd[j - 1] = val
         m = self.n_terms - 2 * j + 1
@@ -560,7 +553,7 @@ class TeaTable(_ElementTable):
         if fdiff is None or val is None or old is None:
             return cmath.nan
         # an infinite or NaN coefficient leaves the entry unformed
-        return _inv((val - old) * fdiff)
+        return _inv_any((val - old) * fdiff)
 
 
 def _scaled(coeff, diff):
@@ -599,11 +592,11 @@ def _mul(a, b):
 
 
 def _ratio(num, den):
-    return num * _inv(den) if den == 0 else num / den
+    return num * _inv_any(den) if den == 0 else num / den
 
 
 def _mulinv(d1, d2):
-    return _inv(d1 * d2)
+    return _inv_any(d1 * d2)
 
 
 # the coefficient forms of TopoEpsTable, by (variant, form): the scalar

@@ -19,6 +19,7 @@ from epsaccel.harness import (
     run_many,
 )
 from epsaccel.seqio import write_terms
+from epsaccel.sequences import KernelRecurrence
 
 KERNEL_SPEC = {
     "source": {"kind": "kernel_recurrence", "dim": 20, "seed": 1},
@@ -191,6 +192,33 @@ def test_reproduce_kernel_structure():
     for row in out["rows"]:
         assert set(row) >= {"algorithm", "sigma", "error", "error_plain",
                             "gain_orders"}
+
+
+def test_kernel_protocol_makes_its_terms_once(monkeypatch):
+    # the 20 runs replay one list of 2K + 1 terms
+    counts = {"init": 0, "next_term": 0}
+    init, next_term = KernelRecurrence.__init__, KernelRecurrence.next_term
+
+    def counted_init(self, *args, **kwargs):
+        counts["init"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_next_term(self):
+        counts["next_term"] += 1
+        return next_term(self)
+
+    monkeypatch.setattr(KernelRecurrence, "__init__", counted_init)
+    monkeypatch.setattr(KernelRecurrence, "next_term", counted_next_term)
+    out = reproduce("kernel-vector")
+    assert len(out["rows"]) == 10
+    assert counts == {"init": 1, "next_term": 11}
+
+
+@pytest.mark.parametrize("name", ["kernel-vector", "kernel-matrix"])
+def test_reproduce_kernel_threads_share_the_terms(name):
+    serial = reproduce(name, dim=12, p=10, jobs=1)
+    threaded = reproduce(name, dim=12, p=10, jobs=2)
+    assert json.dumps(serial) == json.dumps(threaded)
 
 
 def test_reproduce_rejects_unknown_name():

@@ -482,6 +482,19 @@ def test_full_tables_leave_unformable_entries_invalid():
         assert tab.invalid, variant
 
 
+def test_full_tables_invert_a_signed_zero_as_the_scalar_table_does():
+    # numpy's sums turn -0.0 into +0.0, so the functional here returns the
+    # 0-d difference itself: 1 / (-0.0 - 0.0) is -inf in every table
+    ident = Functional("identity", lambda x: x[()], "identity")
+    shadow = ScalarEpsTable()
+    shadow.extend([0.0, -0.0])
+    assert shadow.entry(1, 0) == -math.inf
+    for variant in ("tea1", "tea2"):
+        tab = TeaTable(ident, max_k=2, variant=variant)
+        tab.extend([np.asarray(0.0), np.asarray(-0.0)])
+        assert tab.entry(1, 0) == -math.inf, variant
+
+
 def test_coefficients_read_the_shadow_diagonals_directly(monkeypatch):
     # every form reads only the shadow's last three diagonals, which the
     # table indexes itself; a bounds-checked entry() call per read cost
