@@ -95,14 +95,28 @@ class ExperimentSpec:
         return out
 
 
+def _spent(conf, what):
+    """Raise on the keys of a spec dict that its builder did not pop."""
+    if conf:
+        raise ValueError(f"unknown {what} keys: {sorted(conf)}")
+
+
 def build_source(conf, seed=0):
     """Instantiate a sequence source from its spec dict.
 
     Kinds: kernel_recurrence, geometric_modes, logarithmic_modes,
     totally_monotonic, totally_oscillating, kaczmarz_parter, ns_iteration,
-    qpow_iteration, smith_stein, file.
+    qpow_iteration, smith_stein, file.  A key the kind does not read is an
+    error.
     """
     conf = dict(conf)
+    src = _source(conf, seed)
+    _spent(conf, "source")
+    return src
+
+
+def _source(conf, seed):
+    """The source ``build_source`` makes, popping the keys it reads."""
     kind = conf.pop("kind")
     seed = conf.pop("seed", seed)
     if kind == "kernel_recurrence":
@@ -152,11 +166,11 @@ def build_source(conf, seed=0):
         from .seqio import read_terms
         # the file's terms, when the caller has parsed it already
         terms = conf.pop("terms", None)
+        path = conf.pop("path") if terms is None else conf.pop("path", None)
         if terms is None:
-            terms = read_terms(conf.pop("path"))
-        limit = None
-        if conf.get("limit_path"):
-            limit = read_terms(conf.pop("limit_path"))[0]
+            terms = read_terms(path)
+        limit_path = conf.pop("limit_path", None)
+        limit = read_terms(limit_path)[0] if limit_path else None
         return _ListSource(terms, limit)
     raise ValueError(f"unknown source kind: {kind!r}")
 
@@ -176,9 +190,6 @@ class _ListSource(sequences._Source):
         self._i += 1
         return t
 
-    def __len__(self):
-        return len(self._terms)
-
     def limit(self):
         return self._limit
 
@@ -187,9 +198,17 @@ def build_functional(conf, shape, seed=0):
     """Instantiate a functional matched to the term shape.
 
     ``kind``: auto (dot of ones for scalars/vectors, trace for matrices),
-    dot, random_dot, trace, trace_weighted, bilinear.
+    dot, random_dot, trace, trace_weighted, bilinear.  A key the kind does
+    not read is an error.
     """
     conf = dict(conf)
+    functional = _functional(conf, shape, seed)
+    _spent(conf, "functional")
+    return functional
+
+
+def _functional(conf, shape, seed):
+    """The functional ``build_functional`` makes, popping the keys it reads."""
     kind = conf.pop("kind", "auto")
     seed = conf.pop("seed", seed)
     rng = np.random.default_rng(seed)
@@ -228,7 +247,8 @@ def build_table(conf, functional):
     ``variant``: scalar, tea1, tea2, stea1, stea2.  ``max_k`` bounds the
     transform order; ``form`` picks the coefficient formula for the
     simplified variants; ``p`` (decimal digits) sets the singular-block
-    detection threshold and ``rules`` switches the repairs.
+    detection threshold and ``rules`` switches the repairs.  Any other key
+    is an error.
     """
     conf = dict(conf)
     variant = conf.pop("variant", "stea2")
@@ -238,6 +258,7 @@ def build_table(conf, functional):
     parity = conf.pop("parity", "both")
     form = conf.pop("form", 3)
     debug_full = conf.pop("debug_full", False)
+    _spent(conf, "algorithm")
     if variant == "scalar":
         if max_k < 0:
             raise ValueError("max_k must be >= 0")

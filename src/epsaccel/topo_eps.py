@@ -9,9 +9,9 @@ They are kept here as references.  Each odd entry costs one functional call,
 difference is one an odd step already made, so a full table calls its
 functional about K times per term (:class:`TeaTable`).
 
-Terms and entries are plain float64 or complex128 ndarrays.  ``append``
-converts each term once (:func:`epsaccel.vectorspace.as_term`) and checks
-that it has the first term's shape.
+Terms and entries are plain C-contiguous float64 or complex128 ndarrays.
+``append`` converts each term once (:func:`epsaccel.vectorspace.as_term`)
+and checks that it has the first term's shape.
 
 The simplified algorithms (:class:`TopoEpsTable`) observe that the whole dual
 detour can be collapsed: run the plain scalar epsilon algorithm on the scalar
@@ -72,30 +72,35 @@ one, so a first-kind table whose column 0 ties holds up to ``2K + 5``.
 A full table holds the elements its simplified kind holds and, besides
 them, the K odd coefficients of its newest diagonal (:class:`TeaTable`).
 
-Updates in place.  Every table runs one element update
-(``_ElementTable._combine``).  An update works block by block
+Updates in place.  One kernel forms every even entry of every table
+(:func:`_block_update`): ``base + c * (hi - lo)`` as one subtract, one
+multiply and one add, each into an explicit buffer.  The plain update
+(``_ElementTable._combine``) runs it block by block
 (:data:`epsaccel.vectorspace.BLOCK` entries) through the table's scratch of
 two blocks, one for the difference and one for the product (not element
 slots), so each block stays in cache and no full-size temporary is made.
-From column 4 on it writes its result into the buffer of the table-made
-operand the sweep drops right after it: ``E_{2k}^(n+1)`` for the second kind
-(which is the update's ``base`` and ``lo`` as well) and ``E_{2k}^(n)`` for
-the first; each block of ``hi - lo`` is read before the block it overwrites.
-The column-2 update reads column 0, which holds the caller's terms and is
-never written, so it writes into a new buffer.  The operations and their
+Its result is complex128 if the coefficient or any operand is complex, and
+float64 otherwise (:func:`_result_dtype`).  From column 4 on it writes into
+the buffer of the table-made operand the sweep drops right after it,
+``E_{2k}^(n+1)`` for the second kind (which is the update's ``base`` and
+``lo`` as well) and ``E_{2k}^(n)`` for the first, when that buffer has the
+result's dtype, and into a new buffer otherwise; each block of ``hi - lo``
+is read before the block it overwrites.  The column-2 update reads column
+0, which is never written, so it writes into a new buffer.  The tie rule's
+updates make the same calls on whole elements, each into a new buffer,
+since the rule keeps its difference and step.  The operations and their
 order are those of ``base + c * (hi - lo)``, so every result is
-bit-identical to it.  Where the result's dtype differs from the operand's (a
-complex coefficient over real terms), or an operand is not C-contiguous, the
-update is that plain expression.  So are the tie rule's updates.  While every
-term is C-contiguous and keeps the first one's dtype, that is decided once
-per term, not per update.
+bit-identical to it.
 
 Ownership: the entries ``append``, ``entry``, ``last_entries`` and ``best``
-return are the table's own storage, in every table here.  A second-kind
-entry (``stea2``, ``tea2``) in column 2 or above may be overwritten during
-the next append, a first-kind one (``stea1``, ``tea1``) during the append
-after that; callers copy what they keep.  Under ``debug_full`` the side
-dict keeps copies, which never change.
+return are the table's own storage, in every table here.  Column 0 holds
+each term as :func:`~epsaccel.vectorspace.as_term` gave it: the caller's
+array where that was already a C-contiguous float64 or complex128 one, and
+otherwise a copy made once.  A second-kind entry (``stea2``, ``tea2``) in
+column 2 or above may be overwritten during the next append, a first-kind
+one (``stea1``, ``tea1``) during the append after that; callers copy what
+they keep.  Under ``debug_full`` the side dict keeps copies, which never
+change.
 """
 
 from __future__ import annotations
@@ -105,7 +110,7 @@ import cmath
 import numpy as np
 
 from .scalar_eps import ScalarEpsTable, _inv_any
-from .vectorspace import BLOCK, DimensionMismatchError, as_term
+from .vectorspace import _C128, _F64, BLOCK, DimensionMismatchError, as_term
 
 __all__ = [
     "TopoEpsTable",
@@ -122,11 +127,6 @@ class _ElementTable:
 
     # the updates' blocks of difference and product
     _scratch = None
-    # the first term's layout, the dtype of every update it gives, and
-    # whether every term so far shared that layout and was C-contiguous
-    _layout = None
-    _dtype = None
-    _uniform = True
 
     def __init__(self, functional, max_k, first, debug_full):
         if max_k < 0:
@@ -242,41 +242,20 @@ class _ElementTable:
 
     # -- the element update ------------------------------------------------
 
-    def _note_term(self, S, layout):
-        """Keep ``_uniform`` up to date for the new term ``S``."""
-        if self._layout is None:
-            self._layout = layout
-        self._uniform = (self._uniform and layout == self._layout
-                         and S.flags.c_contiguous)
-
     def _combine(self, base, coeff, hi, lo, into=None):
         """``base + coeff * (hi - lo)`` with None/NaN poisoning.
 
         ``into`` is a table-made operand the sweep drops after this update;
-        the result goes into its buffer, or into a new one without
-        ``into``, where dtypes and layouts allow (module docstring).
-
-        While every term is C-contiguous and of the first term's layout
-        (:meth:`_note_term`), they always allow it: every finite coefficient
-        then has one type, so every entry the table makes is C-contiguous,
-        of the one dtype ``self._dtype`` fixed at the first update.
-        Otherwise each update checks its operands.
+        the result goes into its buffer when that has the update's dtype
+        (:func:`_result_dtype`), and into a new buffer otherwise.
         """
         if base is None or hi is None or lo is None or not cmath.isfinite(coeff):
             return None
+        dtype = _result_dtype(coeff, base, hi, lo)
         # the operands share one shape: append checks every term's
-        ops = (base, hi, lo)
-        dtype = self._dtype if self._uniform else None
-        if dtype is None:
-            dtype = np.result_type(*ops, coeff)
-            if not ((into is None or into.dtype == dtype)
-                    and all(x.flags.c_contiguous for x in ops)):
-                return _add(base, _scaled(coeff, hi - lo))
-            if self._uniform:
-                self._dtype = dtype
-        if into is None:
+        if into is None or into.dtype != dtype:
             into = np.empty(base.shape, dtype)
-        self._update_into(into, coeff, *ops)
+        self._update_into(into, coeff, base, hi, lo)
         return into
 
     def _update_into(self, out, coeff, base, hi, lo):
@@ -401,10 +380,8 @@ class TopoEpsTable(_ElementTable):
         s = self.functional(S)
         seen = len(self.scalar.events)
         self.scalar.append(s)
-        diags = self.scalar._diags
-        # the shadow's column 0 holds s as the shadow converted it
-        self._note_term(S, (S.dtype, type(diags[-1][0])))
-        coeffs = self._coefficients(diags, min(self.n_terms, 2 * self.max_k) // 2)
+        coeffs = self._coefficients(self.scalar._diags,
+                                    min(self.n_terms, 2 * self.max_k) // 2)
 
         # a column-0 tie (S_{N-1}, S_N) the shadow detected just now (its
         # column-0 events are never suppressed); the rule feeds column 4,
@@ -423,23 +400,32 @@ class TopoEpsTable(_ElementTable):
     def _tie_column2(self, base, coeff, lo):
         """Column-2 update of the first-kind tie rule (module docstring).
 
-        Forms ``base + coeff * (base - lo)`` as :meth:`_combine` does; a kept
-        offset becomes the exact column-2 difference across its tie, and a
-        tie detected on this append keeps this update's offset.
+        Forms ``base + coeff * (base - lo)`` with the ufunc calls of
+        :func:`_block_update`, each into a buffer of its own; a kept offset
+        becomes the exact column-2 difference across its tie, and a tie
+        detected on this append keeps this update's offset.
         """
-        diff = _d(base, lo)
-        step = _scaled(coeff, diff)
-        if self._tie_off is not None and step is not None:
+        if not cmath.isfinite(coeff):
+            self._tie_off = None
+            return None
+        dtype = _result_dtype(coeff, base, lo)
+        diff = np.subtract(base, lo, out=np.empty(base.shape, dtype))
+        step = np.multiply(diff, coeff, out=np.empty(base.shape, dtype))
+        if self._tie_off is not None:
             self._tie_diff = diff + step - self._tie_off
         self._tie_off = step if self._tie_now else None
-        return None if step is None else _add(base, step)
+        return np.add(base, step, out=np.empty(base.shape, dtype))
 
     def _tie_column4(self, base, coeff, lo):
         """Column-4 update across a tie, from the kept column-2 difference
-        (``lo``'s own is not read)."""
-        step = _scaled(coeff, self._tie_due)
-        self._tie_due = None
-        return None if base is None or step is None else _add(base, step)
+        (``lo``'s own is not read), with the ufunc calls of
+        :func:`_block_update` into buffers of its own."""
+        due, self._tie_due = self._tie_due, None
+        if base is None or not cmath.isfinite(coeff):
+            return None
+        dtype = _result_dtype(coeff, base, due)
+        step = np.multiply(due, coeff, out=np.empty(base.shape, dtype))
+        return np.add(base, step, out=np.empty(base.shape, dtype))
 
     def _coefficients(self, diags, jmax):
         """The scalar coefficients of the entries in columns ``2, .., 2*jmax``
@@ -519,9 +505,7 @@ class TeaTable(_ElementTable):
 
     def append(self, S):
         """Add one term; returns new even entries as ``(column, n, array)``."""
-        S = self._term(S)
-        self._note_term(S, S.dtype)
-        out = self._sweep(S, None)
+        out = self._sweep(self._term(S), None)
         # the elements alone, where no odd step has counted them yet
         if self.peak_slots > self.peak_total:
             self.peak_total = self.peak_slots
@@ -556,20 +540,13 @@ class TeaTable(_ElementTable):
         return _inv_any((val - old) * fdiff)
 
 
-def _scaled(coeff, diff):
-    """``diff * coeff`` as an array, or None where an update would poison.
-
-    A 0-d difference stays an array: numpy scalars multiply complex numbers
-    with other rounding than the array loop.
-    """
-    if diff is None or not cmath.isfinite(coeff):
-        return None
-    return np.asarray(np.asarray(diff) * coeff)
-
-
-def _add(base, step):
-    """``base + step`` as an array, so that a 0-d result can be written into."""
-    return np.asarray(base + step)
+def _result_dtype(coeff, *ops):
+    """The dtype of an update: complex128 if its coefficient or any of its
+    operands is complex, float64 otherwise."""
+    for x in ops:
+        if x.dtype == _C128:
+            return _C128
+    return _C128 if isinstance(coeff, complex) else _F64
 
 
 def _block_update(out, coeff, base, hi, lo, d, p):
@@ -579,13 +556,7 @@ def _block_update(out, coeff, base, hi, lo, d, p):
     np.add(base, p, out=out)
 
 
-# -- coefficient arithmetic with None/zero poisoning -------------------------
-
-def _d(a, b):
-    if a is None or b is None:
-        return None
-    return a - b
-
+# -- coefficient arithmetic with zero poisoning ------------------------------
 
 def _mul(a, b):
     return a * b

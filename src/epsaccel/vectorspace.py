@@ -3,9 +3,11 @@
 The acceleration tables in this package run one and the same recursion whether
 the sequence lives in R, R^m, or C^(m x s): all they need from the underlying
 space is addition, scaling, and a linear functional.  The elements are plain
-float64 or complex128 ndarrays of dimension 0, 1, or 2, so numpy supplies the
-algebra.  :func:`as_term` converts a term to one, once, and the tables check
-that every term has the first one's shape, so nothing broadcasts silently.
+C-contiguous float64 or complex128 ndarrays of dimension 0, 1, or 2, so numpy
+supplies the algebra and the element updates can be written block by block
+into a flat view of any entry.  :func:`as_term` converts a term to one, once
+(a term of another dtype or layout is copied), and the tables check that
+every term has the first one's shape, so nothing broadcasts silently.
 ``Functional`` covers the reductions used in practice (dot products, weighted
 dot products, traces, bilinear forms).  The odd entries of the full
 topological tables are scalar multiples of the table's one functional, so
@@ -55,14 +57,16 @@ class DimensionMismatchError(ValueError):
 
 
 def as_term(value):
-    """``value`` as a float64 or complex128 ndarray of dimension 0, 1 or 2.
+    """``value`` as a C-contiguous float64 or complex128 ndarray of dimension
+    0, 1 or 2.
 
     The tables call it once per term, beside their check that every term has
-    the first one's shape.  An array already of one of those dtypes passes
-    through uncopied.
+    the first one's shape.  A C-contiguous array already of one of those
+    dtypes passes through uncopied; any other is copied once.
     """
     if (type(value) is np.ndarray and value.ndim <= 2
-            and (value.dtype == _F64 or value.dtype == _C128)):
+            and (value.dtype == _F64 or value.dtype == _C128)
+            and value.flags.c_contiguous):
         return value
     arr = np.asarray(value)
     if arr.ndim > 2:
@@ -71,9 +75,7 @@ def as_term(value):
         )
     if not np.issubdtype(arr.dtype, np.number):
         raise TypeError(f"element dtype must be numeric, got {arr.dtype}")
-    if np.iscomplexobj(arr):
-        return arr.astype(np.complex128, copy=False)
-    return arr.astype(np.float64, copy=False)
+    return arr.astype(_C128 if np.iscomplexobj(arr) else _F64, order="C", copy=False)
 
 
 class Functional:

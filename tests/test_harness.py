@@ -50,6 +50,13 @@ def test_config_rejects_unknown_and_missing_keys(tmp_path):
     path.write_text(json.dumps({"source": {"kind": "x"}}))
     with pytest.raises(ValueError, match="required"):
         ExperimentSpec.from_config(path)
+    # a nested key no builder reads is an error too, not a silent default
+    with pytest.raises(ValueError, match="dimm"):
+        build_source(dict(KERNEL_SPEC["source"], dimm=30))
+    with pytest.raises(ValueError, match="conjugat"):
+        build_functional({"kind": "dot", "conjugat": False}, (20,))
+    with pytest.raises(ValueError, match="kmax"):
+        build_table({"variant": "stea2", "kmax": 3}, Functional.dot(np.ones(20)))
 
 
 def test_run_is_deterministic():

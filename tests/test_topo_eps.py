@@ -247,8 +247,7 @@ def _layout_cases():
     # real terms, complex coefficients: results cannot go into real buffers
     yield "complex-y", _read_only(re), Functional.dot(y)
     yield "0-d", _read_only([t[0].copy() for t in re]), Functional.dot(np.asarray(1.3))
-    # a stream that turns complex: the dtype the first term fixed no longer
-    # holds, so each update checks its own
+    # a stream that turns complex: real and complex updates mix
     turns = re[:6] + [a + 1j * b for a, b in zip(re[6:], im[6:])]
     yield "turns-complex", _read_only(turns), Functional.dot(y.real)
 
@@ -302,46 +301,59 @@ def test_updates_match_the_plain_update_for_any_layout_and_dtype():
             assert checked >= 12, (label, variant)
 
 
+def _owned_streams():
+    """The same 40 values per term, C-contiguous, Fortran-ordered and
+    strided, with a functional that sums them."""
+    terms, _ = smooth_terms(45, 40, 12)
+    yield "c", terms, Functional.dot(np.ones(40))
+    fortran = [np.asfortranarray(S.reshape(5, 8)) for S in terms]
+    assert not fortran[0].flags.c_contiguous
+    yield "fortran", fortran, Functional.trace_weighted(np.ones((5, 8)))
+    strided = [np.repeat(S, 2)[::2] for S in terms]
+    assert not strided[0].flags.c_contiguous
+    yield "strided", strided, Functional.dot(np.ones(40))
+
+
 def test_entries_are_table_storage_until_overwritten():
     # a returned entry is the table's own buffer, in the simplified and the
-    # full tables alike: a second-kind entry in column 2 or above becomes
-    # the next append's entry two columns up, a first-kind one the entry two
-    # columns up of the append after that; the caller's terms are never
-    # written and the debug copies never change
+    # full tables alike and whatever the terms' layout: a second-kind entry
+    # in column 2 or above becomes the next append's entry two columns up, a
+    # first-kind one the entry two columns up of the append after that; the
+    # caller's terms are never written and the debug copies never change
     K = 3
-    terms, _ = smooth_terms(45, 40, 12)
-    given = [S.copy() for S in terms]
-    f = Functional.dot(np.ones(40))
-    for variant, lag, shift in (("stea1", 2, 0), ("stea2", 1, -1),
-                                ("tea1", 2, 0), ("tea2", 1, -1)):
-        if variant.startswith("tea"):
-            tab = TeaTable(f, max_k=K, variant=variant, debug_full=True)
-        else:
-            tab = TopoEpsTable(f, max_k=K, variant=variant, form=3,
-                               particular_rules=False, debug_full=True)
-        history, copies = [], {}
-        for S in terms:
-            new = tab.append(S)
-            history.append({(col, n): e for col, n, e in new})
-            copies.update({(col, n): e.copy() for col, n, e in new})
-        reused = 0
-        for i in range(len(history) - lag):
-            for (col, n), e in history[i].items():
-                if col < 2 or col >= 2 * K:
-                    continue
-                later = history[i + lag].get((col + 2, n + shift))
-                if later is None:
-                    continue
-                assert later is e, (variant, col, n)
-                assert not _same_bits(e, copies[(col, n)])
-                reused += 1
-        assert reused >= 10, variant
-        assert all(_same_bits(S, S0) for S, S0 in zip(terms, given)), variant
-        for (col, n), value in copies.items():
-            kept = tab.entry(col, n)
-            assert _same_bits(kept, value), (variant, col, n)
-            assert col == 0 or not any(np.shares_memory(kept, e)
-                                       for h in history for e in h.values())
+    for label, terms, f in _owned_streams():
+        given = [S.copy() for S in terms]
+        for variant, lag, shift in (("stea1", 2, 0), ("stea2", 1, -1),
+                                    ("tea1", 2, 0), ("tea2", 1, -1)):
+            if variant.startswith("tea"):
+                tab = TeaTable(f, max_k=K, variant=variant, debug_full=True)
+            else:
+                tab = TopoEpsTable(f, max_k=K, variant=variant, form=3,
+                                   particular_rules=False, debug_full=True)
+            history, copies = [], {}
+            for S in terms:
+                new = tab.append(S)
+                history.append({(col, n): e for col, n, e in new})
+                copies.update({(col, n): e.copy() for col, n, e in new})
+            reused = 0
+            for i in range(len(history) - lag):
+                for (col, n), e in history[i].items():
+                    if col < 2 or col >= 2 * K:
+                        continue
+                    later = history[i + lag].get((col + 2, n + shift))
+                    if later is None:
+                        continue
+                    assert later is e, (label, variant, col, n)
+                    assert not _same_bits(e, copies[(col, n)])
+                    reused += 1
+            assert reused >= 10, (label, variant)
+            assert all(_same_bits(S, S0)
+                       for S, S0 in zip(terms, given)), (label, variant)
+            for (col, n), value in copies.items():
+                kept = tab.entry(col, n)
+                assert _same_bits(kept, value), (label, variant, col, n)
+                assert col == 0 or not any(np.shares_memory(kept, e)
+                                           for h in history for e in h.values())
 
 
 def _traced_peak(fn):

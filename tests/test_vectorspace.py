@@ -26,9 +26,21 @@ def test_dtype_promotion():
     assert as_term(np.ones(2, np.complex64)).dtype == np.complex128
     with pytest.raises(TypeError):
         as_term(np.array(["a", "b"]))
-    # float64 and complex128 terms pass through uncopied
-    for a in (np.ones(3), np.ones(3, np.complex128)):
+    # C-contiguous float64 and complex128 terms pass through uncopied
+    for a in (np.ones(3), np.ones(3, np.complex128), np.asarray(2.0)):
         assert as_term(a) is a
+
+
+def test_terms_come_out_c_contiguous():
+    # a Fortran-ordered, strided or float32 term is copied once into a
+    # C-contiguous array of the same values and shape; a 0-d one stays 0-d
+    m = np.arange(12.0).reshape(3, 4)
+    for a in (np.asfortranarray(m), m[:, ::2], np.arange(8.0)[::2],
+              np.asfortranarray(m, np.float32), np.float32(1.5)):
+        t = as_term(a)
+        assert t.flags.c_contiguous and t.shape == np.shape(a)
+        assert not np.shares_memory(t, a)
+        assert np.array_equal(t, a)
 
 
 def test_dot_functional_conjugates_y():

@@ -170,6 +170,13 @@ def configurations(workdir):
         f = Functional.dot(np.ones(dim)) if space == "vector" else Functional.trace()
         for p in (7, 10, 12):
             yield from _stream_configs(f"kernel-{space}/p={p}", terms, f, p=p)
+    # the matrix stream Fortran-ordered, through the first kind's tie rule
+    fterms = [np.asfortranarray(S) for S in terms]
+    for p in (7, 10, 12):
+        for tname, make in _all_tables(f, p=p).items():
+            if tname.startswith("stea"):
+                yield (f"kernel-matrix-fortran/p={p}/{tname}",
+                       lambda m=make: _digest_table(m(), fterms))
 
     rng = np.random.default_rng(7)
     y = rng.random(20) + 0.5
