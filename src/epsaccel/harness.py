@@ -247,8 +247,9 @@ def build_table(conf, functional):
     ``variant``: scalar, tea1, tea2, stea1, stea2.  ``max_k`` bounds the
     transform order; ``form`` picks the coefficient formula for the
     simplified variants; ``p`` (decimal digits) sets the singular-block
-    detection threshold and ``rules`` switches the repairs.  Any other key
-    is an error.
+    detection threshold and ``rules`` switches the repairs; ``history``
+    keeps what grows with the stream (``epsaccel.topo_eps``, "Storage").
+    Any other key is an error.
     """
     conf = dict(conf)
     variant = conf.pop("variant", "stea2")
@@ -257,18 +258,19 @@ def build_table(conf, functional):
     rules = conf.pop("rules", True)
     parity = conf.pop("parity", "both")
     form = conf.pop("form", 3)
-    debug_full = conf.pop("debug_full", False)
+    history = conf.pop("history", False)
     _spent(conf, "algorithm")
     if variant == "scalar":
         if max_k < 0:
             raise ValueError("max_k must be >= 0")
         return ScalarEpsTable(max_col=2 * max_k + 2, p_threshold=p,
-                              particular_rules=rules, singular_parity=parity)
+                              particular_rules=rules, singular_parity=parity,
+                              history=history)
     if variant in ("stea1", "stea2"):
         return TopoEpsTable(functional, max_k, variant, form, p, rules,
-                            parity, debug_full)
+                            parity, history)
     if variant in ("tea1", "tea2"):
-        return TeaTable(functional, max_k, variant, debug_full)
+        return TeaTable(functional, max_k, variant, history)
     raise ValueError(f"unknown table variant: {variant!r}")
 
 
@@ -361,7 +363,10 @@ def run(spec):
     """Execute one experiment and return its :class:`RunReport`.
 
     Equation residuals are evaluated when the source has a ``residual``
-    method and the run is small enough to afford it.
+    method and the run is small enough to afford it.  The table keeps no
+    history unless the spec asks for it or for a metric that reads it
+    (``ratio_series``, ``stability_margin``); the report's events are
+    collected from each append's firings.
     """
     if isinstance(spec, dict):
         spec = ExperimentSpec(**spec)
@@ -369,7 +374,10 @@ def run(spec):
     # the first term sets the functional's shape, and is fed like the rest
     first = src.next_term()
     functional = build_functional(spec.functional, np.shape(first), spec.seed)
-    table = build_table(spec.algorithm, functional)
+    algorithm = spec.algorithm
+    if {"ratio_series", "stability_margin"} & set(spec.metrics or ()):
+        algorithm = dict(algorithm, history=True)
+    table = build_table(algorithm, functional)
 
     limit = src.limit()
     has_residual = hasattr(src, "residual")
@@ -381,6 +389,9 @@ def run(spec):
         limit = as_term(limit)
         if scalar:
             limit = functional(limit)
+    # the shadow's firings, as each append makes them
+    shadow = table if scalar else getattr(table, "scalar", None)
+    fired = []
 
     entries = []
     t0 = time.perf_counter()
@@ -401,19 +412,18 @@ def run(spec):
             if collect_residuals and row["valid"]:
                 row["residual"] = src.residual(value)
             entries.append(row)
+        if shadow is not None:
+            fired += shadow.fired
         if (spec.stop_residual is not None and has_residual
                 and src.residual(np.asarray(term)) <= spec.stop_residual):
             break
     wall = time.perf_counter() - t0
 
     sigma = getattr(table, "sigma", 0)
-    events = []
-    shadow = table if scalar else getattr(table, "scalar", None)
-    if shadow is not None:
-        events = [{"k": ev.k, "n": ev.n, "ratio": ev.ratio,
-                   "treated": ev.treated, "suppressed": ev.suppressed,
-                   "victim": list(ev.victim) if ev.victim else None}
-                  for ev in shadow.events]
+    events = [{"k": ev.k, "n": ev.n, "ratio": ev.ratio,
+               "treated": ev.treated, "suppressed": ev.suppressed,
+               "victim": list(ev.victim) if ev.victim else None}
+              for ev in fired]
     notes = {}
     for metric in spec.metrics or ():
         if metric == "ratio_series" and isinstance(table, TopoEpsTable):

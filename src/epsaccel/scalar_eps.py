@@ -35,7 +35,7 @@ each of its columns; the second detection belongs to the same block and its
 endangered entry is already the one being repaired, so it is suppressed.  The
 counter ``sigma`` counts the repairs actually applied.
 
-Cost.  An append does O(max_col) work whatever the history: a scheduled
+Cost.  An append does O(max_col) work however long the stream: a scheduled
 repair carries the event it treats, and the suppression test reads only the
 firings of the previous diagonal, so a converged stream that repairs on
 every term stays linear in its length.  (With ``max_col=None`` the diagonals
@@ -47,6 +47,20 @@ seen a complex term), and ``1/d`` is Python's IEEE division, with the
 infinity of d's sign at ``d == 0`` (``inf+0j`` for a complex zero).  That is
 bit for bit what numpy's scalar division gives a float.  A complex modulus
 too large for a float reads as inf in the test instead of raising.
+
+Storage.  By default (``history=False``) the table holds O(max_col) numbers
+however many terms it has seen: the last three diagonals, which are all the
+rhombus rule, the cross rule and the topological tables' coefficient forms
+read, and the firings on the newest two.  ``n_terms`` and ``sigma`` are
+counters, and ``events`` counts the firings without keeping them, so
+``len(events)`` means the same in both modes.  ``history=True`` keeps every
+diagonal, the event log and the repair flags, which the readers of old
+entries need (``column``, ``even_column``, ``flag``,
+``diagonal_sum_identities``, ``entry`` of a diagonal older than the last
+three, and :func:`epsaccel.topo_eps.ratio_series` and
+:func:`~epsaccel.topo_eps.stability_margin`); without it they raise
+LookupError.  :attr:`ScalarEpsTable.fired` gives the events of the latest
+append in either mode.
 """
 
 from __future__ import annotations
@@ -105,31 +119,42 @@ class ScalarEpsTable:
         interest announce themselves in even columns, but the test is cheap
         and the default watches both.
 
+    history : bool
+        Keep every diagonal, the event log and the repair flags (module
+        docstring, "Storage").  Off, the table holds the last three
+        diagonals and counts its events.
+
     Attributes
     ----------
     sigma : int
         Number of cross-rule repairs applied.
-    events : list of SingularEvent
-        Every firing of the test, treated or not.
+    n_terms : int
+        Number of terms appended.
+    events : list of SingularEvent, or a count
+        Every firing of the test, treated or not; without ``history`` only
+        their number, ``len(events)``.
     """
 
     def __init__(self, max_col=None, p_threshold=10, particular_rules=True,
-                 singular_parity="both"):
+                 singular_parity="both", history=False):
         if singular_parity not in ("both", "even", "odd"):
             raise ValueError(f"bad singular_parity: {singular_parity!r}")
         self.max_col = max_col
         self.p_threshold = p_threshold
         self.particular_rules = particular_rules
         self.singular_parity = singular_parity
+        self.history = history
         self.sigma = 0
-        self.events = []
+        self.n_terms = 0
+        self.events = [] if history else _Tally()
+        # every diagonal under history, else the last three
         self._diags = []
         # firings of the test on the diagonal being built and on the previous
-        # one, the only one the suppression test reads
-        self._fired = set()
-        self._fired_prev = set()
+        # one, the only one the suppression test reads, by pair
+        self._fired = {}
+        self._fired_prev = {}
         self._pending_next = {}
-        self._flags = {}
+        self._flags = {} if history else None
         # the sweep's constants: whether the test watches column j, by j % 2,
         # and its relative trigger
         detect = particular_rules and p_threshold is not None
@@ -141,18 +166,15 @@ class ScalarEpsTable:
 
     # -- building ---------------------------------------------------------
 
-    @property
-    def n_terms(self):
-        return len(self._diags)
-
     def append(self, s):
         """Add a term and build its ascending diagonal.
 
         Returns the list of new entries as ``(k, n, value)`` triples, column 0
         first.
         """
-        N = len(self._diags)
-        prev = self._diags[N - 1] if N else []
+        N = self.n_terms
+        diags = self._diags
+        prev = diags[-1] if N else []
         pending = self._pending_next
         self._pending_next = {}
         self._fired_prev, self._fired = self._fired, self._fired_prev
@@ -193,7 +215,8 @@ class ScalarEpsTable:
                 info = pending[t]
                 value = _cross_east(info["C"], info["N"], new[t - 2], info["W"], finite)
                 self.sigma += 1
-                self._flags[(t, N - t)] = "cross-rule"
+                if self._flags is not None:
+                    self._flags[(t, N - t)] = "cross-rule"
                 event = info["event"]
                 event.treated = True
                 event.victim = (t, N - t)
@@ -206,7 +229,10 @@ class ScalarEpsTable:
             if sched is not None:
                 sched["C"] = value
 
-        self._diags.append(new)
+        diags.append(new)
+        if not self.history and len(diags) > 3:
+            del diags[0]
+        self.n_terms = N + 1
         return [(t, N - t, value) for t, value in enumerate(new)]
 
     def extend(self, terms):
@@ -226,13 +252,12 @@ class ScalarEpsTable:
         treated.  Returns the record so the caller can fill in the centre
         entry once it is computed, or None.
         """
-        self._fired.add((j, n_pair))
-        if (j - 2, n_pair + 1) in self._fired_prev and j >= 2:
-            self.events.append(SingularEvent(j, n_pair, ratio, suppressed=True))
-            return None
-
-        event = SingularEvent(j, n_pair, ratio)
+        suppressed = (j - 2, n_pair + 1) in self._fired_prev and j >= 2
+        event = SingularEvent(j, n_pair, ratio, suppressed=suppressed)
+        self._fired[(j, n_pair)] = event
         self.events.append(event)
+        if suppressed:
+            return None
 
         # The repair needs eps_{j+1}^(n_pair - 1) (north of the centre) and a
         # victim inside the table: both require n_pair >= 1.  The victim
@@ -249,17 +274,28 @@ class ScalarEpsTable:
 
     # -- access -------------------------------------------------------------
 
+    @property
+    def fired(self):
+        """The events of the latest append, in firing order, in either
+        mode; a repair later marks its event treated."""
+        return list(self._fired.values())
+
     def entry(self, k, n):
         """``eps_k^(n)``; the boundary column k = -1 is identically zero.
 
-        Returns None for entries not (yet) in the table.
+        Returns None for entries not (yet) in the table.  Without
+        ``history``, an entry on a diagonal older than the last three raises
+        LookupError.
         """
         if k == -1:
             return 0.0 if n >= 0 else None
         d = k + n
-        if k < 0 or n < 0 or d >= len(self._diags):
+        if k < 0 or n < 0 or d >= self.n_terms:
             return None
-        diag = self._diags[d]
+        i = d - self.n_terms + len(self._diags)
+        if i < 0:
+            raise _needs_history(f"entry ({k}, {n}), older than the last three diagonals,")
+        diag = self._diags[i]
         return diag[k] if k < len(diag) else None
 
     @property
@@ -267,7 +303,9 @@ class ScalarEpsTable:
         return list(self._diags[-1]) if self._diags else []
 
     def column(self, k):
-        """All available entries of column k as ``(n, value)`` pairs."""
+        """All available entries of column k as ``(n, value)`` pairs
+        (``history`` only)."""
+        self._check_history("column")
         outs = []
         for d in range(k, len(self._diags)):
             diag = self._diags[d]
@@ -276,11 +314,14 @@ class ScalarEpsTable:
         return outs
 
     def even_column(self, k):
-        """Column ``2k`` of limit estimates as ``(n, value)`` pairs."""
+        """Column ``2k`` of limit estimates as ``(n, value)`` pairs
+        (``history`` only)."""
         return self.column(2 * k)
 
     def flag(self, k, n):
-        """'cross-rule' if the entry was repaired, else None."""
+        """'cross-rule' if the entry was repaired, else None (``history``
+        only)."""
+        self._check_history("flag")
         return self._flags.get((k, n))
 
     def diagonal_sum_identities(self, k, n):
@@ -292,8 +333,10 @@ class ScalarEpsTable:
             sum_{i=0..k}           1/(eps_{2i}^(n+k-i+1)   - eps_{2i}^(n+k-i)),
 
         which telescope to ``eps_{2k}^(n)`` and ``eps_{2k+1}^(n)``.  Raises
-        LookupError if any required entry is not in the table yet.
+        LookupError if any required entry is not in the table yet, or
+        without ``history``.
         """
+        self._check_history("diagonal_sum_identities")
         even_sum = self.entry(0, n + k)
         if even_sum is None:
             raise LookupError(f"entry (0, {n + k}) unavailable")
@@ -311,6 +354,36 @@ class ScalarEpsTable:
                 raise LookupError(f"even column {2 * i} unavailable")
             odd_sum = odd_sum + _inv_any(a - b)
         return even_sum, odd_sum
+
+    def _check_history(self, what):
+        if not self.history:
+            raise _needs_history(what)
+
+
+class _Tally:
+    """What a table keeps of a log or set of items it does not hold
+    (``history=False``): their number, which ``len`` gives.  Reading the
+    items raises."""
+
+    __slots__ = ("count",)
+
+    def __init__(self):
+        self.count = 0
+
+    def append(self, item):
+        self.count += 1
+
+    add = append
+
+    def __len__(self):
+        return self.count
+
+    def __iter__(self):
+        raise _needs_history("reading the items")
+
+
+def _needs_history(what):
+    return LookupError(f"{what} needs the table's history: build it with history=True")
 
 
 def _cross_east(C, Nn, S, W, finite):

@@ -71,6 +71,14 @@ one, so a first-kind table whose column 0 ties holds up to ``2K + 5``.
 ``peak_slots`` records the audited high-water mark, these slots included.
 A full table holds the elements its simplified kind holds and, besides
 them, the K odd coefficients of its newest diagonal (:class:`TeaTable`).
+The rest of a table's state is O(K) too by default, however many terms it
+has seen: the scalar shadow keeps its last three diagonals
+(:class:`ScalarEpsTable`, "Storage"), and ``invalid``, like the shadow's
+``events``, only counts what it is given, so ``len(invalid)`` keeps its
+meaning.  ``history=True`` keeps what grows with the stream instead: every
+shadow diagonal, the event log and repair flags, the positions in
+``invalid``, and a copy of every element entry and odd coefficient, which
+``entry`` then reads.
 
 Updates in place.  One kernel forms every even entry of every table
 (:func:`_block_update`): ``base + c * (hi - lo)`` as one subtract, one
@@ -92,15 +100,14 @@ since the rule keeps its difference and step.  The operations and their
 order are those of ``base + c * (hi - lo)``, so every result is
 bit-identical to it.
 
-Ownership: the entries ``append``, ``entry``, ``last_entries`` and ``best``
-return are the table's own storage, in every table here.  Column 0 holds
-each term as :func:`~epsaccel.vectorspace.as_term` gave it: the caller's
+Ownership: the entries ``append``, ``entry`` and ``best`` return are the
+table's own storage, in every table here.  Column 0 holds each term as
+:func:`~epsaccel.vectorspace.as_term` gave it: the caller's
 array where that was already a C-contiguous float64 or complex128 one, and
 otherwise a copy made once.  A second-kind entry (``stea2``, ``tea2``) in
 column 2 or above may be overwritten during the next append, a first-kind
 one (``stea1``, ``tea1``) during the append after that; callers copy what
-they keep.  Under ``debug_full`` the side dict keeps copies, which never
-change.
+they keep.  Under ``history`` the copies ``entry`` returns never change.
 """
 
 from __future__ import annotations
@@ -109,7 +116,7 @@ import cmath
 
 import numpy as np
 
-from .scalar_eps import ScalarEpsTable, _inv_any
+from .scalar_eps import ScalarEpsTable, _inv_any, _needs_history, _Tally
 from .vectorspace import _C128, _F64, BLOCK, DimensionMismatchError, as_term
 
 __all__ = [
@@ -128,14 +135,15 @@ class _ElementTable:
     # the updates' blocks of difference and product
     _scratch = None
 
-    def __init__(self, functional, max_k, first, debug_full):
+    def __init__(self, functional, max_k, first, history):
         if max_k < 0:
             raise ValueError("max_k must be >= 0")
         self.functional = functional
         self.max_k = max_k
-        self.debug_full = debug_full
-        self._full = {} if debug_full else None
-        self.invalid = set()
+        self.history = history
+        # copies of every entry, by position, under history
+        self._full = {} if history else None
+        self.invalid = set() if history else _Tally()
         self.peak_slots = 0
         self.n_terms = 0
         self._shape = None
@@ -287,7 +295,7 @@ class _ElementTable:
     def entry(self, col, n):
         """Kept entry at ``(col, n)``: the buffers (an odd column's, of a
         full table, only on the newest diagonal), or anything under
-        ``debug_full``; None for an entry not kept or outside the table."""
+        ``history``; None for an entry not kept or outside the table."""
         if self._full is not None:
             return self._full.get((col, n))
         if not 0 <= col <= 2 * self.max_k or n < 0:
@@ -301,16 +309,14 @@ class _ElementTable:
             return self._older[col // 2]
         return None
 
-    def last_entries(self):
-        """Live even entries of the newest diagonal as ``(column, n, array)``."""
-        N = self.n_terms - 1
-        return [(2 * j, N - 2 * j, e)
-                for j, e in enumerate(self._prev) if e is not None]
-
     def best(self):
-        """Highest-order live entry of the newest diagonal."""
-        entries = self.last_entries()
-        return entries[-1] if entries else None
+        """Highest-order live entry of the newest diagonal as ``(column, n,
+        array)``; None before the first term."""
+        N = self.n_terms - 1
+        for j in range(self.max_k, -1, -1):
+            if self._prev[j] is not None:
+                return 2 * j, N - 2 * j, self._prev[j]
+        return None
 
 
 class TopoEpsTable(_ElementTable):
@@ -329,9 +335,10 @@ class TopoEpsTable(_ElementTable):
         Which of the four equivalent coefficient formulas to use.
     p_threshold, particular_rules, singular_parity
         Passed to the underlying scalar table; see :class:`ScalarEpsTable`.
-    debug_full : bool
-        Keep a copy of every element entry in a side dict (exempt from the
-        storage discipline) for inspection and testing.
+    history : bool
+        Keep what grows with the stream (module docstring, "Storage"): the
+        shadow's history, the positions in ``invalid`` and a copy of every
+        element entry, for inspection and testing.
 
     Attributes
     ----------
@@ -340,24 +347,26 @@ class TopoEpsTable(_ElementTable):
     peak_slots : int
         High-water mark of live element slots at step boundaries, the
         first-kind tie rule's slots included.
-    invalid : set
-        ``(column, superscript)`` of entries that could not be formed.
+    invalid : set, or a count
+        ``(column, superscript)`` of entries that could not be formed; without
+        ``history`` only their number, ``len(invalid)``.
     """
 
     def __init__(self, functional, max_k, variant="stea2", form=3,
                  p_threshold=10, particular_rules=True,
-                 singular_parity="both", debug_full=False):
+                 singular_parity="both", history=False):
         if variant not in ("stea1", "stea2"):
             raise ValueError(f"bad variant: {variant!r}")
         if form not in (1, 2, 3, 4):
             raise ValueError(f"bad form: {form!r}")
-        super().__init__(functional, max_k, variant == "stea1", debug_full)
+        super().__init__(functional, max_k, variant == "stea1", history)
         self.variant = variant
         self.form = form
         self._reads, self._combiner = _FORMS[(variant, form)]
         self.scalar = ScalarEpsTable(
             max_col=2 * max_k + 2, p_threshold=p_threshold,
-            particular_rules=particular_rules, singular_parity=singular_parity)
+            particular_rules=particular_rules, singular_parity=singular_parity,
+            history=history)
         # first-kind tie rule (module docstring): the column-2 offset kept
         # from the append that detected a column-0 tie, the column-2
         # difference it becomes one append later, and that difference while
@@ -377,17 +386,16 @@ class TopoEpsTable(_ElementTable):
     def append(self, S):
         """Add one term; returns new even entries as ``(column, n, array)``."""
         S = self._term(S)
-        s = self.functional(S)
-        seen = len(self.scalar.events)
-        self.scalar.append(s)
-        coeffs = self._coefficients(self.scalar._diags,
-                                    min(self.n_terms, 2 * self.max_k) // 2)
+        N = self.n_terms
+        self.scalar.append(self.functional(S))
+        coeffs = self._coefficients(self.scalar._diags, min(N, 2 * self.max_k) // 2)
 
-        # a column-0 tie (S_{N-1}, S_N) the shadow detected just now (its
-        # column-0 events are never suppressed); the rule feeds column 4,
-        # so a table without column 4 keeps no slot for it
+        # a column-0 tie (S_{N-1}, S_N) the shadow detected just now, a
+        # firing on the pair (0, N - 1) (column-0 firings are never
+        # suppressed); the rule feeds column 4, so a table without column 4
+        # keeps no slot for it
         tie = (self.variant == "stea1" and self.max_k >= 2
-               and any(ev.k == 0 for ev in self.scalar.events[seen:]))
+               and (0, N - 1) in self.scalar._fired)
         self._tie_due, self._tie_diff = self._tie_diff, None
         self._tie_now = tie
         rules = {}
@@ -429,7 +437,8 @@ class TopoEpsTable(_ElementTable):
 
     def _coefficients(self, diags, jmax):
         """The scalar coefficients of the entries in columns ``2, .., 2*jmax``
-        of the newest diagonal, read off ``diags``, the shadow's diagonals.
+        of the newest diagonal, read off ``diags``, the shadow's kept
+        diagonals.
 
         Every form reads only the last three, where the entries of column c
         sit at index c + 1 once the boundary column -1 (zero) is prepended.
@@ -451,7 +460,8 @@ class TopoEpsTable(_ElementTable):
     # -- access --------------------------------------------------------------
 
     def entry(self, col, n):
-        """Entry at even column ``col``; None unless kept (buffers or debug)."""
+        """Entry at even column ``col``; None unless kept (buffers or
+        history)."""
         if col % 2 != 0:
             raise ValueError("element entries live in even columns")
         return super().entry(col, n)
@@ -487,10 +497,10 @@ class TeaTable(_ElementTable):
     as in :class:`TopoEpsTable`.
     """
 
-    def __init__(self, functional, max_k, variant="tea1", debug_full=False):
+    def __init__(self, functional, max_k, variant="tea1", history=False):
         if variant not in ("tea1", "tea2"):
             raise ValueError(f"bad variant: {variant!r}")
-        super().__init__(functional, max_k, variant == "tea1", debug_full)
+        super().__init__(functional, max_k, variant == "tea1", history)
         self.variant = variant
         self.peak_total = 0
         # the odd coefficients of the newest diagonal, by column // 2, and
@@ -596,10 +606,12 @@ _FORMS = {key: (tuple((i + m, i + 1) for i, m in offsets), combiner)
 
 # -- diagnostics --------------------------------------------------------------
 
-def _shadow(table):
-    if isinstance(table, ScalarEpsTable):
-        return table
-    return table.scalar
+def _shadow(table, reader):
+    """The scalar table of ``table``, which ``reader`` reads the history of."""
+    sc = table if isinstance(table, ScalarEpsTable) else table.scalar
+    if not sc.history:
+        raise _needs_history(reader)
+    return sc
 
 
 def ratio_series(table):
@@ -612,9 +624,10 @@ def ratio_series(table):
     ``|r|`` small means column 2k+2 genuinely improves on column 2k; for a
     sequence dominated by one geometric mode with ratio ``lam`` the series
     tends to ``lam / (1 - lam)``.  Accepts a scalar table or a topological
-    table (whose scalar shadow is used).
+    table (whose scalar shadow is used), built with ``history=True``; raises
+    LookupError otherwise.
     """
-    sc = _shadow(table)
+    sc = _shadow(table, "ratio_series")
     out = {}
     kmax_col = max((len(d) for d in sc._diags), default=0) - 1
     for k in range(0, max(0, kmax_col // 2)):
@@ -647,9 +660,10 @@ def stability_margin(table, k):
     (to first order), so margins near 1 mean a numerically safe step and huge
     margins flag the steps where singular-block repairs earn their keep.  A
     zero denominator (degenerate column, e.g. a kernel sequence transformed
-    exactly) gives a non-finite margin rather than a gap.
+    exactly) gives a non-finite margin rather than a gap.  Needs a table
+    built with ``history=True`` (LookupError otherwise).
     """
-    sc = _shadow(table)
+    sc = _shadow(table, "stability_margin")
     series = []
     for n in range(0, sc.n_terms):
         e22 = sc.entry(2 * k + 2, n)

@@ -16,18 +16,23 @@ they are stored as the plain coefficients.
 Blocked work.  The element updates (in :mod:`epsaccel.topo_eps`) and the dot
 functional work on long elements in blocks of :data:`BLOCK` entries through
 scratch buffers of one block, so that each block stays in a core's L2 cache
-and no full-size temporary is made.  A dot functional over more than one
-block evaluates ``sum(yuse * x)`` by following numpy's own pairwise
-summation: it splits the range where numpy's pairwise sum splits it
-(``n2 = m // 2`` rounded down to a multiple of 8 for real products;
-``(m - m % 8) // 2`` for complex ones, since numpy halves the count of
-reals), multiplies each leaf of at most one block into the scratch, sums it
-with ``.sum()`` and adds the halves as numpy does.  The product and the
+and no full-size temporary is made.  A dot functional of a 1-d element of
+at least :data:`BLOCKED_DOT` entries evaluates ``sum(yuse * x)`` by
+following numpy's own pairwise summation: it splits the range where
+numpy's pairwise sum splits it (``n2 = m // 2`` rounded down to a multiple
+of 8 for real products; ``(m - m % 8) // 2`` for complex ones, since numpy
+halves the count of reals), multiplies each leaf of at most one block into
+the scratch, sums it with ``.sum()`` and adds the halves as numpy does.  The product and the
 summation order are numpy's, so the result is bit-identical to
 ``(yuse * x).sum()``.  It never calls ``np.dot`` or BLAS, whose rounding
-differs.  Given a second operand, ``f(hi, lo)`` is ``f(hi - lo)`` bit for
-bit; the blocked dot then forms each leaf of ``hi - lo`` in a second scratch
-block, so the full-size difference is never made.
+differs.  Below :data:`BLOCKED_DOT` the functional evaluates that plain
+expression itself: its one full-size temporary then stays in cache, and it
+is the faster of the two.  Given a second operand, ``f(hi, lo)`` is
+``f(hi - lo)`` bit for bit; above one block the blocked dot then forms each
+leaf of ``hi - lo`` in a second scratch block, so the full-size difference
+is never made.  The plain ``(yuse * (hi - lo)).sum()`` would make two
+temporaries, and freeing both at the top of the heap can make the C
+allocator hand the pages back and fault them in again on the next call.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ import numpy as np
 
 __all__ = [
     "BLOCK",
+    "BLOCKED_DOT",
     "DimensionMismatchError",
     "Functional",
     "as_term",
@@ -45,6 +51,12 @@ __all__ = [
 # entries per block of the blocked element work (module docstring): a
 # float64 block is 128 KiB
 BLOCK = 1 << 14
+# the length from which a 1-d dot functional f(x) sums block by block
+# (module docstring): the measured crossover, below which the plain
+# product-and-sum is faster (on a 2-CPU x86-64 host with numpy 2.4 and
+# glibc, 1.06-1.5x from one block to 1e5 entries, 0.90-0.96x at 2**17).  A
+# functional of a difference, f(hi, lo), sums block by block above one block
+BLOCKED_DOT = 1 << 17
 
 _F64 = np.dtype(np.float64)
 _C128 = np.dtype(np.complex128)
@@ -114,7 +126,8 @@ class Functional:
                 raise DimensionMismatchError(
                     f"functional shape {yarr.shape} vs element shape {x.shape}"
                 )
-            if x.ndim == 1 and x.shape[0] > BLOCK:
+            m = x.shape[0] if x.ndim == 1 else 0
+            if m >= BLOCKED_DOT or (lo is not None and m > BLOCK):
                 return _pairwise_dot(yuse, x, lo)
             if lo is not None:
                 x = np.asarray(x - lo)

@@ -77,7 +77,7 @@ def test_criterion_01_kernel_exactness():
                     t = t + (lam ** n) * np.asarray(u)
                 terms.append(t)
             if space == "scalar":
-                tab = ScalarEpsTable(max_col=2 * k)
+                tab = ScalarEpsTable(max_col=2 * k, history=True)
                 tab.extend([float(x) for x in terms])
                 worst = max(worst, max(abs(v - S)
                                        for _, v in tab.even_column(k)))
@@ -88,7 +88,7 @@ def test_criterion_01_kernel_exactness():
             lim = np.asarray(S)
             for variant in ("stea1", "stea2"):
                 tab = TopoEpsTable(f, max_k=k, variant=variant, form=3,
-                                   debug_full=True)
+                                   history=True)
                 tab.extend(terms)
                 for n in range(len(terms) - 2 * k):
                     e = tab.entry(2 * k, n)
@@ -115,11 +115,11 @@ def test_criterion_02_oracle_equivalence():
         for variant in ("stea1", "stea2"):
             for form in (1, 2, 3, 4):
                 tab = TopoEpsTable(f, max_k=3, variant=variant, form=form,
-                                   debug_full=True)
+                                   history=True)
                 tab.extend(terms)
                 tables.append((f"{variant}-{form}", tab, variant))
         for variant in ("tea1", "tea2"):
-            tab = TeaTable(f, max_k=3, variant=variant, debug_full=True)
+            tab = TeaTable(f, max_k=3, variant=variant, history=True)
             tab.extend(terms)
             fam = "stea1" if variant == "tea1" else "stea2"
             tables.append((variant, tab, fam))
@@ -149,7 +149,7 @@ def test_criterion_03_identity_suites():
     for seed in range(50):
         rng = np.random.default_rng(1000 + seed)
         sterm = [float(x) for x in _smooth_terms(rng, 0, 14)]
-        tab = ScalarEpsTable(max_col=8)
+        tab = ScalarEpsTable(max_col=8, history=True)
         tab.extend(sterm)
         for k in range(1, 4):
             for n in range(4):
@@ -166,15 +166,15 @@ def test_criterion_03_identity_suites():
         dim = 5
         vterms = _smooth_terms(rng, dim, 14)
         f = Functional.dot(rng.uniform(0.5, 1.5, dim))
-        stab = ScalarEpsTable(max_col=8)
+        stab = ScalarEpsTable(max_col=8, history=True)
         stab.extend([float(f(t)) for t in vterms])
         duals = []
         for variant in ("stea1", "stea2"):
             duals.append(TopoEpsTable(f, max_k=3, variant=variant, form=3,
-                                      debug_full=True))
+                                      history=True))
         for variant in ("tea1", "tea2"):
             duals.append(TeaTable(f, max_k=3, variant=variant,
-                                  debug_full=True))
+                                  history=True))
         for ttab in duals:
             ttab.extend(vterms)
             for k in range(0, 4):
@@ -247,7 +247,7 @@ def test_criterion_06_two_mode_rates():
     checks = []
     for variant in ("stea1", "stea2"):
         tab = TopoEpsTable(f, max_k=2, variant=variant, form=3,
-                           debug_full=True)
+                           history=True)
         tab.extend(terms)
         e0 = {n: np.max(np.abs(tab.entry(0, n) - S)) for n in range(28)}
         e2 = [(n, np.max(np.abs(tab.entry(2, n) - S)))
@@ -289,7 +289,7 @@ def test_criterion_07_logarithmic_exponents_and_constants():
                                          alternating=alternating)
         terms = src.take(201)
         tab = TopoEpsTable(f, max_k=3, variant="stea1", form=3,
-                           debug_full=True)
+                           history=True)
         tab.extend(terms)
         kind = "alternating" if alternating else "monotone"
         for k in range(3):
@@ -314,7 +314,7 @@ def test_criterion_07_logarithmic_exponents_and_constants():
     u0 = rngc.random(dim) + 0.5
     src = sequences.LogarithmicModes(S, [1.0], [u0], b=b, alternating=True)
     terms = src.take(201)
-    tab = TopoEpsTable(f, max_k=3, variant="stea1", form=3, debug_full=True)
+    tab = TopoEpsTable(f, max_k=3, variant="stea1", form=3, history=True)
     tab.extend(terms)
     for k, (lo, hi) in ((0, (60, 196)), (1, (120, 196)), (2, (80, 130))):
         errs = column_errors(tab, k, len(terms))
@@ -357,7 +357,7 @@ def test_criterion_08_tm_to_inequalities():
         assert sequences.verify_totally_monotonic(head, max_order=6)
         for variant in ("stea1", "stea2"):
             tab = TopoEpsTable(f, max_k=3, variant=variant, form=3,
-                               debug_full=True)
+                               history=True)
             tab.extend(terms)
             E = tab.entry
             zero = np.zeros(dim)
@@ -435,7 +435,7 @@ def test_criterion_11_storage_audit():
     for variant in ("tea1", "tea2"):
         tab = TeaTable(f, max_k=K, variant=variant)
         tab.extend(terms)
-        assert tab.last_entries()
+        assert tab.best() is not None
         totals[variant] = tab.peak_total
     _verdict(11, "storage high-water audit, k=5", [
         ("stea1 peak elements (==2k+2)", peaks["stea1"] == 2 * K + 2,

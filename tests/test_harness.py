@@ -110,6 +110,28 @@ def test_events_surface_in_report():
     assert all(ev["ratio"] < 1e-10 for ev in treated)
 
 
+def test_run_keeps_history_only_for_the_metrics_that_read_it(monkeypatch):
+    # a report's events come from each append's firings, so a run keeps no
+    # history, and no element copies, unless a metric reads the shadow's
+    from epsaccel import harness
+
+    built = []
+
+    def build_table(conf, functional):
+        built.append(real(conf, functional))
+        return built[-1]
+
+    real = harness.build_table
+    monkeypatch.setattr(harness, "build_table", build_table)
+    plain = run(dict(KERNEL_SPEC))
+    traced = run(dict(KERNEL_SPEC, metrics=["ratio_series", "stability_margin"]))
+    assert [tab.history for tab in built] == [False, True]
+    assert len(plain.events) == len(built[0].scalar.events) > 0
+    assert plain.events == traced.events
+    assert plain.entries == traced.entries
+    assert "history" not in traced.spec["algorithm"]
+
+
 def test_run_many_matches_serial():
     specs = [dict(KERNEL_SPEC), dict(KERNEL_SPEC, seed=3)]
     serial = run_many(specs, jobs=1)

@@ -29,7 +29,7 @@ def kernel_shadow(p, n_terms=11, dim=50, parity="both", rules=True):
     src = KernelRecurrence(dim, "vector", seed=0)
     f = Functional.dot(np.ones(dim))
     tab = ScalarEpsTable(max_col=10, p_threshold=p, particular_rules=rules,
-                         singular_parity=parity)
+                         singular_parity=parity, history=True)
     for _ in range(n_terms):
         tab.append(float(f(src.next_term())))
     return tab
@@ -50,7 +50,7 @@ def test_order_one_kernel_is_exact():
 
 def test_constant_sequence_degenerates_gracefully():
     c = 3.25
-    tab = ScalarEpsTable(max_col=4)
+    tab = ScalarEpsTable(max_col=4, history=True)
     tab.extend([c] * 6)
     assert [v for _, v in tab.even_column(0)] == [c] * 6
     assert not np.isfinite(tab.entry(1, 0))
@@ -58,7 +58,7 @@ def test_constant_sequence_degenerates_gracefully():
 
 
 def test_even_column_zero_is_input():
-    tab = ScalarEpsTable(max_col=4)
+    tab = ScalarEpsTable(max_col=4, history=True)
     seq = smooth_sequence(0, 8)
     tab.extend(seq)
     assert [v for _, v in tab.even_column(0)] == pytest.approx(seq)
@@ -66,7 +66,7 @@ def test_even_column_zero_is_input():
 
 def test_geometric_kernel_column():
     limit = 2.0
-    tab = ScalarEpsTable(max_col=2)
+    tab = ScalarEpsTable(max_col=2, history=True)
     tab.extend([limit + 0.6 ** n for n in range(8)])
     vals = [v for _, v in tab.even_column(1)]
     assert vals == pytest.approx([limit] * len(vals), abs=1e-12)
@@ -104,7 +104,7 @@ def test_entry_boundaries():
 
 def test_matches_linear_solve_oracle():
     seq = smooth_sequence(7, 14)
-    tab = ScalarEpsTable(max_col=8)
+    tab = ScalarEpsTable(max_col=8, history=True)
     tab.extend(seq)
     for k in range(1, 5):
         for n in range(5):
@@ -163,7 +163,7 @@ def test_repair_beats_no_repair_on_kernel():
 
 def test_diagonal_sum_identity_base_case():
     seq = smooth_sequence(3, 8)
-    tab = ScalarEpsTable(max_col=6)
+    tab = ScalarEpsTable(max_col=6, history=True)
     tab.extend(seq)
     for n in range(4):
         ev, od = tab.diagonal_sum_identities(0, n)
@@ -172,7 +172,7 @@ def test_diagonal_sum_identity_base_case():
 
 
 def test_diagonal_sum_identity_ln2():
-    tab = ScalarEpsTable(max_col=4)
+    tab = ScalarEpsTable(max_col=4, history=True)
     tab.extend(LN2_SUMS)
     ev, _ = tab.diagonal_sum_identities(1, 0)
     assert ev == pytest.approx(0.7, abs=1e-14)
@@ -180,7 +180,7 @@ def test_diagonal_sum_identity_ln2():
 
 def test_diagonal_sum_identities_match_entries():
     seq = smooth_sequence(11, 14)
-    tab = ScalarEpsTable(max_col=8)
+    tab = ScalarEpsTable(max_col=8, history=True)
     tab.extend(seq)
     for k in range(3):
         for n in range(3):
@@ -190,7 +190,7 @@ def test_diagonal_sum_identities_match_entries():
 
 
 def test_diagonal_sum_identities_missing_entries():
-    tab = ScalarEpsTable(max_col=4)
+    tab = ScalarEpsTable(max_col=4, history=True)
     tab.extend(LN2_SUMS[:3])
     with pytest.raises(LookupError):
         tab.diagonal_sum_identities(2, 5)
@@ -234,7 +234,8 @@ def tied_geometric_streams(draw):
 @given(terms=tied_geometric_streams(), max_col=st.sampled_from([4, 6, 10, None]),
        p=st.sampled_from([8, 10, 12]), parity=st.sampled_from(["both", "even", "odd"]))
 def test_event_bookkeeping(terms, max_col, p, parity):
-    tab = ScalarEpsTable(max_col=max_col, p_threshold=p, singular_parity=parity)
+    tab = ScalarEpsTable(max_col=max_col, p_threshold=p, singular_parity=parity,
+                         history=True)
     tab.extend(terms)
     fired = {(ev.k, ev.n) for ev in tab.events}
     assert len(fired) == len(tab.events)  # each pair is tested once
@@ -393,7 +394,7 @@ def test_sweep_matches_the_reference_rhombus_bit_for_bit(terms, max_col, p, rule
     # the sweep runs on Python numbers (IEEE 1/d, a signed infinity at zero,
     # math.isfinite); the reference uses numpy's division and isfinite
     tab = ScalarEpsTable(max_col=max_col, p_threshold=p, particular_rules=rules,
-                         singular_parity=parity)
+                         singular_parity=parity, history=True)
     outs, sigma, events, flags = _reference_shadow(terms, max_col, p, rules, parity)
     for s, want in zip(terms, outs):
         got = tab.append(s)

@@ -1,11 +1,14 @@
 """Simplified and full topological epsilon tables."""
 
+import hashlib
 import math
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epsaccel import (
     DimensionMismatchError,
@@ -49,11 +52,11 @@ def test_forms_are_equivalent():
     terms, _ = smooth_terms(0, 5, 12)
     f = Functional.dot(np.random.default_rng(1).uniform(0.5, 1.5, 5))
     for variant in ("stea1", "stea2"):
-        ref = TopoEpsTable(f, max_k=3, variant=variant, form=1, debug_full=True)
+        ref = TopoEpsTable(f, max_k=3, variant=variant, form=1, history=True)
         ref.extend(terms)
         for form in (2, 3, 4):
             tab = TopoEpsTable(f, max_k=3, variant=variant, form=form,
-                               debug_full=True)
+                               history=True)
             tab.extend(terms)
             for k in range(1, 4):
                 for n in range(4):
@@ -66,10 +69,10 @@ def test_forms_are_equivalent():
 
 
 def test_dim_one_reduces_to_scalar_table():
-    st = ScalarEpsTable(max_col=4)
+    st = ScalarEpsTable(max_col=4, history=True)
     st.extend(LN2_SUMS)
     f = Functional.dot(np.ones(1))
-    tab = TopoEpsTable(f, max_k=2, variant="stea2", form=2, debug_full=True)
+    tab = TopoEpsTable(f, max_k=2, variant="stea2", form=2, history=True)
     tab.extend([np.array([x]) for x in LN2_SUMS])
     for k in range(3):
         for n in range(7 - 2 * k):
@@ -85,7 +88,7 @@ def test_matches_oracle_both_variants():
     f = Functional.dot(np.random.default_rng(5).uniform(0.5, 1.5, 4))
     s = [f(t) for t in terms]
     for variant, window in (("stea1", "first"), ("stea2", "second")):
-        tab = TopoEpsTable(f, max_k=3, variant=variant, form=3, debug_full=True)
+        tab = TopoEpsTable(f, max_k=3, variant=variant, form=3, history=True)
         tab.extend(terms)
         for k in range(1, 4):
             for n in range(4):
@@ -102,10 +105,10 @@ def test_full_tables_match_simplified():
     f = Functional.dot(np.random.default_rng(9).uniform(0.5, 1.5, 4))
     pairs = (("tea1", "stea1"), ("tea2", "stea2"))
     for full_variant, simple_variant in pairs:
-        full = TeaTable(f, max_k=3, variant=full_variant, debug_full=True)
+        full = TeaTable(f, max_k=3, variant=full_variant, history=True)
         full.extend(terms)
         simple = TopoEpsTable(f, max_k=3, variant=simple_variant, form=3,
-                              debug_full=True)
+                              history=True)
         simple.extend(terms)
         for k in range(1, 4):
             for n in range(4):
@@ -121,10 +124,10 @@ def test_shadow_duality():
     # the functional of every even entry equals the scalar table entry
     terms, _ = smooth_terms(12, 5, 14)
     f = Functional.dot(np.random.default_rng(13).uniform(0.5, 1.5, 5))
-    st = ScalarEpsTable(max_col=8)
+    st = ScalarEpsTable(max_col=8, history=True)
     st.extend([f(t) for t in terms])
     for variant in ("stea1", "stea2"):
-        tab = TopoEpsTable(f, max_k=3, variant=variant, form=3, debug_full=True)
+        tab = TopoEpsTable(f, max_k=3, variant=variant, form=3, history=True)
         tab.extend(terms)
         for k in range(4):
             for n in range(4):
@@ -138,7 +141,7 @@ def test_kernel_annihilation_with_repairs():
     src = KernelRecurrence(20, "vector", seed=1)
     f = Functional.dot(np.ones(20))
     tab = TopoEpsTable(f, max_k=5, variant="stea2", form=3, p_threshold=10,
-                       debug_full=True)
+                       history=True)
     tab.extend([src.next_term() for _ in range(11)])
     assert tab.sigma == 2
     e = tab.entry(10, 0)
@@ -156,7 +159,7 @@ def test_kernel_annihilation_with_repairs_first_kind():
     assert _norm(ref) <= 1e-12
     for form in (1, 2, 3, 4):
         tab = TopoEpsTable(f, max_k=5, variant="stea1", form=form,
-                           p_threshold=10, debug_full=True)
+                           p_threshold=10, history=True)
         tab.extend(terms)
         assert tab.sigma == 2, form
         e = tab.entry(10, 0)
@@ -174,7 +177,7 @@ def _shadow_coefficient(tab, k, n):
 
 def _plain_update(tab, k, n):
     """``a + c * (hi - lo)`` for entry ``(2k + 2, n)`` from the entries of
-    column 2k kept by ``debug_full``; None where it cannot be formed."""
+    column 2k kept under ``history``; None where it cannot be formed."""
     a = tab.entry(2 * k, n + 1)
     hi, lo = ((a, tab.entry(2 * k, n)) if tab.variant == "stea1"
               else (tab.entry(2 * k, n + 2), a))
@@ -193,7 +196,7 @@ def _rules_off_plain_updates(variant, dim):
     counts = []
     for form in (1, 2, 3, 4):
         tab = TopoEpsTable(f, max_k=5, variant=variant, form=form,
-                           particular_rules=False, debug_full=True)
+                           particular_rules=False, history=True)
         tab.extend(terms)
         checked = 0
         for k in range(5):
@@ -270,7 +273,7 @@ def test_updates_match_the_plain_update_for_any_layout_and_dtype():
         for variant in ("stea1", "stea2"):
             for form in (1, 2, 3, 4):
                 tab = TopoEpsTable(f, max_k=3, variant=variant, form=form,
-                                   particular_rules=False, debug_full=True)
+                                   particular_rules=False, history=True)
                 got = _appended(tab, terms)
                 checked = 0
                 for (col, n), value in got.items():
@@ -282,7 +285,7 @@ def test_updates_match_the_plain_update_for_any_layout_and_dtype():
                     checked += 1
                 assert checked >= 12, (label, variant, form)
         for variant in ("tea1", "tea2"):
-            tab = TeaTable(f, max_k=3, variant=variant, debug_full=True)
+            tab = TeaTable(f, max_k=3, variant=variant, history=True)
             got = _appended(tab, terms)
             checked = 0
             for (col, n), value in got.items():
@@ -326,10 +329,10 @@ def test_entries_are_table_storage_until_overwritten():
         for variant, lag, shift in (("stea1", 2, 0), ("stea2", 1, -1),
                                     ("tea1", 2, 0), ("tea2", 1, -1)):
             if variant.startswith("tea"):
-                tab = TeaTable(f, max_k=K, variant=variant, debug_full=True)
+                tab = TeaTable(f, max_k=K, variant=variant, history=True)
             else:
                 tab = TopoEpsTable(f, max_k=K, variant=variant, form=3,
-                                   particular_rules=False, debug_full=True)
+                                   particular_rules=False, history=True)
             history, copies = [], {}
             for S in terms:
                 new = tab.append(S)
@@ -466,7 +469,7 @@ def test_exact_breakdown_marks_entries_invalid():
     terms = [np.full(3, 1.0 + 2.0 ** -n) for n in range(9)]
     f = Functional.dot(np.ones(3))
     tab = TopoEpsTable(f, max_k=2, variant="stea2", form=3,
-                       particular_rules=False, debug_full=True)
+                       particular_rules=False, history=True)
     tab.extend(terms)
     e = tab.entry(2, 0)
     assert _norm(e - np.ones(3)) < 1e-13
@@ -507,6 +510,110 @@ def test_full_tables_invert_a_signed_zero_as_the_scalar_table_does():
         assert tab.entry(1, 0) == -math.inf, variant
 
 
+def _five_tables(f, K, history):
+    """The scalar table and the four element tables, by variant."""
+    tables = {t.variant: t for t in _every_table(f, K, history)}
+    return {"scalar": ScalarEpsTable(max_col=2 * K + 2, history=history), **tables}
+
+
+def _counts(tab):
+    shadow = getattr(tab, "scalar", tab)
+    return {attr: getattr(tab, attr, None) for attr in
+            ("sigma", "n_terms", "peak_slots", "peak_total")} | {
+        "events": len(getattr(shadow, "events", ())),
+        "invalid": len(getattr(tab, "invalid", ()))}
+
+
+@st.composite
+def long_streams(draw):
+    """Makers of geometric streams of a few modes, and of streams whose
+    modes die out in float64 so that the terms then repeat exactly: the
+    shadow repairs on most terms and most entries cannot be formed."""
+    dim = draw(st.integers(1, 4))
+    converged = draw(st.booleans())
+    rates = draw(st.lists(st.floats(0.05, 0.5) if converged else st.floats(0.8, 0.98),
+                          min_size=1, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    limit = rng.uniform(0.5, 1.5, dim)
+    modes = [rng.uniform(0.5, 1.5, dim) for _ in rates]
+    return lambda count: [limit + sum(r**n * u for r, u in zip(rates, modes))
+                          for n in range(count)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(stream=long_streams(), K=st.integers(1, 4), warm=st.integers(0, 20),
+       more=st.integers(100, 200))
+def test_tables_stream_in_memory_independent_of_the_length(stream, K, warm, more):
+    # without history the five tables hold O(K) state: their traced memory
+    # after the first few terms and after 100-200 more agrees within what
+    # that state itself moves by (entries formed or not, firings on the
+    # last two diagonals: at most a few KiB a table), where one number kept
+    # per term and table would add tens of KiB.  Each counts what a
+    # history-keeping twin counts and appends the same entries, bit for bit
+    warm += 4 * K + 8
+    terms = stream(warm + more)
+    f = Functional.dot(np.linspace(0.5, 1.5, terms[0].size))
+    shadow = [f(S) for S in terms]
+    tracemalloc.start()
+    try:
+        tables = _five_tables(f, K, history=False)
+        got = {name: hashlib.sha256() for name in tables}
+        for i, S in enumerate(terms):
+            if i == warm:
+                early = tracemalloc.get_traced_memory()[0]
+            for name, tab in tables.items():
+                _hash_entries(got[name], tab.append(shadow[i] if name == "scalar" else S))
+        late = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert abs(late - early) <= 3 * 1024 * (K + 2), (early, late)
+    for name, twin in _five_tables(f, K, history=True).items():
+        want = hashlib.sha256()
+        for i, S in enumerate(terms):
+            _hash_entries(want, twin.append(shadow[i] if name == "scalar" else S))
+        assert _counts(tables[name]) == _counts(twin), name
+        assert got[name].digest() == want.digest(), name
+
+
+def _hash_entries(h, new):
+    """Feed the entries one append returned, before the table reuses their
+    buffers, to the hash h."""
+    for k, n, value in new:
+        h.update(f"{k},{n}".encode() + np.asarray(value).tobytes())
+
+
+def test_history_readers_raise_without_history():
+    # without history the shadow keeps three diagonals and counts its
+    # events: every reader of more raises, naming the switch, instead of
+    # returning part of what it returns with history
+    terms, _ = smooth_terms(60, 3, 9)
+    f = Functional.dot(np.ones(3))
+    tab = TopoEpsTable(f, max_k=2, form=3)
+    twin = TopoEpsTable(f, max_k=2, form=3, history=True)
+    tab.extend(terms)
+    twin.extend(terms)
+    N = tab.n_terms - 1
+    reads = {
+        "column": lambda t: t.scalar.column(0),
+        "even_column": lambda t: t.scalar.even_column(1),
+        "flag": lambda t: t.scalar.flag(1, 0),
+        "diagonal_sum_identities": lambda t: t.scalar.diagonal_sum_identities(1, 0),
+        "old entry": lambda t: t.scalar.entry(0, N - 3),
+        "events": lambda t: list(t.scalar.events),
+        "invalid": lambda t: sorted(t.invalid),
+        "ratio_series": ratio_series,
+        "ratio_series of a scalar table": lambda t: ratio_series(t.scalar),
+        "stability_margin": lambda t: stability_margin(t, 0),
+    }
+    for what, read in reads.items():
+        with pytest.raises(LookupError, match="history=True"):
+            read(tab)
+        read(twin)
+    # the last three diagonals stay readable
+    assert tab.scalar.entry(0, N - 2) == twin.scalar.entry(0, N - 2) == f(terms[N - 2])
+    assert tab.scalar.entry(2, N - 4) == twin.scalar.entry(2, N - 4)
+
+
 def test_coefficients_read_the_shadow_diagonals_directly(monkeypatch):
     # every form reads only the shadow's last three diagonals, which the
     # table indexes itself; a bounds-checked entry() call per read cost
@@ -531,7 +638,7 @@ def test_ratio_series_single_mode():
     lam = 0.5
     terms = [np.zeros(4) + lam**n for n in range(10)]
     tab = TopoEpsTable(Functional.dot(np.ones(4)), max_k=2, form=3,
-                       debug_full=True)
+                       history=True)
     tab.extend(terms)
     rs = ratio_series(tab)
     assert 0 in rs
@@ -542,7 +649,7 @@ def test_ratio_series_single_mode():
 def test_ratio_series_two_modes_converges_to_dominant():
     terms, _ = two_mode_terms(30)
     f = Functional.dot(np.random.default_rng(11).random(10))
-    tab = TopoEpsTable(f, max_k=2, form=3, debug_full=True)
+    tab = TopoEpsTable(f, max_k=2, form=3, history=True)
     tab.extend(terms)
     rs = ratio_series(tab)
     assert 0 in rs and 1 in rs
@@ -557,7 +664,7 @@ def test_ratio_series_matches_element_step_in_dim_one():
     # so the shadow ratio must reproduce the measured element-norm step
     terms, _ = smooth_terms(20, 1, 12)
     f = Functional.dot(np.ones(1))
-    tab = TopoEpsTable(f, max_k=2, form=3, debug_full=True)
+    tab = TopoEpsTable(f, max_k=2, form=3, history=True)
     tab.extend(terms)
     rs = ratio_series(tab)
     checked = 0
@@ -576,14 +683,14 @@ def test_ratio_series_matches_element_step_in_dim_one():
 
 def test_stability_margin_examples():
     f = Functional.dot(np.ones(1))
-    tab = TopoEpsTable(f, max_k=2, form=3, debug_full=True)
+    tab = TopoEpsTable(f, max_k=2, form=3, history=True)
     tab.extend([np.array([x]) for x in LN2_SUMS * 2][:14])
     margins = stability_margin(tab, 1)
     assert margins and all(m <= 10 for m in margins[:11])
 
     lam = 0.5
     tab = TopoEpsTable(Functional.dot(np.ones(3)), max_k=1, form=3,
-                       debug_full=True)
+                       history=True)
     tab.extend([np.zeros(3) + lam**n for n in range(10)])
     margins = stability_margin(tab, 0)
     assert margins == pytest.approx([3.0] * len(margins))
@@ -591,13 +698,13 @@ def test_stability_margin_examples():
     # near-coincident seeds blow the k=1 margins up by ~the pair ratio
     src = KernelRecurrence(10, "vector", seed=0)
     tab = TopoEpsTable(Functional.dot(np.ones(10)), max_k=3, form=3,
-                       particular_rules=False, debug_full=True)
+                       particular_rules=False, history=True)
     tab.extend([src.next_term() for _ in range(10)])
     margins = stability_margin(tab, 1)
     assert margins and max(margins) > 1e9
 
     # an exact tie in the first column gives a non-finite margin, not a gap
-    tab = TopoEpsTable(f, max_k=1, form=3, debug_full=True)
+    tab = TopoEpsTable(f, max_k=1, form=3, history=True)
     tab.extend([np.array([2.0])] * 5)
     assert any(not math.isfinite(m) for m in stability_margin(tab, 0))
 
@@ -611,10 +718,10 @@ def test_diagonal_scaling_covariance():
              for n in range(10)]
     y = rng.random(dim) + 0.5
     D = rng.random(dim) + 0.5
-    plain = TopoEpsTable(Functional.dot(y), max_k=2, form=3, debug_full=True)
+    plain = TopoEpsTable(Functional.dot(y), max_k=2, form=3, history=True)
     plain.extend(terms)
     scaled = TopoEpsTable(Functional.dot(2.5 * y / D), max_k=2, form=3,
-                          debug_full=True)
+                          history=True)
     scaled.extend([D * t for t in terms])
     for k in range(3):
         for n in range(10 - 2 * k):
@@ -629,7 +736,7 @@ def test_diagonal_scaling_covariance():
 def test_each_column_accelerates_two_mode_source():
     terms, limit = two_mode_terms(24)
     f = Functional.dot(np.random.default_rng(11).random(10))
-    tab = TopoEpsTable(f, max_k=1, form=3, debug_full=True)
+    tab = TopoEpsTable(f, max_k=1, form=3, history=True)
     tab.extend(terms)
     n = 18
     e0 = _norm(tab.entry(0, n) - limit)
@@ -647,7 +754,7 @@ def test_logarithmic_constant_scaling():
     src = LogarithmicModes(np.zeros(dim), [1.0], [u], b=b)
     terms = [src.next_term() for _ in range(201)]
     f = Functional.dot(np.random.default_rng(13).random(dim))
-    tab = TopoEpsTable(f, max_k=2, variant="stea1", form=3, debug_full=True)
+    tab = TopoEpsTable(f, max_k=2, variant="stea1", form=3, history=True)
     tab.extend(terms)
     consts = {}
     for k in range(3):
@@ -676,7 +783,7 @@ def test_complex_sequences_supported():
     limit = np.array([1.0 + 1.0j, 2.0 - 0.5j])
     terms = [limit + lam**n * np.array([1.0, 1.0j]) for n in range(8)]
     f = Functional.dot(np.ones(2))
-    tab = TopoEpsTable(f, max_k=1, variant="stea2", form=3, debug_full=True)
+    tab = TopoEpsTable(f, max_k=1, variant="stea2", form=3, history=True)
     tab.extend(terms)
     e = tab.entry(2, 0)
     assert _norm(e - limit) < 1e-10
@@ -720,9 +827,10 @@ def test_entry_outside_the_table_is_none():
                 tab.entry(-1, N + 1)
 
 
-def _every_table(f, K=2):
-    return ([TopoEpsTable(f, max_k=K, variant=v, form=3) for v in ("stea1", "stea2")]
-            + [TeaTable(f, max_k=K, variant=v) for v in ("tea1", "tea2")])
+def _every_table(f, K=2, history=False):
+    return ([TopoEpsTable(f, max_k=K, variant=v, form=3, history=history)
+             for v in ("stea1", "stea2")]
+            + [TeaTable(f, max_k=K, variant=v, history=history) for v in ("tea1", "tea2")])
 
 
 def test_bad_terms_rejected_on_append():

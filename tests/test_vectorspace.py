@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epsaccel import DimensionMismatchError, Functional
-from epsaccel.vectorspace import BLOCK, as_term
+from epsaccel.vectorspace import BLOCK, BLOCKED_DOT, _pairwise_dot, as_term
 
 
 def test_kinds_and_shapes():
@@ -79,8 +79,9 @@ EDGES = [1, 7, 9, BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 9, 2 * BLOCK - 1, 2 * BLO
        spread=st.integers(0, 12))
 def test_blocked_dot_is_the_plain_sum_bit_for_bit(m, seed, y_complex, x_complex,
                                                   conjugate, spread):
-    # above one block the dot functional sums block by block along numpy's
-    # own pairwise split; the result must be (yuse * x).sum() exactly
+    # the blocked sum follows numpy's own pairwise split block by block;
+    # the result must be (yuse * x).sum() exactly, whichever sum the
+    # functional picks at this length
     rng = np.random.default_rng(seed)
 
     def draw(cplx):
@@ -89,8 +90,9 @@ def test_blocked_dot_is_the_plain_sum_bit_for_bit(m, seed, y_complex, x_complex,
 
     y, x = draw(y_complex), draw(x_complex)
     yuse = np.conj(y) if conjugate else y
-    got = Functional.dot(y, conjugate=conjugate)(x)
-    assert _bits(got) == _bits((yuse * x).sum())
+    want = _bits((yuse * x).sum())
+    assert _bits(_pairwise_dot(yuse, x)) == want
+    assert _bits(Functional.dot(y, conjugate=conjugate)(x)) == want
 
 
 @settings(max_examples=150, deadline=None)
@@ -100,7 +102,7 @@ def test_blocked_dot_is_the_plain_sum_bit_for_bit(m, seed, y_complex, x_complex,
        conjugate=st.booleans())
 def test_functional_of_a_difference_is_bit_identical(m, seed, y_complex, hi_complex,
                                                      lo_complex, conjugate):
-    # f(hi, lo) forms hi - lo leaf by leaf above one block; it must give
+    # the blocked sum forms hi - lo leaf by leaf; f(hi, lo) must give
     # f(hi - lo) exactly, of the same Python type
     rng = np.random.default_rng(seed)
 
@@ -110,6 +112,28 @@ def test_functional_of_a_difference_is_bit_identical(m, seed, y_complex, hi_comp
 
     y, hi, lo = draw(y_complex), draw(hi_complex), draw(lo_complex)
     f = Functional.dot(y, conjugate=conjugate)
+    got, want = f(hi, lo), f(hi - lo)
+    assert type(got) is type(want)
+    assert _bits(got) == _bits(want)
+    yuse = np.conj(y) if conjugate else y
+    assert _bits(_pairwise_dot(yuse, hi, lo)) == _bits((yuse * (hi - lo)).sum())
+
+
+@pytest.mark.parametrize("m", [BLOCKED_DOT - 9, BLOCKED_DOT - 1, BLOCKED_DOT,
+                               BLOCKED_DOT + 1, BLOCKED_DOT + 9])
+@pytest.mark.parametrize("kinds", ["real", "complex-x", "complex-y"])
+def test_dot_is_bit_identical_on_both_sides_of_the_blocked_threshold(m, kinds):
+    # f(x) takes the plain sum below BLOCKED_DOT and the blocked one from it
+    # on, f(hi, lo) the blocked one at all these lengths: every value is
+    # (yuse * x).sum() or f(hi - lo) exactly
+    rng = np.random.default_rng(m)
+    y, hi, lo = rng.standard_normal((3, m))
+    if kinds == "complex-x":
+        hi = hi + 1j * rng.standard_normal(m)
+    elif kinds == "complex-y":
+        y = y + 1j * rng.standard_normal(m)
+    f = Functional.dot(y)
+    assert _bits(f(hi)) == _bits((np.conj(y) * hi).sum())
     got, want = f(hi, lo), f(hi - lo)
     assert type(got) is type(want)
     assert _bits(got) == _bits(want)

@@ -7,7 +7,13 @@ the parent commit, exported with ``git archive``, and the working tree).
 Each tree's ``src`` is imported in its own subprocess, which runs the fixed
 list of configurations in :func:`configurations`.  A table gives two
 SHA-256 digests, so that a change of counters cannot hide a change of
-entries.  The entries digest covers the bytes (any NaN as the canonical
+entries.  It is run with ``history=True``, and its counters digest must
+match the old tree's; and again with ``history=False``, where its entries
+and odd coefficients must match too and its counts, ``sigma``,
+``len(events)``, ``len(invalid)``, ``peak_slots``/``peak_total`` and
+``n_terms``, must equal the old tree's (the ``stream`` part).  A tree whose
+tables take no ``history`` keyword keeps everything, so one run gives
+both parts.  The entries digest covers the bytes (any NaN as the canonical
 one), dtype, shape and Python type of every entry each ``append``
 returned and, for the full tables, of every finite odd coefficient of the
 newest diagonal after each ``append`` (``entry(2j+1, n)``).  The non-finite
@@ -15,9 +21,10 @@ odd coefficients are kept by position instead, so that each one that
 differs is printed: which infinity a coefficient ``1/f(hi, lo)`` is at
 ``f = 0`` depends on the sign of the zero.  The counters digest covers
 ``sigma``, the event log (k, n, ratio, treated, suppressed, victim), the
-repair flags, ``invalid`` and ``peak_slots``/``peak_total``.  A command
-gives its exit code and output, with ``wall_time_s`` removed; for each
-command that differs, the lines that differ are printed.
+repair flags, ``invalid`` and ``peak_slots``/``peak_total``.  A command,
+or a ``harness.run`` report, gives its exit code and output, with
+``wall_time_s`` removed; for each one that differs, the lines that differ
+are printed.
 
 ``Functional.trace_weighted`` sums in another order than the parent's
 ``np.trace(Y^H @ X)``, so its values are compared within ``TW_RTOL`` of the
@@ -35,7 +42,9 @@ from __future__ import annotations
 
 import contextlib
 import difflib
+import functools
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -72,9 +81,33 @@ def _feed(h, value):
     h.update(arr.tobytes())
 
 
-def _digest_table(tab, terms):
-    """Digests of the entries a table gives and of its counters, and the
-    full tables' non-finite odd coefficients by position."""
+@functools.cache
+def _takes_history():
+    """Whether the tree's tables take the ``history`` keyword."""
+    from epsaccel import ScalarEpsTable
+
+    return "history" in inspect.signature(ScalarEpsTable).parameters
+
+
+def _digest_table(make, terms):
+    """The parts :func:`_digest_run` gives of a table ``make(history)``
+    builds, with history on, and the ``stream`` part: its entries, odd
+    coefficients and counts with history off."""
+    out = _digest_run(make(True), terms)
+    off = _digest_run(make(False), terms, history=False) if _takes_history() else out
+    return dict(out, stream={part: off[part] for part in ("entries", "odd", "counts")})
+
+
+def _history(history):
+    """The keyword arguments that build a table with ``history``: none for
+    a tree whose tables take no such keyword, and keep everything."""
+    return {"history": history} if _takes_history() else {}
+
+
+def _digest_run(tab, terms, history=True):
+    """Digests of the entries a table gives and, for a table that keeps
+    its ``history``, of its counters; the full tables' non-finite odd
+    coefficients by position; and the counts a table keeps either way."""
     import numpy as np
 
     h = hashlib.sha256()
@@ -93,22 +126,28 @@ def _digest_table(tab, terms):
                 h.update(b"None")
             else:
                 _feed(h, value)
-    entries = h.hexdigest()
-    h = hashlib.sha256()
     scalar = getattr(tab, "scalar", tab)
-    if hasattr(scalar, "events"):
+    shadowed = hasattr(scalar, "events")
+    kept = {attr: getattr(tab, attr) for attr in ("invalid", "peak_slots", "peak_total")
+            if hasattr(tab, attr)}
+    counts = {"n_terms": tab.n_terms}
+    if shadowed:
+        counts.update(sigma=scalar.sigma, events=len(scalar.events))
+    counts.update((attr, len(value) if attr == "invalid" else value)
+                  for attr, value in kept.items())
+    out = {"entries": h.hexdigest(), "odd": nonfinite if full else None, "counts": counts}
+    if not history:
+        return out
+    h = hashlib.sha256()
+    if shadowed:
         h.update(f"sigma={scalar.sigma}".encode())
         for ev in scalar.events:
             h.update(f"{ev.k},{ev.n},{struct.pack('<d', ev.ratio).hex()},"
                      f"{ev.treated},{ev.suppressed},{ev.victim};".encode())
         h.update(repr(sorted(scalar._flags.items())).encode())
-    for attr in ("invalid", "peak_slots", "peak_total"):
-        if hasattr(tab, attr):
-            value = getattr(tab, attr)
-            h.update(f"{attr}={sorted(value) if attr == 'invalid' else value}".encode())
-    out = {"entries": entries, "counters": h.hexdigest()}
-    if full:
-        out["odd"] = nonfinite
+    for attr, value in kept.items():
+        h.update(f"{attr}={sorted(value) if attr == 'invalid' else value}".encode())
+    out["counters"] = h.hexdigest()
     return out
 
 
@@ -123,28 +162,29 @@ def _five_modes(dim, seed):
 
 
 def _all_tables(f, max_k=5, p=10):
-    """Factories of the scalar table, stea1/stea2 in every form with rules on
-    and off, and tea1/tea2, by name."""
+    """Factories ``make(history)`` of the scalar table, stea1/stea2 in every
+    form with rules on and off, and tea1/tea2, by name."""
     from epsaccel import ScalarEpsTable, TeaTable, TopoEpsTable
 
     out = {}
     for rules in (True, False):
-        out[f"scalar/rules={rules}"] = lambda r=rules: ScalarEpsTable(
-            max_col=2 * max_k + 2, p_threshold=p, particular_rules=r)
+        out[f"scalar/rules={rules}"] = lambda h, r=rules: ScalarEpsTable(
+            max_col=2 * max_k + 2, p_threshold=p, particular_rules=r, **_history(h))
         for variant in ("stea1", "stea2"):
             for form in (1, 2, 3, 4):
                 out[f"{variant}/form={form}/rules={rules}"] = (
-                    lambda v=variant, fo=form, r=rules: TopoEpsTable(
-                        f, max_k, variant=v, form=fo, p_threshold=p, particular_rules=r))
+                    lambda h, v=variant, fo=form, r=rules: TopoEpsTable(
+                        f, max_k, variant=v, form=fo, p_threshold=p, particular_rules=r,
+                        **_history(h)))
     for variant in ("tea1", "tea2"):
-        out[variant] = lambda v=variant: TeaTable(f, max_k, variant=v)
+        out[variant] = lambda h, v=variant: TeaTable(f, max_k, variant=v, **_history(h))
     return out
 
 
 def _stream_configs(name, terms, f, **kw):
     for tname, make in _all_tables(f, **kw).items():
         feed = [f(S) for S in terms] if tname.startswith("scalar") else terms
-        yield f"{name}/{tname}", lambda m=make, t=feed: _digest_table(m(), t)
+        yield f"{name}/{tname}", lambda m=make, t=feed: _digest_table(m, t)
 
 
 def configurations(workdir):
@@ -156,12 +196,14 @@ def configurations(workdir):
     from epsaccel import Functional, ScalarEpsTable, TopoEpsTable, harness
     from epsaccel.sequences import KernelRecurrence
 
-    # the 3,000-term dim-100 stream of the benchmark's long workload
-    for seed in (1, 2):
+    # the 3,000-term dim-100 stream of the benchmark's long workload, and
+    # one of 10,000 terms, far past the point where its tables stop forming
+    # entries and their history grows fastest
+    for seed, count in ((1, 3000), (2, 3000), (3, 10_000)):
         src = harness.build_source(_five_modes(100, seed), seed)
-        terms = src.take(3000)
+        terms = src.take(count)
         f = harness.build_functional({"kind": "dot"}, terms[0].shape, seed)
-        yield from _stream_configs(f"long/seed={seed}", terms, f)
+        yield from _stream_configs(f"long/seed={seed}/terms={count}", terms, f)
 
     # the kernel protocols' streams, as reproduce builds them
     for space, dim in (("vector", 50), ("matrix", 12)):
@@ -176,7 +218,7 @@ def configurations(workdir):
         for tname, make in _all_tables(f, p=p).items():
             if tname.startswith("stea"):
                 yield (f"kernel-matrix-fortran/p={p}/{tname}",
-                       lambda m=make: _digest_table(m(), fterms))
+                       lambda m=make: _digest_table(m, fterms))
 
     rng = np.random.default_rng(7)
     y = rng.random(20) + 0.5
@@ -214,9 +256,11 @@ def configurations(workdir):
         yield from _stream_configs(name, terms, f)
 
     # 1-d dot streams above one block, where the functional of a difference
-    # is summed leaf by leaf without forming the difference
+    # is summed leaf by leaf without forming the difference, and that of a
+    # term is the plain sum below 2**17 entries and summed leaf by leaf from
+    # there on
     from epsaccel.vectorspace import BLOCK
-    for dim in (BLOCK + 1, 2 * BLOCK + 7, 100_003):
+    for dim in (BLOCK + 1, 2 * BLOCK + 7, 100_003, (1 << 17) + 9):
         u, v, w = (rng.random(dim) + 0.5 for _ in range(3))
         y = rng.random(dim) + 0.5
         cy = y + 1j * u[::-1]
@@ -251,9 +295,9 @@ def configurations(workdir):
                     for max_col in (4, 10, None):
                         yield (f"scalar/{sname}/{parity}/p={p}/rules={rules}/max_col={max_col}",
                                lambda t=terms, pa=parity, pp=p, r=rules, mc=max_col:
-                               _digest_table(ScalarEpsTable(
+                               _digest_table(lambda h: ScalarEpsTable(
                                    max_col=mc, p_threshold=pp, particular_rules=r,
-                                   singular_parity=pa), t))
+                                   singular_parity=pa, **_history(h)), t))
 
     # parity and rules through the element tables
     src = KernelRecurrence(50, "vector", seed=0)
@@ -263,9 +307,36 @@ def configurations(workdir):
         for variant in ("stea1", "stea2"):
             yield (f"kernel-vector/{variant}/parity={parity}",
                    lambda v=variant, pa=parity: _digest_table(
-                       TopoEpsTable(f, 5, variant=v, singular_parity=pa), terms))
+                       lambda h: TopoEpsTable(f, 5, variant=v, singular_parity=pa,
+                                              **_history(h)), terms))
 
+    yield from _run_configs()
     yield from _cli_configs(workdir)
+
+
+def _run_configs():
+    """``harness.run`` reports of every table, with the metrics that read
+    the shadow's history and without, on the kernel stream and on a
+    five-mode stream long enough to repair on most terms."""
+    from epsaccel import harness
+
+    kernel = {"kind": "kernel_recurrence", "dim": 20, "seed": 1}
+    for name, source, n_terms in (("kernel", kernel, 11),
+                                  ("five-modes", _five_modes(20, 5), 400)):
+        for algo in harness._VARIANT_GRID + [{"variant": "scalar"}]:
+            for metrics in (None, ["ratio_series", "stability_margin"]):
+                spec = {"source": source, "n_terms": n_terms,
+                        "algorithm": dict(algo, max_k=5, p=10), "metrics": metrics}
+                label = f"run/{name}/{harness._label(algo)}/metrics={bool(metrics)}"
+                yield label, lambda sp=spec: _report(sp)
+
+
+def _report(spec):
+    """A ``harness.run`` report as JSON, its timing taken out."""
+    from epsaccel import harness
+
+    text = harness.run(spec).to_json()
+    return {"output": re.sub(r'"wall_time_s":\s*[-+0-9.eE]+', "wall_time_s", text)}
 
 
 def _call(argv, workdir=None):
@@ -424,7 +495,7 @@ def main(argv):
     for line in bad:
         print(line if line.startswith("    ") else f"DIFFERS: {line}")
     differ = ", ".join(f"{counts.get(part, 0)} in {part}"
-                       for part in ("entries", "counters", "odd", "output"))
+                       for part in ("entries", "counters", "odd", "stream", "output"))
     print(f"{len(old['digests'])} configurations; differing: {differ}")
     return 1 if bad else 0
 
