@@ -24,8 +24,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import harness, seqio
 
 __all__ = ["main"]
@@ -201,17 +199,11 @@ def _cmd_reproduce(args):
     result = harness.reproduce(args.name, dim=args.dim, p=args.p,
                                seed=seed, kmax=args.kmax, jobs=args.jobs)
     if args.format == "json":
-        text = json.dumps(result, indent=2, default=_np_default)
+        text = json.dumps(result, indent=2, default=harness._json_default)
     else:
         text = _format_protocol_table(result)
     _emit(text, args.out)
     return 0
-
-
-def _np_default(x):
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
-    raise TypeError(f"not JSON-serializable: {type(x)!r}")
 
 
 def main(argv=None):

@@ -359,14 +359,25 @@ def _json_default(x):
     raise TypeError(f"not JSON-serializable: {type(x)!r}")
 
 
+# the metrics a run can note, by name: each reads the shadow history of a
+# simplified table
+_NOTES = {
+    "ratio_series": lambda table: {
+        str(k): series for k, series in ratio_series(table).items()},
+    "stability_margin": lambda table: {
+        str(k): stability_margin(table, k) for k in range(table.max_k)},
+}
+
+
 def run(spec):
     """Execute one experiment and return its :class:`RunReport`.
 
     Equation residuals are evaluated when the source has a ``residual``
     method and the run is small enough to afford it.  The table keeps no
-    history unless the spec asks for it or for a metric that reads it
-    (``ratio_series``, ``stability_margin``); the report's events are
-    collected from each append's firings.
+    history unless the spec asks for it, or asks a simplified table
+    (``stea1``, ``stea2``) for a metric that reads it (``ratio_series``,
+    ``stability_margin``), which its notes then hold; the report's events
+    are collected from each append's firings.
     """
     if isinstance(spec, dict):
         spec = ExperimentSpec(**spec)
@@ -374,9 +385,11 @@ def run(spec):
     # the first term sets the functional's shape, and is fed like the rest
     first = src.next_term()
     functional = build_functional(spec.functional, np.shape(first), spec.seed)
-    algorithm = spec.algorithm
-    if {"ratio_series", "stability_margin"} & set(spec.metrics or ()):
-        algorithm = dict(algorithm, history=True)
+    # the metrics the run notes: those that read a simplified table's
+    # shadow history, which they alone turn on
+    noted = ([m for m in spec.metrics or () if m in _NOTES]
+             if spec.algorithm.get("variant", "stea2") in ("stea1", "stea2") else [])
+    algorithm = dict(spec.algorithm, history=True) if noted else spec.algorithm
     table = build_table(algorithm, functional)
 
     limit = src.limit()
@@ -424,15 +437,7 @@ def run(spec):
                "treated": ev.treated, "suppressed": ev.suppressed,
                "victim": list(ev.victim) if ev.victim else None}
               for ev in fired]
-    notes = {}
-    for metric in spec.metrics or ():
-        if metric == "ratio_series" and isinstance(table, TopoEpsTable):
-            notes["ratio_series"] = {
-                str(k): series for k, series in ratio_series(table).items()}
-        elif metric == "stability_margin" and isinstance(table, TopoEpsTable):
-            notes["stability_margin"] = {
-                str(k): stability_margin(table, k)
-                for k in range(table.max_k)}
+    notes = {metric: _NOTES[metric](table) for metric in noted}
     return RunReport(
         spec=spec.to_dict(), sigma=sigma,
         peak_slots=getattr(table, "peak_slots", 0),
@@ -525,23 +530,20 @@ def reproduce(name, dim=None, p=None, seed=0, kmax=None, jobs=1):
     """
     if name in ("kernel-vector", "kernel-matrix"):
         return _reproduce_kernel(name, dim, p, seed, kmax, jobs)
-    if name == "kaczmarz":
-        return _reproduce_solver(
-            {"kind": "kaczmarz_parter", "dim": dim or 100},
-            n_terms=41, kmax=kmax or 5, seed=seed, name=name)
-    if name == "ns":
-        return _reproduce_solver(
-            {"kind": "ns_iteration", "dim": dim or 20},
-            n_terms=16, kmax=kmax or 3, seed=seed, name=name)
-    if name == "qpow":
-        return _reproduce_solver(
-            {"kind": "qpow_iteration", "dim": dim or 20},
-            n_terms=16, kmax=kmax or 3, seed=seed, name=name)
-    if name == "stein":
-        return _reproduce_solver(
-            {"kind": "smith_stein", "dim": dim or 40},
-            n_terms=25, kmax=kmax or 2, seed=seed, name=name)
-    raise ValueError(f"unknown protocol: {name!r}")
+    if name not in _SOLVERS:
+        raise ValueError(f"unknown protocol: {name!r}")
+    kind, default_dim, n_terms, default_kmax = _SOLVERS[name]
+    return _reproduce_solver({"kind": kind, "dim": dim or default_dim},
+                             n_terms, kmax or default_kmax, seed, name)
+
+
+# the solver protocols: source kind, default dim, n_terms, default kmax
+_SOLVERS = {
+    "kaczmarz": ("kaczmarz_parter", 100, 41, 5),
+    "ns": ("ns_iteration", 20, 16, 3),
+    "qpow": ("qpow_iteration", 20, 16, 3),
+    "stein": ("smith_stein", 40, 25, 2),
+}
 
 
 def _reproduce_kernel(name, dim, p, seed, kmax, jobs):
@@ -590,15 +592,17 @@ def _reproduce_solver(source, n_terms, kmax, seed, name):
         source=source, algorithm={"variant": "stea2", "form": 3, "max_k": kmax},
         n_terms=n_terms, seed=seed, label=name)
     rep = run(spec)
-    plain = rep.errors(0) or [(e["n"], e["residual"]) for e in rep.column(0)
-                              if e.get("residual") is not None]
+
+    def series_of(col):
+        """A column's ``(n, error)`` series, else its ``(n, residual)``."""
+        return rep.errors(col) or [(e["n"], e["residual"]) for e in rep.column(col)
+                                   if e.get("residual") is not None]
+
+    plain = series_of(0)
     rows = []
     for k in range(0, kmax + 1):
         col = 2 * k
-        series = rep.errors(col)
-        if not series:
-            series = [(e["n"], e["residual"]) for e in rep.column(col)
-                      if e.get("residual") is not None]
+        series = series_of(col)
         if not series:
             continue
         n_best, best = min(series, key=lambda t: t[1] if np.isfinite(t[1]) else np.inf)

@@ -54,10 +54,11 @@ rhombus rule, the cross rule and the topological tables' coefficient forms
 read, and the firings on the newest two.  ``n_terms`` and ``sigma`` are
 counters, and ``events`` counts the firings without keeping them, so
 ``len(events)`` means the same in both modes.  ``history=True`` keeps every
-diagonal, the event log and the repair flags, which the readers of old
-entries need (``column``, ``even_column``, ``flag``,
-``diagonal_sum_identities``, ``entry`` of a diagonal older than the last
-three, and :func:`epsaccel.topo_eps.ratio_series` and
+diagonal and the event log, whose treated events name the repaired
+entries.  The readers of old entries need them (``column``,
+``even_column``, ``flag``, ``diagonal_sum_identities``, ``entry`` of a
+diagonal older than the last three, and
+:func:`epsaccel.topo_eps.ratio_series` and
 :func:`~epsaccel.topo_eps.stability_margin`); without it they raise
 LookupError.  :attr:`ScalarEpsTable.fired` gives the events of the latest
 append in either mode.
@@ -120,9 +121,9 @@ class ScalarEpsTable:
         and the default watches both.
 
     history : bool
-        Keep every diagonal, the event log and the repair flags (module
-        docstring, "Storage").  Off, the table holds the last three
-        diagonals and counts its events.
+        Keep every diagonal and the event log (module docstring,
+        "Storage").  Off, the table holds the last three diagonals and
+        counts its events.
 
     Attributes
     ----------
@@ -154,7 +155,6 @@ class ScalarEpsTable:
         self._fired = {}
         self._fired_prev = {}
         self._pending_next = {}
-        self._flags = {} if history else None
         # the sweep's constants: whether the test watches column j, by j % 2,
         # and its relative trigger
         detect = particular_rules and p_threshold is not None
@@ -215,8 +215,6 @@ class ScalarEpsTable:
                 info = pending[t]
                 value = _cross_east(info["C"], info["N"], new[t - 2], info["W"], finite)
                 self.sigma += 1
-                if self._flags is not None:
-                    self._flags[(t, N - t)] = "cross-rule"
                 event = info["event"]
                 event.treated = True
                 event.victim = (t, N - t)
@@ -319,10 +317,10 @@ class ScalarEpsTable:
         return self.column(2 * k)
 
     def flag(self, k, n):
-        """'cross-rule' if the entry was repaired, else None (``history``
-        only)."""
+        """'cross-rule' if the entry was repaired, that is, is the victim of
+        a treated event, else None (``history`` only)."""
         self._check_history("flag")
-        return self._flags.get((k, n))
+        return "cross-rule" if any(ev.victim == (k, n) for ev in self.events) else None
 
     def diagonal_sum_identities(self, k, n):
         """Both telescoping diagonal identities at ``(k, n)``.

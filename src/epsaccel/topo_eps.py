@@ -76,29 +76,30 @@ has seen: the scalar shadow keeps its last three diagonals
 (:class:`ScalarEpsTable`, "Storage"), and ``invalid``, like the shadow's
 ``events``, only counts what it is given, so ``len(invalid)`` keeps its
 meaning.  ``history=True`` keeps what grows with the stream instead: every
-shadow diagonal, the event log and repair flags, the positions in
-``invalid``, and a copy of every element entry and odd coefficient, which
-``entry`` then reads.
+shadow diagonal and the event log, the positions in ``invalid``, and a
+copy of every element entry and odd coefficient, which ``entry`` then
+reads.
 
 Updates in place.  One kernel forms every even entry of every table
-(:func:`_block_update`): ``base + c * (hi - lo)`` as one subtract, one
-multiply and one add, each into an explicit buffer.  The plain update
-(``_ElementTable._combine``) runs it block by block
-(:data:`epsaccel.vectorspace.BLOCK` entries) through the table's scratch of
-two blocks, one for the difference and one for the product (not element
-slots), so each block stays in cache and no full-size temporary is made.
-Its result is complex128 if the coefficient or any operand is complex, and
-float64 otherwise (:func:`_result_dtype`).  From column 4 on it writes into
-the buffer of the table-made operand the sweep drops right after it,
-``E_{2k}^(n+1)`` for the second kind (which is the update's ``base`` and
-``lo`` as well) and ``E_{2k}^(n)`` for the first, when that buffer has the
-result's dtype, and into a new buffer otherwise; each block of ``hi - lo``
-is read before the block it overwrites.  The column-2 update reads column
-0, which is never written, so it writes into a new buffer.  The tie rule's
-updates make the same calls on whole elements, each into a new buffer,
-since the rule keeps its difference and step.  The operations and their
-order are those of ``base + c * (hi - lo)``, so every result is
-bit-identical to it.
+(``_ElementTable._update``): ``base + c * (hi - lo)`` as one subtract, one
+multiply and one add, each into an explicit buffer, or None where an
+operand is missing or ``c`` is not finite.  Its result is complex128 if
+the coefficient or any operand is complex, and float64 otherwise.  The
+difference and the product go through the table's scratch of two blocks
+(not element slots): one direct call each for an element of at most
+:data:`epsaccel.vectorspace.BLOCK` entries, and block by block above that,
+so each block stays in cache and no full-size temporary is made.  From
+column 4 on the result goes into the buffer of the table-made operand the
+sweep drops right after it, ``E_{2k}^(n+1)`` for the second kind (which is
+the update's ``base`` and ``lo`` as well) and ``E_{2k}^(n)`` for the first,
+when that buffer has the result's dtype, and into a new buffer otherwise;
+each block of ``hi - lo`` is read before the block it overwrites.  The
+column-2 update reads column 0, which is never written, so it writes into
+a new buffer.  The tie rule's updates run the same kernel on whole
+elements, with the difference and the product in new buffers the rule
+keeps and the result in a new one; its column-4 update reads the kept
+difference in place of ``hi - lo``.  The operations and their order are
+those of ``base + c * (hi - lo)``, so every result is bit-identical to it.
 
 Ownership: the entries ``append``, ``entry`` and ``best`` return are the
 table's own storage, in every table here.  Column 0 holds each term as
@@ -129,11 +130,14 @@ __all__ = [
 
 class _ElementTable:
     """What every element table shares: the one sweep over a new diagonal
-    of even entries (module docstring, "Storage") and the blocked, in-place
-    element update it runs ("Updates in place")."""
+    of even entries (module docstring, "Storage") and the one update kernel
+    that forms each of them ("Updates in place")."""
 
     # the updates' blocks of difference and product
     _scratch = None
+    # the j of the columns 2j whose update the first-kind tie rule makes on
+    # this append (TopoEpsTable; none in a full table)
+    _tie_cols = ()
 
     def __init__(self, functional, max_k, first, history):
         if max_k < 0:
@@ -153,17 +157,16 @@ class _ElementTable:
         self._older = [None] * (max_k + 1) if first else None
         self._held = 0
 
-    def _sweep(self, S, coeffs, rules=None, ties=0):
+    def _sweep(self, S, coeffs):
         """Add the diagonal of the new term ``S``; returns its new even
         entries as ``(column, n, array)``.
 
         ``coeffs`` holds the coefficients of the even entries ``2, 4, ..``
         (simplified tables), or is None: a full table then forms each from
         the odd entry before it (:meth:`TeaTable._step`), and a sweep that
-        ends on an odd column takes one trailing odd step.  ``rules`` maps
-        ``j`` to an update ``rule(base, coeff, lo)`` that replaces the plain
-        one for column ``2j``, and ``ties`` counts the element slots such
-        rules hold (the first-kind tie rule's).
+        ends on an odd column takes one trailing odd step.  Each even entry
+        is one :meth:`_update`, or, in the columns ``_tie_cols`` names, the
+        first-kind tie rule's (:meth:`TopoEpsTable._tie_update`).
         """
         N = self.n_terms
         K = self.max_k
@@ -172,9 +175,11 @@ class _ElementTable:
         first = older is not None
         trail = coeffs is None and N % 2 == 1 and N < 2 * K
         # element slots held in cur, prev and older, kept as the sweep drops
-        # and fills them, and the rules', which change only in their
-        # updates; their high-water mark over the sweep
+        # and fills them, and the tie rule's, which change only in its
+        # updates (none unless it makes one); their high-water mark
         held = self._held + 1
+        tie = self._tie_cols
+        ties = self._tie_slots() if tie else 0
         # Slots the coming sweep will never read are dead: drop them first.
         # (The trailing odd step reads prev[jmax]; older[jmax] is then empty.)
         stale = older if first else prev
@@ -199,15 +204,13 @@ class _ElementTable:
             else:
                 hi, lo = cur[j - 1], base       # E_{2k}^(n+2), this diagonal
                 prev[j - 1] = None
-            if coeffs is None:
-                coeff = self._step(j, cur[j - 1], base, held)
-            else:
-                coeff = coeffs[j - 1]
-            if rules and j in rules:
-                e = rules[j](base, coeff, lo)
+            coeff = (self._step(j, cur[j - 1], base, held) if coeffs is None
+                     else coeffs[j - 1])
+            if j in tie:
+                e = self._tie_update(j, base, coeff, lo)
                 ties = self._tie_slots()
             else:
-                e = self._combine(base, coeff, hi, lo, into=lo if j >= 2 else None)
+                e = self._update(base, coeff, hi, lo, lo if j >= 2 else None)
             held -= lo is not None
             cur[j] = e
             if e is None:
@@ -250,45 +253,61 @@ class _ElementTable:
 
     # -- the element update ------------------------------------------------
 
-    def _combine(self, base, coeff, hi, lo, into=None):
-        """``base + coeff * (hi - lo)`` with None/NaN poisoning.
+    def _update(self, base, coeff, hi, lo, into=None, kept=None):
+        """``base + coeff * (hi - lo)``, the update of every even entry
+        (module docstring, "Updates in place"); None where ``base``, ``hi``
+        or ``lo`` is None or the coefficient is not finite.
 
-        ``into`` is a table-made operand the sweep drops after this update;
-        the result goes into its buffer when that has the update's dtype
-        (:func:`_result_dtype`), and into a new buffer otherwise.
-        """
-        if base is None or hi is None or lo is None or not cmath.isfinite(coeff):
-            return None
-        dtype = _result_dtype(coeff, base, hi, lo)
-        # the operands share one shape: append checks every term's
-        if into is None or into.dtype != dtype:
-            into = np.empty(base.shape, dtype)
-        self._update_into(into, coeff, base, hi, lo)
-        return into
-
-    def _update_into(self, out, coeff, base, hi, lo):
-        """``out[:] = base + coeff * (hi - lo)``, one block at a time.
-
-        ``out`` may be ``lo`` and ``base`` (second kind): each block of
-        ``hi - lo`` lands in the scratch before that block of ``out`` is
+        The result is complex128 if the coefficient or an operand is
+        complex, and float64 otherwise.  It goes into ``into``, a table-made
+        operand the sweep drops after this update, when that has the
+        result's dtype, and into a new buffer otherwise.  The difference and
+        the product go through the table's scratch: one direct call each for
+        an element of at most one block, block by block above that.
+        ``into`` may be ``lo`` and ``base`` (second kind): each block of
+        ``hi - lo`` lands in the scratch before that block of ``into`` is
         written.  The product goes to the second scratch block, not back
         into the difference: numpy's complex multiply does not round alike
         in place and out of place.
+
+        The first-kind tie rule passes ``kept``, a list of buffers it keeps:
+        the update then runs on whole elements, and its difference and its
+        product go into new buffers, left in ``kept``.  A ``kept`` that
+        holds a difference already gives it in place of ``hi - lo``, which
+        is then not read.
         """
-        if self._scratch is None or self._scratch[0].dtype != out.dtype:
-            # an element of at most one block is its own single block
-            shape = out.shape if out.size <= BLOCK else (BLOCK,)
-            self._scratch = (np.empty(shape, out.dtype), np.empty(shape, out.dtype))
-        d, p = self._scratch
-        if out.size <= BLOCK:
-            _block_update(out, coeff, base, hi, lo, d, p)
-            return
-        out, base, hi, lo = (x.reshape(-1) for x in (out, base, hi, lo))
-        size = out.shape[0]
-        for i in range(0, size, BLOCK):
-            j = min(i + BLOCK, size)
-            _block_update(out[i:j], coeff, base[i:j], hi[i:j], lo[i:j],
-                          d[:j - i], p[:j - i])
+        if kept:                    # a kept difference stands for hi - lo
+            hi = lo = kept[0]
+        if base is None or hi is None or lo is None or not cmath.isfinite(coeff):
+            return None
+        dtype = (_C128 if base.dtype == _C128 or hi.dtype == _C128
+                 or lo.dtype == _C128 or isinstance(coeff, complex) else _F64)
+        if kept is not None:
+            d = kept[0] if kept else np.empty(base.shape, dtype)
+            p = np.empty(base.shape, dtype)
+            kept[:] = d, p
+        # the operands share one shape: append checks every term's
+        if into is None or into.dtype != dtype:
+            into = np.empty(base.shape, dtype)
+        if kept is None:
+            size = base.size
+            if self._scratch is None or self._scratch[0].dtype != dtype:
+                # an element of at most one block is its own single block
+                shape = base.shape if size <= BLOCK else (BLOCK,)
+                self._scratch = (np.empty(shape, dtype), np.empty(shape, dtype))
+            d, p = self._scratch
+            if size > BLOCK:
+                out, base, hi, lo = (x.reshape(-1) for x in (into, base, hi, lo))
+                for i in range(0, size, BLOCK):
+                    j = min(i + BLOCK, size)
+                    np.subtract(hi[i:j], lo[i:j], out=d[:j - i])
+                    np.multiply(d[:j - i], coeff, out=p[:j - i])
+                    np.add(base[i:j], p[:j - i], out=out[i:j])
+                return into
+        if d is not hi:             # a kept difference is read as it is
+            np.subtract(hi, lo, out=d)
+        np.multiply(d, coeff, out=p)
+        return np.add(base, p, out=into)
 
     # -- access --------------------------------------------------------------
 
@@ -371,11 +390,15 @@ class TopoEpsTable(_ElementTable):
         # from the append that detected a column-0 tie, the column-2
         # difference it becomes one append later, and that difference while
         # the column-4 update of the following append is due to read it;
-        # and whether this append's shadow detected a column-0 tie
+        # whether this append's shadow detected a column-0 tie, and the
+        # columns the rule updates on this append (set here, not first in
+        # append: that made the instance's dict larger, 0.6 KiB on the
+        # long workload's traced peak)
         self._tie_off = None
         self._tie_diff = None
         self._tie_due = None
         self._tie_now = False
+        self._tie_cols = ()
 
     @property
     def sigma(self):
@@ -394,46 +417,35 @@ class TopoEpsTable(_ElementTable):
         # firing on the pair (0, N - 1) (column-0 firings are never
         # suppressed); the rule feeds column 4, so a table without column 4
         # keeps no slot for it
-        tie = (self.variant == "stea1" and self.max_k >= 2
-               and (0, N - 1) in self.scalar._fired)
+        self._tie_now = (self.variant == "stea1" and self.max_k >= 2
+                         and (0, N - 1) in self.scalar._fired)
         self._tie_due, self._tie_diff = self._tie_diff, None
-        self._tie_now = tie
-        rules = {}
-        if tie or self._tie_off is not None:
-            rules[1] = self._tie_column2
-        if self._tie_due is not None:
-            rules[2] = self._tie_column4
-        return self._sweep(S, coeffs, rules, self._tie_slots())
+        cols = (1,) if self._tie_now or self._tie_off is not None else ()
+        self._tie_cols = cols + (2,) if self._tie_due is not None else cols
+        return self._sweep(S, coeffs)
 
-    def _tie_column2(self, base, coeff, lo):
-        """Column-2 update of the first-kind tie rule (module docstring).
+    def _tie_update(self, j, base, coeff, lo):
+        """Update of column ``2j``, 2 or 4, under the first-kind tie rule
+        (module docstring), by :meth:`_update` on whole elements.
 
-        Forms ``base + coeff * (base - lo)`` with the ufunc calls of
-        :func:`_block_update`, each into a buffer of its own; a kept offset
-        becomes the exact column-2 difference across its tie, and a tie
-        detected on this append keeps this update's offset.
+        In column 2, a kept offset becomes the exact column-2 difference
+        across its tie, and a tie detected on this append keeps this
+        update's product as its offset.  Column 4 reads the kept difference
+        in place of its own.
         """
-        if not cmath.isfinite(coeff):
-            self._tie_off = None
-            return None
-        dtype = _result_dtype(coeff, base, lo)
-        diff = np.subtract(base, lo, out=np.empty(base.shape, dtype))
-        step = np.multiply(diff, coeff, out=np.empty(base.shape, dtype))
-        if self._tie_off is not None:
-            self._tie_diff = diff + step - self._tie_off
-        self._tie_off = step if self._tie_now else None
-        return np.add(base, step, out=np.empty(base.shape, dtype))
-
-    def _tie_column4(self, base, coeff, lo):
-        """Column-4 update across a tie, from the kept column-2 difference
-        (``lo``'s own is not read), with the ufunc calls of
-        :func:`_block_update` into buffers of its own."""
-        due, self._tie_due = self._tie_due, None
-        if base is None or not cmath.isfinite(coeff):
-            return None
-        dtype = _result_dtype(coeff, base, due)
-        step = np.multiply(due, coeff, out=np.empty(base.shape, dtype))
-        return np.add(base, step, out=np.empty(base.shape, dtype))
+        if j == 2:
+            due, self._tie_due = self._tie_due, None
+            return self._update(base, coeff, None, None, kept=[due])
+        kept = []
+        e = self._update(base, coeff, base, lo, kept=kept)
+        off, self._tie_off = self._tie_off, None
+        if e is not None:
+            diff, step = kept
+            if off is not None:
+                self._tie_diff = diff + step - off
+            if self._tie_now:
+                self._tie_off = step
+        return e
 
     def _coefficients(self, diags, jmax):
         """The scalar coefficients of the entries in columns ``2, .., 2*jmax``
@@ -548,22 +560,6 @@ class TeaTable(_ElementTable):
             return cmath.nan
         # an infinite or NaN coefficient leaves the entry unformed
         return _inv_any((val - old) * fdiff)
-
-
-def _result_dtype(coeff, *ops):
-    """The dtype of an update: complex128 if its coefficient or any of its
-    operands is complex, float64 otherwise."""
-    for x in ops:
-        if x.dtype == _C128:
-            return _C128
-    return _C128 if isinstance(coeff, complex) else _F64
-
-
-def _block_update(out, coeff, base, hi, lo, d, p):
-    """``out = base + coeff * (hi - lo)`` through the scratch blocks d, p."""
-    np.subtract(hi, lo, out=d)
-    np.multiply(d, coeff, out=p)
-    np.add(base, p, out=out)
 
 
 # -- coefficient arithmetic with zero poisoning ------------------------------

@@ -8,8 +8,8 @@ supplies the algebra and the element updates can be written block by block
 into a flat view of any entry.  :func:`as_term` converts a term to one, once
 (a term of another dtype or layout is copied), and the tables check that
 every term has the first one's shape, so nothing broadcasts silently.
-``Functional`` covers the reductions used in practice (dot products, weighted
-dot products, traces, bilinear forms).  The odd entries of the full
+``Functional`` covers the reductions used in practice (dot products, traces,
+weighted traces, bilinear forms).  The odd entries of the full
 topological tables are scalar multiples of the table's one functional, so
 they are stored as the plain coefficients.
 
@@ -98,8 +98,6 @@ class Functional:
     ``dot(y)``
         ``sum(conj(y) * x)`` for scalars and vectors.  With ``conjugate=False``
         the form is bilinear instead of sesquilinear.
-    ``weighted_dot(y, M)``
-        ``<y, M x>`` for vectors.
     ``trace()``
         matrix trace.
     ``trace_weighted(Y)``
@@ -134,23 +132,6 @@ class Functional:
             return (yuse * x).sum()
 
         return cls("dot", apply_fn, f"dot(dim={yarr.size})", conjugate)
-
-    @classmethod
-    def weighted_dot(cls, y, M, conjugate=True):
-        yarr = np.asarray(y)
-        Marr = np.asarray(M)
-        if yarr.ndim != 1 or Marr.ndim != 2 or Marr.shape[0] != yarr.shape[0]:
-            raise DimensionMismatchError("weighted dot wants vector y and matrix M with matching rows")
-        yuse = np.conj(yarr) if conjugate else yarr
-
-        def apply_fn(x):
-            if x.ndim != 1 or x.shape[0] != Marr.shape[1]:
-                raise DimensionMismatchError(
-                    f"weighted dot of width {Marr.shape[1]} vs element shape {x.shape}"
-                )
-            return yuse @ (Marr @ x)
-
-        return cls("weighted_dot", apply_fn, "weighted_dot", conjugate)
 
     @classmethod
     def trace(cls):

@@ -110,9 +110,12 @@ def test_events_surface_in_report():
     assert all(ev["ratio"] < 1e-10 for ev in treated)
 
 
-def test_run_keeps_history_only_for_the_metrics_that_read_it(monkeypatch):
+@pytest.mark.parametrize("variant", ["stea2", "tea2", "scalar"])
+def test_run_keeps_history_only_for_the_metrics_that_read_it(monkeypatch, variant):
     # a report's events come from each append's firings, so a run keeps no
-    # history, and no element copies, unless a metric reads the shadow's
+    # history, and no element copies, unless a metric reads the shadow's;
+    # only a simplified table's notes hold those metrics, so no other
+    # table keeps history for them
     from epsaccel import harness
 
     built = []
@@ -123,12 +126,18 @@ def test_run_keeps_history_only_for_the_metrics_that_read_it(monkeypatch):
 
     real = harness.build_table
     monkeypatch.setattr(harness, "build_table", build_table)
-    plain = run(dict(KERNEL_SPEC))
-    traced = run(dict(KERNEL_SPEC, metrics=["ratio_series", "stability_margin"]))
-    assert [tab.history for tab in built] == [False, True]
-    assert len(plain.events) == len(built[0].scalar.events) > 0
+    spec = dict(KERNEL_SPEC, algorithm=dict(KERNEL_SPEC["algorithm"], variant=variant))
+    plain = run(spec)
+    traced = run(dict(spec, metrics=["ratio_series", "stability_margin"]))
+    noted = variant == "stea2"
+    assert [tab.history for tab in built] == [False, noted]
+    if variant != "tea2":
+        shadow = getattr(built[0], "scalar", built[0])
+        assert len(plain.events) == len(shadow.events) > 0
     assert plain.events == traced.events
     assert plain.entries == traced.entries
+    assert plain.notes == {}
+    assert set(traced.notes) == ({"ratio_series", "stability_margin"} if noted else set())
     assert "history" not in traced.spec["algorithm"]
 
 

@@ -147,8 +147,6 @@ def test_functional_of_a_difference_for_every_kind():
     for f in (Functional.trace(), Functional.trace_weighted(Z),
               Functional.bilinear(u, v)):
         assert _bits(f(X, Z)) == _bits(f(X - Z))
-    g = Functional.weighted_dot(u, Z)
-    assert _bits(g(u, v)) == _bits(g(u - v))
     h = Functional.dot(2.0 - 1.0j)
     assert _bits(h(np.asarray(1.5), np.asarray(0.25))) == _bits(h(np.asarray(1.25)))
 
@@ -172,13 +170,6 @@ def test_trace_weighted_is_the_trace_of_the_product(complex_, conjugate):
         assert isinstance(got, complex if complex_ else float)
         scale = np.abs(Y).ravel() @ np.abs(X).ravel()
         assert abs(got - want) <= 2 * s * np.finfo(float).eps * scale
-
-
-def test_weighted_dot():
-    M = np.array([[1.0, 2.0], [0.0, 1.0]])
-    y = np.array([1.0, 1.0])
-    f = Functional.weighted_dot(y, M)
-    assert f(np.array([1.0, 1.0])) == pytest.approx(4.0)
 
 
 def test_trace_family():

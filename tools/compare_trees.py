@@ -21,7 +21,8 @@ odd coefficients are kept by position instead, so that each one that
 differs is printed: which infinity a coefficient ``1/f(hi, lo)`` is at
 ``f = 0`` depends on the sign of the zero.  The counters digest covers
 ``sigma``, the event log (k, n, ratio, treated, suppressed, victim), the
-repair flags, ``invalid`` and ``peak_slots``/``peak_total``.  A command,
+repair flags as ``flag()`` gives them where each firing's repair lands,
+``invalid`` and ``peak_slots``/``peak_total``.  A command,
 or a ``harness.run`` report, gives its exit code and output, with
 ``wall_time_s`` removed; for each one that differs, the lines that differ
 are printed.
@@ -144,7 +145,11 @@ def _digest_run(tab, terms, history=True):
         for ev in scalar.events:
             h.update(f"{ev.k},{ev.n},{struct.pack('<d', ev.ratio).hex()},"
                      f"{ev.treated},{ev.suppressed},{ev.victim};".encode())
-        h.update(repr(sorted(scalar._flags.items())).encode())
+        # the repair flags, read through flag() where each firing's repair
+        # lands, three columns east and one superscript down: the only
+        # entries a flag can name
+        spots = sorted({(ev.k + 3, ev.n - 1) for ev in scalar.events})
+        h.update(repr([(k, n, scalar.flag(k, n)) for k, n in spots]).encode())
     for attr, value in kept.items():
         h.update(f"{attr}={sorted(value) if attr == 'invalid' else value}".encode())
     out["counters"] = h.hexdigest()
@@ -272,6 +277,19 @@ def configurations(workdir):
                                ("complex-y-noconj", cplx,
                                 Functional.dot(cy, conjugate=False))):
             yield from _stream_configs(f"above-block-{dim}/{name}", terms, f)
+
+    # the kernel recurrence above one block, real and complex, through the
+    # simplified tables: at p = 7 and 10 the first kind's tie rule forms
+    # its column-2 and column-4 entries there on whole elements
+    dim = 2 * BLOCK + 7
+    kterms = KernelRecurrence(dim, "vector", seed=0).take(11)
+    f = Functional.dot(np.ones(dim))
+    for name, terms in (("real", kterms), ("complex", [(1 - 0.5j) * S for S in kterms])):
+        for p in (7, 10):
+            for tname, make in _all_tables(f, p=p).items():
+                if tname.startswith("stea"):
+                    yield (f"kernel-vector-{dim}/{name}/p={p}/{tname}",
+                           lambda m=make, t=terms: _digest_table(m, t))
 
     # the scalar table alone: every parity and threshold, planted exact and
     # near ties, signed zeros, infinities, NaN, complex and mixed streams
