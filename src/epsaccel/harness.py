@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sequences
-from .topo_eps import TeaTable, TopoEpsTable, ratio_series, stability_margin
+from .topo_eps import Recorder, TeaTable, TopoEpsTable, ratio_series, stability_margin
 from .scalar_eps import ScalarEpsTable
 from .vectorspace import Functional, as_term
 
@@ -247,9 +247,8 @@ def build_table(conf, functional):
     ``variant``: scalar, tea1, tea2, stea1, stea2.  ``max_k`` bounds the
     transform order; ``form`` picks the coefficient formula for the
     simplified variants; ``p`` (decimal digits) sets the singular-block
-    detection threshold and ``rules`` switches the repairs; ``history``
-    keeps what grows with the stream (``epsaccel.topo_eps``, "Storage").
-    Any other key is an error.
+    detection threshold and ``rules`` switches the repairs.  Any other key
+    is an error.
     """
     conf = dict(conf)
     variant = conf.pop("variant", "stea2")
@@ -258,19 +257,16 @@ def build_table(conf, functional):
     rules = conf.pop("rules", True)
     parity = conf.pop("parity", "both")
     form = conf.pop("form", 3)
-    history = conf.pop("history", False)
     _spent(conf, "algorithm")
     if variant == "scalar":
         if max_k < 0:
             raise ValueError("max_k must be >= 0")
         return ScalarEpsTable(max_col=2 * max_k + 2, p_threshold=p,
-                              particular_rules=rules, singular_parity=parity,
-                              history=history)
+                              particular_rules=rules, singular_parity=parity)
     if variant in ("stea1", "stea2"):
-        return TopoEpsTable(functional, max_k, variant, form, p, rules,
-                            parity, history)
+        return TopoEpsTable(functional, max_k, variant, form, p, rules, parity)
     if variant in ("tea1", "tea2"):
-        return TeaTable(functional, max_k, variant, history)
+        return TeaTable(functional, max_k, variant)
     raise ValueError(f"unknown table variant: {variant!r}")
 
 
@@ -359,13 +355,13 @@ def _json_default(x):
     raise TypeError(f"not JSON-serializable: {type(x)!r}")
 
 
-# the metrics a run can note, by name: each reads the shadow history of a
+# the metrics a run can note, by name: each reads the recorded shadow of a
 # simplified table
 _NOTES = {
-    "ratio_series": lambda table: {
-        str(k): series for k, series in ratio_series(table).items()},
-    "stability_margin": lambda table: {
-        str(k): stability_margin(table, k) for k in range(table.max_k)},
+    "ratio_series": lambda rec: {
+        str(k): series for k, series in ratio_series(rec).items()},
+    "stability_margin": lambda rec: {
+        str(k): stability_margin(rec, k) for k in range(rec.table.max_k)},
 }
 
 
@@ -373,24 +369,28 @@ def run(spec):
     """Execute one experiment and return its :class:`RunReport`.
 
     Equation residuals are evaluated when the source has a ``residual``
-    method and the run is small enough to afford it.  The table keeps no
-    history unless the spec asks for it, or asks a simplified table
-    (``stea1``, ``stea2``) for a metric that reads it (``ratio_series``,
-    ``stability_margin``), which its notes then hold; the report's events
-    are collected from each append's firings.
+    method and the run is small enough to afford it.  The metrics
+    (``ratio_series``, ``stability_margin``) read the recorded shadow of a
+    simplified table (``stea1``, ``stea2``): only a run that asks such a
+    table for one appends through a :class:`~epsaccel.topo_eps.Recorder`,
+    and its notes hold them.  A metric name not among these is an error.
+    The report's events are collected from each append's firings.
     """
     if isinstance(spec, dict):
         spec = ExperimentSpec(**spec)
+    unknown = set(spec.metrics or ()) - set(_NOTES)
+    if unknown:
+        raise ValueError(f"unknown metrics: {sorted(unknown)}")
     src = build_source(spec.source, spec.seed)
     # the first term sets the functional's shape, and is fed like the rest
     first = src.next_term()
     functional = build_functional(spec.functional, np.shape(first), spec.seed)
-    # the metrics the run notes: those that read a simplified table's
-    # shadow history, which they alone turn on
-    noted = ([m for m in spec.metrics or () if m in _NOTES]
+    # the metrics the run notes, those asked of a simplified table, which
+    # alone make it record
+    noted = (list(spec.metrics or ())
              if spec.algorithm.get("variant", "stea2") in ("stea1", "stea2") else [])
-    algorithm = dict(spec.algorithm, history=True) if noted else spec.algorithm
-    table = build_table(algorithm, functional)
+    table = build_table(spec.algorithm, functional)
+    rec = Recorder(table) if noted else None
 
     limit = src.limit()
     has_residual = hasattr(src, "residual")
@@ -410,7 +410,7 @@ def run(spec):
     t0 = time.perf_counter()
     for term in itertools.islice(itertools.chain([first], src), spec.n_terms):
         fed = functional(as_term(term)) if scalar else term
-        for col, n, value in table.append(fed):
+        for col, n, value in (rec or table).append(fed):
             if col % 2:
                 continue
             row = {
@@ -437,11 +437,10 @@ def run(spec):
                "treated": ev.treated, "suppressed": ev.suppressed,
                "victim": list(ev.victim) if ev.victim else None}
               for ev in fired]
-    notes = {metric: _NOTES[metric](table) for metric in noted}
+    notes = {metric: _NOTES[metric](rec) for metric in noted}
     return RunReport(
         spec=spec.to_dict(), sigma=sigma,
-        peak_slots=getattr(table, "peak_slots", 0),
-        n_terms=min(spec.n_terms, getattr(table, "n_terms", spec.n_terms)),
+        peak_slots=getattr(table, "peak_slots", 0), n_terms=table.n_terms,
         wall_time_s=wall, entries=entries, events=events, notes=notes)
 
 
@@ -457,6 +456,17 @@ def run_many(specs, jobs=1):
 # -- measurement helpers ------------------------------------------------------
 
 
+def _log_fit(ns, errors, skip, x_of):
+    """Slope and intercept of the least-squares line through
+    ``(x_of(n), log e_n)``, after dropping any non-finite or non-positive
+    errors and then the first ``skip`` points (transients); None when fewer
+    than two points survive."""
+    pts = [(n, e) for n, e in zip(ns, errors) if np.isfinite(e) and e > 0.0][skip:]
+    if len(pts) < 2:
+        return None
+    return np.polyfit(x_of([p[0] for p in pts]), np.log([p[1] for p in pts]), 1)
+
+
 def fit_geometric_rate(ns, errors, skip=3):
     """Least-squares per-step ratio of a geometrically decaying error series.
 
@@ -464,15 +474,8 @@ def fit_geometric_rate(ns, errors, skip=3):
     points (transients) and any non-finite or non-positive errors; returns
     ``(rate, constant)`` or None when fewer than two points survive.
     """
-    pts = [(n, e) for n, e in zip(ns, errors)
-           if np.isfinite(e) and e > 0.0]
-    pts = pts[skip:]
-    if len(pts) < 2:
-        return None
-    x = np.array([p[0] for p in pts], dtype=float)
-    y = np.log([p[1] for p in pts])
-    slope, intercept = np.polyfit(x, y, 1)
-    return float(np.exp(slope)), float(np.exp(intercept))
+    fit = _log_fit(ns, errors, skip, lambda n: np.array(n, dtype=float))
+    return None if fit is None else (float(np.exp(fit[0])), float(np.exp(fit[1])))
 
 
 def fit_algebraic_exponent(ns, errors, b=1.0, skip=3):
@@ -481,15 +484,8 @@ def fit_algebraic_exponent(ns, errors, b=1.0, skip=3):
     Returns ``(exponent p, constant c)`` after the same point filtering as
     :func:`fit_geometric_rate`, or None.
     """
-    pts = [(n, e) for n, e in zip(ns, errors)
-           if np.isfinite(e) and e > 0.0]
-    pts = pts[skip:]
-    if len(pts) < 2:
-        return None
-    x = np.log([p[0] + b for p in pts])
-    y = np.log([p[1] for p in pts])
-    slope, intercept = np.polyfit(x, y, 1)
-    return float(-slope), float(np.exp(intercept))
+    fit = _log_fit(ns, errors, skip, lambda n: np.log([m + b for m in n]))
+    return None if fit is None else (float(-fit[0]), float(np.exp(fit[1])))
 
 
 def iterations_to_tolerance(errors, col, tol):

@@ -48,20 +48,17 @@ infinity of d's sign at ``d == 0`` (``inf+0j`` for a complex zero).  That is
 bit for bit what numpy's scalar division gives a float.  A complex modulus
 too large for a float reads as inf in the test instead of raising.
 
-Storage.  By default (``history=False``) the table holds O(max_col) numbers
-however many terms it has seen: the last three diagonals, which are all the
-rhombus rule, the cross rule and the topological tables' coefficient forms
-read, and the firings on the newest two.  ``n_terms`` and ``sigma`` are
-counters, and ``events`` counts the firings without keeping them, so
-``len(events)`` means the same in both modes.  ``history=True`` keeps every
-diagonal and the event log, whose treated events name the repaired
-entries.  The readers of old entries need them (``column``,
-``even_column``, ``flag``, ``diagonal_sum_identities``, ``entry`` of a
-diagonal older than the last three, and
-:func:`epsaccel.topo_eps.ratio_series` and
-:func:`~epsaccel.topo_eps.stability_margin`); without it they raise
-LookupError.  :attr:`ScalarEpsTable.fired` gives the events of the latest
-append in either mode.
+Storage.  The table holds O(max_col) numbers however many terms it has
+seen: the last three diagonals, which are all the rhombus rule, the cross
+rule and the topological tables' coefficient forms read, and the firings on
+the newest two.  ``n_terms`` and ``sigma`` are counters, and ``events``
+counts the firings without keeping them, so only ``len(events)`` reads it.
+``entry`` of a diagonal older than the last three raises LookupError.
+:attr:`ScalarEpsTable.fired` gives the events of the latest append, which
+a repair on the next one marks treated, and ``last_diagonal`` the newest
+diagonal.  What grows with the stream, every diagonal and the event log
+with the readers of old entries, is kept outside the table by
+:class:`epsaccel.topo_eps.Recorder`.
 """
 
 from __future__ import annotations
@@ -120,35 +117,28 @@ class ScalarEpsTable:
         interest announce themselves in even columns, but the test is cheap
         and the default watches both.
 
-    history : bool
-        Keep every diagonal and the event log (module docstring,
-        "Storage").  Off, the table holds the last three diagonals and
-        counts its events.
-
     Attributes
     ----------
     sigma : int
         Number of cross-rule repairs applied.
     n_terms : int
         Number of terms appended.
-    events : list of SingularEvent, or a count
-        Every firing of the test, treated or not; without ``history`` only
-        their number, ``len(events)``.
+    events : count
+        The number of firings of the test, treated or not, ``len(events)``.
     """
 
     def __init__(self, max_col=None, p_threshold=10, particular_rules=True,
-                 singular_parity="both", history=False):
+                 singular_parity="both"):
         if singular_parity not in ("both", "even", "odd"):
             raise ValueError(f"bad singular_parity: {singular_parity!r}")
         self.max_col = max_col
         self.p_threshold = p_threshold
         self.particular_rules = particular_rules
         self.singular_parity = singular_parity
-        self.history = history
         self.sigma = 0
         self.n_terms = 0
-        self.events = [] if history else _Tally()
-        # every diagonal under history, else the last three
+        self.events = _Tally()
+        # the last three diagonals
         self._diags = []
         # firings of the test on the diagonal being built and on the previous
         # one, the only one the suppression test reads, by pair
@@ -228,7 +218,7 @@ class ScalarEpsTable:
                 sched["C"] = value
 
         diags.append(new)
-        if not self.history and len(diags) > 3:
+        if len(diags) > 3:
             del diags[0]
         self.n_terms = N + 1
         return [(t, N - t, value) for t, value in enumerate(new)]
@@ -274,16 +264,15 @@ class ScalarEpsTable:
 
     @property
     def fired(self):
-        """The events of the latest append, in firing order, in either
-        mode; a repair later marks its event treated."""
+        """The events of the latest append, in firing order; a repair later
+        marks its event treated."""
         return list(self._fired.values())
 
     def entry(self, k, n):
         """``eps_k^(n)``; the boundary column k = -1 is identically zero.
 
-        Returns None for entries not (yet) in the table.  Without
-        ``history``, an entry on a diagonal older than the last three raises
-        LookupError.
+        Returns None for entries not (yet) in the table.  An entry on a
+        diagonal older than the last three raises LookupError.
         """
         if k == -1:
             return 0.0 if n >= 0 else None
@@ -292,7 +281,8 @@ class ScalarEpsTable:
             return None
         i = d - self.n_terms + len(self._diags)
         if i < 0:
-            raise _needs_history(f"entry ({k}, {n}), older than the last three diagonals,")
+            raise LookupError(f"entry ({k}, {n}) is older than the last three diagonals"
+                              " the table keeps: record the table with a Recorder")
         diag = self._diags[i]
         return diag[k] if k < len(diag) else None
 
@@ -300,68 +290,10 @@ class ScalarEpsTable:
     def last_diagonal(self):
         return list(self._diags[-1]) if self._diags else []
 
-    def column(self, k):
-        """All available entries of column k as ``(n, value)`` pairs
-        (``history`` only)."""
-        self._check_history("column")
-        outs = []
-        for d in range(k, len(self._diags)):
-            diag = self._diags[d]
-            if k < len(diag):
-                outs.append((d - k, diag[k]))
-        return outs
-
-    def even_column(self, k):
-        """Column ``2k`` of limit estimates as ``(n, value)`` pairs
-        (``history`` only)."""
-        return self.column(2 * k)
-
-    def flag(self, k, n):
-        """'cross-rule' if the entry was repaired, that is, is the victim of
-        a treated event, else None (``history`` only)."""
-        self._check_history("flag")
-        return "cross-rule" if any(ev.victim == (k, n) for ev in self.events) else None
-
-    def diagonal_sum_identities(self, k, n):
-        """Both telescoping diagonal identities at ``(k, n)``.
-
-        Returns the pair of reconstructions
-
-            s_{n+k} + sum_{i=1..k} 1/(eps_{2i-1}^(n+k-i+1) - eps_{2i-1}^(n+k-i)),
-            sum_{i=0..k}           1/(eps_{2i}^(n+k-i+1)   - eps_{2i}^(n+k-i)),
-
-        which telescope to ``eps_{2k}^(n)`` and ``eps_{2k+1}^(n)``.  Raises
-        LookupError if any required entry is not in the table yet, or
-        without ``history``.
-        """
-        self._check_history("diagonal_sum_identities")
-        even_sum = self.entry(0, n + k)
-        if even_sum is None:
-            raise LookupError(f"entry (0, {n + k}) unavailable")
-        for i in range(1, k + 1):
-            a = self.entry(2 * i - 1, n + k - i + 1)
-            b = self.entry(2 * i - 1, n + k - i)
-            if a is None or b is None:
-                raise LookupError(f"odd column {2 * i - 1} unavailable")
-            even_sum = even_sum + _inv_any(a - b)
-        odd_sum = 0.0
-        for i in range(0, k + 1):
-            a = self.entry(2 * i, n + k - i + 1)
-            b = self.entry(2 * i, n + k - i)
-            if a is None or b is None:
-                raise LookupError(f"even column {2 * i} unavailable")
-            odd_sum = odd_sum + _inv_any(a - b)
-        return even_sum, odd_sum
-
-    def _check_history(self, what):
-        if not self.history:
-            raise _needs_history(what)
-
 
 class _Tally:
-    """What a table keeps of a log or set of items it does not hold
-    (``history=False``): their number, which ``len`` gives.  Reading the
-    items raises."""
+    """What a table keeps of a log or set of items it does not hold: their
+    number, which ``len`` gives."""
 
     __slots__ = ("count",)
 
@@ -375,13 +307,6 @@ class _Tally:
 
     def __len__(self):
         return self.count
-
-    def __iter__(self):
-        raise _needs_history("reading the items")
-
-
-def _needs_history(what):
-    return LookupError(f"{what} needs the table's history: build it with history=True")
 
 
 def _cross_east(C, Nn, S, W, finite):

@@ -71,14 +71,11 @@ one, so a first-kind table whose column 0 ties holds up to ``2K + 5``.
 ``peak_slots`` records the audited high-water mark, these slots included.
 A full table holds the elements its simplified kind holds and, besides
 them, the K odd coefficients of its newest diagonal (:class:`TeaTable`).
-The rest of a table's state is O(K) too by default, however many terms it
-has seen: the scalar shadow keeps its last three diagonals
-(:class:`ScalarEpsTable`, "Storage"), and ``invalid``, like the shadow's
-``events``, only counts what it is given, so ``len(invalid)`` keeps its
-meaning.  ``history=True`` keeps what grows with the stream instead: every
-shadow diagonal and the event log, the positions in ``invalid``, and a
-copy of every element entry and odd coefficient, which ``entry`` then
-reads.
+The rest of a table's state is O(K) too, however many terms it has seen:
+the scalar shadow keeps its last three diagonals (:class:`ScalarEpsTable`,
+"Storage"), and ``invalid``, like the shadow's ``events``, only counts what
+it is given, so only ``len(invalid)`` reads it.  What grows with the
+stream is kept outside the tables, by a :class:`Recorder`.
 
 Updates in place.  One kernel forms every even entry of every table
 (``_ElementTable._update``): ``base + c * (hi - lo)`` as one subtract, one
@@ -108,7 +105,7 @@ array where that was already a C-contiguous float64 or complex128 one, and
 otherwise a copy made once.  A second-kind entry (``stea2``, ``tea2``) in
 column 2 or above may be overwritten during the next append, a first-kind
 one (``stea1``, ``tea1``) during the append after that; callers copy what
-they keep.  Under ``history`` the copies ``entry`` returns never change.
+they keep.  The copies a :class:`Recorder` keeps never change.
 """
 
 from __future__ import annotations
@@ -117,12 +114,13 @@ import cmath
 
 import numpy as np
 
-from .scalar_eps import ScalarEpsTable, _inv_any, _needs_history, _Tally
+from .scalar_eps import ScalarEpsTable, _inv_any, _Tally
 from .vectorspace import _C128, _F64, BLOCK, DimensionMismatchError, as_term
 
 __all__ = [
     "TopoEpsTable",
     "TeaTable",
+    "Recorder",
     "ratio_series",
     "stability_margin",
 ]
@@ -139,15 +137,12 @@ class _ElementTable:
     # this append (TopoEpsTable; none in a full table)
     _tie_cols = ()
 
-    def __init__(self, functional, max_k, first, history):
+    def __init__(self, functional, max_k, first):
         if max_k < 0:
             raise ValueError("max_k must be >= 0")
         self.functional = functional
         self.max_k = max_k
-        self.history = history
-        # copies of every entry, by position, under history
-        self._full = {} if history else None
-        self.invalid = set() if history else _Tally()
+        self.invalid = _Tally()
         self.peak_slots = 0
         self.n_terms = 0
         self._shape = None
@@ -190,9 +185,6 @@ class _ElementTable:
         cur = [None] * (K + 1)
         cur[0] = S
         out = [(0, N, S)]
-        full = self._full
-        if full is not None:
-            full[(0, N)] = S
         peak = held + ties
 
         for j in range(1, jmax + 1):
@@ -218,8 +210,6 @@ class _ElementTable:
             else:
                 held += 1
                 out.append((2 * j, n, e))
-            if full is not None:
-                full[(2 * j, n)] = None if e is None else e.copy()
             if held + ties > peak:
                 peak = held + ties
         if trail:
@@ -313,10 +303,8 @@ class _ElementTable:
 
     def entry(self, col, n):
         """Kept entry at ``(col, n)``: the buffers (an odd column's, of a
-        full table, only on the newest diagonal), or anything under
-        ``history``; None for an entry not kept or outside the table."""
-        if self._full is not None:
-            return self._full.get((col, n))
+        full table, only on the newest diagonal); None for an entry not kept
+        or outside the table."""
         if not 0 <= col <= 2 * self.max_k or n < 0:
             return None
         back = self.n_terms - 1 - col - n     # diagonals behind the newest
@@ -354,10 +342,6 @@ class TopoEpsTable(_ElementTable):
         Which of the four equivalent coefficient formulas to use.
     p_threshold, particular_rules, singular_parity
         Passed to the underlying scalar table; see :class:`ScalarEpsTable`.
-    history : bool
-        Keep what grows with the stream (module docstring, "Storage"): the
-        shadow's history, the positions in ``invalid`` and a copy of every
-        element entry, for inspection and testing.
 
     Attributes
     ----------
@@ -366,26 +350,24 @@ class TopoEpsTable(_ElementTable):
     peak_slots : int
         High-water mark of live element slots at step boundaries, the
         first-kind tie rule's slots included.
-    invalid : set, or a count
-        ``(column, superscript)`` of entries that could not be formed; without
-        ``history`` only their number, ``len(invalid)``.
+    invalid : count
+        The number of entries that could not be formed, ``len(invalid)``.
     """
 
     def __init__(self, functional, max_k, variant="stea2", form=3,
                  p_threshold=10, particular_rules=True,
-                 singular_parity="both", history=False):
+                 singular_parity="both"):
         if variant not in ("stea1", "stea2"):
             raise ValueError(f"bad variant: {variant!r}")
         if form not in (1, 2, 3, 4):
             raise ValueError(f"bad form: {form!r}")
-        super().__init__(functional, max_k, variant == "stea1", history)
+        super().__init__(functional, max_k, variant == "stea1")
         self.variant = variant
         self.form = form
         self._reads, self._combiner = _FORMS[(variant, form)]
         self.scalar = ScalarEpsTable(
             max_col=2 * max_k + 2, p_threshold=p_threshold,
-            particular_rules=particular_rules, singular_parity=singular_parity,
-            history=history)
+            particular_rules=particular_rules, singular_parity=singular_parity)
         # first-kind tie rule (module docstring): the column-2 offset kept
         # from the append that detected a column-0 tie, the column-2
         # difference it becomes one append later, and that difference while
@@ -472,8 +454,7 @@ class TopoEpsTable(_ElementTable):
     # -- access --------------------------------------------------------------
 
     def entry(self, col, n):
-        """Entry at even column ``col``; None unless kept (buffers or
-        history)."""
+        """Entry at even column ``col``; None unless kept."""
         if col % 2 != 0:
             raise ValueError("element entries live in even columns")
         return super().entry(col, n)
@@ -509,10 +490,10 @@ class TeaTable(_ElementTable):
     as in :class:`TopoEpsTable`.
     """
 
-    def __init__(self, functional, max_k, variant="tea1", history=False):
+    def __init__(self, functional, max_k, variant="tea1"):
         if variant not in ("tea1", "tea2"):
             raise ValueError(f"bad variant: {variant!r}")
-        super().__init__(functional, max_k, variant == "tea1", history)
+        super().__init__(functional, max_k, variant == "tea1")
         self.variant = variant
         self.peak_total = 0
         # the odd coefficients of the newest diagonal, by column // 2, and
@@ -546,11 +527,8 @@ class TeaTable(_ElementTable):
         val = None if base is None or fval is None else base + _inv_any(fval)
         old = self._below = odd[j - 1]
         odd[j - 1] = val
-        m = self.n_terms - 2 * j + 1
         if val is None:
-            self.invalid.add((2 * j - 1, m))
-        if self._full is not None:
-            self._full[(2 * j - 1, m)] = val
+            self.invalid.add((2 * j - 1, self.n_terms - 2 * j + 1))
         # the old coefficient stays live until the next odd step reads it
         self._coefs += (val is not None) - (old is not None)
         total = held + self._coefs + (old is not None)
@@ -602,15 +580,121 @@ _FORMS = {key: (tuple((i + m, i + 1) for i, m in offsets), combiner)
 
 # -- diagnostics --------------------------------------------------------------
 
-def _shadow(table, reader):
-    """The scalar table of ``table``, which ``reader`` reads the history of."""
-    sc = table if isinstance(table, ScalarEpsTable) else table.scalar
-    if not sc.history:
-        raise _needs_history(reader)
-    return sc
+class Recorder:
+    """Keeps, by position, what a table gives out as it streams, for
+    inspection and testing: everything that grows with the stream, which
+    the tables do not keep (module docstring, "Storage").
+
+    ``Recorder(table)`` takes a table that has no terms yet, and ``append``
+    and ``extend`` append through it, returning what the table returns.
+    After each append the recorder reads the newest diagonal through the
+    table's ``entry``: it keeps column 0 as given, a copy of every other
+    element entry, a full table's odd coefficients, and None where an entry
+    could not be formed, whose position it adds to ``invalid``.  A scalar
+    table's recorder is its own ``shadow``; a simplified table's shadow is a
+    recorder of its scalar table, a full table's None.  A shadow keeps each
+    ``last_diagonal`` of its table and, in ``events``, every
+    :class:`~epsaccel.scalar_eps.SingularEvent` the table fired
+    (``ScalarEpsTable.fired``), which a later repair marks treated as it
+    does in the table.  ``column`` and ``even_column`` read any recorder;
+    ``flag`` and ``diagonal_sum_identities`` read a shadow's entries.
+    """
+
+    def __init__(self, table):
+        if table.n_terms:
+            raise ValueError("a Recorder needs a table that has no terms yet")
+        self.table = table
+        # the recorded diagonals, by diagonal, each by column
+        self._diags = []
+        if isinstance(table, ScalarEpsTable):
+            self.shadow = self
+            self.events = []
+        else:
+            self.shadow = Recorder(table.scalar) if isinstance(table, TopoEpsTable) else None
+            self.invalid = set()
+
+    def append(self, term):
+        out = self.table.append(term)
+        self._record()
+        return out
+
+    def extend(self, terms):
+        for term in terms:
+            self.append(term)
+        return self
+
+    def _record(self):
+        """Keep the newest diagonal of the table, and of its shadow's."""
+        tab = self.table
+        if self.shadow is self:
+            self._diags.append(tab.last_diagonal)
+            self.events += tab.fired
+            return
+        N = tab.n_terms - 1
+        diag = [None] * (min(N, 2 * tab.max_k) + 1)
+        for col in range(0, len(diag), 1 if isinstance(tab, TeaTable) else 2):
+            e = tab.entry(col, N - col)
+            if e is None:
+                self.invalid.add((col, N - col))
+            elif col and col % 2 == 0:
+                e = e.copy()
+            diag[col] = e
+        self._diags.append(diag)
+        if self.shadow is not None:
+            self.shadow._record()
+
+    def entry(self, k, n):
+        """The recorded entry at ``(k, n)``; None where none was recorded
+        or it could not be formed.  A scalar table's boundary column
+        k = -1 is identically zero."""
+        if k == -1 and self.shadow is self:
+            return 0.0 if n >= 0 else None
+        d = k + n
+        if k < 0 or n < 0 or d >= len(self._diags):
+            return None
+        diag = self._diags[d]
+        return diag[k] if k < len(diag) else None
+
+    def column(self, k):
+        """All recorded entries of column k as ``(n, value)`` pairs."""
+        return [(d - k, diag[k]) for d, diag in enumerate(self._diags)
+                if d >= k and k < len(diag)]
+
+    def even_column(self, k):
+        """Column ``2k`` of limit estimates as ``(n, value)`` pairs."""
+        return self.column(2 * k)
+
+    def flag(self, k, n):
+        """'cross-rule' if the shadow entry was repaired, that is, is the
+        victim of a treated event, else None."""
+        return "cross-rule" if any(ev.victim == (k, n) for ev in self.events) else None
+
+    def diagonal_sum_identities(self, k, n):
+        """Both telescoping diagonal identities of the shadow at ``(k, n)``.
+
+        Returns the pair of reconstructions
+
+            s_{n+k} + sum_{i=1..k} 1/(eps_{2i-1}^(n+k-i+1) - eps_{2i-1}^(n+k-i)),
+            sum_{i=0..k}           1/(eps_{2i}^(n+k-i+1)   - eps_{2i}^(n+k-i)),
+
+        which telescope to ``eps_{2k}^(n)`` and ``eps_{2k+1}^(n)``.  Raises
+        LookupError if any required entry is not recorded yet.  Column c
+        adds its term, at ``i = (c + 1) // 2``, to the first sum when odd and
+        to the second when even.
+        """
+        sums = [self.entry(0, n + k), 0.0]
+        if sums[0] is None:
+            raise LookupError(f"entry (0, {n + k}) unavailable")
+        for col in range(2 * k + 1):
+            m = n + k - (col + 1) // 2
+            a, b = self.entry(col, m + 1), self.entry(col, m)
+            if a is None or b is None:
+                raise LookupError(f"column {col} unavailable")
+            sums[1 - col % 2] += _inv_any(a - b)
+        return tuple(sums)
 
 
-def ratio_series(table):
+def ratio_series(recorder):
     """Measured column-to-column improvement ratios of the scalar shadow.
 
     For each order k returns the series ``(n, r_k^(n))`` with
@@ -619,16 +703,15 @@ def ratio_series(table):
 
     ``|r|`` small means column 2k+2 genuinely improves on column 2k; for a
     sequence dominated by one geometric mode with ratio ``lam`` the series
-    tends to ``lam / (1 - lam)``.  Accepts a scalar table or a topological
-    table (whose scalar shadow is used), built with ``history=True``; raises
-    LookupError otherwise.
+    tends to ``lam / (1 - lam)``.  Reads the shadow of a :class:`Recorder`
+    of a scalar or a simplified table.
     """
-    sc = _shadow(table, "ratio_series")
+    sc = recorder.shadow
     out = {}
     kmax_col = max((len(d) for d in sc._diags), default=0) - 1
     for k in range(0, max(0, kmax_col // 2)):
         series = []
-        for n in range(0, sc.n_terms):
+        for n in range(0, len(sc._diags)):
             e22 = sc.entry(2 * k + 2, n)
             ehi = sc.entry(2 * k, n + 1)
             elo = sc.entry(2 * k, n)
@@ -643,7 +726,7 @@ def ratio_series(table):
     return out
 
 
-def stability_margin(table, k):
+def stability_margin(recorder, k):
     """Rounding amplification bounds for column ``2k + 2`` of the shadow.
 
     Returns the list of margins for n = 0, 1, ... (as far as the table
@@ -656,12 +739,12 @@ def stability_margin(table, k):
     (to first order), so margins near 1 mean a numerically safe step and huge
     margins flag the steps where singular-block repairs earn their keep.  A
     zero denominator (degenerate column, e.g. a kernel sequence transformed
-    exactly) gives a non-finite margin rather than a gap.  Needs a table
-    built with ``history=True`` (LookupError otherwise).
+    exactly) gives a non-finite margin rather than a gap.  Reads the shadow
+    of a :class:`Recorder` of a scalar or a simplified table.
     """
-    sc = _shadow(table, "stability_margin")
+    sc = recorder.shadow
     series = []
-    for n in range(0, sc.n_terms):
+    for n in range(0, len(sc._diags)):
         e22 = sc.entry(2 * k + 2, n)
         ehi = sc.entry(2 * k, n + 1)
         elo = sc.entry(2 * k, n)

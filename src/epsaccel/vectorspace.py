@@ -106,11 +106,10 @@ class Functional:
         ``u^H X v`` for matrices.
     """
 
-    def __init__(self, kind, apply_fn, label, conjugate=True):
+    def __init__(self, kind, apply_fn, label):
         self.kind = kind
         self._apply = apply_fn
         self.label = label
-        self.conjugate = conjugate
 
     @classmethod
     def dot(cls, y, conjugate=True):
@@ -131,7 +130,7 @@ class Functional:
                 x = np.asarray(x - lo)
             return (yuse * x).sum()
 
-        return cls("dot", apply_fn, f"dot(dim={yarr.size})", conjugate)
+        return cls("dot", apply_fn, f"dot(dim={yarr.size})")
 
     @classmethod
     def trace(cls):
@@ -140,7 +139,7 @@ class Functional:
                 raise DimensionMismatchError("trace functional wants a matrix element")
             return np.trace(x)
 
-        return cls("trace", apply_fn, "trace", True)
+        return cls("trace", apply_fn, "trace")
 
     @classmethod
     def trace_weighted(cls, Y, conjugate=True):
@@ -158,7 +157,7 @@ class Functional:
                 )
             return (W * x).sum()
 
-        return cls("trace_weighted", apply_fn, "trace_weighted", conjugate)
+        return cls("trace_weighted", apply_fn, "trace_weighted")
 
     @classmethod
     def bilinear(cls, u, v, conjugate=True):
@@ -175,7 +174,7 @@ class Functional:
                 )
             return uuse @ x @ varr
 
-        return cls("bilinear", apply_fn, "bilinear", conjugate)
+        return cls("bilinear", apply_fn, "bilinear")
 
     def apply(self, x, lo=None):
         """Evaluate on an array, or on ``x - lo`` bit for bit when ``lo`` is

@@ -19,6 +19,7 @@ import pytest
 
 from epsaccel import (
     Functional,
+    Recorder,
     ScalarEpsTable,
     TeaTable,
     TopoEpsTable,
@@ -77,7 +78,7 @@ def test_criterion_01_kernel_exactness():
                     t = t + (lam ** n) * np.asarray(u)
                 terms.append(t)
             if space == "scalar":
-                tab = ScalarEpsTable(max_col=2 * k, history=True)
+                tab = Recorder(ScalarEpsTable(max_col=2 * k))
                 tab.extend([float(x) for x in terms])
                 worst = max(worst, max(abs(v - S)
                                        for _, v in tab.even_column(k)))
@@ -87,8 +88,7 @@ def test_criterion_01_kernel_exactness():
                  else Functional.trace_weighted(y))
             lim = np.asarray(S)
             for variant in ("stea1", "stea2"):
-                tab = TopoEpsTable(f, max_k=k, variant=variant, form=3,
-                                   history=True)
+                tab = Recorder(TopoEpsTable(f, max_k=k, variant=variant, form=3))
                 tab.extend(terms)
                 for n in range(len(terms) - 2 * k):
                     e = tab.entry(2 * k, n)
@@ -114,12 +114,11 @@ def test_criterion_02_oracle_equivalence():
         tables = []
         for variant in ("stea1", "stea2"):
             for form in (1, 2, 3, 4):
-                tab = TopoEpsTable(f, max_k=3, variant=variant, form=form,
-                                   history=True)
+                tab = Recorder(TopoEpsTable(f, max_k=3, variant=variant, form=form))
                 tab.extend(terms)
                 tables.append((f"{variant}-{form}", tab, variant))
         for variant in ("tea1", "tea2"):
-            tab = TeaTable(f, max_k=3, variant=variant, history=True)
+            tab = Recorder(TeaTable(f, max_k=3, variant=variant))
             tab.extend(terms)
             fam = "stea1" if variant == "tea1" else "stea2"
             tables.append((variant, tab, fam))
@@ -149,7 +148,7 @@ def test_criterion_03_identity_suites():
     for seed in range(50):
         rng = np.random.default_rng(1000 + seed)
         sterm = [float(x) for x in _smooth_terms(rng, 0, 14)]
-        tab = ScalarEpsTable(max_col=8, history=True)
+        tab = Recorder(ScalarEpsTable(max_col=8))
         tab.extend(sterm)
         for k in range(1, 4):
             for n in range(4):
@@ -166,15 +165,13 @@ def test_criterion_03_identity_suites():
         dim = 5
         vterms = _smooth_terms(rng, dim, 14)
         f = Functional.dot(rng.uniform(0.5, 1.5, dim))
-        stab = ScalarEpsTable(max_col=8, history=True)
+        stab = Recorder(ScalarEpsTable(max_col=8))
         stab.extend([float(f(t)) for t in vterms])
         duals = []
         for variant in ("stea1", "stea2"):
-            duals.append(TopoEpsTable(f, max_k=3, variant=variant, form=3,
-                                      history=True))
+            duals.append(Recorder(TopoEpsTable(f, max_k=3, variant=variant, form=3)))
         for variant in ("tea1", "tea2"):
-            duals.append(TeaTable(f, max_k=3, variant=variant,
-                                  history=True))
+            duals.append(Recorder(TeaTable(f, max_k=3, variant=variant)))
         for ttab in duals:
             ttab.extend(vterms)
             for k in range(0, 4):
@@ -246,8 +243,7 @@ def test_criterion_06_two_mode_rates():
     f = Functional.dot(np.random.default_rng(11).random(10))
     checks = []
     for variant in ("stea1", "stea2"):
-        tab = TopoEpsTable(f, max_k=2, variant=variant, form=3,
-                           history=True)
+        tab = Recorder(TopoEpsTable(f, max_k=2, variant=variant, form=3))
         tab.extend(terms)
         e0 = {n: np.max(np.abs(tab.entry(0, n) - S)) for n in range(28)}
         e2 = [(n, np.max(np.abs(tab.entry(2, n) - S)))
@@ -288,8 +284,7 @@ def test_criterion_07_logarithmic_exponents_and_constants():
         src = sequences.LogarithmicModes(S, [1.0, 0.7, 0.4], us, b=b,
                                          alternating=alternating)
         terms = src.take(201)
-        tab = TopoEpsTable(f, max_k=3, variant="stea1", form=3,
-                           history=True)
+        tab = Recorder(TopoEpsTable(f, max_k=3, variant="stea1", form=3))
         tab.extend(terms)
         kind = "alternating" if alternating else "monotone"
         for k in range(3):
@@ -314,7 +309,7 @@ def test_criterion_07_logarithmic_exponents_and_constants():
     u0 = rngc.random(dim) + 0.5
     src = sequences.LogarithmicModes(S, [1.0], [u0], b=b, alternating=True)
     terms = src.take(201)
-    tab = TopoEpsTable(f, max_k=3, variant="stea1", form=3, history=True)
+    tab = Recorder(TopoEpsTable(f, max_k=3, variant="stea1", form=3))
     tab.extend(terms)
     for k, (lo, hi) in ((0, (60, 196)), (1, (120, 196)), (2, (80, 130))):
         errs = column_errors(tab, k, len(terms))
@@ -356,8 +351,7 @@ def test_criterion_08_tm_to_inequalities():
             head = [t if i % 2 == 0 else -t for i, t in enumerate(head)]
         assert sequences.verify_totally_monotonic(head, max_order=6)
         for variant in ("stea1", "stea2"):
-            tab = TopoEpsTable(f, max_k=3, variant=variant, form=3,
-                               history=True)
+            tab = Recorder(TopoEpsTable(f, max_k=3, variant=variant, form=3))
             tab.extend(terms)
             E = tab.entry
             zero = np.zeros(dim)

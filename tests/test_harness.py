@@ -57,6 +57,9 @@ def test_config_rejects_unknown_and_missing_keys(tmp_path):
         build_functional({"kind": "dot", "conjugat": False}, (20,))
     with pytest.raises(ValueError, match="kmax"):
         build_table({"variant": "stea2", "kmax": 3}, Functional.dot(np.ones(20)))
+    # a table has one storage mode; a Recorder keeps what grows with the stream
+    with pytest.raises(ValueError, match="history"):
+        build_table({"variant": "stea2", "history": True}, Functional.dot(np.ones(20)))
 
 
 def test_run_is_deterministic():
@@ -103,6 +106,11 @@ def test_metrics_ride_in_notes():
     assert "0" in rep.notes["stability_margin"]
 
 
+def test_run_rejects_unknown_metrics():
+    with pytest.raises(ValueError, match="ratio_serie"):
+        run(dict(KERNEL_SPEC, metrics=["stability_margin", "ratio_serie"]))
+
+
 def test_events_surface_in_report():
     rep = run(dict(KERNEL_SPEC))
     treated = [ev for ev in rep.events if ev["treated"]]
@@ -111,26 +119,32 @@ def test_events_surface_in_report():
 
 
 @pytest.mark.parametrize("variant", ["stea2", "tea2", "scalar"])
-def test_run_keeps_history_only_for_the_metrics_that_read_it(monkeypatch, variant):
-    # a report's events come from each append's firings, so a run keeps no
-    # history, and no element copies, unless a metric reads the shadow's;
-    # only a simplified table's notes hold those metrics, so no other
-    # table keeps history for them
+def test_run_records_only_for_the_metrics_that_read_it(monkeypatch, variant):
+    # a report's events come from each append's firings, so a run records
+    # nothing, and keeps no element copies, unless a metric reads the
+    # recorded shadow; only a simplified table's notes hold those metrics,
+    # so no other table is recorded for them
     from epsaccel import harness
 
-    built = []
+    built, recorded = [], []
 
     def build_table(conf, functional):
         built.append(real(conf, functional))
         return built[-1]
 
+    class Recorder(harness.Recorder):
+        def __init__(self, table):
+            recorded.append(table)
+            super().__init__(table)
+
     real = harness.build_table
     monkeypatch.setattr(harness, "build_table", build_table)
+    monkeypatch.setattr(harness, "Recorder", Recorder)
     spec = dict(KERNEL_SPEC, algorithm=dict(KERNEL_SPEC["algorithm"], variant=variant))
     plain = run(spec)
     traced = run(dict(spec, metrics=["ratio_series", "stability_margin"]))
     noted = variant == "stea2"
-    assert [tab.history for tab in built] == [False, noted]
+    assert recorded == (built[1:] if noted else [])
     if variant != "tea2":
         shadow = getattr(built[0], "scalar", built[0])
         assert len(plain.events) == len(shadow.events) > 0
@@ -138,7 +152,7 @@ def test_run_keeps_history_only_for_the_metrics_that_read_it(monkeypatch, varian
     assert plain.entries == traced.entries
     assert plain.notes == {}
     assert set(traced.notes) == ({"ratio_series", "stability_margin"} if noted else set())
-    assert "history" not in traced.spec["algorithm"]
+    assert traced.spec["algorithm"] == spec["algorithm"]
 
 
 def test_run_many_matches_serial():

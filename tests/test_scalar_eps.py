@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from epsaccel import Functional, ScalarEpsTable
+from epsaccel import Functional, Recorder, ScalarEpsTable
 from epsaccel.oracle import shanks_scalar
 from epsaccel.sequences import KernelRecurrence
 
@@ -25,11 +25,11 @@ def smooth_sequence(seed, count):
 
 
 def kernel_shadow(p, n_terms=11, dim=50, parity="both", rules=True):
-    """Scalar shadow of the adversarial order-5 recurrence."""
+    """Recorded scalar shadow of the adversarial order-5 recurrence."""
     src = KernelRecurrence(dim, "vector", seed=0)
     f = Functional.dot(np.ones(dim))
-    tab = ScalarEpsTable(max_col=10, p_threshold=p, particular_rules=rules,
-                         singular_parity=parity, history=True)
+    tab = Recorder(ScalarEpsTable(max_col=10, p_threshold=p, particular_rules=rules,
+                                  singular_parity=parity))
     for _ in range(n_terms):
         tab.append(float(f(src.next_term())))
     return tab
@@ -50,7 +50,7 @@ def test_order_one_kernel_is_exact():
 
 def test_constant_sequence_degenerates_gracefully():
     c = 3.25
-    tab = ScalarEpsTable(max_col=4, history=True)
+    tab = Recorder(ScalarEpsTable(max_col=4))
     tab.extend([c] * 6)
     assert [v for _, v in tab.even_column(0)] == [c] * 6
     assert not np.isfinite(tab.entry(1, 0))
@@ -58,7 +58,7 @@ def test_constant_sequence_degenerates_gracefully():
 
 
 def test_even_column_zero_is_input():
-    tab = ScalarEpsTable(max_col=4, history=True)
+    tab = Recorder(ScalarEpsTable(max_col=4))
     seq = smooth_sequence(0, 8)
     tab.extend(seq)
     assert [v for _, v in tab.even_column(0)] == pytest.approx(seq)
@@ -66,7 +66,7 @@ def test_even_column_zero_is_input():
 
 def test_geometric_kernel_column():
     limit = 2.0
-    tab = ScalarEpsTable(max_col=2, history=True)
+    tab = Recorder(ScalarEpsTable(max_col=2))
     tab.extend([limit + 0.6 ** n for n in range(8)])
     vals = [v for _, v in tab.even_column(1)]
     assert vals == pytest.approx([limit] * len(vals), abs=1e-12)
@@ -104,7 +104,7 @@ def test_entry_boundaries():
 
 def test_matches_linear_solve_oracle():
     seq = smooth_sequence(7, 14)
-    tab = ScalarEpsTable(max_col=8, history=True)
+    tab = Recorder(ScalarEpsTable(max_col=8))
     tab.extend(seq)
     for k in range(1, 5):
         for n in range(5):
@@ -118,7 +118,7 @@ def test_sigma_profile_on_order_five_kernel():
     # flips the repairs off between p=11 and p=12
     for p, want in ((7, 2), (10, 2), (11, 2), (12, 0), (13, 0)):
         tab = kernel_shadow(p)
-        assert tab.sigma == want, p
+        assert tab.table.sigma == want, p
 
 
 def test_cross_rule_sites_are_flagged():
@@ -142,15 +142,15 @@ def test_sigma_is_monotone_across_appends():
 
 
 def test_parity_restriction():
-    assert kernel_shadow(10, parity="even").sigma == 2
-    assert kernel_shadow(10, parity="odd").sigma == 0
+    assert kernel_shadow(10, parity="even").table.sigma == 2
+    assert kernel_shadow(10, parity="odd").table.sigma == 0
     with pytest.raises(ValueError):
         ScalarEpsTable(singular_parity="sideways")
 
 
 def test_rules_disabled_means_no_repairs():
     tab = kernel_shadow(10, rules=False)
-    assert tab.sigma == 0
+    assert tab.table.sigma == 0
     assert not any(tab.flag(k, n) for k in range(11) for n in range(11))
 
 
@@ -163,7 +163,7 @@ def test_repair_beats_no_repair_on_kernel():
 
 def test_diagonal_sum_identity_base_case():
     seq = smooth_sequence(3, 8)
-    tab = ScalarEpsTable(max_col=6, history=True)
+    tab = Recorder(ScalarEpsTable(max_col=6))
     tab.extend(seq)
     for n in range(4):
         ev, od = tab.diagonal_sum_identities(0, n)
@@ -172,7 +172,7 @@ def test_diagonal_sum_identity_base_case():
 
 
 def test_diagonal_sum_identity_ln2():
-    tab = ScalarEpsTable(max_col=4, history=True)
+    tab = Recorder(ScalarEpsTable(max_col=4))
     tab.extend(LN2_SUMS)
     ev, _ = tab.diagonal_sum_identities(1, 0)
     assert ev == pytest.approx(0.7, abs=1e-14)
@@ -180,7 +180,7 @@ def test_diagonal_sum_identity_ln2():
 
 def test_diagonal_sum_identities_match_entries():
     seq = smooth_sequence(11, 14)
-    tab = ScalarEpsTable(max_col=8, history=True)
+    tab = Recorder(ScalarEpsTable(max_col=8))
     tab.extend(seq)
     for k in range(3):
         for n in range(3):
@@ -190,7 +190,7 @@ def test_diagonal_sum_identities_match_entries():
 
 
 def test_diagonal_sum_identities_missing_entries():
-    tab = ScalarEpsTable(max_col=4, history=True)
+    tab = Recorder(ScalarEpsTable(max_col=4))
     tab.extend(LN2_SUMS[:3])
     with pytest.raises(LookupError):
         tab.diagonal_sum_identities(2, 5)
@@ -234,8 +234,8 @@ def tied_geometric_streams(draw):
 @given(terms=tied_geometric_streams(), max_col=st.sampled_from([4, 6, 10, None]),
        p=st.sampled_from([8, 10, 12]), parity=st.sampled_from(["both", "even", "odd"]))
 def test_event_bookkeeping(terms, max_col, p, parity):
-    tab = ScalarEpsTable(max_col=max_col, p_threshold=p, singular_parity=parity,
-                         history=True)
+    tab = Recorder(ScalarEpsTable(max_col=max_col, p_threshold=p,
+                                  singular_parity=parity))
     tab.extend(terms)
     fired = {(ev.k, ev.n) for ev in tab.events}
     assert len(fired) == len(tab.events)  # each pair is tested once
@@ -249,7 +249,7 @@ def test_event_bookkeeping(terms, max_col, p, parity):
         # fired too (the other detection of the same block)
         assert ev.suppressed == (ev.k >= 2 and (ev.k - 2, ev.n + 1) in fired)
         assert not (ev.suppressed and ev.treated)
-    assert tab.sigma == sum(ev.treated for ev in tab.events)
+    assert tab.table.sigma == sum(ev.treated for ev in tab.events)
 
 
 def test_signed_zero_difference_gives_signed_infinity():
@@ -393,15 +393,15 @@ def test_sweep_matches_the_reference_rhombus_bit_for_bit(terms, max_col, p, rule
                                                          parity):
     # the sweep runs on Python numbers (IEEE 1/d, a signed infinity at zero,
     # math.isfinite); the reference uses numpy's division and isfinite
-    tab = ScalarEpsTable(max_col=max_col, p_threshold=p, particular_rules=rules,
-                         singular_parity=parity, history=True)
+    tab = Recorder(ScalarEpsTable(max_col=max_col, p_threshold=p,
+                                  particular_rules=rules, singular_parity=parity))
     outs, sigma, events, flags = _reference_shadow(terms, max_col, p, rules, parity)
     for s, want in zip(terms, outs):
         got = tab.append(s)
         assert [(k, n) for k, n, _ in got] == [(k, n) for k, n, _ in want]
         assert ([_scalar_bits(v) for _, _, v in got]
                 == [_scalar_bits(v) for _, _, v in want])
-    assert tab.sigma == sigma
+    assert tab.table.sigma == sigma
     assert [(ev.k, ev.n, struct.pack("<d", ev.ratio), ev.treated, ev.suppressed,
              ev.victim) for ev in tab.events] == [
         (k, n, struct.pack("<d", r), tr, su, vi) for k, n, r, tr, su, vi in events]

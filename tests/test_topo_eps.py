@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from epsaccel import (
     DimensionMismatchError,
     Functional,
+    Recorder,
     ScalarEpsTable,
     TeaTable,
     TopoEpsTable,
@@ -52,11 +53,10 @@ def test_forms_are_equivalent():
     terms, _ = smooth_terms(0, 5, 12)
     f = Functional.dot(np.random.default_rng(1).uniform(0.5, 1.5, 5))
     for variant in ("stea1", "stea2"):
-        ref = TopoEpsTable(f, max_k=3, variant=variant, form=1, history=True)
+        ref = Recorder(TopoEpsTable(f, max_k=3, variant=variant, form=1))
         ref.extend(terms)
         for form in (2, 3, 4):
-            tab = TopoEpsTable(f, max_k=3, variant=variant, form=form,
-                               history=True)
+            tab = Recorder(TopoEpsTable(f, max_k=3, variant=variant, form=form))
             tab.extend(terms)
             for k in range(1, 4):
                 for n in range(4):
@@ -69,10 +69,10 @@ def test_forms_are_equivalent():
 
 
 def test_dim_one_reduces_to_scalar_table():
-    st = ScalarEpsTable(max_col=4, history=True)
+    st = Recorder(ScalarEpsTable(max_col=4))
     st.extend(LN2_SUMS)
     f = Functional.dot(np.ones(1))
-    tab = TopoEpsTable(f, max_k=2, variant="stea2", form=2, history=True)
+    tab = Recorder(TopoEpsTable(f, max_k=2, variant="stea2", form=2))
     tab.extend([np.array([x]) for x in LN2_SUMS])
     for k in range(3):
         for n in range(7 - 2 * k):
@@ -88,7 +88,7 @@ def test_matches_oracle_both_variants():
     f = Functional.dot(np.random.default_rng(5).uniform(0.5, 1.5, 4))
     s = [f(t) for t in terms]
     for variant, window in (("stea1", "first"), ("stea2", "second")):
-        tab = TopoEpsTable(f, max_k=3, variant=variant, form=3, history=True)
+        tab = Recorder(TopoEpsTable(f, max_k=3, variant=variant, form=3))
         tab.extend(terms)
         for k in range(1, 4):
             for n in range(4):
@@ -105,10 +105,9 @@ def test_full_tables_match_simplified():
     f = Functional.dot(np.random.default_rng(9).uniform(0.5, 1.5, 4))
     pairs = (("tea1", "stea1"), ("tea2", "stea2"))
     for full_variant, simple_variant in pairs:
-        full = TeaTable(f, max_k=3, variant=full_variant, history=True)
+        full = Recorder(TeaTable(f, max_k=3, variant=full_variant))
         full.extend(terms)
-        simple = TopoEpsTable(f, max_k=3, variant=simple_variant, form=3,
-                              history=True)
+        simple = Recorder(TopoEpsTable(f, max_k=3, variant=simple_variant, form=3))
         simple.extend(terms)
         for k in range(1, 4):
             for n in range(4):
@@ -124,10 +123,10 @@ def test_shadow_duality():
     # the functional of every even entry equals the scalar table entry
     terms, _ = smooth_terms(12, 5, 14)
     f = Functional.dot(np.random.default_rng(13).uniform(0.5, 1.5, 5))
-    st = ScalarEpsTable(max_col=8, history=True)
+    st = Recorder(ScalarEpsTable(max_col=8))
     st.extend([f(t) for t in terms])
     for variant in ("stea1", "stea2"):
-        tab = TopoEpsTable(f, max_k=3, variant=variant, form=3, history=True)
+        tab = Recorder(TopoEpsTable(f, max_k=3, variant=variant, form=3))
         tab.extend(terms)
         for k in range(4):
             for n in range(4):
@@ -140,8 +139,7 @@ def test_shadow_duality():
 def test_kernel_annihilation_with_repairs():
     src = KernelRecurrence(20, "vector", seed=1)
     f = Functional.dot(np.ones(20))
-    tab = TopoEpsTable(f, max_k=5, variant="stea2", form=3, p_threshold=10,
-                       history=True)
+    tab = TopoEpsTable(f, max_k=5, variant="stea2", form=3, p_threshold=10)
     tab.extend([src.next_term() for _ in range(11)])
     assert tab.sigma == 2
     e = tab.entry(10, 0)
@@ -159,7 +157,7 @@ def test_kernel_annihilation_with_repairs_first_kind():
     assert _norm(ref) <= 1e-12
     for form in (1, 2, 3, 4):
         tab = TopoEpsTable(f, max_k=5, variant="stea1", form=form,
-                           p_threshold=10, history=True)
+                           p_threshold=10)
         tab.extend(terms)
         assert tab.sigma == 2, form
         e = tab.entry(10, 0)
@@ -167,21 +165,21 @@ def test_kernel_annihilation_with_repairs_first_kind():
         assert _norm(e - ref) <= 1e-8, form
 
 
-def _shadow_coefficient(tab, k, n):
-    """The coefficient of entry ``(2k + 2, n)``, read from the shadow's
-    entries at the form's offsets through ``ScalarEpsTable.entry``."""
-    offsets, combiner = _OFFSETS[(tab.variant, tab.form)]
-    e = [tab.scalar.entry(2 * k + i, n + m) for i, m in offsets]
+def _shadow_coefficient(rec, k, n):
+    """The coefficient of entry ``(2k + 2, n)``, read from the recorded
+    shadow's entries at the form's offsets."""
+    offsets, combiner = _OFFSETS[(rec.table.variant, rec.table.form)]
+    e = [rec.shadow.entry(2 * k + i, n + m) for i, m in offsets]
     return combiner(e[0] - e[1], e[2] - e[3])
 
 
-def _plain_update(tab, k, n):
-    """``a + c * (hi - lo)`` for entry ``(2k + 2, n)`` from the entries of
-    column 2k kept under ``history``; None where it cannot be formed."""
-    a = tab.entry(2 * k, n + 1)
-    hi, lo = ((a, tab.entry(2 * k, n)) if tab.variant == "stea1"
-              else (tab.entry(2 * k, n + 2), a))
-    c = _shadow_coefficient(tab, k, n)
+def _plain_update(rec, k, n):
+    """``a + c * (hi - lo)`` for entry ``(2k + 2, n)`` from the recorded
+    entries of column 2k; None where it cannot be formed."""
+    a = rec.entry(2 * k, n + 1)
+    hi, lo = ((a, rec.entry(2 * k, n)) if rec.table.variant == "stea1"
+              else (rec.entry(2 * k, n + 2), a))
+    c = _shadow_coefficient(rec, k, n)
     if hi is None or lo is None or not np.isfinite(c):
         return None
     return a + (hi - lo) * c
@@ -195,8 +193,8 @@ def _rules_off_plain_updates(variant, dim):
     f = Functional.dot(np.ones(dim))
     counts = []
     for form in (1, 2, 3, 4):
-        tab = TopoEpsTable(f, max_k=5, variant=variant, form=form,
-                           particular_rules=False, history=True)
+        tab = Recorder(TopoEpsTable(f, max_k=5, variant=variant, form=form,
+                                    particular_rules=False))
         tab.extend(terms)
         checked = 0
         for k in range(5):
@@ -272,8 +270,8 @@ def test_updates_match_the_plain_update_for_any_layout_and_dtype():
     for label, terms, f in _layout_cases():
         for variant in ("stea1", "stea2"):
             for form in (1, 2, 3, 4):
-                tab = TopoEpsTable(f, max_k=3, variant=variant, form=form,
-                                   particular_rules=False, history=True)
+                tab = Recorder(TopoEpsTable(f, max_k=3, variant=variant, form=form,
+                                            particular_rules=False))
                 got = _appended(tab, terms)
                 checked = 0
                 for (col, n), value in got.items():
@@ -285,7 +283,7 @@ def test_updates_match_the_plain_update_for_any_layout_and_dtype():
                     checked += 1
                 assert checked >= 12, (label, variant, form)
         for variant in ("tea1", "tea2"):
-            tab = TeaTable(f, max_k=3, variant=variant, history=True)
+            tab = Recorder(TeaTable(f, max_k=3, variant=variant))
             got = _appended(tab, terms)
             checked = 0
             for (col, n), value in got.items():
@@ -322,17 +320,17 @@ def test_entries_are_table_storage_until_overwritten():
     # full tables alike and whatever the terms' layout: a second-kind entry
     # in column 2 or above becomes the next append's entry two columns up, a
     # first-kind one the entry two columns up of the append after that; the
-    # caller's terms are never written and the debug copies never change
+    # caller's terms are never written and a Recorder's copies never change
     K = 3
     for label, terms, f in _owned_streams():
         given = [S.copy() for S in terms]
         for variant, lag, shift in (("stea1", 2, 0), ("stea2", 1, -1),
                                     ("tea1", 2, 0), ("tea2", 1, -1)):
             if variant.startswith("tea"):
-                tab = TeaTable(f, max_k=K, variant=variant, history=True)
+                tab = Recorder(TeaTable(f, max_k=K, variant=variant))
             else:
-                tab = TopoEpsTable(f, max_k=K, variant=variant, form=3,
-                                   particular_rules=False, history=True)
+                tab = Recorder(TopoEpsTable(f, max_k=K, variant=variant, form=3,
+                                            particular_rules=False))
             history, copies = [], {}
             for S in terms:
                 new = tab.append(S)
@@ -468,13 +466,13 @@ def test_exact_breakdown_marks_entries_invalid():
     # order-1 kernel makes column 2 exact, so column 4 differences vanish
     terms = [np.full(3, 1.0 + 2.0 ** -n) for n in range(9)]
     f = Functional.dot(np.ones(3))
-    tab = TopoEpsTable(f, max_k=2, variant="stea2", form=3,
-                       particular_rules=False, history=True)
+    tab = Recorder(TopoEpsTable(f, max_k=2, variant="stea2", form=3,
+                                particular_rules=False))
     tab.extend(terms)
     e = tab.entry(2, 0)
     assert _norm(e - np.ones(3)) < 1e-13
     assert tab.invalid
-    best = tab.best()
+    best = tab.table.best()
     assert best is not None and np.isfinite(best[2]).all()
 
 
@@ -510,10 +508,10 @@ def test_full_tables_invert_a_signed_zero_as_the_scalar_table_does():
         assert tab.entry(1, 0) == -math.inf, variant
 
 
-def _five_tables(f, K, history):
+def _five_tables(f, K):
     """The scalar table and the four element tables, by variant."""
-    tables = {t.variant: t for t in _every_table(f, K, history)}
-    return {"scalar": ScalarEpsTable(max_col=2 * K + 2, history=history), **tables}
+    tables = {t.variant: t for t in _every_table(f, K)}
+    return {"scalar": ScalarEpsTable(max_col=2 * K + 2), **tables}
 
 
 def _counts(tab):
@@ -544,35 +542,67 @@ def long_streams(draw):
 @given(stream=long_streams(), K=st.integers(1, 4), warm=st.integers(0, 20),
        more=st.integers(100, 200))
 def test_tables_stream_in_memory_independent_of_the_length(stream, K, warm, more):
-    # without history the five tables hold O(K) state: their traced memory
-    # after the first few terms and after 100-200 more agrees within what
-    # that state itself moves by (entries formed or not, firings on the
-    # last two diagonals: at most a few KiB a table), where one number kept
-    # per term and table would add tens of KiB.  Each counts what a
-    # history-keeping twin counts and appends the same entries, bit for bit
+    # the five tables hold O(K) state: their traced memory after the first
+    # few terms and after 100-200 more agrees within what that state itself
+    # moves by (entries formed or not, firings on the last two diagonals:
+    # at most a few KiB a table), where one number kept per term and table
+    # would add tens of KiB
     warm += 4 * K + 8
     terms = stream(warm + more)
     f = Functional.dot(np.linspace(0.5, 1.5, terms[0].size))
     shadow = [f(S) for S in terms]
     tracemalloc.start()
     try:
-        tables = _five_tables(f, K, history=False)
-        got = {name: hashlib.sha256() for name in tables}
+        tables = _five_tables(f, K)
         for i, S in enumerate(terms):
             if i == warm:
                 early = tracemalloc.get_traced_memory()[0]
             for name, tab in tables.items():
-                _hash_entries(got[name], tab.append(shadow[i] if name == "scalar" else S))
+                tab.append(shadow[i] if name == "scalar" else S)
         late = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     assert abs(late - early) <= 3 * 1024 * (K + 2), (early, late)
-    for name, twin in _five_tables(f, K, history=True).items():
-        want = hashlib.sha256()
-        for i, S in enumerate(terms):
-            _hash_entries(want, twin.append(shadow[i] if name == "scalar" else S))
-        assert _counts(tables[name]) == _counts(twin), name
-        assert got[name].digest() == want.digest(), name
+
+
+@settings(max_examples=20, deadline=None)
+@given(stream=long_streams(), K=st.integers(1, 4), count=st.integers(12, 120))
+def test_a_recorder_changes_nothing_and_keeps_what_it_recorded(stream, K, count):
+    # each table, appended through a Recorder, returns bit for bit the
+    # entries of a bare twin and keeps its counts; the recorder counts what
+    # the table counts, and what it recorded stays as the table gave it
+    # while later appends reuse the table's buffers
+    terms = stream(count)
+    f = Functional.dot(np.linspace(0.5, 1.5, terms[0].size))
+    shadow = [f(S) for S in terms]
+    twins = _five_tables(f, K)
+    for name, tab in _five_tables(f, K).items():
+        rec, bare = Recorder(tab), twins[name]
+        fed = shadow if name == "scalar" else terms
+        got, want, given = hashlib.sha256(), hashlib.sha256(), {}
+        for S in fed:
+            new = rec.append(S)
+            _hash_entries(got, new)
+            _hash_entries(want, bare.append(S))
+            given.update({(k, n): np.array(v) for k, n, v in new})
+        assert got.digest() == want.digest(), name
+        assert _counts(tab) == _counts(bare), name
+        if name != "scalar":
+            assert len(rec.invalid) == len(tab.invalid), name
+        if rec.shadow is not None:
+            assert len(rec.shadow.events) == len(getattr(tab, "scalar", tab).events), name
+        for (k, n), value in given.items():
+            assert _same_bits(np.asarray(rec.entry(k, n)), value), (name, k, n)
+        # the table itself keeps the shadow's last three diagonals only
+        sc = bare if name == "scalar" else getattr(bare, "scalar", None)
+        if sc is not None:
+            N = sc.n_terms - 1
+            last = [(0, N - 2), (2, N - 4)]
+            assert sc.entry(0, N - 2) == shadow[N - 2]
+            assert np.array_equal([sc.entry(*at) for at in last],
+                                  [rec.shadow.entry(*at) for at in last], equal_nan=True)
+            with pytest.raises(LookupError, match="Recorder"):
+                sc.entry(0, N - 3)
 
 
 def _hash_entries(h, new):
@@ -580,38 +610,6 @@ def _hash_entries(h, new):
     buffers, to the hash h."""
     for k, n, value in new:
         h.update(f"{k},{n}".encode() + np.asarray(value).tobytes())
-
-
-def test_history_readers_raise_without_history():
-    # without history the shadow keeps three diagonals and counts its
-    # events: every reader of more raises, naming the switch, instead of
-    # returning part of what it returns with history
-    terms, _ = smooth_terms(60, 3, 9)
-    f = Functional.dot(np.ones(3))
-    tab = TopoEpsTable(f, max_k=2, form=3)
-    twin = TopoEpsTable(f, max_k=2, form=3, history=True)
-    tab.extend(terms)
-    twin.extend(terms)
-    N = tab.n_terms - 1
-    reads = {
-        "column": lambda t: t.scalar.column(0),
-        "even_column": lambda t: t.scalar.even_column(1),
-        "flag": lambda t: t.scalar.flag(1, 0),
-        "diagonal_sum_identities": lambda t: t.scalar.diagonal_sum_identities(1, 0),
-        "old entry": lambda t: t.scalar.entry(0, N - 3),
-        "events": lambda t: list(t.scalar.events),
-        "invalid": lambda t: sorted(t.invalid),
-        "ratio_series": ratio_series,
-        "ratio_series of a scalar table": lambda t: ratio_series(t.scalar),
-        "stability_margin": lambda t: stability_margin(t, 0),
-    }
-    for what, read in reads.items():
-        with pytest.raises(LookupError, match="history=True"):
-            read(tab)
-        read(twin)
-    # the last three diagonals stay readable
-    assert tab.scalar.entry(0, N - 2) == twin.scalar.entry(0, N - 2) == f(terms[N - 2])
-    assert tab.scalar.entry(2, N - 4) == twin.scalar.entry(2, N - 4)
 
 
 def test_coefficients_read_the_shadow_diagonals_directly(monkeypatch):
@@ -637,8 +635,7 @@ def test_coefficients_read_the_shadow_diagonals_directly(monkeypatch):
 def test_ratio_series_single_mode():
     lam = 0.5
     terms = [np.zeros(4) + lam**n for n in range(10)]
-    tab = TopoEpsTable(Functional.dot(np.ones(4)), max_k=2, form=3,
-                       history=True)
+    tab = Recorder(TopoEpsTable(Functional.dot(np.ones(4)), max_k=2, form=3))
     tab.extend(terms)
     rs = ratio_series(tab)
     assert 0 in rs
@@ -649,7 +646,7 @@ def test_ratio_series_single_mode():
 def test_ratio_series_two_modes_converges_to_dominant():
     terms, _ = two_mode_terms(30)
     f = Functional.dot(np.random.default_rng(11).random(10))
-    tab = TopoEpsTable(f, max_k=2, form=3, history=True)
+    tab = Recorder(TopoEpsTable(f, max_k=2, form=3))
     tab.extend(terms)
     rs = ratio_series(tab)
     assert 0 in rs and 1 in rs
@@ -664,7 +661,7 @@ def test_ratio_series_matches_element_step_in_dim_one():
     # so the shadow ratio must reproduce the measured element-norm step
     terms, _ = smooth_terms(20, 1, 12)
     f = Functional.dot(np.ones(1))
-    tab = TopoEpsTable(f, max_k=2, form=3, history=True)
+    tab = Recorder(TopoEpsTable(f, max_k=2, form=3))
     tab.extend(terms)
     rs = ratio_series(tab)
     checked = 0
@@ -683,28 +680,27 @@ def test_ratio_series_matches_element_step_in_dim_one():
 
 def test_stability_margin_examples():
     f = Functional.dot(np.ones(1))
-    tab = TopoEpsTable(f, max_k=2, form=3, history=True)
+    tab = Recorder(TopoEpsTable(f, max_k=2, form=3))
     tab.extend([np.array([x]) for x in LN2_SUMS * 2][:14])
     margins = stability_margin(tab, 1)
     assert margins and all(m <= 10 for m in margins[:11])
 
     lam = 0.5
-    tab = TopoEpsTable(Functional.dot(np.ones(3)), max_k=1, form=3,
-                       history=True)
+    tab = Recorder(TopoEpsTable(Functional.dot(np.ones(3)), max_k=1, form=3))
     tab.extend([np.zeros(3) + lam**n for n in range(10)])
     margins = stability_margin(tab, 0)
     assert margins == pytest.approx([3.0] * len(margins))
 
     # near-coincident seeds blow the k=1 margins up by ~the pair ratio
     src = KernelRecurrence(10, "vector", seed=0)
-    tab = TopoEpsTable(Functional.dot(np.ones(10)), max_k=3, form=3,
-                       particular_rules=False, history=True)
+    tab = Recorder(TopoEpsTable(Functional.dot(np.ones(10)), max_k=3, form=3,
+                                particular_rules=False))
     tab.extend([src.next_term() for _ in range(10)])
     margins = stability_margin(tab, 1)
     assert margins and max(margins) > 1e9
 
     # an exact tie in the first column gives a non-finite margin, not a gap
-    tab = TopoEpsTable(f, max_k=1, form=3, history=True)
+    tab = Recorder(TopoEpsTable(f, max_k=1, form=3))
     tab.extend([np.array([2.0])] * 5)
     assert any(not math.isfinite(m) for m in stability_margin(tab, 0))
 
@@ -718,10 +714,9 @@ def test_diagonal_scaling_covariance():
              for n in range(10)]
     y = rng.random(dim) + 0.5
     D = rng.random(dim) + 0.5
-    plain = TopoEpsTable(Functional.dot(y), max_k=2, form=3, history=True)
+    plain = Recorder(TopoEpsTable(Functional.dot(y), max_k=2, form=3))
     plain.extend(terms)
-    scaled = TopoEpsTable(Functional.dot(2.5 * y / D), max_k=2, form=3,
-                          history=True)
+    scaled = Recorder(TopoEpsTable(Functional.dot(2.5 * y / D), max_k=2, form=3))
     scaled.extend([D * t for t in terms])
     for k in range(3):
         for n in range(10 - 2 * k):
@@ -736,7 +731,7 @@ def test_diagonal_scaling_covariance():
 def test_each_column_accelerates_two_mode_source():
     terms, limit = two_mode_terms(24)
     f = Functional.dot(np.random.default_rng(11).random(10))
-    tab = TopoEpsTable(f, max_k=1, form=3, history=True)
+    tab = Recorder(TopoEpsTable(f, max_k=1, form=3))
     tab.extend(terms)
     n = 18
     e0 = _norm(tab.entry(0, n) - limit)
@@ -754,7 +749,7 @@ def test_logarithmic_constant_scaling():
     src = LogarithmicModes(np.zeros(dim), [1.0], [u], b=b)
     terms = [src.next_term() for _ in range(201)]
     f = Functional.dot(np.random.default_rng(13).random(dim))
-    tab = TopoEpsTable(f, max_k=2, variant="stea1", form=3, history=True)
+    tab = Recorder(TopoEpsTable(f, max_k=2, variant="stea1", form=3))
     tab.extend(terms)
     consts = {}
     for k in range(3):
@@ -783,7 +778,7 @@ def test_complex_sequences_supported():
     limit = np.array([1.0 + 1.0j, 2.0 - 0.5j])
     terms = [limit + lam**n * np.array([1.0, 1.0j]) for n in range(8)]
     f = Functional.dot(np.ones(2))
-    tab = TopoEpsTable(f, max_k=1, variant="stea2", form=3, history=True)
+    tab = Recorder(TopoEpsTable(f, max_k=1, variant="stea2", form=3))
     tab.extend(terms)
     e = tab.entry(2, 0)
     assert _norm(e - limit) < 1e-10
@@ -827,10 +822,9 @@ def test_entry_outside_the_table_is_none():
                 tab.entry(-1, N + 1)
 
 
-def _every_table(f, K=2, history=False):
-    return ([TopoEpsTable(f, max_k=K, variant=v, form=3, history=history)
-             for v in ("stea1", "stea2")]
-            + [TeaTable(f, max_k=K, variant=v, history=history) for v in ("tea1", "tea2")])
+def _every_table(f, K=2):
+    return ([TopoEpsTable(f, max_k=K, variant=v, form=3) for v in ("stea1", "stea2")]
+            + [TeaTable(f, max_k=K, variant=v) for v in ("tea1", "tea2")])
 
 
 def test_bad_terms_rejected_on_append():

@@ -7,22 +7,24 @@ the parent commit, exported with ``git archive``, and the working tree).
 Each tree's ``src`` is imported in its own subprocess, which runs the fixed
 list of configurations in :func:`configurations`.  A table gives two
 SHA-256 digests, so that a change of counters cannot hide a change of
-entries.  It is run with ``history=True``, and its counters digest must
-match the old tree's; and again with ``history=False``, where its entries
-and odd coefficients must match too and its counts, ``sigma``,
-``len(events)``, ``len(invalid)``, ``peak_slots``/``peak_total`` and
-``n_terms``, must equal the old tree's (the ``stream`` part).  A tree whose
-tables take no ``history`` keyword keeps everything, so one run gives
-both parts.  The entries digest covers the bytes (any NaN as the canonical
-one), dtype, shape and Python type of every entry each ``append``
-returned and, for the full tables, of every finite odd coefficient of the
-newest diagonal after each ``append`` (``entry(2j+1, n)``).  The non-finite
-odd coefficients are kept by position instead, so that each one that
-differs is printed: which infinity a coefficient ``1/f(hi, lo)`` is at
-``f = 0`` depends on the sign of the zero.  The counters digest covers
-``sigma``, the event log (k, n, ratio, treated, suppressed, victim), the
-repair flags as ``flag()`` gives them where each firing's repair lands,
-``invalid`` and ``peak_slots``/``peak_total``.  A command,
+entries.  A table is run once, appending through a ``Recorder`` of it:
+the counters digest is read off the recorder and must match the old
+tree's, and the entries, the odd coefficients and the table's own counts,
+``sigma``, ``len(events)``, ``len(invalid)``, ``peak_slots``/``peak_total``
+and ``n_terms``, must match too (the ``stream`` part).  A tree whose tables
+take a ``history`` keyword instead runs each table twice: with
+``history=True`` for the counters digest, and with ``history=False`` for
+the ``stream`` part.  The entries digest covers the bytes (any NaN as the
+canonical one), dtype, shape and Python type of every entry each
+``append`` returned and, for the full tables, of every finite odd
+coefficient of the newest diagonal after each ``append``
+(``entry(2j+1, n)``).  The non-finite odd coefficients are kept by position
+instead, so that each one that differs is printed: which infinity a
+coefficient ``1/f(hi, lo)`` is at ``f = 0`` depends on the sign of the
+zero.  The counters digest covers ``sigma``, the event log (k, n, ratio,
+treated, suppressed, victim), the repair flags as ``flag()`` gives them
+where each firing's repair lands, the positions in ``invalid`` and
+``peak_slots``/``peak_total``.  A command,
 or a ``harness.run`` report, gives its exit code and output, with
 ``wall_time_s`` removed; for each one that differs, the lines that differ
 are printed.
@@ -45,7 +47,6 @@ import contextlib
 import difflib
 import functools
 import hashlib
-import inspect
 import io
 import json
 import math
@@ -83,32 +84,41 @@ def _feed(h, value):
 
 
 @functools.cache
-def _takes_history():
-    """Whether the tree's tables take the ``history`` keyword."""
-    from epsaccel import ScalarEpsTable
+def _recorder():
+    """The tree's ``Recorder``, or None in a tree whose tables take the
+    ``history`` keyword instead."""
+    import epsaccel
 
-    return "history" in inspect.signature(ScalarEpsTable).parameters
+    return getattr(epsaccel, "Recorder", None)
 
 
 def _digest_table(make, terms):
     """The parts :func:`_digest_run` gives of a table ``make(history)``
-    builds, with history on, and the ``stream`` part: its entries, odd
-    coefficients and counts with history off."""
-    out = _digest_run(make(True), terms)
-    off = _digest_run(make(False), terms, history=False) if _takes_history() else out
+    builds: the counters from its recorder, or from the table with history
+    on, and the ``stream`` part, its entries, odd coefficients and counts,
+    from the same run, or from the table with history off."""
+    Recorder = _recorder()
+    tab = make(True)
+    if Recorder is None:
+        out = _digest_run(tab, terms, tab)
+        off = _digest_run(make(False), terms)
+    else:
+        out = off = _digest_run(tab, terms, Recorder(tab))
     return dict(out, stream={part: off[part] for part in ("entries", "odd", "counts")})
 
 
 def _history(history):
-    """The keyword arguments that build a table with ``history``: none for
-    a tree whose tables take no such keyword, and keep everything."""
-    return {"history": history} if _takes_history() else {}
+    """The keyword arguments that build a table with ``history``: none in a
+    tree with a ``Recorder``, whose tables take no such keyword."""
+    return {} if _recorder() else {"history": history}
 
 
-def _digest_run(tab, terms, history=True):
-    """Digests of the entries a table gives and, for a table that keeps
-    its ``history``, of its counters; the full tables' non-finite odd
-    coefficients by position; and the counts a table keeps either way."""
+def _digest_run(tab, terms, rec=None):
+    """Digests of the entries a table gives and, given ``rec``, of the
+    counters ``rec`` keeps: a ``Recorder`` of the table, which the terms
+    are appended through, or the table itself built with ``history=True``.
+    Also the full tables' non-finite odd coefficients by position, and the
+    counts the table keeps."""
     import numpy as np
 
     h = hashlib.sha256()
@@ -116,7 +126,7 @@ def _digest_run(tab, terms, history=True):
     odd = range(1, 2 * tab.max_k, 2) if full else ()
     nonfinite = {}
     for S in terms:
-        new = tab.append(S)
+        new = (rec or tab).append(S)
         N = tab.n_terms - 1
         for k, n, value in new + [(c, N - c, tab.entry(c, N - c)) for c in odd]:
             if k % 2 and full and value is not None and not np.isfinite(value):
@@ -137,21 +147,23 @@ def _digest_run(tab, terms, history=True):
     counts.update((attr, len(value) if attr == "invalid" else value)
                   for attr, value in kept.items())
     out = {"entries": h.hexdigest(), "odd": nonfinite if full else None, "counts": counts}
-    if not history:
+    if rec is None:
         return out
+    # the event log: a recorder's shadow's, or the history table's own
+    log = getattr(rec, "shadow", scalar)
     h = hashlib.sha256()
     if shadowed:
         h.update(f"sigma={scalar.sigma}".encode())
-        for ev in scalar.events:
+        for ev in log.events:
             h.update(f"{ev.k},{ev.n},{struct.pack('<d', ev.ratio).hex()},"
                      f"{ev.treated},{ev.suppressed},{ev.victim};".encode())
         # the repair flags, read through flag() where each firing's repair
         # lands, three columns east and one superscript down: the only
         # entries a flag can name
-        spots = sorted({(ev.k + 3, ev.n - 1) for ev in scalar.events})
-        h.update(repr([(k, n, scalar.flag(k, n)) for k, n in spots]).encode())
+        spots = sorted({(ev.k + 3, ev.n - 1) for ev in log.events})
+        h.update(repr([(k, n, log.flag(k, n)) for k, n in spots]).encode())
     for attr, value in kept.items():
-        h.update(f"{attr}={sorted(value) if attr == 'invalid' else value}".encode())
+        h.update(f"{attr}={sorted(rec.invalid) if attr == 'invalid' else value}".encode())
     out["counters"] = h.hexdigest()
     return out
 
