@@ -15,10 +15,9 @@ benchmark families (``reproduce``).
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import json
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -270,6 +269,10 @@ def build_table(conf, functional):
     raise ValueError(f"unknown table variant: {variant!r}")
 
 
+# the columns of a report's CSV, in order
+_CSV_FIELDS = ("col", "n", "terms", "norm_inf", "error_inf", "residual", "valid")
+
+
 @dataclass
 class RunReport:
     """Outcome of one experiment run.
@@ -329,16 +332,19 @@ class RunReport:
         return text
 
     def to_csv(self, path=None):
-        """Entries as CSV; run-level facts ride along as # comments."""
-        buf = io.StringIO()
-        buf.write(f"# sigma={self.sigma} peak_slots={self.peak_slots}"
-                  f" n_terms={self.n_terms} wall_time_s={self.wall_time_s:.6f}\n")
-        fields = ["col", "n", "terms", "norm_inf", "error_inf", "residual", "valid"]
-        writer = csv.DictWriter(buf, fieldnames=fields, extrasaction="ignore")
-        writer.writeheader()
-        for e in self.entries:
-            writer.writerow(e)
-        text = buf.getvalue()
+        """Entries as CSV; run-level facts ride along as # comments.
+
+        The rows are those ``csv.writer`` writes: ``\\r\\n`` line ends, ``str``
+        of each value and an empty field for a missing one; the values are
+        numbers and booleans, which no field quotes."""
+        lines = [f"# sigma={self.sigma} peak_slots={self.peak_slots}"
+                 f" n_terms={self.n_terms} wall_time_s={self.wall_time_s:.6f}\n"
+                 + ",".join(_CSV_FIELDS)]
+        lines += [",".join("" if (v := e.get(key)) is None else str(v) for key in _CSV_FIELDS)
+                  for e in self.entries]
+        # one join, so the text is built once
+        lines.append("")
+        text = "\r\n".join(lines)
         if path:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -356,13 +362,19 @@ def _json_default(x):
 
 
 # the metrics a run can note, by name: each reads the recorded shadow of a
-# simplified table
+# scalar or a simplified table, whose columns stop at 2 * max_k + 2
 _NOTES = {
     "ratio_series": lambda rec: {
         str(k): series for k, series in ratio_series(rec).items()},
     "stability_margin": lambda rec: {
-        str(k): stability_margin(rec, k) for k in range(rec.table.max_k)},
+        str(k): stability_margin(rec, k)
+        for k in range(rec.shadow.table.max_col // 2 - 1)},
 }
+
+
+def _max_abs(x, out):
+    """``max |x|`` as a float, with ``|x|`` written into ``out``."""
+    return float(np.maximum.reduce(np.abs(x, out=out), axis=None))
 
 
 def run(spec):
@@ -371,10 +383,16 @@ def run(spec):
     Equation residuals are evaluated when the source has a ``residual``
     method and the run is small enough to afford it.  The metrics
     (``ratio_series``, ``stability_margin``) read the recorded shadow of a
-    simplified table (``stea1``, ``stea2``): only a run that asks such a
-    table for one appends through a :class:`~epsaccel.topo_eps.Recorder`,
-    and its notes hold them.  A metric name not among these is an error.
-    The report's events are collected from each append's firings.
+    scalar or a simplified table (``scalar``, ``stea1``, ``stea2``): only a
+    run that asks such a table for one appends through a
+    :class:`~epsaccel.topo_eps.Recorder`, and its notes hold them.  A full
+    table (``tea1``, ``tea2``) has no shadow, so its notes stay empty.  A
+    metric name not among these is an error.  The report's events are
+    collected from each append's firings.
+
+    Each entry is reported in one pass as the table gives it: its norm and
+    its error against the limit are reduced in place in scratch arrays the
+    run keeps, so no entry makes a full-size temporary.
     """
     if isinstance(spec, dict):
         spec = ExperimentSpec(**spec)
@@ -384,11 +402,13 @@ def run(spec):
     src = build_source(spec.source, spec.seed)
     # the first term sets the functional's shape, and is fed like the rest
     first = src.next_term()
-    functional = build_functional(spec.functional, np.shape(first), spec.seed)
-    # the metrics the run notes, those asked of a simplified table, which
+    shape = np.shape(first)
+    functional = build_functional(spec.functional, shape, spec.seed)
+    # the metrics the run notes, those asked of a table with a shadow, which
     # alone make it record
     noted = (list(spec.metrics or ())
-             if spec.algorithm.get("variant", "stea2") in ("stea1", "stea2") else [])
+             if spec.algorithm.get("variant", "stea2") in ("scalar", "stea1", "stea2")
+             else [])
     table = build_table(spec.algorithm, functional)
     rec = Recorder(table) if noted else None
 
@@ -398,10 +418,16 @@ def run(spec):
     # with the reduced limit, and residuals are of elements only
     scalar = isinstance(table, ScalarEpsTable)
     collect_residuals = has_residual and spec.n_terms <= 200 and not scalar
+    # scratch for an element entry's magnitudes and, by the entry's dtype,
+    # for its difference from the limit and that difference's magnitudes
+    mag = None if scalar else np.empty(shape)
     if limit is not None:
         limit = as_term(limit)
         if scalar:
             limit = functional(limit)
+        diff_shape = () if scalar else np.broadcast_shapes(shape, limit.shape)
+        diff_mag = mag if diff_shape == shape else np.empty(diff_shape)
+        diffs = {}
     # the shadow's firings, as each append makes them
     shadow = table if scalar else getattr(table, "scalar", None)
     fired = []
@@ -413,16 +439,24 @@ def run(spec):
         for col, n, value in (rec or table).append(fed):
             if col % 2:
                 continue
-            row = {
-                "col": col, "n": n, "terms": col + n + 1,
-                "norm_inf": float(np.max(np.abs(value))),
-                "valid": bool(np.all(np.isfinite(value))),
-            }
-            if limit is not None:
-                # abs() is numpy's on arrays and Python's on the scalar
-                # table's numbers, whose complex abs rounds otherwise
-                row["error_inf"] = float(np.max(abs(value - limit)))
-            if collect_residuals and row["valid"]:
+            # the norm is np.abs's throughout
+            norm = float(np.abs(value)) if scalar else _max_abs(value, mag)
+            # a complex entry's modulus can overflow while its parts are finite
+            valid = math.isfinite(norm) or bool(np.isfinite(value).all())
+            row = {"col": col, "n": n, "terms": col + n + 1,
+                   "norm_inf": norm, "valid": valid}
+            if limit is not None and not diff_shape:
+                # a difference that is a number takes abs(): Python's on the
+                # scalar table's numbers, numpy's scalar one on 0-d entries;
+                # each rounds a complex modulus otherwise than np.abs
+                row["error_inf"] = float(abs(value - limit))
+            elif limit is not None:
+                diff = diffs.get(value.dtype)
+                if diff is None:
+                    diff = diffs[value.dtype] = np.empty(
+                        diff_shape, np.result_type(value, limit))
+                row["error_inf"] = _max_abs(np.subtract(value, limit, out=diff), diff_mag)
+            if collect_residuals and valid:
                 row["residual"] = src.residual(value)
             entries.append(row)
         if shadow is not None:

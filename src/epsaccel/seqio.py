@@ -6,16 +6,29 @@ The format is line-oriented.  The first significant line is a header:
     vector <m>
     matrix <m> <s>
 
-after which the terms follow: one number per line for scalars, one
-whitespace-separated line of m numbers per vector, and m consecutive lines of
-s numbers per matrix (blank lines between matrix blocks are allowed).  Lines
-starting with ``#`` are comments anywhere in the file.  Numbers accept
+after which the terms follow: whitespace-separated numbers for scalars (one
+or more per line), one line of m numbers per vector, and m consecutive lines
+of s numbers per matrix (blank lines between matrix blocks are allowed).
+Lines starting with ``#`` are comments anywhere in the file.  Numbers accept
 anything python's ``complex()`` does, so ``1.5``, ``-2e-3``, and ``3+4j``
 all work; a file with no complex entries loads as float.  A term with a
 non-finite number (``nan``, ``inf``) is rejected.
+
+Reading is one pass over the file, a line at a time.  Each line is parsed
+with ``float`` into one float64 buffer that holds every term; only a line
+that ``float`` rejects is parsed again, token by token, with ``complex()``,
+which also names a bad token.  ``float`` accepts a subset of what
+``complex()`` does and rounds it alike, so every number is the one
+``complex()`` gives.  A term whose imaginary parts are all zero is real,
+and once one term is complex every term is complex128.  A bad number or
+width is reported as its line is read; a non-finite term, by the line of
+its first number, once the whole file is read.
 """
 
 from __future__ import annotations
+
+import math
+from array import array
 
 import numpy as np
 
@@ -26,12 +39,18 @@ class FormatError(ValueError):
     """Malformed sequence file."""
 
 
-def _significant_lines(text):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield lineno, line
+def _significant_lines(fh):
+    """``(line number, stripped line)`` of each line that is neither blank nor
+    a comment, read one line at a time.  Lines are numbered as
+    ``str.splitlines`` splits them, which also breaks at form feeds and the
+    other separators a text file's lines may hold."""
+    lineno = 0
+    for raw in fh:
+        for line in raw.splitlines() or ("",):
+            lineno += 1
+            line = line.strip()
+            if line and not line.startswith("#"):
+                yield lineno, line
 
 
 def _parse_number(token, lineno):
@@ -42,79 +61,91 @@ def _parse_number(token, lineno):
     return value
 
 
-def _parse_row(line, lineno, width):
-    tokens = line.split()
-    if len(tokens) != width:
-        raise FormatError(
-            f"line {lineno}: expected {width} numbers, got {len(tokens)}")
-    return [_parse_number(t, lineno) for t in tokens]
-
-
-def read_terms(path):
-    """Read a sequence file; returns a list of numpy arrays.
-
-    Scalars come back as 0-d arrays, vectors as 1-d, matrices as 2-d; dtype
-    is float64 unless any entry is complex.  Raises :class:`FormatError`
-    naming the line of a term's first number when the term is not finite.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    lines = _significant_lines(text)
-    try:
-        lineno, header = next(lines)
-    except StopIteration:
-        raise FormatError("empty sequence file") from None
-
+def _parse_header(header, lineno):
+    """The term shape a header line declares."""
     fields = header.split()
     kind = fields[0].lower()
     if kind == "scalar":
         if len(fields) != 1:
             raise FormatError(f"line {lineno}: scalar header takes no sizes")
-        shape = ()
-    elif kind == "vector":
+        return ()
+    if kind == "vector":
         if len(fields) != 2:
             raise FormatError(f"line {lineno}: vector header wants one size")
-        shape = (_parse_size(fields[1], lineno),)
-    elif kind == "matrix":
+        return (_parse_size(fields[1], lineno),)
+    if kind == "matrix":
         if len(fields) != 3:
             raise FormatError(f"line {lineno}: matrix header wants two sizes")
-        shape = (_parse_size(fields[1], lineno), _parse_size(fields[2], lineno))
-    else:
-        raise FormatError(f"line {lineno}: unknown kind {header.split()[0]!r}")
+        return (_parse_size(fields[1], lineno), _parse_size(fields[2], lineno))
+    raise FormatError(f"line {lineno}: unknown kind {fields[0]!r}")
 
-    rows = []     # (line of the term's first number, term)
-    if kind == "scalar":
+
+def read_terms(path):
+    """Read a sequence file; returns a list of numpy arrays.
+
+    Scalars come back as 0-d arrays, vectors as 1-d, matrices as 2-d, each a
+    view of one array that holds every term; dtype is float64 unless any
+    entry is complex.  Raises :class:`FormatError` naming the line of a
+    term's first number when the term is not finite.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = _significant_lines(fh)
+        lineno, header = next(lines, (None, None))
+        if header is None:
+            raise FormatError("empty sequence file")
+        shape = _parse_header(header, lineno)
+        size = math.prod(shape)
+        # a scalar line holds any count of terms, a vector or matrix line one
+        # row of a term
+        width = shape[-1] if shape else None
+        reals = array("d")  # the real part of every number, in file order
+        imags = {}          # a complex line's imaginary parts, by its first number
+        firsts = []         # the line of each term's first number
         for lineno, line in lines:
             tokens = line.split()
-            for t in tokens:
-                rows.append((lineno, np.array(_parse_number(t, lineno))))
-    elif kind == "vector":
-        for lineno, line in lines:
-            rows.append((lineno, np.array(_parse_row(line, lineno, shape[0]))))
-    else:
-        block = []
-        for lineno, line in lines:
-            if not block:
-                first = lineno
-            block.append(_parse_row(line, lineno, shape[1]))
-            if len(block) == shape[0]:
-                rows.append((first, np.array(block)))
-                block = []
-        if block:
-            raise FormatError(
-                f"trailing partial matrix block of {len(block)} rows")
+            start = len(reals)
+            if width is None:
+                firsts += [lineno] * len(tokens)
+            elif len(tokens) != width:
+                raise FormatError(
+                    f"line {lineno}: expected {width} numbers, got {len(tokens)}")
+            elif start % size == 0:
+                firsts.append(lineno)
+            try:
+                reals.extend(map(float, tokens))
+            except ValueError:
+                # complex() reads the line instead, and names a bad token;
+                # float accepts a subset of what it does, rounded alike
+                del reals[start:]
+                values = [_parse_number(t, lineno) for t in tokens]
+                reals.extend([v.real for v in values])
+                imags[start] = [v.imag for v in values]
+    if len(reals) % size:
+        raise FormatError(
+            f"trailing partial matrix block of {len(reals) % size // width} rows")
 
-    terms = []
-    for lineno, arr in rows:
-        if not np.isfinite(arr).all():
-            raise FormatError(f"line {lineno}: term is not finite")
-        if np.all(arr.imag == 0):
-            terms.append(arr.real.astype(np.float64))
-        else:
-            terms.append(arr.astype(np.complex128))
-    if any(np.iscomplexobj(t) for t in terms):
-        terms = [t.astype(np.complex128) for t in terms]
-    return terms
+    n = len(firsts)
+    terms = np.frombuffer(reals, dtype=np.float64)
+    finite = np.isfinite(terms)
+    if imags:
+        imag = np.zeros(len(reals))
+        for start, values in imags.items():
+            imag[start:start + len(values)] = values
+        finite &= np.isfinite(imag)
+    if not finite.all():
+        raise FormatError(
+            f"line {firsts[int(np.argmin(finite)) // size]}: term is not finite")
+    terms = terms.reshape((n,) + shape)
+    if imags:
+        # a term whose imaginary parts are all zero is real, so a -0.0 among
+        # them is dropped, and every term is complex once one is
+        imag = imag.reshape(n, size)
+        real = ~(imag != 0).any(axis=1)
+        if not real.all():
+            imag[real] = 0.0
+            terms = terms.astype(np.complex128)
+            terms.imag = imag.reshape(terms.shape)
+    return [terms[i, ...] for i in range(n)]
 
 
 def _parse_size(token, lineno):
@@ -127,15 +158,16 @@ def _parse_size(token, lineno):
     return size
 
 
-def _format_number(x):
-    if np.iscomplexobj(x):
-        c = complex(x)
-        return repr(c.real) if c.imag == 0 else repr(c)
-    return repr(float(x))
+def _format_complex(c):
+    return repr(c.real) if c.imag == 0 else repr(c)
 
 
 def write_terms(path, terms, comment=None):
-    """Write arrays in the format :func:`read_terms` reads."""
+    """Write arrays in the format :func:`read_terms` reads.
+
+    Each row is formatted from ``tolist()``: a real number by its ``repr``,
+    which reads back to the same float64, and a complex one by its ``repr``,
+    or by its real part's when its imaginary part is zero."""
     terms = [np.asarray(t) for t in terms]
     if not terms:
         raise ValueError("nothing to write")
@@ -143,25 +175,24 @@ def write_terms(path, terms, comment=None):
     for t in terms:
         if t.shape != shape:
             raise ValueError("terms must share one shape")
+    if len(shape) > 2:
+        raise ValueError("terms must be scalars, vectors, or matrices")
     lines = []
     if comment:
         for row in str(comment).splitlines():
             lines.append(f"# {row}")
-    if len(shape) == 0:
-        lines.append("scalar")
-        for t in terms:
-            lines.append(_format_number(t[()]))
-    elif len(shape) == 1:
-        lines.append(f"vector {shape[0]}")
-        for t in terms:
-            lines.append(" ".join(_format_number(x) for x in t))
-    elif len(shape) == 2:
-        lines.append(f"matrix {shape[0]} {shape[1]}")
-        for t in terms:
-            for row in t:
-                lines.append(" ".join(_format_number(x) for x in row))
+    lines.append(" ".join([("scalar", "vector", "matrix")[len(shape)], *map(str, shape)]))
+    for t in terms:
+        if np.iscomplexobj(t):
+            values, fmt = t.astype(np.complex128, copy=False).tolist(), _format_complex
+        else:
+            values, fmt = t.astype(np.float64, copy=False).tolist(), repr
+        if len(shape) == 0:
+            lines.append(fmt(values))
+        elif len(shape) == 1:
+            lines.append(" ".join(map(fmt, values)))
+        else:
+            lines.extend(" ".join(map(fmt, row)) for row in values)
             lines.append("")
-    else:
-        raise ValueError("terms must be scalars, vectors, or matrices")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines).rstrip("\n") + "\n")

@@ -122,8 +122,9 @@ def test_events_surface_in_report():
 def test_run_records_only_for_the_metrics_that_read_it(monkeypatch, variant):
     # a report's events come from each append's firings, so a run records
     # nothing, and keeps no element copies, unless a metric reads the
-    # recorded shadow; only a simplified table's notes hold those metrics,
-    # so no other table is recorded for them
+    # recorded shadow; a full table has no shadow, so only a scalar or a
+    # simplified table's notes hold those metrics, and no full table is
+    # recorded for them
     from epsaccel import harness
 
     built, recorded = [], []
@@ -143,7 +144,7 @@ def test_run_records_only_for_the_metrics_that_read_it(monkeypatch, variant):
     spec = dict(KERNEL_SPEC, algorithm=dict(KERNEL_SPEC["algorithm"], variant=variant))
     plain = run(spec)
     traced = run(dict(spec, metrics=["ratio_series", "stability_margin"]))
-    noted = variant == "stea2"
+    noted = variant != "tea2"
     assert recorded == (built[1:] if noted else [])
     if variant != "tea2":
         shadow = getattr(built[0], "scalar", built[0])
@@ -153,6 +154,84 @@ def test_run_records_only_for_the_metrics_that_read_it(monkeypatch, variant):
     assert plain.notes == {}
     assert set(traced.notes) == ({"ratio_series", "stability_margin"} if noted else set())
     assert traced.spec["algorithm"] == spec["algorithm"]
+
+
+def test_scalar_notes_are_a_simplified_tables_shadow_notes():
+    # a scalar run's recorder is its own shadow: its table is the one a
+    # simplified table's shadow is, fed the same reduced terms
+    metrics = ["ratio_series", "stability_margin"]
+    simplified = run(dict(KERNEL_SPEC, metrics=metrics))
+    scalar = run(dict(KERNEL_SPEC, metrics=metrics,
+                      algorithm=dict(KERNEL_SPEC["algorithm"], variant="scalar")))
+    assert json.dumps(scalar.notes) == json.dumps(simplified.notes)
+    assert list(scalar.notes["stability_margin"]) == ["0", "1", "2", "3", "4"]
+
+
+def _report_cases():
+    """Streams with a limit, by name: real, complex and matrix terms, a term
+    with an inf and one with a NaN, and a complex term whose modulus
+    overflows while its parts are finite."""
+    rng = np.random.default_rng(4)
+    y = rng.random(6) + 0.5
+    geo = [0.3 + 0.8 ** n * y + 0.5 ** n * y[::-1] for n in range(14)]
+    lim = np.full(6, 0.3)
+    bad = [S.copy() for S in geo]
+    bad[5][2], bad[8][0] = np.inf, np.nan
+    huge = [S + 0j for S in geo]
+    huge[4][1] = 1.5e308 + 1.5e308j
+    return {
+        "real": (geo, lim),
+        "complex": ([(1 - 0.5j) * S for S in geo], (1 - 0.5j) * lim),
+        "matrix": ([S.reshape(2, 3) for S in geo], lim.reshape(2, 3)),
+        "scalars": ([S[:1].reshape(()) * (1 - 0.5j) for S in geo], np.array(0.3 - 0.15j)),
+        "non-finite": (bad, lim),
+        "overflow": (huge, lim + 0j),
+    }
+
+
+# the scalar table is not fed the overflowing term: Python's abs of its
+# reduced difference raises OverflowError
+@pytest.mark.parametrize("variant, case", [
+    (variant, case) for variant in ("scalar", "stea1", "stea2", "tea1", "tea2")
+    for case in sorted(_report_cases()) if (variant, case) != ("scalar", "overflow")])
+def test_report_rows_are_the_plain_expressions(monkeypatch, tmp_path, case, variant):
+    # each row's norm, validity and error are the plain numpy expressions of
+    # the entry the table gave, taken as it gave it; a scalar table is fed
+    # the reduced terms and compared with the reduced limit
+    from epsaccel import harness
+    from epsaccel.vectorspace import as_term
+
+    terms, limit = _report_cases()[case]
+    limit_path = tmp_path / "limit.txt"
+    write_terms(limit_path, [limit])
+    plain = []
+
+    def build_table(conf, functional):
+        table = real(conf, functional)
+        lim = as_term(limit)
+        lim = functional(lim) if variant == "scalar" else lim
+        append = table.append
+
+        def recording(term):
+            out = append(term)
+            plain.extend((col, n, float(np.max(np.abs(v))), bool(np.all(np.isfinite(v))),
+                          float(np.max(abs(v - lim))))
+                         for col, n, v in out if col % 2 == 0)
+            return out
+
+        table.append = recording
+        return table
+
+    real = harness.build_table
+    monkeypatch.setattr(harness, "build_table", build_table)
+    with np.errstate(all="ignore"):
+        rep = run({"source": {"kind": "file", "terms": terms, "limit_path": str(limit_path)},
+                   "algorithm": {"variant": variant, "max_k": 3}, "n_terms": len(terms)})
+    rows = [(e["col"], e["n"], e["norm_inf"], e["valid"], e["error_inf"]) for e in rep.entries]
+    assert repr(rows) == repr(plain)
+    if case == "overflow":
+        # |1.5e308 + 1.5e308j| overflows, yet the term is finite
+        assert (0, 4, np.inf, True) == rows[[r[:2] for r in rows].index((0, 4))][:4]
 
 
 def test_run_many_matches_serial():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from epsaccel.seqio import FormatError, read_terms, write_terms
 
@@ -115,3 +117,128 @@ def test_write_guards(tmp_path):
         write_terms(tmp_path / "x.txt", [])
     with pytest.raises(ValueError):
         write_terms(tmp_path / "x.txt", [np.ones(2), np.ones(3)])
+
+
+def reference_terms(text):
+    """The terms of a well-formed sequence file, each token parsed by
+    ``complex()``: a term whose imaginary parts are all zero is float64, and
+    every term is complex128 once one is."""
+    lines = [line.strip() for line in text.splitlines()]
+    header, *body = [line for line in lines if line and not line.startswith("#")]
+    shape = tuple(int(size) for size in header.split()[1:])
+    numbers = [complex(t) for line in body for t in line.split()]
+    size = int(np.prod(shape))
+    terms = []
+    for i in range(0, len(numbers), size):
+        arr = np.array(numbers[i:i + size], dtype=np.complex128).reshape(shape)
+        terms.append(arr.real.astype(np.float64) if np.all(arr.imag == 0) else arr)
+    if any(np.iscomplexobj(t) for t in terms):
+        terms = [t.astype(np.complex128) for t in terms]
+    return terms
+
+
+# finite float64 values, with the signed zero, subnormals and the extremes
+# drawn often
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+               1.7976931348623157e308, 1e308, -1e308]
+finite_floats = st.one_of(st.sampled_from(EDGE_FLOATS),
+                          st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def number_token(draw, complex_line):
+    """One number as a file may spell it: a real one in forms ``float``
+    reads, or, on a complex line, in forms only ``complex()`` reads."""
+    x = draw(finite_floats)
+    if not complex_line:
+        return draw(st.sampled_from([repr(x), f"{x:.17e}", f"{x:.17E}",
+                                     repr(x) if repr(x)[0] == "-" else f"+{x!r}"]))
+    y = draw(st.one_of(st.just(0.0), st.just(-0.0), finite_floats))
+    return draw(st.sampled_from([repr(complex(x, y)), f"{x!r}{y:+.17g}j",
+                                 f"({x!r}+0j)", f"{x!r}-0j", f"{y!r}j"]))
+
+
+@st.composite
+def sequence_texts(draw):
+    """A sequence file: a scalar, vector or matrix header, terms whose lines
+    are each real or complex, whitespace of spaces and tabs, and comments
+    and blank lines anywhere."""
+    kind = draw(st.sampled_from(["scalar", "vector", "matrix"]))
+    shape = {"scalar": (), "vector": (draw(st.integers(1, 5)),),
+             "matrix": (draw(st.integers(1, 3)), draw(st.integers(1, 3)))}[kind]
+    row_lines = draw(st.integers(1, 12)) * (shape[0] if kind == "matrix" else 1)
+    # a scalar line holds one number or several
+    widths = ([draw(st.integers(1, 3)) for _ in range(row_lines)] if kind == "scalar"
+              else [shape[-1]] * row_lines)
+    lines = [" ".join([kind, *map(str, shape)])]
+    for width in widths:
+        complex_line = draw(st.booleans()) and draw(st.booleans())
+        tokens = [draw(number_token(complex_line)) for _ in range(width)]
+        gaps = [draw(st.sampled_from([" ", "\t", "  ", " \t "])) for _ in tokens]
+        lines.append(draw(st.sampled_from(["", "  ", "\t"]))
+                     + "".join(t + g for t, g in zip(tokens, gaps)))
+        lines += draw(st.lists(st.sampled_from(["", "# a comment", "   ", "\t# indented"]),
+                               max_size=2))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=sequence_texts())
+def test_reader_matches_a_complex_parse_of_every_token(tmp_path, text):
+    path = tmp_path / "seq.txt"
+    path.write_text(text, encoding="utf-8")
+    got, want = read_terms(path), reference_terms(text)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+@pytest.mark.parametrize("text", [
+    # the odd spellings: underscores, parentheses, a bare sign, a capital
+    # exponent, an imaginary unit; with tabs, comments and blank lines
+    "# by hand\n\nvector 3\n1_0\t(1+0j)  +.5\n\n# note\n1E3\t-0.0 1_000.5\n",
+    "vector 3\n1_0\t(1+0j)  +.5\n1E3 1j -0.0\n",
+    # mixed real and complex lines: a real term beside a complex one, and a
+    # term whose complex spellings are all real
+    "matrix 2 2\n1 2\n3+0j -0j\n\n5 6\n7 8+1j\n",
+    "scalar\n1 2-0j\n(3+0j)\n",
+])
+def test_reader_odd_tokens(tmp_path, text):
+    path = tmp_path / "seq.txt"
+    path.write_text(text)
+    got, want = read_terms(path), reference_terms(text)
+    assert [(a.dtype, a.shape, a.tobytes()) for a in got] == \
+        [(b.dtype, b.shape, b.tobytes()) for b in want]
+
+
+@pytest.mark.parametrize("text, message", [
+    # a bad token, on a line float() reads up to it and on a complex line
+    ("vector 2\n1 2\n# note\n3 x\n", "line 4: bad number 'x'"),
+    ("vector 2\n1 2\n\n3+1j x\n", "line 4: bad number 'x'"),
+    # a non-finite value names the line of its term's first number
+    ("vector 2\n1 2\n\n3 inf\n", "line 4: term is not finite"),
+    ("vector 2\n1 2\n3+1j nanj\n", "line 3: term is not finite"),
+    ("matrix 2 2\n1 0\n0 1\n\n1 0\n# note\n0 1e400\n", "line 5: term is not finite"),
+    ("matrix 2 2\n1 0\n0 1\n\n1 0\n0 inf+1j\n", "line 5: term is not finite"),
+    # every number is read before any term is checked
+    ("vector 2\n1 inf\n3 apple\n", "line 3: bad number 'apple'"),
+])
+def test_reader_errors_name_their_line(tmp_path, text, message):
+    path = tmp_path / "seq.txt"
+    path.write_text(text)
+    with pytest.raises(FormatError, match=f"^{message}$"):
+        read_terms(path)
+
+
+def test_write_terms_is_repr_of_each_number(tmp_path):
+    # float rows by repr; complex rows by repr, or the real part's repr when
+    # the imaginary part is zero; other dtypes as float64 or complex128
+    path = tmp_path / "seq.txt"
+    write_terms(path, [np.array([0.1, -0.0, 1e308]), np.array([1, 2, 3])])
+    assert path.read_text() == "vector 3\n0.1 -0.0 1e+308\n1.0 2.0 3.0\n"
+    write_terms(path, [np.array([[1 + 0j, 0.5 - 2j]], dtype=np.complex64)])
+    assert path.read_text() == "matrix 1 2\n1.0 (0.5-2j)\n"
+    write_terms(path, [np.array(0.5 - 0.25j), np.array(complex(-0.0, 0.0))],
+                comment="two\nlines")
+    assert path.read_text() == "# two\n# lines\nscalar\n(0.5-0.25j)\n-0.0\n"

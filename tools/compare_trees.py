@@ -27,7 +27,8 @@ where each firing's repair lands, the positions in ``invalid`` and
 ``peak_slots``/``peak_total``.  A command,
 or a ``harness.run`` report, gives its exit code and output, with
 ``wall_time_s`` removed; for each one that differs, the lines that differ
-are printed.
+are printed.  A file ``seqio.write_terms`` writes for the commands gives
+the SHA-256 of its bytes.
 
 ``Functional.trace_weighted`` sums in another order than the parent's
 ``np.trace(Y^H @ X)``, so its values are compared within ``TW_RTOL`` of the
@@ -387,6 +388,7 @@ def _cli_configs(tmp):
     import numpy as np
 
     from epsaccel import harness, seqio
+    from epsaccel.vectorspace import BLOCK
 
     kernel = [[name, *p, *j] for name in ("kernel-vector", "kernel-matrix")
               for p in ([], ["--p", "10"], ["--p", "7"])
@@ -402,26 +404,58 @@ def _cli_configs(tmp):
 
     src = harness.build_source(_five_modes(20, 3), 3)
     terms = src.take(60)
+    lim = src.limit()
+    rng = np.random.default_rng(13)
+    dim = 2 * BLOCK + 7
+    u, v = rng.random(dim) + 0.5, rng.random(dim) + 0.5
+    # each input file's terms, and its limit's, if any
+    inputs = {
+        "real": (terms, lim),
+        "complex": ([(1 - 0.5j) * S for S in terms[:30]], (1 - 0.5j) * lim),
+        "matrix": ([S.reshape(4, 5) for S in terms[:30]], lim.reshape(4, 5)),
+        "scalar": ([S[:1].reshape(()) for S in terms], None),
+        "complex-scalar": ([np.asarray(S[0] + 0.5j * S[1]) for S in terms],
+                           np.asarray(lim[0] + 0.5j * lim[1])),
+        # real terms, and every third one complex: a file of mixed lines
+        "mixed": ([S * (1 + 0.1j) if n % 3 == 0 else S for n, S in enumerate(terms[:30])],
+                  None),
+        "above-block": ([0.3 + 0.8 ** n * u + 0.5 ** n * v for n in range(6)],
+                        np.full(dim, 0.3)),
+    }
+    # each file's path, and its limit file's; the bytes write_terms wrote
     files = {}
-    for name, seq in (("real", terms),
-                      ("complex", [(1 - 0.5j) * S for S in terms[:30]]),
-                      ("matrix", [S.reshape(4, 5) for S in terms[:30]]),
-                      ("scalar", [S[:1].reshape(()) for S in terms])):
-        path = os.path.join(tmp, f"{name}.txt")
-        seqio.write_terms(path, seq)
-        files[name] = path
-    limit = os.path.join(tmp, "limit.txt")
-    seqio.write_terms(limit, [src.limit()])
-    const = os.path.join(tmp, "const.txt")
-    seqio.write_terms(const, [np.full(4, 2.5)] * 7)
-    for name, path in files.items():
+    for name, (seq, limit) in inputs.items():
+        files[name] = [os.path.join(tmp, f"{name}.txt")]
+        if limit is not None:
+            files[name].append(os.path.join(tmp, f"{name}-limit.txt"))
+        for path, what in zip(files[name], (seq, [limit])):
+            seqio.write_terms(path, what)
+            with open(path, "rb") as fh:
+                yield f"write_terms {os.path.basename(path)}", lambda b=fh.read(): {
+                    "output": hashlib.sha256(b).hexdigest()}
+    # by hand: comments, blank lines, tabs, and tokens float() reads or only
+    # complex() does; the first file's parts are all real, the second's not
+    lines = ["# written by hand", "", "vector 3"]
+    for n in range(12):
+        a, b, c = 1 + 0.5 ** n, 2 - 0.3 ** n, 0.25 ** n
+        lines.append((f"+{a!r}\t{b:.17E}  {c!r}", f"{a!r}\t({b!r}+0j)\t{c!r}",
+                      f"  {a!r} {b!r}-0j {c!r}")[n % 3])
+        if n % 3 == 0:
+            lines += ["# between terms", ""]
+    lines.append("1_0 1E3 +.5")
+    for name, more in (("hand", []), ("hand-complex", ["1j 2 -0.5j"])):
+        files[name] = [os.path.join(tmp, f"{name}.txt")]
+        with open(files[name][0], "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines + more) + "\n")
+    for name, (path, *limit) in files.items():
         for algo in ("scalar", "stea1", "stea2", "tea1", "tea2"):
             for fmt in ("csv", "json"):
-                extra = [["--limit-file", limit]] if name == "real" else []
-                for more in [[], *extra]:
+                for more in [[], *[["--limit-file", lp] for lp in limit]]:
                     argv = ["accelerate", path, "--algo", algo, "--format", fmt, *more]
                     label = f"accelerate {name} {algo} {fmt}" + (" limit" if more else "")
                     yield label, lambda a=argv: _call(a, tmp)
+    const = os.path.join(tmp, "const.txt")
+    seqio.write_terms(const, [np.full(4, 2.5)] * 7)
     for algo in ("stea1", "stea2"):
         argv = ["accelerate", const, "--algo", algo, "--kmax", "2", "--format", "json"]
         yield f"accelerate const {algo}", lambda a=argv: _call(a, tmp)
