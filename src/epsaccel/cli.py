@@ -12,9 +12,11 @@ Two subcommands:
     ns, qpow, stein) and print its comparison table.
 
 Exit codes: 0 on success, 1 when the run produced no valid accelerated
-entry (numerical breakdown), 2 for unusable input or bad arguments.  The
-environment variable ``EPSACCEL_SEED`` overrides any ``--seed`` argument,
-so sweeps driven by a job scheduler can pin seeds without editing commands.
+entry (numerical breakdown), 2 for unusable input or bad arguments: a file
+that cannot be read or parsed, or a limit, functional or ``y`` that does not
+fit the terms' shape.  The environment variable ``EPSACCEL_SEED`` overrides
+any ``--seed`` argument, so sweeps driven by a job scheduler can pin seeds
+without editing commands.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import os
 import sys
 
 from . import harness, seqio
+from .vectorspace import DimensionMismatchError
 
 __all__ = ["main"]
 
@@ -131,26 +134,20 @@ def _emit(text, out):
 def _cmd_accelerate(args):
     try:
         terms = seqio.read_terms(args.input)
-    except (OSError, seqio.FormatError) as exc:
-        print(f"epsaccel: {exc}", file=sys.stderr)
-        return 2
-    if not terms:
-        print("epsaccel: input has a header but no terms", file=sys.stderr)
-        return 2
-
-    seed = _resolve_seed(args.seed)
-    source = {"kind": "file", "path": args.input, "terms": terms}
-    if args.limit_file:
-        source["limit_path"] = args.limit_file
-    algo = {"variant": args.algo, "form": args.form, "max_k": args.kmax,
-            "p": args.p, "rules": not args.no_rules, "parity": args.parity}
-    try:
+        if not terms:
+            raise seqio.FormatError("input has a header but no terms")
+        seed = _resolve_seed(args.seed)
+        source = {"kind": "file", "path": args.input, "terms": terms}
+        if args.limit_file:
+            source["limit_path"] = args.limit_file
+        algo = {"variant": args.algo, "form": args.form, "max_k": args.kmax,
+                "p": args.p, "rules": not args.no_rules, "parity": args.parity}
         spec = harness.ExperimentSpec(
             source=source, algorithm=algo,
             functional=_functional_conf(args, terms),
             n_terms=len(terms), seed=seed, label=os.path.basename(args.input))
         report = harness.run(spec)
-    except (seqio.FormatError, OSError) as exc:
+    except (OSError, seqio.FormatError, DimensionMismatchError) as exc:
         print(f"epsaccel: {exc}", file=sys.stderr)
         return 2
 

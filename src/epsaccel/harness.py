@@ -5,7 +5,10 @@ term budget) that can live in a JSON config file, so runs are reproducible
 from the command line or from tests with identical code paths.  Running one
 produces a :class:`RunReport` of per-entry norms, errors when the source
 knows its limit, equation residuals when it knows its equation, the singular
-repair count, timing, and the storage high-water mark.
+repair count, timing, and the storage high-water mark.  Every table is
+reported through one path, which chooses by the shape of an entry (a number
+of the scalar table, or an array of an element table) and never by the
+table's kind; a limit must have the terms' shape, whatever the table.
 
 The module also carries the measurement helpers shared by the test-suite and
 the command line: least-squares convergence-rate fits (geometric and power
@@ -26,8 +29,8 @@ import numpy as np
 
 from . import sequences
 from .topo_eps import Recorder, TeaTable, TopoEpsTable, ratio_series, stability_margin
-from .scalar_eps import ScalarEpsTable
-from .vectorspace import Functional, as_term
+from .scalar_eps import ScalarEpsTable, _abs_any
+from .vectorspace import DimensionMismatchError, Functional, as_term
 
 __all__ = [
     "ExperimentSpec",
@@ -229,6 +232,9 @@ def _functional(conf, shape, seed):
             Y = rng.random(shape)
         return Functional.trace_weighted(np.asarray(Y), conf.pop("conjugate", True))
     if kind == "bilinear":
+        if len(shape) != 2:
+            raise DimensionMismatchError(
+                f"bilinear functional wants matrix terms, not shape {shape}")
         u = conf.pop("u", None)
         v = conf.pop("v", None)
         if u is None:
@@ -277,10 +283,12 @@ _CSV_FIELDS = ("col", "n", "terms", "norm_inf", "error_inf", "residual", "valid"
 class RunReport:
     """Outcome of one experiment run.
 
-    ``entries`` has one dict per even table entry: column, superscript,
-    infinity norm, error against the known limit (when there is one),
-    equation residual (when the source defines one), and the term count
-    ``column + n + 1`` consumed to reach it.
+    ``entries`` has one dict per even table entry, the same for every
+    table: column, superscript, infinity norm, error against the known limit
+    (when there is one, of the terms' shape), equation residual (when the
+    source defines one and the entry is an element), and the term count
+    ``column + n + 1`` consumed to reach it.  ``to_json`` and ``to_csv``
+    return the report as text.
     """
 
     spec: dict
@@ -314,7 +322,8 @@ class RunReport:
             return None
         return min(keyed, key=lambda e: e[key])
 
-    def to_json(self, path=None, indent=2):
+    def to_json(self):
+        """The report as indented JSON text."""
         blob = {
             "spec": self.spec,
             "sigma": self.sigma,
@@ -325,14 +334,10 @@ class RunReport:
             "events": self.events,
             "notes": self.notes,
         }
-        text = json.dumps(blob, indent=indent, default=_json_default)
-        if path:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        return text
+        return json.dumps(blob, indent=2, default=_json_default)
 
-    def to_csv(self, path=None):
-        """Entries as CSV; run-level facts ride along as # comments.
+    def to_csv(self):
+        """Entries as CSV text; run-level facts ride along as # comments.
 
         The rows are those ``csv.writer`` writes: ``\\r\\n`` line ends, ``str``
         of each value and an empty field for a missing one; the values are
@@ -344,11 +349,7 @@ class RunReport:
                   for e in self.entries]
         # one join, so the text is built once
         lines.append("")
-        text = "\r\n".join(lines)
-        if path:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        return text
+        return "\r\n".join(lines)
 
 
 def _json_default(x):
@@ -380,19 +381,25 @@ def _max_abs(x, out):
 def run(spec):
     """Execute one experiment and return its :class:`RunReport`.
 
-    Equation residuals are evaluated when the source has a ``residual``
-    method and the run is small enough to afford it.  The metrics
-    (``ratio_series``, ``stability_margin``) read the recorded shadow of a
-    scalar or a simplified table (``scalar``, ``stea1``, ``stea2``): only a
-    run that asks such a table for one appends through a
+    The limit, when the source knows one, must have the terms' shape;
+    another shape raises :class:`~epsaccel.vectorspace.DimensionMismatchError`
+    before any term is fed, whatever the table.  Equation residuals are
+    evaluated when the source has a ``residual`` method and the run is small
+    enough to afford it.  The metrics (``ratio_series``,
+    ``stability_margin``) read the recorded shadow of a table that has one,
+    the scalar table (its own shadow) or a simplified one (``stea1``,
+    ``stea2``): only a run that asks such a table for one appends through a
     :class:`~epsaccel.topo_eps.Recorder`, and its notes hold them.  A full
     table (``tea1``, ``tea2``) has no shadow, so its notes stay empty.  A
     metric name not among these is an error.  The report's events are
     collected from each append's firings.
 
-    Each entry is reported in one pass as the table gives it: its norm and
-    its error against the limit are reduced in place in scratch arrays the
-    run keeps, so no entry makes a full-size temporary.
+    Every table's entries are reported through one loop, which chooses by
+    the shape of what the table is fed: the scalar table's numbers (``()``)
+    or the terms' arrays.  A number's norm is ``np.abs``'s and its error is
+    ``abs`` of its difference from the limit, inf where that modulus
+    overflows.  An array's norm and error are reduced in place in scratch
+    arrays the run keeps, so no entry makes a full-size temporary.
     """
     if isinstance(spec, dict):
         spec = ExperimentSpec(**spec)
@@ -402,34 +409,30 @@ def run(spec):
     src = build_source(spec.source, spec.seed)
     # the first term sets the functional's shape, and is fed like the rest
     first = src.next_term()
-    shape = np.shape(first)
-    functional = build_functional(spec.functional, shape, spec.seed)
-    # the metrics the run notes, those asked of a table with a shadow, which
-    # alone make it record
-    noted = (list(spec.metrics or ())
-             if spec.algorithm.get("variant", "stea2") in ("scalar", "stea1", "stea2")
-             else [])
+    functional = build_functional(spec.functional, np.shape(first), spec.seed)
     table = build_table(spec.algorithm, functional)
-    rec = Recorder(table) if noted else None
-
     limit = src.limit()
-    has_residual = hasattr(src, "residual")
+    if limit is not None and np.shape(limit) != np.shape(first):
+        raise DimensionMismatchError(
+            f"limit shape {np.shape(limit)} != term shape {np.shape(first)}")
+
     # the scalar table is fed the reduced terms, its entries are compared
     # with the reduced limit, and residuals are of elements only
     scalar = isinstance(table, ScalarEpsTable)
-    collect_residuals = has_residual and spec.n_terms <= 200 and not scalar
-    # scratch for an element entry's magnitudes and, by the entry's dtype,
-    # for its difference from the limit and that difference's magnitudes
-    mag = None if scalar else np.empty(shape)
-    if limit is not None:
-        limit = as_term(limit)
-        if scalar:
-            limit = functional(limit)
-        diff_shape = () if scalar else np.broadcast_shapes(shape, limit.shape)
-        diff_mag = mag if diff_shape == shape else np.empty(diff_shape)
-        diffs = {}
-    # the shadow's firings, as each append makes them
+    shape = () if scalar else np.shape(first)
+    # the shadow, whose firings are the report's events; the metrics are
+    # noted only of a table with one, which alone makes it record
     shadow = table if scalar else getattr(table, "scalar", None)
+    noted = list(spec.metrics or ()) if shadow is not None else []
+    rec = Recorder(table) if noted else None
+    has_residual = hasattr(src, "residual")
+    collect_residuals = has_residual and spec.n_terms <= 200 and not scalar
+    if limit is not None:
+        limit = functional(as_term(limit)) if scalar else as_term(limit)
+    # scratch for an array entry's magnitudes and, by the entry's dtype, for
+    # its difference from the limit
+    mag = np.empty(shape) if shape else None
+    diffs = {}
     fired = []
 
     entries = []
@@ -439,23 +442,21 @@ def run(spec):
         for col, n, value in (rec or table).append(fed):
             if col % 2:
                 continue
-            # the norm is np.abs's throughout
-            norm = float(np.abs(value)) if scalar else _max_abs(value, mag)
+            norm = _max_abs(value, mag) if shape else float(np.abs(value))
             # a complex entry's modulus can overflow while its parts are finite
             valid = math.isfinite(norm) or bool(np.isfinite(value).all())
             row = {"col": col, "n": n, "terms": col + n + 1,
                    "norm_inf": norm, "valid": valid}
-            if limit is not None and not diff_shape:
-                # a difference that is a number takes abs(): Python's on the
-                # scalar table's numbers, numpy's scalar one on 0-d entries;
-                # each rounds a complex modulus otherwise than np.abs
-                row["error_inf"] = float(abs(value - limit))
-            elif limit is not None:
+            if limit is not None and shape:
                 diff = diffs.get(value.dtype)
                 if diff is None:
-                    diff = diffs[value.dtype] = np.empty(
-                        diff_shape, np.result_type(value, limit))
-                row["error_inf"] = _max_abs(np.subtract(value, limit, out=diff), diff_mag)
+                    diff = diffs[value.dtype] = np.empty(shape, np.result_type(value, limit))
+                row["error_inf"] = _max_abs(np.subtract(value, limit, out=diff), mag)
+            elif limit is not None:
+                # a number's difference takes abs(): Python's, or numpy's
+                # scalar one, each rounding a complex modulus otherwise than
+                # np.abs
+                row["error_inf"] = float(_abs_any(value - limit))
             if collect_residuals and valid:
                 row["residual"] = src.residual(value)
             entries.append(row)

@@ -104,6 +104,48 @@ def test_non_finite_input_exits_2(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+# arguments that do not fit a vector-3 file's terms, by case; "{...}" names
+# a file the test writes
+_MISFITS = {
+    "vector-2 limit": ["{vector}", "--limit-file", "{vector2}"],
+    "scalar limit": ["{vector}", "--limit-file", "{scalar}"],
+    "trace of vectors": ["{vector}", "--functional", "trace"],
+    "bilinear of vectors": ["{vector}", "--functional", "bilinear"],
+    "dot of matrices": ["{matrix}", "--functional", "dot"],
+    "y of another length": ["{vector}", "--functional", "dot", "--y-file", "{vector2}"],
+}
+
+
+@pytest.mark.parametrize("algo", ["scalar", "stea1", "stea2", "tea1", "tea2"])
+@pytest.mark.parametrize("case", sorted(_MISFITS))
+def test_input_that_does_not_fit_the_terms_exits_2(tmp_path, capsys, case, algo):
+    # unusable input, not a breakdown: one line on stderr and no traceback
+    files = {"vector": [np.array([1.0, 2.0, 3.0]) * 0.5 ** n + 1 for n in range(7)],
+             "vector2": [np.zeros(2)], "scalar": [np.array(0.0)],
+             "matrix": [np.eye(2) * 0.5 ** n for n in range(7)]}
+    paths = {}
+    for name, terms in files.items():
+        paths[name] = str(tmp_path / f"{name}.txt")
+        write_terms(paths[name], terms)
+    argv = [arg.format(**paths) for arg in _MISFITS[case]]
+    assert main(["accelerate", *argv, "--algo", algo]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("epsaccel: "), err
+
+
+def test_scalar_error_whose_modulus_overflows_is_inf(tmp_path, capsys):
+    # the first term's reduced difference, 1.5e308+1.5e308j, has finite
+    # parts and an infinite modulus; the later terms accelerate
+    path, limit = tmp_path / "huge.txt", tmp_path / "zero.txt"
+    write_terms(path, [np.array([1.5e308 + 1.5e308j, 0.0])]
+                + [np.array([0.5 ** n, 0.25 ** n]) + 0j for n in range(1, 8)])
+    write_terms(limit, [np.zeros(2)])
+    assert main(["accelerate", str(path), "--algo", "scalar",
+                 "--limit-file", str(limit)]) == 0
+    rows = _rows(capsys.readouterr().out)
+    assert rows[0]["error_inf"] == "inf" and rows[0]["valid"] == "True"
+
+
 def test_breakdown_exits_1(tmp_path, capsys):
     path = tmp_path / "const.txt"
     write_terms(path, [np.array(2.0)] * 8)

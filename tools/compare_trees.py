@@ -11,21 +11,18 @@ entries.  A table is run once, appending through a ``Recorder`` of it:
 the counters digest is read off the recorder and must match the old
 tree's, and the entries, the odd coefficients and the table's own counts,
 ``sigma``, ``len(events)``, ``len(invalid)``, ``peak_slots``/``peak_total``
-and ``n_terms``, must match too (the ``stream`` part).  A tree whose tables
-take a ``history`` keyword instead runs each table twice: with
-``history=True`` for the counters digest, and with ``history=False`` for
-the ``stream`` part.  The entries digest covers the bytes (any NaN as the
-canonical one), dtype, shape and Python type of every entry each
-``append`` returned and, for the full tables, of every finite odd
-coefficient of the newest diagonal after each ``append``
+and ``n_terms``, must match too (the ``counts`` part).  The entries digest
+covers the bytes (any NaN as the canonical one), dtype, shape and Python
+type of every entry each ``append`` returned and, for the full tables, of
+every finite odd coefficient of the newest diagonal after each ``append``
 (``entry(2j+1, n)``).  The non-finite odd coefficients are kept by position
 instead, so that each one that differs is printed: which infinity a
 coefficient ``1/f(hi, lo)`` is at ``f = 0`` depends on the sign of the
 zero.  The counters digest covers ``sigma``, the event log (k, n, ratio,
 treated, suppressed, victim), the repair flags as ``flag()`` gives them
 where each firing's repair lands, the positions in ``invalid`` and
-``peak_slots``/``peak_total``.  A command,
-or a ``harness.run`` report, gives its exit code and output, with
+``peak_slots``/``peak_total``.  A command, or a ``harness.run`` report,
+gives its exit code and output, with
 ``wall_time_s`` removed; for each one that differs, the lines that differ
 are printed.  A file ``seqio.write_terms`` writes for the commands gives
 the SHA-256 of its bytes.
@@ -46,7 +43,6 @@ from __future__ import annotations
 
 import contextlib
 import difflib
-import functools
 import hashlib
 import io
 import json
@@ -84,50 +80,23 @@ def _feed(h, value):
     h.update(arr.tobytes())
 
 
-@functools.cache
-def _recorder():
-    """The tree's ``Recorder``, or None in a tree whose tables take the
-    ``history`` keyword instead."""
-    import epsaccel
-
-    return getattr(epsaccel, "Recorder", None)
-
-
 def _digest_table(make, terms):
-    """The parts :func:`_digest_run` gives of a table ``make(history)``
-    builds: the counters from its recorder, or from the table with history
-    on, and the ``stream`` part, its entries, odd coefficients and counts,
-    from the same run, or from the table with history off."""
-    Recorder = _recorder()
-    tab = make(True)
-    if Recorder is None:
-        out = _digest_run(tab, terms, tab)
-        off = _digest_run(make(False), terms)
-    else:
-        out = off = _digest_run(tab, terms, Recorder(tab))
-    return dict(out, stream={part: off[part] for part in ("entries", "odd", "counts")})
-
-
-def _history(history):
-    """The keyword arguments that build a table with ``history``: none in a
-    tree with a ``Recorder``, whose tables take no such keyword."""
-    return {} if _recorder() else {"history": history}
-
-
-def _digest_run(tab, terms, rec=None):
-    """Digests of the entries a table gives and, given ``rec``, of the
-    counters ``rec`` keeps: a ``Recorder`` of the table, which the terms
-    are appended through, or the table itself built with ``history=True``.
-    Also the full tables' non-finite odd coefficients by position, and the
-    counts the table keeps."""
+    """Digests of the entries the table ``make()`` builds gives as the terms
+    are appended through a ``Recorder`` of it, and of the counters the
+    recorder keeps; also the full tables' non-finite odd coefficients by
+    position, and the counts the table keeps."""
     import numpy as np
 
+    from epsaccel import Recorder
+
+    tab = make()
+    rec = Recorder(tab)
     h = hashlib.sha256()
     full = getattr(tab, "variant", "").startswith("tea")
     odd = range(1, 2 * tab.max_k, 2) if full else ()
     nonfinite = {}
     for S in terms:
-        new = (rec or tab).append(S)
+        new = rec.append(S)
         N = tab.n_terms - 1
         for k, n, value in new + [(c, N - c, tab.entry(c, N - c)) for c in odd]:
             if k % 2 and full and value is not None and not np.isfinite(value):
@@ -148,10 +117,8 @@ def _digest_run(tab, terms, rec=None):
     counts.update((attr, len(value) if attr == "invalid" else value)
                   for attr, value in kept.items())
     out = {"entries": h.hexdigest(), "odd": nonfinite if full else None, "counts": counts}
-    if rec is None:
-        return out
-    # the event log: a recorder's shadow's, or the history table's own
-    log = getattr(rec, "shadow", scalar)
+    # the event log, the recorder's shadow's
+    log = rec.shadow
     h = hashlib.sha256()
     if shadowed:
         h.update(f"sigma={scalar.sigma}".encode())
@@ -180,22 +147,21 @@ def _five_modes(dim, seed):
 
 
 def _all_tables(f, max_k=5, p=10):
-    """Factories ``make(history)`` of the scalar table, stea1/stea2 in every
+    """Factories ``make()`` of the scalar table, stea1/stea2 in every
     form with rules on and off, and tea1/tea2, by name."""
     from epsaccel import ScalarEpsTable, TeaTable, TopoEpsTable
 
     out = {}
     for rules in (True, False):
-        out[f"scalar/rules={rules}"] = lambda h, r=rules: ScalarEpsTable(
-            max_col=2 * max_k + 2, p_threshold=p, particular_rules=r, **_history(h))
+        out[f"scalar/rules={rules}"] = lambda r=rules: ScalarEpsTable(
+            max_col=2 * max_k + 2, p_threshold=p, particular_rules=r)
         for variant in ("stea1", "stea2"):
             for form in (1, 2, 3, 4):
                 out[f"{variant}/form={form}/rules={rules}"] = (
-                    lambda h, v=variant, fo=form, r=rules: TopoEpsTable(
-                        f, max_k, variant=v, form=fo, p_threshold=p, particular_rules=r,
-                        **_history(h)))
+                    lambda v=variant, fo=form, r=rules: TopoEpsTable(
+                        f, max_k, variant=v, form=fo, p_threshold=p, particular_rules=r))
     for variant in ("tea1", "tea2"):
-        out[variant] = lambda h, v=variant: TeaTable(f, max_k, variant=v, **_history(h))
+        out[variant] = lambda v=variant: TeaTable(f, max_k, variant=v)
     return out
 
 
@@ -326,9 +292,9 @@ def configurations(workdir):
                     for max_col in (4, 10, None):
                         yield (f"scalar/{sname}/{parity}/p={p}/rules={rules}/max_col={max_col}",
                                lambda t=terms, pa=parity, pp=p, r=rules, mc=max_col:
-                               _digest_table(lambda h: ScalarEpsTable(
+                               _digest_table(lambda: ScalarEpsTable(
                                    max_col=mc, p_threshold=pp, particular_rules=r,
-                                   singular_parity=pa, **_history(h)), t))
+                                   singular_parity=pa), t))
 
     # parity and rules through the element tables
     src = KernelRecurrence(50, "vector", seed=0)
@@ -338,8 +304,7 @@ def configurations(workdir):
         for variant in ("stea1", "stea2"):
             yield (f"kernel-vector/{variant}/parity={parity}",
                    lambda v=variant, pa=parity: _digest_table(
-                       lambda h: TopoEpsTable(f, 5, variant=v, singular_parity=pa,
-                                              **_history(h)), terms))
+                       lambda: TopoEpsTable(f, 5, variant=v, singular_parity=pa), terms))
 
     yield from _run_configs()
     yield from _cli_configs(workdir)
@@ -413,7 +378,7 @@ def _cli_configs(tmp):
         "real": (terms, lim),
         "complex": ([(1 - 0.5j) * S for S in terms[:30]], (1 - 0.5j) * lim),
         "matrix": ([S.reshape(4, 5) for S in terms[:30]], lim.reshape(4, 5)),
-        "scalar": ([S[:1].reshape(()) for S in terms], None),
+        "scalar": ([S[:1].reshape(()) for S in terms], lim[:1].reshape(())),
         "complex-scalar": ([np.asarray(S[0] + 0.5j * S[1]) for S in terms],
                            np.asarray(lim[0] + 0.5j * lim[1])),
         # real terms, and every third one complex: a file of mixed lines
@@ -559,7 +524,7 @@ def main(argv):
     for line in bad:
         print(line if line.startswith("    ") else f"DIFFERS: {line}")
     differ = ", ".join(f"{counts.get(part, 0)} in {part}"
-                       for part in ("entries", "counters", "odd", "stream", "output"))
+                       for part in ("entries", "counters", "odd", "counts", "output"))
     print(f"{len(old['digests'])} configurations; differing: {differ}")
     return 1 if bad else 0
 
