@@ -14,9 +14,7 @@ Two subcommands:
 Exit codes: 0 on success, 1 when the run produced no valid accelerated
 entry (numerical breakdown), 2 for unusable input or bad arguments: a file
 that cannot be read or parsed, or a limit, functional or ``y`` that does not
-fit the terms' shape.  The environment variable ``EPSACCEL_SEED`` overrides
-any ``--seed`` argument, so sweeps driven by a job scheduler can pin seeds
-without editing commands.
+fit the terms' shape.
 """
 
 from __future__ import annotations
@@ -71,7 +69,7 @@ def _build_parser():
     acc.add_argument("--limit-file", metavar="FILE",
                      help="sequence file whose first term is the known limit, "
                           "enabling error columns")
-    acc.add_argument("--seed", type=int, default=None,
+    acc.add_argument("--seed", type=int, default=0,
                      help="seed for any randomized choices (default 0)")
     acc.add_argument("--format", choices=("csv", "json"), default="csv")
     acc.add_argument("--out", metavar="FILE", help="write report here instead of stdout")
@@ -83,23 +81,12 @@ def _build_parser():
     rep.add_argument("--p", type=int, default=None,
                      help="singular detection threshold digits")
     rep.add_argument("--kmax", type=_order, default=None)
-    rep.add_argument("--seed", type=int, default=None)
+    rep.add_argument("--seed", type=int, default=0)
     rep.add_argument("--jobs", type=int, default=1,
                      help="worker threads for independent runs")
     rep.add_argument("--format", choices=("table", "json"), default="table")
     rep.add_argument("--out", metavar="FILE")
     return parser
-
-
-def _resolve_seed(arg_seed):
-    env = os.environ.get("EPSACCEL_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            print(f"epsaccel: bad EPSACCEL_SEED {env!r}", file=sys.stderr)
-            raise SystemExit(2) from None
-    return 0 if arg_seed is None else arg_seed
 
 
 def _functional_conf(args, terms):
@@ -134,9 +121,6 @@ def _emit(text, out):
 def _cmd_accelerate(args):
     try:
         terms = seqio.read_terms(args.input)
-        if not terms:
-            raise seqio.FormatError("input has a header but no terms")
-        seed = _resolve_seed(args.seed)
         source = {"kind": "file", "path": args.input, "terms": terms}
         if args.limit_file:
             source["limit_path"] = args.limit_file
@@ -145,7 +129,7 @@ def _cmd_accelerate(args):
         spec = harness.ExperimentSpec(
             source=source, algorithm=algo,
             functional=_functional_conf(args, terms),
-            n_terms=len(terms), seed=seed, label=os.path.basename(args.input))
+            n_terms=len(terms), seed=args.seed, label=os.path.basename(args.input))
         report = harness.run(spec)
     except (OSError, seqio.FormatError, DimensionMismatchError) as exc:
         print(f"epsaccel: {exc}", file=sys.stderr)
@@ -192,9 +176,8 @@ def _cell(v):
 
 
 def _cmd_reproduce(args):
-    seed = _resolve_seed(args.seed)
     result = harness.reproduce(args.name, dim=args.dim, p=args.p,
-                               seed=seed, kmax=args.kmax, jobs=args.jobs)
+                               seed=args.seed, kmax=args.kmax, jobs=args.jobs)
     if args.format == "json":
         text = json.dumps(result, indent=2, default=harness._json_default)
     else:

@@ -1,14 +1,14 @@
 """Declarative experiment harness: build, run, measure, serialize.
 
 An experiment is a plain dict-shaped spec (source, functional, algorithm,
-term budget) that can live in a JSON config file, so runs are reproducible
-from the command line or from tests with identical code paths.  Running one
-produces a :class:`RunReport` of per-entry norms, errors when the source
-knows its limit, equation residuals when it knows its equation, the singular
-repair count, timing, and the storage high-water mark.  Every table is
-reported through one path, which chooses by the shape of an entry (a number
-of the scalar table, or an array of an element table) and never by the
-table's kind; a limit must have the terms' shape, whatever the table.
+term budget), so the command line and the tests build runs through identical
+code paths.  Running one produces a :class:`RunReport` of per-entry norms,
+errors when the source knows its limit, equation residuals when it knows its
+equation, the singular repair count, timing, and the storage high-water
+mark.  Every table is reported through one path, which chooses by the shape
+of an entry (a number of the scalar table, or an array of an element table)
+and never by the table's kind; a limit must have the terms' shape, whatever
+the table.
 
 The module also carries the measurement helpers shared by the test-suite and
 the command line: least-squares convergence-rate fits (geometric and power
@@ -62,23 +62,7 @@ class ExperimentSpec:
     functional: dict = field(default_factory=lambda: {"kind": "auto"})
     seed: int = 0
     label: str = ""
-    stop_residual: float = None
     metrics: list = None
-
-    @classmethod
-    def from_config(cls, path):
-        """Load a spec from a JSON config file (one object, nested sections)."""
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        known = {"source", "algorithm", "functional", "n_terms", "seed",
-                 "label", "stop_residual", "metrics"}
-        extra = set(raw) - known
-        if extra:
-            raise ValueError(f"unknown config keys: {sorted(extra)}")
-        missing = {"source", "algorithm", "n_terms"} - set(raw)
-        if missing:
-            raise ValueError(f"config lacks required keys: {sorted(missing)}")
-        return cls(**raw)
 
     def to_dict(self):
         out = {
@@ -90,8 +74,6 @@ class ExperimentSpec:
             "seed": self.seed,
             "label": self.label,
         }
-        if self.stop_residual is not None:
-            out["stop_residual"] = self.stop_residual
         if self.metrics:
             out["metrics"] = list(self.metrics)
         return out
@@ -425,8 +407,7 @@ def run(spec):
     shadow = table if scalar else getattr(table, "scalar", None)
     noted = list(spec.metrics or ()) if shadow is not None else []
     rec = Recorder(table) if noted else None
-    has_residual = hasattr(src, "residual")
-    collect_residuals = has_residual and spec.n_terms <= 200 and not scalar
+    collect_residuals = hasattr(src, "residual") and spec.n_terms <= 200 and not scalar
     if limit is not None:
         limit = functional(as_term(limit)) if scalar else as_term(limit)
     # scratch for an array entry's magnitudes and, by the entry's dtype, for
@@ -462,9 +443,6 @@ def run(spec):
             entries.append(row)
         if shadow is not None:
             fired += shadow.fired
-        if (spec.stop_residual is not None and has_residual
-                and src.residual(np.asarray(term)) <= spec.stop_residual):
-            break
     wall = time.perf_counter() - t0
 
     sigma = getattr(table, "sigma", 0)

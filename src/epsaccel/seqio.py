@@ -85,8 +85,8 @@ def read_terms(path):
 
     Scalars come back as 0-d arrays, vectors as 1-d, matrices as 2-d, each a
     view of one array that holds every term; dtype is float64 unless any
-    entry is complex.  Raises :class:`FormatError` naming the line of a
-    term's first number when the term is not finite.
+    entry is complex.  Raises :class:`FormatError` on a file with no terms,
+    and naming the line of a term's first number when the term is not finite.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = _significant_lines(fh)
@@ -123,6 +123,8 @@ def read_terms(path):
     if len(reals) % size:
         raise FormatError(
             f"trailing partial matrix block of {len(reals) % size // width} rows")
+    if not reals:
+        raise FormatError("input has a header but no terms")
 
     n = len(firsts)
     terms = np.frombuffer(reals, dtype=np.float64)

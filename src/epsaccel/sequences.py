@@ -24,6 +24,10 @@ sweeps for linear systems (``KaczmarzSweeps``), inversion-free Newton-type
 iterations for the matrix equations ``X + A^H X^-1 A = I``
 (``NsIterationSource``) and ``X + A^H X^-q A = Q`` (``QpowIterationSource``),
 and the Stein equation iteration ``X = F F^T + A X A^T`` (``SmithSource``).
+Kaczmarz, Ns and Smith are fixed-point iterations: each gives a start
+``x0`` and a map ``step(x)``, and ``FixedPointIteration.next_term`` is the
+one loop that iterates them.  The qpow iterate is a function of a hidden
+auxiliary matrix, not a map on the iterate, so it keeps its own loop.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ __all__ = [
     "LogarithmicModes",
     "TotallyMonotonicSource",
     "TotallyOscillatingSource",
+    "FixedPointIteration",
     "KaczmarzSweeps",
     "NsIterationSource",
     "QpowIterationSource",
@@ -290,6 +295,24 @@ def verify_totally_monotonic(terms, max_order=None, tol=0.0):
 # -- application iterations ---------------------------------------------------
 
 
+class FixedPointIteration(_Source):
+    """The iterates ``x0, step(x0), step(step(x0)), ..`` of a map.
+
+    Subclasses set the start ``x0`` and define ``step(x)``, which returns a
+    new array and never writes its argument; term 0 is a copy of ``x0``.  So
+    a term the caller keeps never changes as the source advances.
+    """
+
+    _x = None  # the newest term; None until term 0
+
+    def step(self, x):
+        raise NotImplementedError
+
+    def next_term(self):
+        self._x = self.x0.copy() if self._x is None else self.step(self._x)
+        return self._x
+
+
 def parter_matrix(dim):
     """The Cauchy-like matrix ``A[i, j] = 1 / (i - j + 0.5)``.
 
@@ -301,7 +324,7 @@ def parter_matrix(dim):
     return 1.0 / (i - j + 0.5)
 
 
-class KaczmarzSweeps(_Source):
+class KaczmarzSweeps(FixedPointIteration):
     """Cyclic row-projection iterates for ``A x = b``, one term per sweep.
 
     Term 0 is the starting vector; term n is the iterate after n full cyclic
@@ -317,9 +340,7 @@ class KaczmarzSweeps(_Source):
         if self.b.shape != (m,):
             raise ValueError("b must match the rows of A")
         self.x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
-        self._x = self.x0.copy()
         self._row_sq = (self.A ** 2).sum(axis=1)
-        self._emitted0 = False
 
     @classmethod
     def parter(cls, dim, solution=None):
@@ -328,14 +349,13 @@ class KaczmarzSweeps(_Source):
         x = np.ones(dim) if solution is None else np.asarray(solution, dtype=float)
         return cls(A, A @ x)
 
-    def next_term(self):
-        if not self._emitted0:
-            self._emitted0 = True
-            return self._x.copy()
+    def step(self, x):
+        """One cyclic sweep over the rows, on a copy of ``x``."""
+        x = x.copy()
         for i in range(self.A.shape[0]):
             row = self.A[i]
-            self._x += (self.b[i] - row @ self._x) / self._row_sq[i] * row
-        return self._x.copy()
+            x += (self.b[i] - row @ x) / self._row_sq[i] * row
+        return x
 
     def limit(self):
         sol, *_ = np.linalg.lstsq(self.A, self.b, rcond=None)
@@ -345,7 +365,7 @@ class KaczmarzSweeps(_Source):
         return float(np.linalg.norm(self.A @ np.asarray(x) - self.b))
 
 
-class NsIterationSource(_Source):
+class NsIterationSource(FixedPointIteration):
     """Inversion-free Newton-type iterates for ``X + A^H X^-1 A = I``.
 
     The recursion ``S_{n+1} = 2 S_n - S_n A^-H (I - S_n) A^-1 S_n`` starting
@@ -361,8 +381,7 @@ class NsIterationSource(_Source):
         self._Ainv = np.linalg.inv(self.A)
         self._AinvH = self._Ainv.conj().T
         self._eye = np.eye(self.A.shape[0])
-        self._S = self.A @ self.A.conj().T
-        self._emitted0 = False
+        self.x0 = self.A @ self.A.conj().T
 
     @classmethod
     def random(cls, dim, norm=0.4, seed=0):
@@ -372,13 +391,8 @@ class NsIterationSource(_Source):
         A *= norm / np.linalg.norm(A, 2)
         return cls(A)
 
-    def next_term(self):
-        if not self._emitted0:
-            self._emitted0 = True
-            return self._S.copy()
-        S = self._S
-        self._S = 2.0 * S - S @ self._AinvH @ (self._eye - S) @ self._Ainv @ S
-        return self._S.copy()
+    def step(self, S):
+        return 2.0 * S - S @ self._AinvH @ (self._eye - S) @ self._Ainv @ S
 
     def residual(self, S):
         S = np.asarray(S)
@@ -445,7 +459,7 @@ def spectral_radius_estimate(A, iters=100, seed=0):
     return float(rho)
 
 
-class SmithSource(_Source):
+class SmithSource(FixedPointIteration):
     """Iterates ``S_{n+1} = F F^T + A S_n A^T`` for the Stein equation.
 
     Starting from zero the iterates climb monotonically to the solution of
@@ -464,8 +478,7 @@ class SmithSource(_Source):
         if rho >= 1.0:
             raise ValueError(f"spectral radius estimate {rho:.3f} >= 1; iteration diverges")
         self._G = self.F @ self.F.T
-        self._S = np.zeros_like(self.A)
-        self._emitted0 = False
+        self.x0 = np.zeros_like(self.A)
 
     @classmethod
     def random(cls, dim, rho=0.9, n_rhs=3, seed=0, decay=0.7):
@@ -484,12 +497,8 @@ class SmithSource(_Source):
         F = rng.standard_normal((dim, n_rhs))
         return cls(A, F)
 
-    def next_term(self):
-        if not self._emitted0:
-            self._emitted0 = True
-            return self._S.copy()
-        self._S = self._G + self.A @ self._S @ self.A.T
-        return self._S.copy()
+    def step(self, S):
+        return self._G + self.A @ S @ self.A.T
 
     def limit(self):
         """The solution of ``X - A X A^T = F F^T`` by Smith's squared

@@ -113,6 +113,8 @@ _MISFITS = {
     "bilinear of vectors": ["{vector}", "--functional", "bilinear"],
     "dot of matrices": ["{matrix}", "--functional", "dot"],
     "y of another length": ["{vector}", "--functional", "dot", "--y-file", "{vector2}"],
+    "header-only limit": ["{vector}", "--limit-file", "{header}"],
+    "header-only y": ["{vector}", "--functional", "dot", "--y-file", "{header}"],
 }
 
 
@@ -127,6 +129,9 @@ def test_input_that_does_not_fit_the_terms_exits_2(tmp_path, capsys, case, algo)
     for name, terms in files.items():
         paths[name] = str(tmp_path / f"{name}.txt")
         write_terms(paths[name], terms)
+    # a header and no terms, which write_terms refuses to write
+    paths["header"] = str(tmp_path / "header.txt")
+    (tmp_path / "header.txt").write_text("vector 3\n")
     argv = [arg.format(**paths) for arg in _MISFITS[case]]
     assert main(["accelerate", *argv, "--algo", algo]) == 2
     err = capsys.readouterr().err.splitlines()
@@ -154,26 +159,14 @@ def test_breakdown_exits_1(tmp_path, capsys):
     assert "breakdown" in capsys.readouterr().err
 
 
-def test_seed_env_override(ln2_file, capsys, monkeypatch):
-    argv = ["accelerate", ln2_file, "--functional", "random-dot",
-            "--seed", "5", "--format", "json"]
-    monkeypatch.setenv("EPSACCEL_SEED", "11")
-    main(argv)
-    with_env = json.loads(capsys.readouterr().out)
-    monkeypatch.delenv("EPSACCEL_SEED")
-    main(argv)
-    from_flag = json.loads(capsys.readouterr().out)
-    assert with_env["spec"]["seed"] == 11
-    assert from_flag["spec"]["seed"] == 5
-    assert with_env["entries"] != from_flag["entries"]
-
-
-def test_bad_seed_env_exits_2(ln2_file, capsys, monkeypatch):
-    monkeypatch.setenv("EPSACCEL_SEED", "banana")
-    with pytest.raises(SystemExit) as exc:
-        main(["accelerate", ln2_file])
-    assert exc.value.code == 2
-    assert "EPSACCEL_SEED" in capsys.readouterr().err
+def test_seed_flag_sets_the_seed(ln2_file, capsys):
+    blobs = []
+    for seed in ("5", "11"):
+        assert main(["accelerate", ln2_file, "--functional", "random-dot",
+                     "--seed", seed, "--format", "json"]) == 0
+        blobs.append(json.loads(capsys.readouterr().out))
+    assert [b["spec"]["seed"] for b in blobs] == [5, 11]
+    assert blobs[0]["entries"] != blobs[1]["entries"]
 
 
 def test_reproduce_json(capsys):

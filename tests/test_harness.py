@@ -8,7 +8,6 @@ import pytest
 
 from epsaccel import ScalarEpsTable, TopoEpsTable, Functional
 from epsaccel.harness import (
-    ExperimentSpec,
     build_functional,
     build_source,
     build_table,
@@ -30,28 +29,8 @@ KERNEL_SPEC = {
 }
 
 
-def test_config_roundtrip(tmp_path):
-    path = tmp_path / "exp.json"
-    path.write_text(json.dumps(KERNEL_SPEC))
-    spec = ExperimentSpec.from_config(path)
-    assert spec.n_terms == 11
-    assert spec.algorithm["variant"] == "stea2"
-    assert spec.seed == 0 and spec.label == ""
-    assert "stop_residual" not in spec.to_dict()
-    spec.stop_residual = 1e-8
-    assert spec.to_dict()["stop_residual"] == 1e-8
-
-
-def test_config_rejects_unknown_and_missing_keys(tmp_path):
-    path = tmp_path / "exp.json"
-    bad = dict(KERNEL_SPEC, typo_key=1)
-    path.write_text(json.dumps(bad))
-    with pytest.raises(ValueError, match="typo_key"):
-        ExperimentSpec.from_config(path)
-    path.write_text(json.dumps({"source": {"kind": "x"}}))
-    with pytest.raises(ValueError, match="required"):
-        ExperimentSpec.from_config(path)
-    # a nested key no builder reads is an error too, not a silent default
+def test_builders_reject_unknown_keys():
+    # a nested key no builder reads is an error, not a silent default
     with pytest.raises(ValueError, match="dimm"):
         build_source(dict(KERNEL_SPEC["source"], dimm=30))
     with pytest.raises(ValueError, match="conjugat"):
@@ -87,17 +66,6 @@ def test_kernel_annihilation_and_iteration_count():
 
 def test_iterations_to_tolerance_none_when_unmet():
     assert iterations_to_tolerance([(0, 1.0), (1, 0.5)], 2, 1e-12) is None
-
-
-def test_stop_residual_cuts_run_short():
-    spec = {
-        "source": {"kind": "kaczmarz_parter", "dim": 20},
-        "algorithm": {"variant": "stea2", "max_k": 2},
-        "n_terms": 30,
-        "stop_residual": 1e-3,
-    }
-    rep = run(spec)
-    assert rep.n_terms < 30
 
 
 def test_metrics_ride_in_notes():

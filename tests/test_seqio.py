@@ -64,9 +64,10 @@ def test_matrix_blocks_with_separators(tmp_path):
 
 def test_empty_file_rejected(tmp_path):
     path = tmp_path / "seq.txt"
-    path.write_text("# nothing here\n")
-    with pytest.raises(FormatError):
-        read_terms(path)
+    for text in ("# nothing here\n", "# a header alone\nvector 3\n"):
+        path.write_text(text)
+        with pytest.raises(FormatError):
+            read_terms(path)
 
 
 def test_bad_header_rejected(tmp_path):

@@ -122,6 +122,31 @@ def test_kaczmarz_identity_converges_in_one_sweep():
     assert np.allclose(t1, b)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: seqs.KaczmarzSweeps.parter(12),
+    lambda: seqs.NsIterationSource.random(8, seed=1),
+    lambda: seqs.SmithSource.random(8, seed=1),
+], ids=["kaczmarz", "ns", "smith"])
+def test_fixed_point_iteration_contract(make):
+    src = make()
+    assert isinstance(src, seqs.FixedPointIteration)
+    assert "next_term" not in type(src).__dict__
+    terms = src.take(6)
+    # term 0 is a copy of the start, not the start itself
+    assert np.array_equal(terms[0], src.x0)
+    assert not np.shares_memory(terms[0], src.x0)
+    kept = [t.copy() for t in terms]
+    for prev, term in zip(terms, terms[1:]):
+        # each term is the map of the one before, bit for bit, and the map
+        # leaves its argument as it was
+        before = prev.copy()
+        assert np.array_equal(src.step(prev), term)
+        assert np.array_equal(prev, before)
+    # the terms the caller keeps do not change as the source advances
+    src.take(4)
+    assert all(np.array_equal(t, k) for t, k in zip(terms, kept))
+
+
 def test_ns_iteration_residual_drops():
     src = seqs.NsIterationSource.random(12, seed=0)
     terms = src.take(8)

@@ -25,7 +25,10 @@ where each firing's repair lands, the positions in ``invalid`` and
 gives its exit code and output, with
 ``wall_time_s`` removed; for each one that differs, the lines that differ
 are printed.  A file ``seqio.write_terms`` writes for the commands gives
-the SHA-256 of its bytes.
+the SHA-256 of its bytes.  Each public source of ``epsaccel.sequences``
+gives the digest of its first 60 terms (the ``entries`` part) and, as its
+output, the digest of its ``limit()`` and the ``residual`` of its last term,
+where it has them.
 
 ``Functional.trace_weighted`` sums in another order than the parent's
 ``np.trace(Y^H @ X)``, so its values are compared within ``TW_RTOL`` of the
@@ -306,8 +309,50 @@ def configurations(workdir):
                    lambda v=variant, pa=parity: _digest_table(
                        lambda: TopoEpsTable(f, 5, variant=v, singular_parity=pa), terms))
 
+    yield from _source_configs()
     yield from _run_configs()
     yield from _cli_configs(workdir)
+
+
+def _source_configs():
+    """Sixty terms of each public source, its limit where it knows one and
+    the residual of the last term where it knows its equation."""
+    import numpy as np
+
+    from epsaccel import sequences as seqs
+
+    rng = np.random.default_rng(21)
+    log_modes = [rng.random(20) + 0.5 for _ in range(3)]
+    makers = {
+        "KernelRecurrence": lambda: seqs.KernelRecurrence(20, "vector", seed=1),
+        "GeometricModes": lambda: seqs.GeometricModes.random(20, RATES, seed=4),
+        "LogarithmicModes": lambda: seqs.LogarithmicModes(
+            np.full(20, 0.5), [1.0, 0.5, 0.25], log_modes, alternating=True),
+        "TotallyMonotonicSource": lambda: seqs.TotallyMonotonicSource(20, RATES, seed=4),
+        "TotallyOscillatingSource": lambda: seqs.TotallyOscillatingSource(20, RATES, seed=4),
+        "KaczmarzSweeps": lambda: seqs.KaczmarzSweeps.parter(30),
+        "NsIterationSource": lambda: seqs.NsIterationSource.random(12, seed=4),
+        "QpowIterationSource": lambda: seqs.QpowIterationSource.random(12, seed=4),
+        "SmithSource": lambda: seqs.SmithSource.random(12, seed=4),
+    }
+    for name, make in makers.items():
+        yield f"sources/{name}", lambda m=make: _digest_source(m())
+
+
+def _digest_source(src):
+    terms = src.take(60)
+    h = hashlib.sha256()
+    for S in terms:
+        _feed(h, S)
+    out = []
+    limit = src.limit()
+    if limit is not None:
+        lh = hashlib.sha256()
+        _feed(lh, limit)
+        out.append(f"limit {lh.hexdigest()}")
+    if hasattr(src, "residual"):
+        out.append(f"residual {src.residual(terms[-1])!r}")
+    return {"entries": h.hexdigest(), "output": "\n".join(out)}
 
 
 def _run_configs():
