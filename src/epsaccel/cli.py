@@ -41,6 +41,14 @@ def _order(text):
     return k
 
 
+def _dim(text):
+    """A problem dimension from the command line: an integer >= 1."""
+    d = int(text)
+    if d < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, not {d}")
+    return d
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="epsaccel",
@@ -77,7 +85,7 @@ def _build_parser():
     rep = sub.add_parser("reproduce", help="run a canned benchmark protocol")
     rep.add_argument("name", choices=("kernel-vector", "kernel-matrix",
                                       "kaczmarz", "ns", "qpow", "stein"))
-    rep.add_argument("--dim", type=int, default=None)
+    rep.add_argument("--dim", type=_dim, default=None)
     rep.add_argument("--p", type=int, default=None,
                      help="singular detection threshold digits")
     rep.add_argument("--kmax", type=_order, default=None)
@@ -126,11 +134,11 @@ def _cmd_accelerate(args):
             source["limit_path"] = args.limit_file
         algo = {"variant": args.algo, "form": args.form, "max_k": args.kmax,
                 "p": args.p, "rules": not args.no_rules, "parity": args.parity}
-        spec = harness.ExperimentSpec(
-            source=source, algorithm=algo,
-            functional=_functional_conf(args, terms),
-            n_terms=len(terms), seed=args.seed, label=os.path.basename(args.input))
-        report = harness.run(spec)
+        report = harness.run({
+            "source": source, "algorithm": algo,
+            "functional": _functional_conf(args, terms),
+            "n_terms": len(terms), "seed": args.seed,
+            "label": os.path.basename(args.input)})
     except (OSError, seqio.FormatError, DimensionMismatchError) as exc:
         print(f"epsaccel: {exc}", file=sys.stderr)
         return 2

@@ -1,19 +1,39 @@
 """Declarative experiment harness: build, run, measure, serialize.
 
-An experiment is a plain dict-shaped spec (source, functional, algorithm,
-term budget), so the command line and the tests build runs through identical
-code paths.  Running one produces a :class:`RunReport` of per-entry norms,
-errors when the source knows its limit, equation residuals when it knows its
-equation, the singular repair count, timing, and the storage high-water
-mark.  Every table is reported through one path, which chooses by the shape
-of an entry (a number of the scalar table, or an array of an element table)
-and never by the table's kind; a limit must have the terms' shape, whatever
-the table.
+An experiment is a plain spec dict, so the command line and the tests build
+runs through identical code paths.  Its keys, which :func:`run` reads:
+
+``source``
+    a sequence family and its parameters (:func:`build_source`);
+``algorithm``
+    the table (:func:`build_table`);
+``functional``
+    the scalar reduction (:func:`build_functional`), default
+    ``{"kind": "auto"}``;
+``n_terms``
+    the term budget;
+``seed``
+    feeds every random choice in the run, default 0;
+``label``
+    a name carried into the report, default ``""``;
+``metrics``
+    names of shadow metrics to note (``ratio_series``,
+    ``stability_margin``), default None.
+
+Any other key is an error, as it is in every builder's dict.  Running one
+produces a :class:`RunReport` of per-entry norms, errors when the source
+knows its limit, equation residuals when it knows its equation, the
+singular repair count, timing, and the storage high-water mark.  Every
+table is reported through one path, which chooses by the shape of an entry
+(a number of the scalar table, or an array of an element table) and never
+by the table's kind; a limit must have the terms' shape, whatever the
+table.
 
 The module also carries the measurement helpers shared by the test-suite and
 the command line: least-squares convergence-rate fits (geometric and power
 law), term-budget bookkeeping, and canned comparison protocols for the
-benchmark families (``reproduce``).
+benchmark families (``reproduce``).  The kernel protocols read the one entry
+they compare straight off each table, without a report.
 """
 
 from __future__ import annotations
@@ -33,50 +53,16 @@ from .scalar_eps import ScalarEpsTable, _abs_any
 from .vectorspace import DimensionMismatchError, Functional, as_term
 
 __all__ = [
-    "ExperimentSpec",
     "RunReport",
     "build_source",
     "build_functional",
     "build_table",
     "run",
-    "run_many",
     "fit_geometric_rate",
     "fit_algebraic_exponent",
     "iterations_to_tolerance",
     "reproduce",
 ]
-
-
-@dataclass
-class ExperimentSpec:
-    """Everything needed to rebuild one run.
-
-    ``source`` names a sequence family and its parameters, ``functional``
-    the scalar reduction, ``algorithm`` the table; ``n_terms`` is the term
-    budget.  ``seed`` feeds every random choice in the run.
-    """
-
-    source: dict
-    algorithm: dict
-    n_terms: int
-    functional: dict = field(default_factory=lambda: {"kind": "auto"})
-    seed: int = 0
-    label: str = ""
-    metrics: list = None
-
-    def to_dict(self):
-        out = {
-            # a file source names its terms by the path they were read from
-            "source": {k: v for k, v in self.source.items() if k != "terms"},
-            "algorithm": self.algorithm,
-            "functional": self.functional,
-            "n_terms": self.n_terms,
-            "seed": self.seed,
-            "label": self.label,
-        }
-        if self.metrics:
-            out["metrics"] = list(self.metrics)
-        return out
 
 
 def _spent(conf, what):
@@ -305,18 +291,8 @@ class RunReport:
         return min(keyed, key=lambda e: e[key])
 
     def to_json(self):
-        """The report as indented JSON text."""
-        blob = {
-            "spec": self.spec,
-            "sigma": self.sigma,
-            "peak_slots": self.peak_slots,
-            "n_terms": self.n_terms,
-            "wall_time_s": self.wall_time_s,
-            "entries": self.entries,
-            "events": self.events,
-            "notes": self.notes,
-        }
-        return json.dumps(blob, indent=2, default=_json_default)
+        """The report as indented JSON text, its fields in their order."""
+        return json.dumps(vars(self), indent=2, default=_json_default)
 
     def to_csv(self):
         """Entries as CSV text; run-level facts ride along as # comments.
@@ -355,14 +331,20 @@ _NOTES = {
 }
 
 
-def _max_abs(x, out):
-    """``max |x|`` as a float, with ``|x|`` written into ``out``."""
+def _max_abs(x, out=None):
+    """``max |x|`` as a float, with ``|x|`` written into ``out`` if given."""
     return float(np.maximum.reduce(np.abs(x, out=out), axis=None))
 
 
 def run(spec):
-    """Execute one experiment and return its :class:`RunReport`.
+    """Execute one experiment, given its spec dict (module docstring), and
+    return its :class:`RunReport`.
 
+    ``source``, ``algorithm`` and ``n_terms`` are required; ``functional``
+    defaults to ``{"kind": "auto"}``, ``seed`` to 0, ``label`` to ``""``
+    and ``metrics`` to None.  A key the run does not read is an error.  The report's ``spec`` holds the keys in the
+    order the module docstring lists them, with defaults filled in, a file
+    source's parsed ``terms`` left out and ``metrics`` only when given.
     The limit, when the source knows one, must have the terms' shape;
     another shape raises :class:`~epsaccel.vectorspace.DimensionMismatchError`
     before any term is fed, whatever the table.  Equation residuals are
@@ -383,16 +365,29 @@ def run(spec):
     overflows.  An array's norm and error are reduced in place in scratch
     arrays the run keeps, so no entry makes a full-size temporary.
     """
-    if isinstance(spec, dict):
-        spec = ExperimentSpec(**spec)
-    unknown = set(spec.metrics or ()) - set(_NOTES)
+    conf = dict(spec)
+    source = conf.pop("source")
+    spec = {
+        # a file source names its terms by the path they were read from
+        "source": {k: v for k, v in source.items() if k != "terms"},
+        "algorithm": conf.pop("algorithm"),
+        "functional": conf.pop("functional", {"kind": "auto"}),
+        "n_terms": conf.pop("n_terms"),
+        "seed": conf.pop("seed", 0),
+        "label": conf.pop("label", ""),
+    }
+    metrics = conf.pop("metrics", None)
+    if metrics:
+        spec["metrics"] = list(metrics)
+    _spent(conf, "spec")
+    unknown = set(metrics or ()) - set(_NOTES)
     if unknown:
         raise ValueError(f"unknown metrics: {sorted(unknown)}")
-    src = build_source(spec.source, spec.seed)
+    src = build_source(source, spec["seed"])
     # the first term sets the functional's shape, and is fed like the rest
     first = src.next_term()
-    functional = build_functional(spec.functional, np.shape(first), spec.seed)
-    table = build_table(spec.algorithm, functional)
+    functional = build_functional(spec["functional"], np.shape(first), spec["seed"])
+    table = build_table(spec["algorithm"], functional)
     limit = src.limit()
     if limit is not None and np.shape(limit) != np.shape(first):
         raise DimensionMismatchError(
@@ -405,9 +400,9 @@ def run(spec):
     # the shadow, whose firings are the report's events; the metrics are
     # noted only of a table with one, which alone makes it record
     shadow = table if scalar else getattr(table, "scalar", None)
-    noted = list(spec.metrics or ()) if shadow is not None else []
+    noted = list(metrics or ()) if shadow is not None else []
     rec = Recorder(table) if noted else None
-    collect_residuals = hasattr(src, "residual") and spec.n_terms <= 200 and not scalar
+    collect_residuals = hasattr(src, "residual") and spec["n_terms"] <= 200 and not scalar
     if limit is not None:
         limit = functional(as_term(limit)) if scalar else as_term(limit)
     # scratch for an array entry's magnitudes and, by the entry's dtype, for
@@ -418,7 +413,7 @@ def run(spec):
 
     entries = []
     t0 = time.perf_counter()
-    for term in itertools.islice(itertools.chain([first], src), spec.n_terms):
+    for term in itertools.islice(itertools.chain([first], src), spec["n_terms"]):
         fed = functional(as_term(term)) if scalar else term
         for col, n, value in (rec or table).append(fed):
             if col % 2:
@@ -452,18 +447,9 @@ def run(spec):
               for ev in fired]
     notes = {metric: _NOTES[metric](rec) for metric in noted}
     return RunReport(
-        spec=spec.to_dict(), sigma=sigma,
+        spec=spec, sigma=sigma,
         peak_slots=getattr(table, "peak_slots", 0), n_terms=table.n_terms,
         wall_time_s=wall, entries=entries, events=events, notes=notes)
-
-
-def run_many(specs, jobs=1):
-    """Run several experiments, optionally on a thread pool."""
-    specs = list(specs)
-    if jobs <= 1 or len(specs) <= 1:
-        return [run(s) for s in specs]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(run, specs))
 
 
 # -- measurement helpers ------------------------------------------------------
@@ -533,17 +519,18 @@ def reproduce(name, dim=None, p=None, seed=0, kmax=None, jobs=1):
 
     ``kernel-vector`` and ``kernel-matrix`` sweep every algorithm variant
     over the adversarial recurrence sequence, with and without singular
-    repairs.  ``kaczmarz``, ``ns``, ``qpow``, and ``stein`` accelerate the
-    application iterations and compare against the plain iterates at equal
-    term consumption.
+    repairs, on ``jobs`` threads.  ``kaczmarz``, ``ns``, ``qpow``, and
+    ``stein`` accelerate the application iterations and compare against the
+    plain iterates at equal term consumption.  ``dim``, ``p`` and ``kmax``
+    left as None take the protocol's defaults.
     """
     if name in ("kernel-vector", "kernel-matrix"):
         return _reproduce_kernel(name, dim, p, seed, kmax, jobs)
     if name not in _SOLVERS:
         raise ValueError(f"unknown protocol: {name!r}")
     kind, default_dim, n_terms, default_kmax = _SOLVERS[name]
-    return _reproduce_solver({"kind": kind, "dim": dim or default_dim},
-                             n_terms, kmax or default_kmax, seed, name)
+    return _reproduce_solver({"kind": kind, "dim": default_dim if dim is None else dim},
+                             n_terms, default_kmax if kmax is None else kmax, seed, name)
 
 
 # the solver protocols: source kind, default dim, n_terms, default kmax
@@ -557,37 +544,37 @@ _SOLVERS = {
 
 def _reproduce_kernel(name, dim, p, seed, kmax, jobs):
     space = "vector" if name == "kernel-vector" else "matrix"
-    dim = dim or 50
+    dim = 50 if dim is None else dim
     p = 12 if p is None else p
-    kmax = kmax or 5
+    kmax = 5 if kmax is None else kmax
     n_terms = 2 * kmax + 1
-    # every run replays the one list of terms; column 0 holds the caller's
-    # terms, which no table writes into
+    # every table is fed the one list of terms and the one functional;
+    # column 0 holds the caller's terms, which no table writes into
     terms = sequences.KernelRecurrence(dim, space, seed).take(n_terms)
-    source = {"kind": "file", "terms": terms}
     # uniform-weight dot for vectors, plain trace for matrices: the scalar
     # shadow then sees the planted near-collisions at full strength
-    functional = ({"kind": "dot"} if space == "vector"
-                  else {"kind": "trace"})
-    specs = []
-    for algo in _VARIANT_GRID:
-        for rules in (True, False):
-            a = dict(algo)
-            a.update(max_k=kmax, p=p, rules=rules)
-            specs.append(ExperimentSpec(
-                source=source, algorithm=a, functional=functional,
-                n_terms=n_terms, seed=seed, label=_label(algo)))
-    reports = run_many(specs, jobs)
+    functional = build_functional({"kind": "dot" if space == "vector" else "trace"},
+                                  terms[0].shape, seed)
+
+    def final(algo):
+        """Error of entry (2K, 0), None if unformed, and the table's sigma."""
+        table = build_table(algo, functional).extend(terms)
+        value = table.entry(2 * kmax, 0)
+        # the recurrence's limit is exactly zero, so the error is the norm
+        return (None if value is None else _max_abs(value)), getattr(table, "sigma", 0)
+
+    cases = [dict(algo, max_k=kmax, p=p, rules=rules)
+             for algo in _VARIANT_GRID for rules in (True, False)]
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(final, cases))
+    else:
+        results = list(map(final, cases))
     rows = []
-    for spec_on, rep_on, rep_off in zip(specs[::2], reports[::2], reports[1::2]):
-        def final_norm(rep):
-            # the recurrence's limit is exactly zero, so the error is the norm
-            vals = [e for e in rep.entries if e["col"] == 2 * kmax and e["n"] == 0]
-            return vals[0]["norm_inf"] if vals else None
-        on, off = final_norm(rep_on), final_norm(rep_off)
+    for algo, (on, sigma), (off, _) in zip(_VARIANT_GRID, results[::2], results[1::2]):
         rows.append({
-            "algorithm": spec_on.label,
-            "sigma": rep_on.sigma,
+            "algorithm": _label(algo),
+            "sigma": sigma,
             "error": on,
             "error_plain": off,
             "gain_orders": (np.log10(off / on) if on and off and on > 0 else None),
@@ -597,10 +584,9 @@ def _reproduce_kernel(name, dim, p, seed, kmax, jobs):
 
 
 def _reproduce_solver(source, n_terms, kmax, seed, name):
-    spec = ExperimentSpec(
-        source=source, algorithm={"variant": "stea2", "form": 3, "max_k": kmax},
-        n_terms=n_terms, seed=seed, label=name)
-    rep = run(spec)
+    rep = run({"source": source,
+               "algorithm": {"variant": "stea2", "form": 3, "max_k": kmax},
+               "n_terms": n_terms, "seed": seed, "label": name})
 
     def series_of(col):
         """A column's ``(n, error)`` series, else its ``(n, residual)``."""

@@ -194,6 +194,18 @@ def test_negative_kmax_exits_2(ln2_file, capsys):
         assert "--kmax" in capsys.readouterr().err
 
 
+def test_reproduce_takes_kmax_0_and_rejects_dim_0(capsys):
+    # 0 is a value, not "use the default": kmax 0 runs kmax 0, and a
+    # dimension below 1 is an argument error
+    assert main(["reproduce", "kernel-vector", "--dim", "12", "--kmax", "0"]) == 0
+    assert "kmax=0" in capsys.readouterr().out
+    for dim in ("0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            main(["reproduce", "ns", "--dim", dim])
+        assert exc.value.code == 2
+        assert "--dim" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["transmogrify"])

@@ -16,10 +16,10 @@ from epsaccel.harness import (
     iterations_to_tolerance,
     reproduce,
     run,
-    run_many,
 )
 from epsaccel.seqio import write_terms
 from epsaccel.sequences import KernelRecurrence
+from epsaccel.vectorspace import BLOCK
 
 KERNEL_SPEC = {
     "source": {"kind": "kernel_recurrence", "dim": 20, "seed": 1},
@@ -40,6 +40,9 @@ def test_builders_reject_unknown_keys():
     # a table has one storage mode; a Recorder keeps what grows with the stream
     with pytest.raises(ValueError, match="history"):
         build_table({"variant": "stea2", "history": True}, Functional.dot(np.ones(20)))
+    # and so is a top-level spec key run does not read
+    with pytest.raises(ValueError, match="n_term'"):
+        run(dict(KERNEL_SPEC, n_term=11))
 
 
 def test_run_is_deterministic():
@@ -240,14 +243,6 @@ def test_bilinear_functional_wants_matrix_terms():
     assert build_functional({"kind": "bilinear"}, (2, 3))(np.ones((2, 3))) != 0
 
 
-def test_run_many_matches_serial():
-    specs = [dict(KERNEL_SPEC), dict(KERNEL_SPEC, seed=3)]
-    serial = run_many(specs, jobs=1)
-    threaded = run_many(specs, jobs=2)
-    for a, b in zip(serial, threaded):
-        assert json.dumps(a.entries) == json.dumps(b.entries)
-
-
 def test_file_source_constant_sequence(tmp_path):
     path = tmp_path / "const.txt"
     limit_path = tmp_path / "limit.txt"
@@ -351,11 +346,36 @@ def test_kernel_protocol_makes_its_terms_once(monkeypatch):
     assert counts == {"init": 1, "next_term": 11}
 
 
-@pytest.mark.parametrize("name", ["kernel-vector", "kernel-matrix"])
-def test_reproduce_kernel_threads_share_the_terms(name):
-    serial = reproduce(name, dim=12, p=10, jobs=1)
-    threaded = reproduce(name, dim=12, p=10, jobs=2)
+@pytest.mark.parametrize("name, dim", [
+    ("kernel-vector", 12), ("kernel-matrix", 12),
+    # above one block a full table's f(hi, lo) sums through per-call scratch
+    ("kernel-vector", BLOCK + 7)])
+def test_reproduce_kernel_threads_share_the_terms(name, dim):
+    # the threads share the terms and the one functional
+    serial = reproduce(name, dim=dim, p=10, jobs=1)
+    threaded = reproduce(name, dim=dim, p=10, jobs=2)
     assert json.dumps(serial) == json.dumps(threaded)
+
+
+def test_kernel_rows_are_the_reports_entries():
+    # each row reads entry (2K, 0) off its table; run reports the same entry
+    # of the same table on the same terms
+    from epsaccel import harness
+
+    out = reproduce("kernel-vector", dim=20, p=12)
+    kmax = out["kmax"]
+    terms = KernelRecurrence(20, "vector", 0).take(out["n_terms"])
+    grid = [dict(a, max_k=kmax, p=12) for a in harness._VARIANT_GRID]
+    assert [r["algorithm"] for r in out["rows"]] == [harness._label(a) for a in grid]
+    for row, algo in zip(out["rows"], grid):
+        for rules, key in ((True, "error"), (False, "error_plain")):
+            rep = run({"source": {"kind": "file", "terms": terms},
+                       "algorithm": dict(algo, rules=rules),
+                       "functional": {"kind": "dot"}, "n_terms": out["n_terms"]})
+            final = [e["norm_inf"] for e in rep.column(2 * kmax) if e["n"] == 0]
+            assert row[key] == (final[0] if final else None), (row["algorithm"], key)
+            if rules:
+                assert row["sigma"] == rep.sigma
 
 
 def test_reproduce_rejects_unknown_name():
