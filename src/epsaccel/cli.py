@@ -13,8 +13,9 @@ Two subcommands:
 
 Exit codes: 0 on success, 1 when the run produced no valid accelerated
 entry (numerical breakdown), 2 for unusable input or bad arguments: a file
-that cannot be read or parsed, or a limit, functional or ``y`` that does not
-fit the terms' shape.
+that cannot be read or parsed, a limit, functional or ``y`` that does not
+fit the terms' shape, or a ``--y-file`` for a functional that takes no
+``y`` (only ``dot`` and ``trace-y`` take one).
 """
 
 from __future__ import annotations
@@ -30,7 +31,11 @@ from .vectorspace import DimensionMismatchError
 __all__ = ["main"]
 
 _ALGOS = ("scalar", "stea1", "stea2", "tea1", "tea2")
-_FUNCTIONALS = ("auto", "dot", "random-dot", "trace", "trace-y", "bilinear")
+# each --functional's harness kind, and the key of the y that --y-file
+# gives it (None for a functional that takes no y)
+_FUNCTIONALS = {"auto": ("auto", None), "dot": ("dot", "y"),
+                "random-dot": ("random_dot", None), "trace": ("trace", None),
+                "trace-y": ("trace_weighted", "Y"), "bilinear": ("bilinear", None)}
 
 
 def _order(text):
@@ -73,7 +78,8 @@ def _build_parser():
     acc.add_argument("--functional", choices=_FUNCTIONALS, default="auto",
                      help="scalar reduction driving the table (default auto)")
     acc.add_argument("--y-file", metavar="FILE",
-                     help="sequence file whose first term is the functional's y")
+                     help="sequence file whose first term is the y of "
+                          "--functional dot or trace-y")
     acc.add_argument("--limit-file", metavar="FILE",
                      help="sequence file whose first term is the known limit, "
                           "enabling error columns")
@@ -98,23 +104,16 @@ def _build_parser():
 
 
 def _functional_conf(args, terms):
-    kind = args.functional
-    shape = terms[0].shape
-    if kind == "auto":
-        return {"kind": "auto"}
-    if kind in ("dot", "trace-y") and args.y_file:
-        y = seqio.read_terms(args.y_file)[0]
-        if kind == "dot":
-            return {"kind": "dot", "y": y.tolist()}
-        return {"kind": "trace_weighted", "Y": y.tolist()}
-    mapping = {"dot": {"kind": "dot"},
-               "random-dot": {"kind": "random_dot"},
-               "trace": {"kind": "trace"},
-               "trace-y": {"kind": "trace_weighted"},
-               "bilinear": {"kind": "bilinear"}}
-    conf = mapping[kind]
-    if kind == "dot" and shape == ():
-        conf = {"kind": "dot", "y": 1.0}
+    """The harness's functional spec for ``--functional`` and ``--y-file``."""
+    kind, key = _FUNCTIONALS[args.functional]
+    conf = {"kind": kind}
+    if args.y_file:
+        if key is None:
+            raise argparse.ArgumentError(
+                None, f"--y-file needs --functional dot or trace-y, not {args.functional}")
+        conf[key] = seqio.read_terms(args.y_file)[0].tolist()
+    elif kind == "dot" and terms[0].shape == ():
+        conf["y"] = 1.0
     return conf
 
 
@@ -139,7 +138,8 @@ def _cmd_accelerate(args):
             "functional": _functional_conf(args, terms),
             "n_terms": len(terms), "seed": args.seed,
             "label": os.path.basename(args.input)})
-    except (OSError, seqio.FormatError, DimensionMismatchError) as exc:
+    except (OSError, argparse.ArgumentError, seqio.FormatError,
+            DimensionMismatchError) as exc:
         print(f"epsaccel: {exc}", file=sys.stderr)
         return 2
 

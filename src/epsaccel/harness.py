@@ -74,10 +74,9 @@ def _spent(conf, what):
 def build_source(conf, seed=0):
     """Instantiate a sequence source from its spec dict.
 
-    Kinds: kernel_recurrence, geometric_modes, logarithmic_modes,
-    totally_monotonic, totally_oscillating, kaczmarz_parter, ns_iteration,
-    qpow_iteration, smith_stein, file.  A key the kind does not read is an
-    error.
+    Kinds: kernel_recurrence, geometric_modes, kaczmarz_parter,
+    ns_iteration, qpow_iteration, smith_stein, file.  A key the kind does
+    not read is an error.
     """
     conf = dict(conf)
     src = _source(conf, seed)
@@ -101,25 +100,6 @@ def _source(conf, seed):
         return sequences.GeometricModes.random(
             conf.pop("dim"), conf.pop("rates"), seed,
             conf.pop("alternating", False))
-    if kind == "logarithmic_modes":
-        dim = conf.pop("dim", None)
-        if "modes" in conf:
-            return sequences.LogarithmicModes(
-                conf.pop("limit"), conf.pop("amps"), conf.pop("modes"),
-                conf.pop("b", 1.0), conf.pop("alternating", False))
-        rng = np.random.default_rng(seed)
-        count = conf.pop("count", 3)
-        modes = [rng.random(dim) + 0.5 for _ in range(count)]
-        limit = np.zeros(dim)
-        return sequences.LogarithmicModes(
-            limit, [1.0] * count, modes, conf.pop("b", 1.0),
-            conf.pop("alternating", False))
-    if kind == "totally_monotonic":
-        return sequences.TotallyMonotonicSource(
-            conf.pop("dim"), conf.pop("rates"), seed)
-    if kind == "totally_oscillating":
-        return sequences.TotallyOscillatingSource(
-            conf.pop("dim"), conf.pop("rates"), seed)
     if kind == "kaczmarz_parter":
         return sequences.KaczmarzSweeps.parter(conf.pop("dim"))
     if kind == "ns_iteration":
@@ -180,7 +160,6 @@ def build_functional(conf, shape, seed=0):
 def _functional(conf, shape, seed):
     """The functional ``build_functional`` makes, popping the keys it reads."""
     kind = conf.pop("kind", "auto")
-    seed = conf.pop("seed", seed)
     rng = np.random.default_rng(seed)
     if kind == "auto":
         kind = "trace" if len(shape) == 2 else "dot"
@@ -188,17 +167,17 @@ def _functional(conf, shape, seed):
         y = conf.pop("y", None)
         if y is None:
             y = np.ones(shape) if shape else np.array(1.0)
-        return Functional.dot(np.asarray(y), conf.pop("conjugate", True))
+        return Functional.dot(np.asarray(y))
     if kind == "random_dot":
         y = rng.random(shape) if shape else np.array(rng.random())
-        return Functional.dot(y, conf.pop("conjugate", True))
+        return Functional.dot(y)
     if kind == "trace":
         return Functional.trace()
     if kind == "trace_weighted":
         Y = conf.pop("Y", None)
         if Y is None:
             Y = rng.random(shape)
-        return Functional.trace_weighted(np.asarray(Y), conf.pop("conjugate", True))
+        return Functional.trace_weighted(np.asarray(Y))
     if kind == "bilinear":
         if len(shape) != 2:
             raise DimensionMismatchError(
@@ -209,8 +188,7 @@ def _functional(conf, shape, seed):
             u = rng.random(shape[0])
         if v is None:
             v = rng.random(shape[1])
-        return Functional.bilinear(np.asarray(u), np.asarray(v),
-                                   conf.pop("conjugate", True))
+        return Functional.bilinear(np.asarray(u), np.asarray(v))
     raise ValueError(f"unknown functional kind: {kind!r}")
 
 
@@ -520,17 +498,25 @@ def reproduce(name, dim=None, p=None, seed=0, kmax=None, jobs=1):
     ``kernel-vector`` and ``kernel-matrix`` sweep every algorithm variant
     over the adversarial recurrence sequence, with and without singular
     repairs, on ``jobs`` threads.  ``kaczmarz``, ``ns``, ``qpow``, and
-    ``stein`` accelerate the application iterations and compare against the
-    plain iterates at equal term consumption.  ``dim``, ``p`` and ``kmax``
-    left as None take the protocol's defaults.
+    ``stein`` accelerate the application iterations with one ``stea2``
+    table and compare against the plain iterates at equal term
+    consumption.  ``p`` is every table's detection threshold in digits.
+    ``dim``, ``p`` and ``kmax`` left as None take the protocol's defaults
+    (``p`` 12 for the kernel protocols, 10 for the others); a ``dim``
+    below 1 or a ``kmax`` below 0 raises ValueError before anything is
+    built.
     """
+    for arg, value, least in (("dim", dim, 1), ("kmax", kmax, 0)):
+        if value is not None and value < least:
+            raise ValueError(f"{arg} must be >= {least}, not {value}")
     if name in ("kernel-vector", "kernel-matrix"):
         return _reproduce_kernel(name, dim, p, seed, kmax, jobs)
     if name not in _SOLVERS:
         raise ValueError(f"unknown protocol: {name!r}")
     kind, default_dim, n_terms, default_kmax = _SOLVERS[name]
     return _reproduce_solver({"kind": kind, "dim": default_dim if dim is None else dim},
-                             n_terms, default_kmax if kmax is None else kmax, seed, name)
+                             n_terms, default_kmax if kmax is None else kmax,
+                             10 if p is None else p, seed, name)
 
 
 # the solver protocols: source kind, default dim, n_terms, default kmax
@@ -583,9 +569,9 @@ def _reproduce_kernel(name, dim, p, seed, kmax, jobs):
             "kmax": kmax, "n_terms": n_terms, "rows": rows}
 
 
-def _reproduce_solver(source, n_terms, kmax, seed, name):
+def _reproduce_solver(source, n_terms, kmax, p, seed, name):
     rep = run({"source": source,
-               "algorithm": {"variant": "stea2", "form": 3, "max_k": kmax},
+               "algorithm": {"variant": "stea2", "form": 3, "max_k": kmax, "p": p},
                "n_terms": n_terms, "seed": seed, "label": name})
 
     def series_of(col):

@@ -132,9 +132,6 @@ class ScalarEpsTable:
         if singular_parity not in ("both", "even", "odd"):
             raise ValueError(f"bad singular_parity: {singular_parity!r}")
         self.max_col = max_col
-        self.p_threshold = p_threshold
-        self.particular_rules = particular_rules
-        self.singular_parity = singular_parity
         self.sigma = 0
         self.n_terms = 0
         self.events = _Tally()

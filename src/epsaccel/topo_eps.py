@@ -78,25 +78,29 @@ it is given, so only ``len(invalid)`` reads it.  What grows with the
 stream is kept outside the tables, by a :class:`Recorder`.
 
 Updates in place.  One kernel forms every even entry of every table
-(``_ElementTable._update``): ``base + c * (hi - lo)`` as one subtract, one
-multiply and one add, each into an explicit buffer, or None where an
-operand is missing or ``c`` is not finite.  Its result is complex128 if
-the coefficient or any operand is complex, and float64 otherwise.  The
-difference and the product go through the table's scratch of two blocks
-(not element slots): one direct call each for an element of at most
-:data:`epsaccel.vectorspace.BLOCK` entries, and block by block above that,
-so each block stays in cache and no full-size temporary is made.  From
-column 4 on the result goes into the buffer of the table-made operand the
-sweep drops right after it, ``E_{2k}^(n+1)`` for the second kind (which is
-the update's ``base`` and ``lo`` as well) and ``E_{2k}^(n)`` for the first,
-when that buffer has the result's dtype, and into a new buffer otherwise;
-each block of ``hi - lo`` is read before the block it overwrites.  The
-column-2 update reads column 0, which is never written, so it writes into
-a new buffer.  The tie rule's updates run the same kernel on whole
-elements, with the difference and the product in new buffers the rule
-keeps and the result in a new one; its column-4 update reads the kept
-difference in place of ``hi - lo``.  The operations and their order are
-those of ``base + c * (hi - lo)``, so every result is bit-identical to it.
+outside the first-kind tie rule (``_ElementTable._update``):
+``base + c * (hi - lo)`` as one subtract, one multiply and one add, each
+into an explicit buffer, or None where an operand is missing or ``c`` is
+not finite.  Its result is complex128 if the coefficient or any operand is
+complex, and float64 otherwise.  The difference and the product go through
+the table's scratch of two blocks (not element slots): one direct call each
+for an element of at most :data:`epsaccel.vectorspace.BLOCK` entries, and
+block by block above that, so each block stays in cache and no full-size
+temporary is made.  From column 4 on the result goes into the buffer of
+the table-made operand the sweep drops right after it, ``E_{2k}^(n+1)`` for
+the second kind (which is the update's ``base`` and ``lo`` as well) and
+``E_{2k}^(n)`` for the first, when that buffer has the result's dtype, and
+into a new buffer otherwise; each block of ``hi - lo`` is read before the
+block it overwrites.  The column-2 update reads column 0, which is never
+written, so it writes into a new buffer.  The tie rule's two updates
+(``TopoEpsTable._tie_update``) do not run the kernel: each takes the same
+three operations on whole elements, with the difference and the product in
+new buffers the rule may keep and the result in a new one, and its
+column-4 update reads the kept difference in place of ``hi - lo``.  Every
+operation is an explicit ufunc call, so a 0-d entry stays an array and a
+complex product is rounded by numpy's array loop, as the kernel's is.  The
+operations and their order are those of ``base + c * (hi - lo)``, so every
+result is bit-identical to it.
 
 Ownership: the entries ``append``, ``entry`` and ``best`` return are the
 table's own storage, in every table here.  Column 0 holds each term as
@@ -129,7 +133,7 @@ __all__ = [
 class _ElementTable:
     """What every element table shares: the one sweep over a new diagonal
     of even entries (module docstring, "Storage") and the one update kernel
-    that forms each of them ("Updates in place")."""
+    ("Updates in place")."""
 
     # the updates' blocks of difference and product
     _scratch = None
@@ -243,10 +247,11 @@ class _ElementTable:
 
     # -- the element update ------------------------------------------------
 
-    def _update(self, base, coeff, hi, lo, into=None, kept=None):
+    def _update(self, base, coeff, hi, lo, into=None):
         """``base + coeff * (hi - lo)``, the update of every even entry
-        (module docstring, "Updates in place"); None where ``base``, ``hi``
-        or ``lo`` is None or the coefficient is not finite.
+        outside the first-kind tie rule (module docstring, "Updates in
+        place"); None where ``base``, ``hi`` or ``lo`` is None or the
+        coefficient is not finite.
 
         The result is complex128 if the coefficient or an operand is
         complex, and float64 otherwise.  It goes into ``into``, a table-made
@@ -259,45 +264,31 @@ class _ElementTable:
         written.  The product goes to the second scratch block, not back
         into the difference: numpy's complex multiply does not round alike
         in place and out of place.
-
-        The first-kind tie rule passes ``kept``, a list of buffers it keeps:
-        the update then runs on whole elements, and its difference and its
-        product go into new buffers, left in ``kept``.  A ``kept`` that
-        holds a difference already gives it in place of ``hi - lo``, which
-        is then not read.
         """
-        if kept:                    # a kept difference stands for hi - lo
-            hi = lo = kept[0]
         if base is None or hi is None or lo is None or not cmath.isfinite(coeff):
             return None
         dtype = (_C128 if base.dtype == _C128 or hi.dtype == _C128
                  or lo.dtype == _C128 or isinstance(coeff, complex) else _F64)
-        if kept is not None:
-            d = kept[0] if kept else np.empty(base.shape, dtype)
-            p = np.empty(base.shape, dtype)
-            kept[:] = d, p
         # the operands share one shape: append checks every term's
         if into is None or into.dtype != dtype:
             into = np.empty(base.shape, dtype)
-        if kept is None:
-            size = base.size
-            if self._scratch is None or self._scratch[0].dtype != dtype:
-                # an element of at most one block is its own single block
-                shape = base.shape if size <= BLOCK else (BLOCK,)
-                self._scratch = (np.empty(shape, dtype), np.empty(shape, dtype))
-            d, p = self._scratch
-            if size > BLOCK:
-                out, base, hi, lo = (x.reshape(-1) for x in (into, base, hi, lo))
-                for i in range(0, size, BLOCK):
-                    j = min(i + BLOCK, size)
-                    np.subtract(hi[i:j], lo[i:j], out=d[:j - i])
-                    np.multiply(d[:j - i], coeff, out=p[:j - i])
-                    np.add(base[i:j], p[:j - i], out=out[i:j])
-                return into
-        if d is not hi:             # a kept difference is read as it is
+        size = base.size
+        if self._scratch is None or self._scratch[0].dtype != dtype:
+            # an element of at most one block is its own single block
+            shape = base.shape if size <= BLOCK else (BLOCK,)
+            self._scratch = (np.empty(shape, dtype), np.empty(shape, dtype))
+        d, p = self._scratch
+        if size <= BLOCK:
             np.subtract(hi, lo, out=d)
-        np.multiply(d, coeff, out=p)
-        return np.add(base, p, out=into)
+            np.multiply(d, coeff, out=p)
+            return np.add(base, p, out=into)
+        out, base, hi, lo = (x.reshape(-1) for x in (into, base, hi, lo))
+        for i in range(0, size, BLOCK):
+            j = min(i + BLOCK, size)
+            np.subtract(hi[i:j], lo[i:j], out=d[:j - i])
+            np.multiply(d[:j - i], coeff, out=p[:j - i])
+            np.add(base[i:j], p[:j - i], out=out[i:j])
+        return into
 
     # -- access --------------------------------------------------------------
 
@@ -408,26 +399,30 @@ class TopoEpsTable(_ElementTable):
 
     def _tie_update(self, j, base, coeff, lo):
         """Update of column ``2j``, 2 or 4, under the first-kind tie rule
-        (module docstring), by :meth:`_update` on whole elements.
+        (module docstring): ``base + coeff * diff`` on whole elements, each
+        operation into a new buffer; None where an operand is missing or
+        the coefficient is not finite.
 
-        In column 2, a kept offset becomes the exact column-2 difference
-        across its tie, and a tie detected on this append keeps this
-        update's product as its offset.  Column 4 reads the kept difference
-        in place of its own.
+        In column 2, ``diff`` is ``base - lo``, a kept offset becomes the
+        exact column-2 difference across its tie, and a tie detected on
+        this append keeps this update's product as its offset.  Column 4
+        reads the kept difference as ``diff``.  The explicit ufuncs keep
+        numpy's array loops, and ``out=`` keeps a 0-d entry an array.
         """
-        if j == 2:
-            due, self._tie_due = self._tie_due, None
-            return self._update(base, coeff, None, None, kept=[due])
-        kept = []
-        e = self._update(base, coeff, base, lo, kept=kept)
-        off, self._tie_off = self._tie_off, None
-        if e is not None:
-            diff, step = kept
+        if j == 1:
+            off, self._tie_off = self._tie_off, None
+        else:               # the kept difference stands for base - lo
+            lo, self._tie_due = self._tie_due, None
+        if base is None or lo is None or not cmath.isfinite(coeff):
+            return None
+        diff = np.subtract(base, lo) if j == 1 else lo
+        step = np.multiply(diff, coeff)
+        if j == 1:
             if off is not None:
                 self._tie_diff = diff + step - off
             if self._tie_now:
                 self._tie_off = step
-        return e
+        return np.add(base, step, out=np.empty(base.shape, np.result_type(base, step)))
 
     def _coefficients(self, diags, jmax):
         """The scalar coefficients of the entries in columns ``2, .., 2*jmax``
@@ -706,17 +701,11 @@ def ratio_series(recorder):
     tends to ``lam / (1 - lam)``.  Reads the shadow of a :class:`Recorder`
     of a scalar or a simplified table.
     """
-    sc = recorder.shadow
     out = {}
-    kmax_col = max((len(d) for d in sc._diags), default=0) - 1
+    kmax_col = max((len(d) for d in recorder.shadow._diags), default=0) - 1
     for k in range(0, max(0, kmax_col // 2)):
         series = []
-        for n in range(0, len(sc._diags)):
-            e22 = sc.entry(2 * k + 2, n)
-            ehi = sc.entry(2 * k, n + 1)
-            elo = sc.entry(2 * k, n)
-            if e22 is None or ehi is None or elo is None:
-                continue
+        for n, e22, ehi, elo in _shadow_steps(recorder, k):
             den = ehi - elo
             if den == 0 or not np.isfinite(np.abs(den)):
                 continue
@@ -742,16 +731,23 @@ def stability_margin(recorder, k):
     exactly) gives a non-finite margin rather than a gap.  Reads the shadow
     of a :class:`Recorder` of a scalar or a simplified table.
     """
-    sc = recorder.shadow
     series = []
-    for n in range(0, len(sc._diags)):
-        e22 = sc.entry(2 * k + 2, n)
-        ehi = sc.entry(2 * k, n + 1)
-        elo = sc.entry(2 * k, n)
-        if e22 is None or ehi is None or elo is None:
-            break
+    for n, e22, ehi, elo in _shadow_steps(recorder, k):
         den = abs(ehi - elo)
         with np.errstate(divide="ignore", invalid="ignore"):
             m = float(np.divide(abs(e22 - elo), den) + np.divide(abs(e22 - ehi), den))
         series.append(m)
     return series
+
+
+def _shadow_steps(recorder, k):
+    """The steps ``(n, e_{2k+2}^(n), e_{2k}^(n+1), e_{2k}^(n))`` of the
+    recorded shadow for n = 0, 1, .., up to the first with an entry not
+    recorded.  A shadow's entries are never None inside it, so every later
+    step lacks one too."""
+    sc = recorder.shadow
+    for n in range(len(sc._diags)):
+        e22, ehi, elo = sc.entry(2 * k + 2, n), sc.entry(2 * k, n + 1), sc.entry(2 * k, n)
+        if e22 is None or ehi is None or elo is None:
+            return
+        yield n, e22, ehi, elo

@@ -210,3 +210,59 @@ def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["transmogrify"])
     assert exc.value.code == 2
+
+
+def _matrix_terms(count=7):
+    """Terms of three geometric modes about a 2 x 3 limit."""
+    rng = np.random.default_rng(8)
+    limit, modes = rng.random((2, 3)), rng.random((3, 2, 3)) - 0.5
+    return [limit + sum(r ** n * m for r, m in zip((0.8, 0.5, -0.3), modes))
+            for n in range(count)]
+
+
+@pytest.mark.parametrize("functional, shape", [
+    ("auto", (6,)), ("auto", (2, 3)), ("random-dot", (6,)), ("trace", (2, 3)),
+    ("bilinear", (2, 3))])
+def test_y_file_for_a_functional_without_y_exits_2(tmp_path, capsys, functional, shape):
+    # terms and a y of their shape: without --y-file each functional runs,
+    # so the y is the only fault (it was ignored, silently)
+    path, y = str(tmp_path / "terms.txt"), str(tmp_path / "y.txt")
+    write_terms(path, [S.reshape(shape) for S in _matrix_terms()])
+    write_terms(y, [np.ones(shape)])
+    assert main(["accelerate", path, "--functional", functional]) == 0
+    capsys.readouterr()
+    assert main(["accelerate", path, "--functional", functional, "--y-file", y]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == "" and len(err) == 1, err
+    assert err[0].startswith("epsaccel: --y-file needs --functional dot or trace-y")
+
+
+def test_trace_y_weights_by_the_y_file_or_a_seeded_random_y(tmp_path, capsys):
+    from epsaccel import Functional, TopoEpsTable
+
+    terms = _matrix_terms()
+    Y = np.array([[1.0, -0.5, 0.25], [2.0, 0.5, 1.5]])
+    path, y = str(tmp_path / "terms.txt"), str(tmp_path / "y.txt")
+    write_terms(path, terms)
+    write_terms(y, [Y])
+
+    def report(*more):
+        assert main(["accelerate", path, "--functional", "trace-y",
+                     "--format", "json", *more]) == 0
+        blob = json.loads(capsys.readouterr().out)
+        return blob["spec"]["functional"], [(e["col"], e["n"], e["norm_inf"])
+                                            for e in blob["entries"]]
+
+    def direct(weights):
+        # the default stea2 table, driven by trace(Y^H X) with these weights
+        tab = TopoEpsTable(Functional.trace_weighted(weights), max_k=5)
+        return [(col, n, float(np.max(np.abs(e))))
+                for S in terms for col, n, e in tab.append(S)]
+
+    assert report("--y-file", y) == ({"kind": "trace_weighted", "Y": Y.tolist()}, direct(Y))
+    # without --y-file the weights are drawn from the seed
+    for seed in (0, 5):
+        weights = np.random.default_rng(seed).random((2, 3))
+        assert report("--seed", str(seed)) == ({"kind": "trace_weighted"}, direct(weights))
+    assert direct(Y) != direct(np.random.default_rng(0).random((2, 3)))

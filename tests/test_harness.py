@@ -381,3 +381,51 @@ def test_kernel_rows_are_the_reports_entries():
 def test_reproduce_rejects_unknown_name():
     with pytest.raises(ValueError):
         reproduce("perpetuum-mobile")
+
+
+@pytest.mark.parametrize("name", ["kernel-vector", "kernel-matrix", "kaczmarz", "ns",
+                                  "qpow", "stein"])
+@pytest.mark.parametrize("arg, value", [("dim", 0), ("kmax", -1)])
+def test_reproduce_rejects_a_bad_dim_or_kmax_before_building(monkeypatch, name, arg, value):
+    from epsaccel import harness
+
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("built before the arguments were checked")
+
+    monkeypatch.setattr(harness, "run", unbuilt)
+    monkeypatch.setattr(harness.sequences, "KernelRecurrence", unbuilt)
+    with pytest.raises(ValueError, match=f"^{arg} must be >= "):
+        reproduce(name, **{arg: value})
+
+
+def test_solver_protocols_pass_p_to_their_table():
+    # p = 3 digits repairs more often than the default 10, which None means
+    spec = {"source": {"kind": "kaczmarz_parter", "dim": 100},
+            "algorithm": {"variant": "stea2", "form": 3, "max_k": 5, "p": 3},
+            "n_terms": 41}
+    out = reproduce("kaczmarz", p=3)
+    assert out["sigma"] == run(spec).sigma
+    assert out["sigma"] != reproduce("kaczmarz")["sigma"]
+    assert json.dumps(reproduce("kaczmarz", p=10)) == json.dumps(reproduce("kaczmarz"))
+
+
+def test_reproduce_qpow_rows_are_the_runs_best_residuals():
+    # the source knows no limit: each row is its column's smallest equation
+    # residual, against the plain iterate that consumed as many terms
+    out = reproduce("qpow")
+    assert (out["protocol"], out["n_terms"], out["kmax"]) == ("qpow", 16, 3)
+    rep = run({"source": out["source"],
+               "algorithm": {"variant": "stea2", "form": 3, "max_k": 3},
+               "n_terms": 16})
+    assert out["sigma"] == rep.sigma and not rep.errors(0)
+
+    def residuals(col):
+        return [(e["n"], e["residual"]) for e in rep.column(col)]
+
+    assert [row["column"] for row in out["rows"]] == [0, 2, 4, 6]
+    for row in out["rows"]:
+        assert (row["at_n"], row["best"]) == min(residuals(row["column"]), key=lambda t: t[1])
+        assert row["terms"] == row["column"] + row["at_n"] + 1 <= 16
+        assert row["plain_same_terms"] == [r for n, r in residuals(0) if n < row["terms"]][-1]
+    # the plain iterates themselves converge to rounding
+    assert out["rows"][0]["best"] < 1e-12 and out["rows"][0]["gain_orders"] == 0.0

@@ -880,3 +880,22 @@ def test_full_table_peaks_count_slots_by_position():
 def test_oracle_tolerance_helper_consistency():
     # condition-scaled tolerances stay within the documented cap
     assert solve_tolerance(1e20) == 1e-6
+
+
+def test_first_kind_keeps_the_previous_diagonal_as_it_was_returned():
+    # entry(col, n) one diagonal back is what the previous append returned,
+    # unchanged, for the first kind, which keeps that diagonal; the second
+    # kind keeps only the newest one
+    terms, _ = smooth_terms(4, 6, 12)
+    f = Functional.dot(np.linspace(0.5, 1.5, 6))
+    for tab in _every_table(f, K=3):
+        last = []
+        for S in terms:
+            out = tab.append(S)
+            for col, n, e, kept in last:
+                got = tab.entry(col, n)
+                if tab.variant in ("stea1", "tea1"):
+                    assert got is e and _same_bits(got, kept), (tab.variant, col, n)
+                else:
+                    assert got is None, (tab.variant, col, n)
+            last = [(col, n, e, e.copy()) for col, n, e in out]
