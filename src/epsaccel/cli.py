@@ -93,7 +93,7 @@ def _build_parser():
                                       "kaczmarz", "ns", "qpow", "stein"))
     rep.add_argument("--dim", type=_dim, default=None)
     rep.add_argument("--p", type=int, default=None,
-                     help="singular detection threshold digits")
+                     help="singular detection threshold digits (kernel protocols only)")
     rep.add_argument("--kmax", type=_order, default=None)
     rep.add_argument("--seed", type=int, default=0)
     rep.add_argument("--jobs", type=int, default=1,
@@ -184,8 +184,12 @@ def _cell(v):
 
 
 def _cmd_reproduce(args):
-    result = harness.reproduce(args.name, dim=args.dim, p=args.p,
-                               seed=args.seed, kmax=args.kmax, jobs=args.jobs)
+    try:
+        result = harness.reproduce(args.name, dim=args.dim, p=args.p,
+                                   seed=args.seed, kmax=args.kmax, jobs=args.jobs)
+    except ValueError as exc:
+        print(f"epsaccel: {exc}", file=sys.stderr)
+        return 2
     if args.format == "json":
         text = json.dumps(result, indent=2, default=harness._json_default)
     else:

@@ -500,11 +500,11 @@ def reproduce(name, dim=None, p=None, seed=0, kmax=None, jobs=1):
     repairs, on ``jobs`` threads.  ``kaczmarz``, ``ns``, ``qpow``, and
     ``stein`` accelerate the application iterations with one ``stea2``
     table and compare against the plain iterates at equal term
-    consumption.  ``p`` is every table's detection threshold in digits.
-    ``dim``, ``p`` and ``kmax`` left as None take the protocol's defaults
-    (``p`` 12 for the kernel protocols, 10 for the others); a ``dim``
-    below 1 or a ``kmax`` below 0 raises ValueError before anything is
-    built.
+    consumption.  ``p``, the kernel tables' detection threshold in digits,
+    applies only to the kernel protocols.  ``dim``, ``p`` and ``kmax``
+    left as None take the protocol's defaults (``p`` 12); a ``dim`` below
+    1, a ``kmax`` below 0 or a ``p`` given to a solver protocol raises
+    ValueError before anything is built.
     """
     for arg, value, least in (("dim", dim, 1), ("kmax", kmax, 0)):
         if value is not None and value < least:
@@ -513,10 +513,11 @@ def reproduce(name, dim=None, p=None, seed=0, kmax=None, jobs=1):
         return _reproduce_kernel(name, dim, p, seed, kmax, jobs)
     if name not in _SOLVERS:
         raise ValueError(f"unknown protocol: {name!r}")
+    if p is not None:
+        raise ValueError(f"p applies only to the kernel protocols, not to {name}")
     kind, default_dim, n_terms, default_kmax = _SOLVERS[name]
     return _reproduce_solver({"kind": kind, "dim": default_dim if dim is None else dim},
-                             n_terms, default_kmax if kmax is None else kmax,
-                             10 if p is None else p, seed, name)
+                             n_terms, default_kmax if kmax is None else kmax, seed, name)
 
 
 # the solver protocols: source kind, default dim, n_terms, default kmax
@@ -569,9 +570,9 @@ def _reproduce_kernel(name, dim, p, seed, kmax, jobs):
             "kmax": kmax, "n_terms": n_terms, "rows": rows}
 
 
-def _reproduce_solver(source, n_terms, kmax, p, seed, name):
+def _reproduce_solver(source, n_terms, kmax, seed, name):
     rep = run({"source": source,
-               "algorithm": {"variant": "stea2", "form": 3, "max_k": kmax, "p": p},
+               "algorithm": {"variant": "stea2", "form": 3, "max_k": kmax},
                "n_terms": n_terms, "seed": seed, "label": name})
 
     def series_of(col):

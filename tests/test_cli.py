@@ -206,6 +206,14 @@ def test_reproduce_takes_kmax_0_and_rejects_dim_0(capsys):
         assert "--dim" in capsys.readouterr().err
 
 
+def test_reproduce_p_on_a_solver_protocol_exits_2(capsys):
+    # --p sets the kernel tables' threshold; a solver protocol's table keeps its default
+    assert main(["reproduce", "kaczmarz", "--dim", "10", "--p", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "epsaccel: p applies only to the kernel protocols, not to kaczmarz\n"
+
+
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["transmogrify"])

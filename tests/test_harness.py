@@ -398,15 +398,18 @@ def test_reproduce_rejects_a_bad_dim_or_kmax_before_building(monkeypatch, name, 
         reproduce(name, **{arg: value})
 
 
-def test_solver_protocols_pass_p_to_their_table():
-    # p = 3 digits repairs more often than the default 10, which None means
-    spec = {"source": {"kind": "kaczmarz_parter", "dim": 100},
-            "algorithm": {"variant": "stea2", "form": 3, "max_k": 5, "p": 3},
-            "n_terms": 41}
-    out = reproduce("kaczmarz", p=3)
-    assert out["sigma"] == run(spec).sigma
-    assert out["sigma"] != reproduce("kaczmarz")["sigma"]
-    assert json.dumps(reproduce("kaczmarz", p=10)) == json.dumps(reproduce("kaczmarz"))
+@pytest.mark.parametrize("name", ["kaczmarz", "ns", "qpow", "stein"])
+def test_solver_protocols_reject_p_before_building(monkeypatch, name):
+    # their table runs at its default threshold, so a p would be ignored
+    from epsaccel import harness
+
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("built before p was checked")
+
+    monkeypatch.setattr(harness, "run", unbuilt)
+    with pytest.raises(ValueError, match=f"^p applies only to the kernel protocols, "
+                                         f"not to {name}$"):
+        reproduce(name, p=10)
 
 
 def test_reproduce_qpow_rows_are_the_runs_best_residuals():
