@@ -22,10 +22,11 @@ following numpy's own pairwise summation: it splits the range where
 numpy's pairwise sum splits it (``n2 = m // 2`` rounded down to a multiple
 of 8 for real products; ``(m - m % 8) // 2`` for complex ones, since numpy
 halves the count of reals), multiplies each leaf of at most one block into
-the scratch, sums it with ``.sum()`` and adds the halves as numpy does.  The product and the
-summation order are numpy's, so the result is bit-identical to
-``(yuse * x).sum()``.  It never calls ``np.dot`` or BLAS, whose rounding
-differs.  Below :data:`BLOCKED_DOT` the functional evaluates that plain
+the scratch, sums it with ``.sum()`` and adds the halves as numpy does.
+The product and the summation order are numpy's, so the result is
+bit-identical to ``(yuse * x).sum()``, up to the sign of a NaN where both
+halves of a sum are NaN (which one an add keeps is the compiler's choice).
+It never calls ``np.dot`` or BLAS, whose rounding differs.  Below :data:`BLOCKED_DOT` the functional evaluates that plain
 expression itself: its one full-size temporary then stays in cache, and it
 is the faster of the two.  Given a second operand, ``f(hi, lo)`` is
 ``f(hi - lo)`` bit for bit; above one block the blocked dot then forms each
@@ -33,6 +34,16 @@ leaf of ``hi - lo`` in a second scratch block, so the full-size difference
 is never made.  The plain ``(yuse * (hi - lo)).sum()`` would make two
 temporaries, and freeing both at the top of the heap can make the C
 allocator hand the pages back and fault them in again on the next call.
+
+A float64 ``y`` whose entries are all exactly 1.0, the default functional,
+takes no product on float64 operands: a float64 times 1.0 is the float64
+bit for bit (signed zeros, infinities and NaN included), so numpy's sum of
+the product is the sum of the operand.  There ``f(x)`` is ``x.sum()``, one
+numpy call at every length that never blocks, and ``f(hi, lo)`` is
+``(hi - lo).sum()`` up to one block and above it the same blocked walk,
+which subtracts each leaf into the scratch and sums it.  Any other ``y``,
+and operands that are not float64, keep the product: ``(1+0j) * x`` is not
+``x`` where ``x`` has an infinity or a signed zero.
 """
 
 from __future__ import annotations
@@ -55,7 +66,8 @@ BLOCK = 1 << 14
 # (module docstring): the measured crossover, below which the plain
 # product-and-sum is faster (on a 2-CPU x86-64 host with numpy 2.4 and
 # glibc, 1.06-1.5x from one block to 1e5 entries, 0.90-0.96x at 2**17).  A
-# functional of a difference, f(hi, lo), sums block by block above one block
+# functional of a difference, f(hi, lo), sums block by block above one block;
+# f(x) with a y of ones on a float64 x is x.sum() and never blocks
 BLOCKED_DOT = 1 << 17
 
 _F64 = np.dtype(np.float64)
@@ -117,18 +129,25 @@ class Functional:
         if yarr.ndim > 1:
             raise DimensionMismatchError("dot functional wants a scalar or vector y")
         yuse = np.conj(yarr) if conjugate else yarr
+        # a float64 y of ones: on float64 operands the product is the
+        # operand bit for bit, so the sum is taken without it (module docstring)
+        ones = yuse.dtype == _F64 and bool((yuse == 1.0).all())
 
         def apply_fn(x, lo=None):
             if x.shape != yarr.shape:
                 raise DimensionMismatchError(
                     f"functional shape {yarr.shape} vs element shape {x.shape}"
                 )
+            w = (None if ones and x.dtype == _F64 and (lo is None or lo.dtype == _F64)
+                 else yuse)
+            if w is None and lo is None:
+                return x.sum()
             m = x.shape[0] if x.ndim == 1 else 0
             if m >= BLOCKED_DOT or (lo is not None and m > BLOCK):
-                return _pairwise_dot(yuse, x, lo)
+                return _pairwise_dot(w, x, lo)
             if lo is not None:
                 x = np.asarray(x - lo)
-            return (yuse * x).sum()
+            return x.sum() if w is None else (w * x).sum()
 
         return cls("dot", apply_fn, f"dot(dim={yarr.size})")
 
@@ -182,10 +201,13 @@ class Functional:
         x = np.asarray(x)
         if lo is None:
             out = self._apply(x)
-        elif self.kind == "dot":
-            out = self._apply(x, np.asarray(lo))
         else:
-            out = self._apply(np.asarray(x - lo))
+            lo = np.asarray(lo)
+            if lo.shape != x.shape:
+                raise DimensionMismatchError(
+                    f"difference of elements of shapes {x.shape} and {lo.shape}"
+                )
+            out = self._apply(x, lo) if self.kind == "dot" else self._apply(np.asarray(x - lo))
         kind = _PYTHON_SCALAR.get(type(out))
         if kind is None:
             kind = complex if np.iscomplexobj(out) else float
@@ -199,25 +221,27 @@ class Functional:
 
 def _pairwise_dot(yuse, x, lo=None):
     """``(yuse * x).sum()`` of 1-d operands, bit for bit, one block at a time,
-    or ``(yuse * (x - lo)).sum()`` given ``lo``.
+    or ``(yuse * (x - lo)).sum()`` given ``lo``; ``(x - lo).sum()`` when
+    ``yuse`` is None.
 
     The scratch is made per call: a functional may be shared by threads.
     """
     diff = None if lo is None else np.empty(BLOCK, np.result_type(x, lo))
-    scratch = np.empty(BLOCK, np.result_type(yuse, x if lo is None else diff))
+    scratch = diff if yuse is None else np.empty(
+        BLOCK, np.result_type(yuse, x if lo is None else diff))
     return _pairwise_sum(yuse, x, lo, 0, x.shape[0], scratch, diff)
 
 
 def _pairwise_sum(yuse, x, lo, i, m, scratch, diff):
-    """Sum of ``yuse * (x - lo)`` (``yuse * x`` without ``lo``) over
-    ``[i, i + m)``, split as numpy splits it."""
+    """Sum of ``yuse * (x - lo)`` (``yuse * x`` without ``lo``, no product
+    when ``yuse`` is None) over ``[i, i + m)``, split as numpy splits it."""
     if m <= BLOCK:
-        leaf = scratch[:m]
         xs = x[i:i + m]
         if lo is not None:
             xs = np.subtract(xs, lo[i:i + m], out=diff[:m])
-        np.multiply(yuse[i:i + m], xs, out=leaf)
-        return leaf.sum()
+        if yuse is None:
+            return xs.sum()
+        return np.multiply(yuse[i:i + m], xs, out=scratch[:m]).sum()
     if scratch.dtype.kind == "c":
         n2 = (m - m % 8) // 2
     else:

@@ -1,5 +1,6 @@
 """Term conversion and functional evaluation."""
 
+import math
 import struct
 
 import numpy as np
@@ -63,80 +64,182 @@ def test_real_dot_returns_python_float():
 
 
 def _bits(z):
+    # any NaN as the one NaN: where both halves of a sum are NaN, numpy's
+    # compiled pairwise sum and the blocked sum's Python-level add of the
+    # halves keep the NaN of different operands
     z = complex(z)
-    return struct.pack("<dd", z.real, z.imag)
+    return struct.pack("<dd", *(math.nan if math.isnan(v) else v for v in (z.real, z.imag)))
 
 
 # about the block and the splits, where an off-by-some split would show
 EDGES = [1, 7, 9, BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 9, 2 * BLOCK - 1, 2 * BLOCK,
          2 * BLOCK + 7, 2 * BLOCK + 12, 3 * BLOCK - 5, 3 * BLOCK + 8]
+# y of ones takes the sum without the product only as float64; one entry off
+# 1.0, or a complex 1+0j, keeps the product
+Y_KINDS = ["random", "complex", "ones", "complex-ones", "ones-but-one"]
+SPECIALS = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-310, 1.7e308, -1.7e308]
+
+
+def _y(kind, rng, m):
+    if kind == "random":
+        return rng.standard_normal(m)
+    if kind == "complex":
+        return rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    y = np.ones(m, complex if kind == "complex-ones" else float)
+    if kind == "ones-but-one":
+        y[rng.integers(m)] = np.nextafter(1, 2)
+    return y
+
+
+def _sprinkle(rng, v):
+    """``v`` with a few entries (and imaginary parts) set to signed zeros,
+    infinities, NaN, subnormals or numbers near overflow."""
+    for part in (v.real, v.imag) if np.iscomplexobj(v) else (v,):
+        where = rng.integers(0, v.size, rng.integers(1, 9))
+        part[where] = rng.choice(SPECIALS, where.size)
+    return v
+
+
+def _python_type(value):
+    return complex if np.iscomplexobj(value) else float
 
 
 @settings(max_examples=150, deadline=None)
 @given(m=st.one_of(st.sampled_from(EDGES), st.integers(1, 3 * BLOCK + 8)),
-       seed=st.integers(0, 2**32 - 1), y_complex=st.booleans(),
+       seed=st.integers(0, 2**32 - 1), y_kind=st.sampled_from(Y_KINDS),
        x_complex=st.booleans(), conjugate=st.booleans(),
-       spread=st.integers(0, 12))
-def test_blocked_dot_is_the_plain_sum_bit_for_bit(m, seed, y_complex, x_complex,
-                                                  conjugate, spread):
+       spread=st.integers(0, 12), special=st.booleans())
+@np.errstate(all="ignore")  # the special entries overflow or make NaN
+def test_blocked_dot_is_the_plain_sum_bit_for_bit(m, seed, y_kind, x_complex,
+                                                  conjugate, spread, special):
     # the blocked sum follows numpy's own pairwise split block by block;
     # the result must be (yuse * x).sum() exactly, whichever sum the
-    # functional picks at this length
+    # functional picks at this length and for this y
     rng = np.random.default_rng(seed)
-
-    def draw(cplx):
-        v = rng.standard_normal(m) * 10.0 ** rng.integers(-spread, spread + 1, m)
-        return v + 1j * rng.standard_normal(m) if cplx else v
-
-    y, x = draw(y_complex), draw(x_complex)
+    y = _y(y_kind, rng, m)
+    x = rng.standard_normal(m) * 10.0 ** rng.integers(-spread, spread + 1, m)
+    if x_complex:
+        x = x + 1j * rng.standard_normal(m)
+    if special:
+        x = _sprinkle(rng, x)
     yuse = np.conj(y) if conjugate else y
-    want = _bits((yuse * x).sum())
-    assert _bits(_pairwise_dot(yuse, x)) == want
-    assert _bits(Functional.dot(y, conjugate=conjugate)(x)) == want
+    want = (yuse * x).sum()
+    assert _bits(_pairwise_dot(yuse, x)) == _bits(want)
+    got = Functional.dot(y, conjugate=conjugate)(x)
+    assert type(got) is _python_type(want)
+    assert _bits(got) == _bits(want)
 
 
 @settings(max_examples=150, deadline=None)
 @given(m=st.one_of(st.sampled_from(EDGES), st.integers(1, 3 * BLOCK + 8)),
-       seed=st.integers(0, 2**32 - 1), y_complex=st.booleans(),
+       seed=st.integers(0, 2**32 - 1), y_kind=st.sampled_from(Y_KINDS),
        hi_complex=st.booleans(), lo_complex=st.booleans(),
-       conjugate=st.booleans())
-def test_functional_of_a_difference_is_bit_identical(m, seed, y_complex, hi_complex,
-                                                     lo_complex, conjugate):
+       conjugate=st.booleans(), special=st.booleans())
+@np.errstate(all="ignore")  # the special entries overflow or make NaN
+def test_functional_of_a_difference_is_bit_identical(m, seed, y_kind, hi_complex,
+                                                     lo_complex, conjugate, special):
     # the blocked sum forms hi - lo leaf by leaf; f(hi, lo) must give
     # f(hi - lo) exactly, of the same Python type
     rng = np.random.default_rng(seed)
 
     def draw(cplx):
         v = rng.standard_normal(m)
-        return v + 1j * rng.standard_normal(m) if cplx else v
+        v = v + 1j * rng.standard_normal(m) if cplx else v
+        return _sprinkle(rng, v) if special else v
 
-    y, hi, lo = draw(y_complex), draw(hi_complex), draw(lo_complex)
+    y, hi, lo = _y(y_kind, rng, m), draw(hi_complex), draw(lo_complex)
     f = Functional.dot(y, conjugate=conjugate)
     got, want = f(hi, lo), f(hi - lo)
     assert type(got) is type(want)
     assert _bits(got) == _bits(want)
     yuse = np.conj(y) if conjugate else y
-    assert _bits(_pairwise_dot(yuse, hi, lo)) == _bits((yuse * (hi - lo)).sum())
+    # the difference is held, so numpy cannot multiply into it in place: its
+    # in-place complex product can round otherwise
+    diff = hi - lo
+    plain = (yuse * diff).sum()
+    assert type(got) is _python_type(plain)
+    assert _bits(got) == _bits(plain)
+    assert _bits(_pairwise_dot(yuse, hi, lo)) == _bits(plain)
 
 
 @pytest.mark.parametrize("m", [BLOCKED_DOT - 9, BLOCKED_DOT - 1, BLOCKED_DOT,
                                BLOCKED_DOT + 1, BLOCKED_DOT + 9])
-@pytest.mark.parametrize("kinds", ["real", "complex-x", "complex-y"])
+@pytest.mark.parametrize("kinds", ["real", "complex-x", "complex-y", "ones",
+                                   "ones-complex-x", "ones-complex-lo", "ones-but-one",
+                                   "complex-ones", "ones-special"])
+@np.errstate(all="ignore")  # the special entries overflow or make NaN
 def test_dot_is_bit_identical_on_both_sides_of_the_blocked_threshold(m, kinds):
     # f(x) takes the plain sum below BLOCKED_DOT and the blocked one from it
-    # on, f(hi, lo) the blocked one at all these lengths: every value is
+    # on, f(hi, lo) the blocked one at all these lengths, each without the
+    # product for a float64 y of ones and float64 operands: every value is
     # (yuse * x).sum() or f(hi - lo) exactly
     rng = np.random.default_rng(m)
     y, hi, lo = rng.standard_normal((3, m))
-    if kinds == "complex-x":
+    if kinds.startswith("ones") or kinds == "complex-ones":
+        y = _y(kinds if kinds in Y_KINDS else "ones", rng, m)
+    if kinds.endswith("complex-x"):
         hi = hi + 1j * rng.standard_normal(m)
+    elif kinds == "ones-complex-lo":
+        lo = lo + 1j * rng.standard_normal(m)
     elif kinds == "complex-y":
         y = y + 1j * rng.standard_normal(m)
+    elif kinds == "ones-special":
+        hi, lo = _sprinkle(rng, hi), _sprinkle(rng, lo)
     f = Functional.dot(y)
-    assert _bits(f(hi)) == _bits((np.conj(y) * hi).sum())
+    want = (np.conj(y) * hi).sum()
+    assert type(f(hi)) is _python_type(want)
+    assert _bits(f(hi)) == _bits(want)
     got, want = f(hi, lo), f(hi - lo)
     assert type(got) is type(want)
     assert _bits(got) == _bits(want)
+
+
+@pytest.mark.parametrize("m", [5, BLOCK + 9, BLOCKED_DOT + 9])
+def test_only_a_float64_y_of_ones_on_float64_operands_skips_the_product(m):
+    # one entry of y one ulp above 1.0 moves a lone 2**60 by 2**8, so the
+    # sum shows whether the product was taken; so do the rounding of
+    # float32 and integer operands and the NaN a complex 1+0j makes of inf
+    x, zero = np.zeros(m), np.zeros(m)
+    x[m // 2] = 2.0 ** 60
+    y = np.ones(m)
+    assert Functional.dot(y)(x) == Functional.dot(y)(x, zero) == 2.0 ** 60
+    y[m // 2] = np.nextafter(1, 2)
+    assert Functional.dot(y)(x) == Functional.dot(y)(x, zero) == 2.0 ** 60 + 2 ** 8
+    f = Functional.dot(np.ones(m))
+    x32 = np.ones(m, np.float32)
+    x32[0] = 2 ** 24
+    assert f(x32) == 2.0 ** 24 + m - 1
+    ints = np.ones(m, np.int64)
+    ints[0] = 2 ** 60
+    assert type(f(ints)) is float and f(ints) == (np.ones(m) * ints).sum()
+    cinf = np.zeros(m, complex)
+    cinf[0] = math.inf
+    with np.errstate(invalid="ignore"):
+        for g in (f, Functional.dot(np.ones(m, complex))):
+            # (1+0j) * inf is inf + nan*j
+            assert type(g(cinf)) is complex and math.isnan(g(cinf).imag)
+
+
+@pytest.mark.parametrize("kind", ["dot", "dot-above-block", "dot-0d", "trace",
+                                  "trace_weighted", "bilinear"])
+def test_a_difference_of_elements_of_two_shapes_is_rejected(kind):
+    # lo is checked against x as x is against the functional: it was
+    # broadcast, read in part, or failed with an IndexError
+    m = BLOCK + 3
+    f, x, los = {
+        "dot": (Functional.dot(np.ones(5)), np.arange(5.0), [np.array(1.0), np.ones(4)]),
+        "dot-above-block": (Functional.dot(np.ones(m)), np.ones(m),
+                            [np.array(1.0), np.ones(m + 1), np.ones((1, m))]),
+        "dot-0d": (Functional.dot(2.0), np.asarray(1.5), [np.ones(1)]),
+        "trace": (Functional.trace(), np.eye(3), [np.ones((1, 3)), np.ones(3)]),
+        "trace_weighted": (Functional.trace_weighted(np.eye(3)), np.eye(3),
+                           [np.ones((3, 1))]),
+        "bilinear": (Functional.bilinear(np.ones(3), np.ones(3)), np.eye(3),
+                     [np.array(1.0)]),
+    }[kind]
+    for lo in los:
+        with pytest.raises(DimensionMismatchError):
+            f(x, lo)
 
 
 def test_functional_of_a_difference_for_every_kind():

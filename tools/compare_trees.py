@@ -245,7 +245,8 @@ def configurations(workdir):
     # 1-d dot streams above one block, where the functional of a difference
     # is summed leaf by leaf without forming the difference, and that of a
     # term is the plain sum below 2**17 entries and summed leaf by leaf from
-    # there on
+    # there on; with a y of ones, that of a real term is its sum at every
+    # length and that of a real difference sums its leaves with no product
     from epsaccel.vectorspace import BLOCK
     for dim in (BLOCK + 1, 2 * BLOCK + 7, 100_003, (1 << 17) + 9):
         u, v, w = (rng.random(dim) + 0.5 for _ in range(3))
@@ -257,7 +258,9 @@ def configurations(workdir):
                                ("complex", cplx, Functional.dot(cy)),
                                ("real-complex-y", real, Functional.dot(cy)),
                                ("complex-y-noconj", cplx,
-                                Functional.dot(cy, conjugate=False))):
+                                Functional.dot(cy, conjugate=False)),
+                               ("ones", real, Functional.dot(np.ones(dim))),
+                               ("complex-ones", cplx, Functional.dot(np.ones(dim)))):
             yield from _stream_configs(f"above-block-{dim}/{name}", terms, f)
 
     # the kernel recurrence above one block, real and complex, through the

@@ -2,16 +2,19 @@
 
     python3 tools/count_lines.py SRC...
 
-Prints each module's count and the total.  A code line holds at least one
-token that is not a comment; blank lines, comment lines and the lines of a
-docstring (the string literal that opens a module, class or function,
-found with ``ast``) do not count.  ROADMAP's size targets use this rule.
+Each ``SRC`` is a module or a directory, which stands for its ``*.py``
+files in sorted order.  Prints each module's count and the total.  A code
+line holds at least one token that is not a comment; blank lines, comment
+lines and the lines of a docstring (the string literal that opens a module,
+class or function, found with ``ast``) do not count.  ROADMAP's size targets use this rule.
 """
 
 from __future__ import annotations
 
 import ast
+import glob
 import io
+import os
 import sys
 import tokenize
 
@@ -45,12 +48,21 @@ def count(path):
     return len(code - docs)
 
 
+def _modules(paths):
+    """The modules named, a directory standing for its ``*.py`` files."""
+    for path in paths:
+        if os.path.isdir(path):
+            yield from sorted(glob.glob(os.path.join(path, "*.py")))
+        else:
+            yield path
+
+
 def main(paths):
     if not paths:
         print("usage: python3 tools/count_lines.py SRC...", file=sys.stderr)
         return 2
     total = 0
-    for path in paths:
+    for path in _modules(paths):
         n = count(path)
         total += n
         print(f"{n:6d}  {path}")
