@@ -14,8 +14,9 @@ Two subcommands:
 Exit codes: 0 on success, 1 when the run produced no valid accelerated
 entry (numerical breakdown), 2 for unusable input or bad arguments: a file
 that cannot be read or parsed, a limit, functional or ``y`` that does not
-fit the terms' shape, or a ``--y-file`` for a functional that takes no
-``y`` (only ``dot`` and ``trace-y`` take one).
+fit the terms' shape, a ``--y-file`` for a functional that takes no ``y``
+(only ``dot`` and ``trace-y`` take one), or an ``--out`` file that cannot
+be written.
 """
 
 from __future__ import annotations
@@ -118,11 +119,19 @@ def _functional_conf(args, terms):
 
 
 def _emit(text, out):
-    if out:
+    """Write ``text``, newline-terminated, to the file ``out`` or to stdout;
+    returns the exit code, 2 when ``out`` cannot be written."""
+    text = text if text.endswith("\n") else text + "\n"
+    if not out:
+        sys.stdout.write(text)
+        return 0
+    try:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
+    except OSError as exc:
+        print(f"epsaccel: {exc}", file=sys.stderr)
+        return 2
+    return 0
 
 
 def _cmd_accelerate(args):
@@ -144,9 +153,10 @@ def _cmd_accelerate(args):
         return 2
 
     text = report.to_json() if args.format == "json" else report.to_csv()
-    _emit(text, args.out)
+    if _emit(text, args.out):
+        return 2
 
-    accelerated = [e for e in report.entries if e["col"] > 0 and e["valid"]]
+    accelerated = any(e.col > 0 and e.valid for e in report.entries)
     if not accelerated and args.kmax > 0 and len(terms) > 2:
         print("epsaccel: numerical breakdown; no accelerated entry is finite",
               file=sys.stderr)
@@ -194,8 +204,7 @@ def _cmd_reproduce(args):
         text = json.dumps(result, indent=2, default=harness._json_default)
     else:
         text = _format_protocol_table(result)
-    _emit(text, args.out)
-    return 0
+    return _emit(text, args.out)
 
 
 def main(argv=None):

@@ -23,11 +23,13 @@ runs through identical code paths.  Its keys, which :func:`run` reads:
 Any other key is an error, as it is in every builder's dict.  Running one
 produces a :class:`RunReport` of per-entry norms, errors when the source
 knows its limit, equation residuals when it knows its equation, the
-singular repair count, timing, and the storage high-water mark.  Every
-table is reported through one path, which chooses by the shape of an entry
-(a number of the scalar table, or an array of an element table) and never
-by the table's kind; a limit must have the terms' shape, whatever the
-table.
+singular repair count, timing, and the storage high-water mark.  Each entry
+is one fixed-field :class:`Entry` record and each event the shadow's own
+:class:`~epsaccel.scalar_eps.SingularEvent`; the CSV and JSON text is
+rendered from them only when asked for.  Every table is reported through
+one path, which chooses by the shape of an entry (a number of the scalar
+table, or an array of an element table) and never by the table's kind; a
+limit must have the terms' shape, whatever the table.
 
 The module also carries the measurement helpers shared by the test-suite and
 the command line: least-squares convergence-rate fits (geometric and power
@@ -43,7 +45,9 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,6 +57,7 @@ from .scalar_eps import ScalarEpsTable, _abs_any
 from .vectorspace import DimensionMismatchError, Functional, as_term
 
 __all__ = [
+    "Entry",
     "RunReport",
     "build_source",
     "build_functional",
@@ -221,20 +226,34 @@ def build_table(conf, functional):
     raise ValueError(f"unknown table variant: {variant!r}")
 
 
-# the columns of a report's CSV, in order
-_CSV_FIELDS = ("col", "n", "terms", "norm_inf", "error_inf", "residual", "valid")
+class Entry(NamedTuple):
+    """One even table entry of a report; its fields are the CSV's columns,
+    in order, and a field the CSV leaves empty is None."""
+
+    col: int
+    n: int
+    # the term count col + n + 1 consumed to reach the entry
+    terms: int
+    norm_inf: float
+    # against the known limit, when there is one
+    error_inf: float | None
+    # of the source's equation, when it has one and the entry is a finite element
+    residual: float | None
+    valid: bool
 
 
 @dataclass
 class RunReport:
     """Outcome of one experiment run.
 
-    ``entries`` has one dict per even table entry, the same for every
-    table: column, superscript, infinity norm, error against the known limit
-    (when there is one, of the terms' shape), equation residual (when the
-    source defines one and the entry is an element), and the term count
-    ``column + n + 1`` consumed to reach it.  ``to_json`` and ``to_csv``
-    return the report as text.
+    ``entries`` has one :class:`Entry` per even table entry, the same for
+    every table: column, superscript, infinity norm, error against the known
+    limit (when there is one, of the terms' shape), equation residual (when
+    the source defines one and the entry is an element), and the term count
+    ``column + n + 1`` consumed to reach it.  ``events`` holds the
+    :class:`~epsaccel.scalar_eps.SingularEvent` records of the table's
+    shadow, in firing order.  ``to_json`` and ``to_csv`` return the report
+    as text.
     """
 
     spec: dict
@@ -248,29 +267,31 @@ class RunReport:
 
     def column(self, col):
         """Entries of one even column, ordered by superscript."""
-        rows = [e for e in self.entries if e["col"] == col]
-        rows.sort(key=lambda e: e["n"])
+        rows = [e for e in self.entries if e.col == col]
+        rows.sort(key=attrgetter("n"))
         return rows
 
     def errors(self, col):
         """``(n, error)`` pairs of a column, skipping unknown errors."""
-        return [(e["n"], e["error_inf"]) for e in self.column(col)
-                if e.get("error_inf") is not None]
+        return [(e.n, e.error_inf) for e in self.column(col) if e.error_inf is not None]
 
     def best(self):
         """Entry with the smallest known error, else smallest residual."""
-        keyed = [e for e in self.entries if e.get("error_inf") is not None]
-        key = "error_inf"
-        if not keyed:
-            keyed = [e for e in self.entries if e.get("residual") is not None]
-            key = "residual"
-        if not keyed:
-            return None
-        return min(keyed, key=lambda e: e[key])
+        for key in ("error_inf", "residual"):
+            keyed = [e for e in self.entries if getattr(e, key) is not None]
+            if keyed:
+                return min(keyed, key=attrgetter(key))
+        return None
 
     def to_json(self):
-        """The report as indented JSON text, its fields in their order."""
-        return json.dumps(vars(self), indent=2, default=_json_default)
+        """The report as indented JSON text, its fields in their order.
+
+        An entry is an object of its column, superscript, term count, norm
+        and validity, then its error and residual where it has them; an
+        event is an object of its fields."""
+        blob = dict(vars(self), entries=[_json_entry(e) for e in self.entries],
+                    events=[asdict(ev) for ev in self.events])
+        return json.dumps(blob, indent=2, default=_json_default)
 
     def to_csv(self):
         """Entries as CSV text; run-level facts ride along as # comments.
@@ -280,12 +301,22 @@ class RunReport:
         numbers and booleans, which no field quotes."""
         lines = [f"# sigma={self.sigma} peak_slots={self.peak_slots}"
                  f" n_terms={self.n_terms} wall_time_s={self.wall_time_s:.6f}\n"
-                 + ",".join(_CSV_FIELDS)]
-        lines += [",".join("" if (v := e.get(key)) is None else str(v) for key in _CSV_FIELDS)
-                  for e in self.entries]
+                 + ",".join(Entry._fields)]
+        lines += [",".join("" if v is None else str(v) for v in e) for e in self.entries]
         # one join, so the text is built once
         lines.append("")
         return "\r\n".join(lines)
+
+
+def _json_entry(e):
+    """An entry as its JSON object (:meth:`RunReport.to_json`)."""
+    row = {"col": e.col, "n": e.n, "terms": e.terms, "norm_inf": e.norm_inf,
+           "valid": e.valid}
+    if e.error_inf is not None:
+        row["error_inf"] = e.error_inf
+    if e.residual is not None:
+        row["residual"] = e.residual
+    return row
 
 
 def _json_default(x):
@@ -334,7 +365,7 @@ def run(spec):
     :class:`~epsaccel.topo_eps.Recorder`, and its notes hold them.  A full
     table (``tea1``, ``tea2``) has no shadow, so its notes stay empty.  A
     metric name not among these is an error.  The report's events are
-    collected from each append's firings.
+    the shadow's own records of each append's firings.
 
     Every table's entries are reported through one loop, which chooses by
     the shape of what the table is fed: the scalar table's numbers (``()``)
@@ -390,6 +421,9 @@ def run(spec):
     fired = []
 
     entries = []
+    # an entry is built as the plain tuple it is, without Entry's keyword
+    # parsing: the report makes one per even entry of every append
+    new_entry = tuple.__new__
     t0 = time.perf_counter()
     for term in itertools.islice(itertools.chain([first], src), spec["n_terms"]):
         fed = functional(as_term(term)) if scalar else term
@@ -399,35 +433,29 @@ def run(spec):
             norm = _max_abs(value, mag) if shape else float(np.abs(value))
             # a complex entry's modulus can overflow while its parts are finite
             valid = math.isfinite(norm) or bool(np.isfinite(value).all())
-            row = {"col": col, "n": n, "terms": col + n + 1,
-                   "norm_inf": norm, "valid": valid}
+            error = residual = None
             if limit is not None and shape:
                 diff = diffs.get(value.dtype)
                 if diff is None:
                     diff = diffs[value.dtype] = np.empty(shape, np.result_type(value, limit))
-                row["error_inf"] = _max_abs(np.subtract(value, limit, out=diff), mag)
+                error = _max_abs(np.subtract(value, limit, out=diff), mag)
             elif limit is not None:
                 # a number's difference takes abs(): Python's, or numpy's
                 # scalar one, each rounding a complex modulus otherwise than
                 # np.abs
-                row["error_inf"] = float(_abs_any(value - limit))
+                error = float(_abs_any(value - limit))
             if collect_residuals and valid:
-                row["residual"] = src.residual(value)
-            entries.append(row)
+                residual = src.residual(value)
+            entries.append(new_entry(Entry, (col, n, col + n + 1, norm, error, residual, valid)))
         if shadow is not None:
             fired += shadow.fired
     wall = time.perf_counter() - t0
 
-    sigma = getattr(table, "sigma", 0)
-    events = [{"k": ev.k, "n": ev.n, "ratio": ev.ratio,
-               "treated": ev.treated, "suppressed": ev.suppressed,
-               "victim": list(ev.victim) if ev.victim else None}
-              for ev in fired]
     notes = {metric: _NOTES[metric](rec) for metric in noted}
     return RunReport(
-        spec=spec, sigma=sigma,
+        spec=spec, sigma=getattr(table, "sigma", 0),
         peak_slots=getattr(table, "peak_slots", 0), n_terms=table.n_terms,
-        wall_time_s=wall, entries=entries, events=events, notes=notes)
+        wall_time_s=wall, entries=entries, events=fired, notes=notes)
 
 
 # -- measurement helpers ------------------------------------------------------
@@ -480,8 +508,10 @@ def iterations_to_tolerance(errors, col, tol):
 
 # -- canned comparison protocols ----------------------------------------------
 
+# the full tables, which have no shadow and so no repairs
+_FULL = ("tea1", "tea2")
 _VARIANT_GRID = (
-    [{"variant": "tea1"}, {"variant": "tea2"}]
+    [{"variant": v} for v in _FULL]
     + [{"variant": "stea1", "form": f} for f in (1, 2, 3, 4)]
     + [{"variant": "stea2", "form": f} for f in (1, 2, 3, 4)]
 )
@@ -550,15 +580,20 @@ def _reproduce_kernel(name, dim, p, seed, kmax, jobs):
         # the recurrence's limit is exactly zero, so the error is the norm
         return (None if value is None else _max_abs(value)), getattr(table, "sigma", 0)
 
-    cases = [dict(algo, max_k=kmax, p=p, rules=rules)
-             for algo in _VARIANT_GRID for rules in (True, False)]
+    # a full table reads neither p nor rules, so it is built once and its
+    # error fills both columns
+    cases = [dict(algo, max_k=kmax, p=p, rules=rules) for algo in _VARIANT_GRID
+             for rules in ((True,) if algo["variant"] in _FULL else (True, False))]
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(final, cases))
     else:
         results = list(map(final, cases))
+    results = iter(results)
     rows = []
-    for algo, (on, sigma), (off, _) in zip(_VARIANT_GRID, results[::2], results[1::2]):
+    for algo in _VARIANT_GRID:
+        on, sigma = next(results)
+        off = on if algo["variant"] in _FULL else next(results)[0]
         rows.append({
             "algorithm": _label(algo),
             "sigma": sigma,
@@ -577,8 +612,8 @@ def _reproduce_solver(source, n_terms, kmax, seed, name):
 
     def series_of(col):
         """A column's ``(n, error)`` series, else its ``(n, residual)``."""
-        return rep.errors(col) or [(e["n"], e["residual"]) for e in rep.column(col)
-                                   if e.get("residual") is not None]
+        return rep.errors(col) or [(e.n, e.residual) for e in rep.column(col)
+                                   if e.residual is not None]
 
     plain = series_of(0)
     rows = []

@@ -74,7 +74,7 @@ __all__ = ["ScalarEpsTable", "SingularEvent"]
 _EPS = float(np.finfo(np.float64).eps)
 
 
-@dataclass
+@dataclass(slots=True)
 class SingularEvent:
     """One firing of the near-coincidence test.
 

@@ -29,11 +29,13 @@ halves of a sum are NaN (which one an add keeps is the compiler's choice).
 It never calls ``np.dot`` or BLAS, whose rounding differs.  Below :data:`BLOCKED_DOT` the functional evaluates that plain
 expression itself: its one full-size temporary then stays in cache, and it
 is the faster of the two.  Given a second operand, ``f(hi, lo)`` is
-``f(hi - lo)`` bit for bit; above one block the blocked dot then forms each
-leaf of ``hi - lo`` in a second scratch block, so the full-size difference
-is never made.  The plain ``(yuse * (hi - lo)).sum()`` would make two
-temporaries, and freeing both at the top of the heap can make the C
-allocator hand the pages back and fault them in again on the next call.
+``f(hi - lo)`` bit for bit; the trace takes it from the two diagonals
+alone, ``(hi.diagonal() - lo.diagonal()).sum()``, and above one block the
+blocked dot forms each leaf of ``hi - lo`` in a second scratch block, so
+the full-size difference is never made.  The plain
+``(yuse * (hi - lo)).sum()`` would make two temporaries, and freeing both
+at the top of the heap can make the C allocator hand the pages back and
+fault them in again on the next call.
 
 A float64 ``y`` whose entries are all exactly 1.0, the default functional,
 takes no product on float64 operands: a float64 times 1.0 is the float64
@@ -72,6 +74,8 @@ BLOCKED_DOT = 1 << 17
 
 _F64 = np.dtype(np.float64)
 _C128 = np.dtype(np.complex128)
+# the kinds whose own evaluation takes f(hi, lo) without forming hi - lo
+_OF_A_DIFFERENCE = ("dot", "trace")
 # the Python type a functional's value of each common numpy type becomes
 _PYTHON_SCALAR = {np.float64: float, np.complex128: complex}
 
@@ -153,10 +157,13 @@ class Functional:
 
     @classmethod
     def trace(cls):
-        def apply_fn(x):
+        def apply_fn(x, lo=None):
             if x.ndim != 2:
                 raise DimensionMismatchError("trace functional wants a matrix element")
-            return np.trace(x)
+            if lo is None:
+                return np.trace(x)
+            # np.trace(x - lo) bit for bit, from the two diagonals alone
+            return (x.diagonal() - lo.diagonal()).sum()
 
         return cls("trace", apply_fn, "trace")
 
@@ -207,7 +214,8 @@ class Functional:
                 raise DimensionMismatchError(
                     f"difference of elements of shapes {x.shape} and {lo.shape}"
                 )
-            out = self._apply(x, lo) if self.kind == "dot" else self._apply(np.asarray(x - lo))
+            out = (self._apply(x, lo) if self.kind in _OF_A_DIFFERENCE
+                   else self._apply(np.asarray(x - lo)))
         kind = _PYTHON_SCALAR.get(type(out))
         if kind is None:
             kind = complex if np.iscomplexobj(out) else float

@@ -90,6 +90,18 @@ def test_missing_input_exits_2(capsys):
     assert "epsaccel:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["accelerate", None, "--algo", "stea2"],
+                                     ["reproduce", "ns", "--dim", "6"]])
+def test_out_file_that_cannot_be_written_exits_2(ln2_file, tmp_path, capsys, command):
+    # an unwritable --out is unusable input, not a numerical breakdown
+    out = tmp_path / "no-such-dir" / "x.csv"
+    argv = [ln2_file if arg is None else arg for arg in command]
+    assert main([*argv, "--out", str(out)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and not out.exists()
+    assert err.startswith("epsaccel: ") and err.count("\n") == 1 and str(out) in err
+
+
 def test_malformed_input_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("# tensor 2 2 2\n1 2 3\n")

@@ -1,13 +1,20 @@
 """Experiment harness: specs, runs, reports, fits, protocols."""
 
+import gc
 import json
+import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from epsaccel import ScalarEpsTable, TopoEpsTable, Functional
+from epsaccel import ScalarEpsTable, SingularEvent, TopoEpsTable, Functional
 from epsaccel.harness import (
+    Entry,
+    RunReport,
     build_functional,
     build_source,
     build_table,
@@ -56,7 +63,7 @@ def test_term_accounting():
     rep = run(dict(KERNEL_SPEC))
     assert rep.n_terms == 11
     for e in rep.entries:
-        assert e["terms"] == e["col"] + e["n"] + 1
+        assert e.terms == e.col + e.n + 1
 
 
 def test_kernel_annihilation_and_iteration_count():
@@ -85,9 +92,9 @@ def test_run_rejects_unknown_metrics():
 
 def test_events_surface_in_report():
     rep = run(dict(KERNEL_SPEC))
-    treated = [ev for ev in rep.events if ev["treated"]]
+    treated = [ev for ev in rep.events if ev.treated]
     assert len(treated) == 2
-    assert all(ev["ratio"] < 1e-10 for ev in treated)
+    assert all(ev.ratio < 1e-10 for ev in treated)
 
 
 @pytest.mark.parametrize("variant", ["stea2", "tea2", "scalar"])
@@ -207,7 +214,7 @@ def test_report_rows_are_the_plain_expressions(monkeypatch, tmp_path, case, vari
     with np.errstate(all="ignore"):
         rep = run({"source": {"kind": "file", "terms": terms, "limit_path": str(limit_path)},
                    "algorithm": {"variant": variant, "max_k": 3}, "n_terms": len(terms)})
-    rows = [(e["col"], e["n"], e["norm_inf"], e["valid"], e["error_inf"]) for e in rep.entries]
+    rows = [(e.col, e.n, e.norm_inf, e.valid, e.error_inf) for e in rep.entries]
     assert repr(rows) == repr(plain)
     if case == "overflow":
         # |1.5e308 + 1.5e308j| overflows, yet the term is finite
@@ -256,16 +263,17 @@ def test_file_source_constant_sequence(tmp_path):
     }
     rep = run(spec)
     col0 = rep.column(0)
-    assert all(e["error_inf"] == 0.0 and e["valid"] for e in col0)
-    higher = [e for e in rep.entries if e["col"] > 0]
-    assert higher and not any(e["valid"] for e in higher)
+    assert all(e.error_inf == 0.0 and e.valid for e in col0)
+    higher = [e for e in rep.entries if e.col > 0]
+    assert higher and not any(e.valid for e in higher)
 
 
 def test_report_serialization_roundtrip():
     rep = run(dict(KERNEL_SPEC))
     blob = json.loads(rep.to_json())
     assert blob["sigma"] == 2
-    assert blob["entries"] == json.loads(json.dumps(rep.entries))
+    assert blob["entries"] == [{k: v for k, v in e._asdict().items() if v is not None}
+                               for e in rep.entries]
     csv_text = rep.to_csv()
     head, header, first = csv_text.splitlines()[:3]
     assert head.startswith("# sigma=2 peak_slots=")
@@ -274,10 +282,97 @@ def test_report_serialization_roundtrip():
     assert first.split(",")[0] == "0"
 
 
+# -- the report's text against the dict rows it was once rendered from --------
+
+# the CSV columns, and the rendering of a report whose entries and events
+# were dicts; an entry's dict held error_inf and residual only when known
+_REF_CSV_FIELDS = ("col", "n", "terms", "norm_inf", "error_inf", "residual", "valid")
+
+
+def _ref_to_csv(fields, entries):
+    lines = [f"# sigma={fields['sigma']} peak_slots={fields['peak_slots']}"
+             f" n_terms={fields['n_terms']} wall_time_s={fields['wall_time_s']:.6f}\n"
+             + ",".join(_REF_CSV_FIELDS)]
+    lines += [",".join("" if (v := e.get(key)) is None else str(v) for key in _REF_CSV_FIELDS)
+              for e in entries]
+    lines.append("")
+    return "\r\n".join(lines)
+
+
+def _ref_to_json(fields, entries, events):
+    from epsaccel.harness import _json_default
+
+    blob = dict(fields, entries=entries, events=events, notes=fields["notes"])
+    order = ("spec", "sigma", "peak_slots", "n_terms", "wall_time_s", "entries", "events",
+             "notes")
+    return json.dumps({key: blob[key] for key in order}, indent=2, default=_json_default)
+
+
+_FLOATS = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]))
+_ROWS = st.builds(
+    lambda col, n, norm, valid, error, residual: {
+        "col": col, "n": n, "terms": col + n + 1, "norm_inf": norm, "valid": valid,
+        **({} if error is None else {"error_inf": error}),
+        **({} if residual is None else {"residual": residual})},
+    st.integers(0, 12), st.integers(0, 10_000), _FLOATS, st.booleans(),
+    st.none() | _FLOATS, st.none() | _FLOATS)
+_EVENTS = st.builds(
+    lambda k, n, ratio, treated, suppressed, victim: {
+        "k": k, "n": n, "ratio": ratio, "treated": treated, "suppressed": suppressed,
+        "victim": None if victim is None else list(victim)},
+    st.integers(0, 12), st.integers(0, 10_000), _FLOATS, st.booleans(), st.booleans(),
+    st.none() | st.tuples(st.integers(0, 15), st.integers(0, 10_000)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(_ROWS, max_size=12), events=st.lists(_EVENTS, max_size=6),
+       sigma=st.integers(0, 50), peak_slots=st.integers(0, 50), n_terms=st.integers(0, 10_000),
+       wall=st.floats(0, 1e4), label=st.text(max_size=8),
+       notes=st.sampled_from([{}, {"stability_margin": {"0": 1.5}}]))
+def test_report_text_is_that_of_the_dict_rows(rows, events, sigma, peak_slots, n_terms,
+                                              wall, label, notes):
+    # records render as the dicts did, byte for byte: the CSV fills a
+    # missing error or residual with an empty field, and the JSON entry
+    # names col, n, terms, norm_inf and valid before error_inf and residual
+    fields = {"spec": {"label": label, "n_terms": n_terms}, "sigma": sigma,
+              "peak_slots": peak_slots, "n_terms": n_terms, "wall_time_s": wall,
+              "notes": notes}
+    entries = [Entry(**dict({"error_inf": None, "residual": None}, **row)) for row in rows]
+    fired = [SingularEvent(**dict(ev, victim=None if ev["victim"] is None else tuple(ev["victim"])))
+             for ev in events]
+    rep = RunReport(entries=entries, events=fired, **fields)
+    assert rep.to_csv() == _ref_to_csv(fields, rows)
+    assert rep.to_json() == _ref_to_json(fields, rows, events)
+
+
+@pytest.mark.parametrize("variant", ["stea2", "tea2"])
+def test_a_report_keeps_a_few_hundred_bytes_per_entry(variant):
+    # a fixed-field record per entry and the shadow's own slotted events:
+    # 235 (stea2, 0.58 events per entry) and 162 (tea2) bytes per entry on
+    # this stream under CPython 3.11, where a dict per entry and per event
+    # took 517 and 330
+    rng = np.random.default_rng(3)
+    source = {"kind": "geometric_modes", "limit": rng.random(20) + 0.5,
+              "amps": [1.0] * 5, "rates": [0.9, 0.8, 0.7, 0.6, 0.5],
+              "modes": [rng.random(20) + 0.5 for _ in range(5)]}
+    spec = {"source": source, "algorithm": {"variant": variant, "max_k": 5}, "n_terms": 200}
+    run(spec)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        rep = run(spec)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(rep.entries) > 1000
+    assert kept / len(rep.entries) <= 280
+
+
 def test_report_best_prefers_smallest_error():
     rep = run(dict(KERNEL_SPEC))
     best = rep.best()
-    assert best["col"] == 10 and best["error_inf"] <= 1e-8
+    assert best.col == 10 and best.error_inf <= 1e-8
 
 
 def test_fit_geometric_rate():
@@ -346,6 +441,26 @@ def test_kernel_protocol_makes_its_terms_once(monkeypatch):
     assert counts == {"init": 1, "next_term": 11}
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_kernel_protocol_builds_each_full_table_once(monkeypatch, jobs):
+    # a full table reads neither p nor rules, so one build of tea1 and one
+    # of tea2 fill both of their columns
+    from epsaccel import harness
+
+    built = []
+
+    class CountedTeaTable(harness.TeaTable):
+        def __init__(self, functional, max_k, variant):
+            built.append(variant)
+            super().__init__(functional, max_k, variant)
+
+    monkeypatch.setattr(harness, "TeaTable", CountedTeaTable)
+    out = reproduce("kernel-vector", dim=12, jobs=jobs)
+    assert sorted(built) == ["tea1", "tea2"]
+    full = [row for row in out["rows"] if row["algorithm"] in ("tea1", "tea2")]
+    assert len(full) == 2 and all(row["error"] == row["error_plain"] for row in full)
+
+
 @pytest.mark.parametrize("name, dim", [
     ("kernel-vector", 12), ("kernel-matrix", 12),
     # above one block a full table's f(hi, lo) sums through per-call scratch
@@ -372,7 +487,7 @@ def test_kernel_rows_are_the_reports_entries():
             rep = run({"source": {"kind": "file", "terms": terms},
                        "algorithm": dict(algo, rules=rules),
                        "functional": {"kind": "dot"}, "n_terms": out["n_terms"]})
-            final = [e["norm_inf"] for e in rep.column(2 * kmax) if e["n"] == 0]
+            final = [e.norm_inf for e in rep.column(2 * kmax) if e.n == 0]
             assert row[key] == (final[0] if final else None), (row["algorithm"], key)
             if rules:
                 assert row["sigma"] == rep.sigma
@@ -423,7 +538,7 @@ def test_reproduce_qpow_rows_are_the_runs_best_residuals():
     assert out["sigma"] == rep.sigma and not rep.errors(0)
 
     def residuals(col):
-        return [(e["n"], e["residual"]) for e in rep.column(col)]
+        return [(e.n, e.residual) for e in rep.column(col)]
 
     assert [row["column"] for row in out["rows"]] == [0, 2, 4, 6]
     for row in out["rows"]:

@@ -2,6 +2,7 @@
 
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -252,6 +253,37 @@ def test_functional_of_a_difference_for_every_kind():
         assert _bits(f(X, Z)) == _bits(f(X - Z))
     h = Functional.dot(2.0 - 1.0j)
     assert _bits(h(np.asarray(1.5), np.asarray(0.25))) == _bits(h(np.asarray(1.25)))
+
+
+@pytest.mark.parametrize("s", [1, 2, 50, 200, 1000])
+@pytest.mark.parametrize("complex_", [False, True])
+@np.errstate(all="ignore")  # the special entries overflow or make NaN
+def test_trace_of_a_difference_reads_only_the_diagonals(s, complex_):
+    # f(X, Z) is np.trace(X - Z) bit for bit, with signed zeros, infinities
+    # and NaN on the diagonal and off it, and never forms X - Z
+    rng = np.random.default_rng(s)
+    f = Functional.trace()
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan]
+    for trial in range(12):
+        X, Z = rng.standard_normal((2, s, s))
+        if complex_:
+            X, Z = X + 1j * rng.standard_normal((s, s)), Z + 1j * rng.standard_normal((s, s))
+        for a in (X, Z):
+            for part in (a.real, a.imag) if complex_ else (a,):
+                rows = rng.integers(0, s, 4)
+                part[rows, rows if trial % 2 else rng.integers(0, s, 4)] = rng.choice(specials, 4)
+                if trial == 0:
+                    np.fill_diagonal(part, rng.choice(specials))
+        want = np.trace(X - Z)
+        got = f(X, Z)
+        assert type(got) is _python_type(want) and _bits(got) == _bits(want), trial
+    tracemalloc.start()
+    try:
+        f(X, Z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * X.itemsize * s + 2048
 
 
 @pytest.mark.parametrize("complex_", [False, True])

@@ -361,18 +361,29 @@ def _digest_source(src):
 def _run_configs():
     """``harness.run`` reports of every table, with the metrics that read
     the shadow's history and without, on the kernel stream and on a
-    five-mode stream long enough to repair on most terms."""
+    five-mode stream long enough to repair on most terms; and of ``stea2``
+    and ``tea2`` on the solver sources, whose entries carry residuals."""
     from epsaccel import harness
 
+    metric_sets = (None, ["ratio_series", "stability_margin"])
     kernel = {"kind": "kernel_recurrence", "dim": 20, "seed": 1}
     for name, source, n_terms in (("kernel", kernel, 11),
                                   ("five-modes", _five_modes(20, 5), 400)):
         for algo in harness._VARIANT_GRID + [{"variant": "scalar"}]:
-            for metrics in (None, ["ratio_series", "stability_margin"]):
+            for metrics in metric_sets:
                 spec = {"source": source, "n_terms": n_terms,
                         "algorithm": dict(algo, max_k=5, p=10), "metrics": metrics}
                 label = f"run/{name}/{harness._label(algo)}/metrics={bool(metrics)}"
                 yield label, lambda sp=spec: _report(sp)
+    solvers = {"kaczmarz": {"kind": "kaczmarz_parter", "dim": 12},
+               "stein": {"kind": "smith_stein", "dim": 8, "seed": 2},
+               "ns": {"kind": "ns_iteration", "dim": 6, "seed": 3}}
+    for name, source in solvers.items():
+        for variant in ("stea2", "tea2"):
+            for metrics in metric_sets:
+                spec = {"source": source, "n_terms": 17, "metrics": metrics,
+                        "algorithm": {"variant": variant, "max_k": 3}}
+                yield f"run/{name}/{variant}/metrics={bool(metrics)}", lambda sp=spec: _report(sp)
 
 
 def _report(spec):
