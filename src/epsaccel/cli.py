@@ -5,7 +5,13 @@ Two subcommands:
 ``epsaccel accelerate FILE``
     Read a term sequence from a text file (see :mod:`epsaccel.seqio` for the
     format), run one acceleration table over it, and emit the per-entry
-    report as CSV or JSON.
+    report as CSV or JSON.  The file is read one term at a time as the
+    table is fed, and each entry's row is written to a temporary spool as it
+    is made, so the command holds one term and the table's O(K) state
+    however long the file is.  The report's header (``sigma``, ``n_terms``,
+    the wall time) is known only at the end: then it is written, and the
+    spool copied after it in blocks.  Nothing is written when the file turns
+    out to be unusable.
 
 ``epsaccel reproduce NAME``
     Run a canned benchmark protocol (kernel-vector, kernel-matrix, kaczmarz,
@@ -15,13 +21,14 @@ Exit codes: 0 on success, 1 when the run produced no valid accelerated
 entry (numerical breakdown), 2 for unusable input or bad arguments: a file
 that cannot be read or parsed, a limit, functional or ``y`` that does not
 fit the terms' shape, a ``--y-file`` for a functional that takes no ``y``
-(only ``dot`` and ``trace-y`` take one), or an ``--out`` file that cannot
-be written.
+(only ``dot`` and ``trace-y`` take one), an ``--out`` file that cannot be
+written, or a negative ``--kmax``, ``--p`` or ``--seed``.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -40,7 +47,8 @@ _FUNCTIONALS = {"auto": ("auto", None), "dot": ("dot", "y"),
 
 
 def _order(text):
-    """A transform order from the command line: an integer >= 0."""
+    """A transform order, threshold digit count or seed from the command
+    line: an integer >= 0."""
     k = int(text)
     if k < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, not {k}")
@@ -70,7 +78,7 @@ def _build_parser():
                      help="coefficient form for stea variants (default 3)")
     acc.add_argument("--kmax", type=_order, default=5,
                      help="highest transform order (default 5)")
-    acc.add_argument("--p", type=int, default=10,
+    acc.add_argument("--p", type=_order, default=10,
                      help="singular detection threshold digits (default 10)")
     acc.add_argument("--no-rules", action="store_true",
                      help="disable singular-block repairs")
@@ -84,7 +92,7 @@ def _build_parser():
     acc.add_argument("--limit-file", metavar="FILE",
                      help="sequence file whose first term is the known limit, "
                           "enabling error columns")
-    acc.add_argument("--seed", type=int, default=0,
+    acc.add_argument("--seed", type=_order, default=0,
                      help="seed for any randomized choices (default 0)")
     acc.add_argument("--format", choices=("csv", "json"), default="csv")
     acc.add_argument("--out", metavar="FILE", help="write report here instead of stdout")
@@ -93,10 +101,10 @@ def _build_parser():
     rep.add_argument("name", choices=("kernel-vector", "kernel-matrix",
                                       "kaczmarz", "ns", "qpow", "stein"))
     rep.add_argument("--dim", type=_dim, default=None)
-    rep.add_argument("--p", type=int, default=None,
+    rep.add_argument("--p", type=_order, default=None,
                      help="singular detection threshold digits (kernel protocols only)")
     rep.add_argument("--kmax", type=_order, default=None)
-    rep.add_argument("--seed", type=int, default=0)
+    rep.add_argument("--seed", type=_order, default=0)
     rep.add_argument("--jobs", type=int, default=1,
                      help="worker threads for independent runs")
     rep.add_argument("--format", choices=("table", "json"), default="table")
@@ -104,60 +112,81 @@ def _build_parser():
     return parser
 
 
-def _functional_conf(args, terms):
-    """The harness's functional spec for ``--functional`` and ``--y-file``."""
+def _functional_conf(args, shape):
+    """The harness's functional spec for ``--functional`` and ``--y-file``,
+    for terms of ``shape``."""
     kind, key = _FUNCTIONALS[args.functional]
     conf = {"kind": kind}
     if args.y_file:
         if key is None:
             raise argparse.ArgumentError(
                 None, f"--y-file needs --functional dot or trace-y, not {args.functional}")
-        conf[key] = seqio.read_terms(args.y_file)[0].tolist()
-    elif kind == "dot" and terms[0].shape == ():
+        conf[key] = seqio.first_term(args.y_file).tolist()
+    elif kind == "dot" and shape == ():
         conf["y"] = 1.0
     return conf
 
 
-def _emit(text, out):
-    """Write ``text``, newline-terminated, to the file ``out`` or to stdout;
+def _emit(write, out):
+    """Call ``write`` on stdout, or on the file ``out`` opened for writing;
     returns the exit code, 2 when ``out`` cannot be written."""
-    text = text if text.endswith("\n") else text + "\n"
     if not out:
-        sys.stdout.write(text)
+        write(sys.stdout)
         return 0
     try:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            write(fh)
     except OSError as exc:
         print(f"epsaccel: {exc}", file=sys.stderr)
         return 2
     return 0
 
 
+class _Rows(harness.Spool):
+    """The report's entry sink: each append's rows spooled, and whether any
+    accelerated entry (column > 0) is valid."""
+
+    accelerated = False
+
+    def extend(self, entries):
+        super().extend(entries)
+        if not self.accelerated:
+            self.accelerated = any(e.col > 0 and e.valid for e in entries)
+
+
 def _cmd_accelerate(args):
-    try:
-        terms = seqio.read_terms(args.input)
-        source = {"kind": "file", "path": args.input, "terms": terms}
-        if args.limit_file:
-            source["limit_path"] = args.limit_file
-        algo = {"variant": args.algo, "form": args.form, "max_k": args.kmax,
-                "p": args.p, "rules": not args.no_rules, "parity": args.parity}
-        report = harness.run({
-            "source": source, "algorithm": algo,
-            "functional": _functional_conf(args, terms),
-            "n_terms": len(terms), "seed": args.seed,
-            "label": os.path.basename(args.input)})
-    except (OSError, argparse.ArgumentError, seqio.FormatError,
-            DimensionMismatchError) as exc:
-        print(f"epsaccel: {exc}", file=sys.stderr)
-        return 2
+    with _Rows(args.format) as rows, harness.Spool(args.format, "events") as events:
+        try:
+            terms = seqio.read_terms(args.input)
+            # the first term's shape picks dot's y; it is fed like the rest
+            first = next(terms)
+            source = {"kind": "file", "path": args.input,
+                      "terms": itertools.chain([first], terms)}
+            if args.limit_file:
+                source["limit_path"] = args.limit_file
+            algo = {"variant": args.algo, "form": args.form, "max_k": args.kmax,
+                    "p": args.p, "rules": not args.no_rules, "parity": args.parity}
+            report = harness.run({
+                "source": source, "algorithm": algo,
+                "functional": _functional_conf(args, first.shape),
+                "n_terms": None, "seed": args.seed,
+                "label": os.path.basename(args.input)}, rows, events)
+        except (OSError, argparse.ArgumentError, seqio.FormatError,
+                DimensionMismatchError) as exc:
+            print(f"epsaccel: {exc}", file=sys.stderr)
+            return 2
 
-    text = report.to_json() if args.format == "json" else report.to_csv()
-    if _emit(text, args.out):
-        return 2
+        def write(out):
+            if args.format == "json":
+                report.write_json(out)
+                out.write("\n")
+            else:
+                report.write_csv(out)
 
-    accelerated = any(e.col > 0 and e.valid for e in report.entries)
-    if not accelerated and args.kmax > 0 and len(terms) > 2:
+        if _emit(write, args.out):
+            return 2
+
+    if not rows.accelerated and args.kmax > 0 and report.n_terms > 2:
         print("epsaccel: numerical breakdown; no accelerated entry is finite",
               file=sys.stderr)
         return 1
@@ -204,7 +233,7 @@ def _cmd_reproduce(args):
         text = json.dumps(result, indent=2, default=harness._json_default)
     else:
         text = _format_protocol_table(result)
-    return _emit(text, args.out)
+    return _emit(lambda out: out.write(text + "\n"), args.out)
 
 
 def main(argv=None):

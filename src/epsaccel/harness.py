@@ -11,7 +11,7 @@ runs through identical code paths.  Its keys, which :func:`run` reads:
     the scalar reduction (:func:`build_functional`), default
     ``{"kind": "auto"}``;
 ``n_terms``
-    the term budget;
+    the term budget, or None for every term of a finite source;
 ``seed``
     feeds every random choice in the run, default 0;
 ``label``
@@ -25,11 +25,14 @@ produces a :class:`RunReport` of per-entry norms, errors when the source
 knows its limit, equation residuals when it knows its equation, the
 singular repair count, timing, and the storage high-water mark.  Each entry
 is one fixed-field :class:`Entry` record and each event the shadow's own
-:class:`~epsaccel.scalar_eps.SingularEvent`; the CSV and JSON text is
-rendered from them only when asked for.  Every table is reported through
-one path, which chooses by the shape of an entry (a number of the scalar
-table, or an array of an element table) and never by the table's kind; a
-limit must have the terms' shape, whatever the table.
+:class:`~epsaccel.scalar_eps.SingularEvent`; the run hands them to a sink
+append by append.  A list sink keeps them, and the CSV and JSON text is
+rendered from them only when asked for; a :class:`Spool` renders them into
+a temporary file and keeps only their count, so a run over a file holds one
+term, the table's O(K) state and none of the records.  Every table is
+reported through one path, which chooses by the shape of an entry (a number
+of the scalar table, or an array of an element table) and never by the
+table's kind; a limit must have the terms' shape, whatever the table.
 
 The module also carries the measurement helpers shared by the test-suite and
 the command line: least-squares convergence-rate fits (geometric and power
@@ -40,12 +43,16 @@ they compare straight off each table, without a report.
 
 from __future__ import annotations
 
+import codecs
+import io
 import itertools
 import json
 import math
+import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -59,6 +66,7 @@ from .vectorspace import DimensionMismatchError, Functional, as_term
 __all__ = [
     "Entry",
     "RunReport",
+    "Spool",
     "build_source",
     "build_functional",
     "build_table",
@@ -118,32 +126,31 @@ def _source(conf, seed):
         return sequences.SmithSource.random(
             conf.pop("dim"), conf.pop("rho", 0.9), conf.pop("n_rhs", 3), seed)
     if kind == "file":
-        from .seqio import read_terms
-        # the file's terms, when the caller has parsed it already
+        from . import seqio
+        # the file's terms, as read_terms yields them, or an iterable of
+        # terms the caller has begun to read or parsed itself
         terms = conf.pop("terms", None)
         path = conf.pop("path") if terms is None else conf.pop("path", None)
         if terms is None:
-            terms = read_terms(path)
+            terms = seqio.read_terms(path)
         limit_path = conf.pop("limit_path", None)
-        limit = read_terms(limit_path)[0] if limit_path else None
-        return _ListSource(terms, limit)
+        limit = seqio.first_term(limit_path) if limit_path else None
+        return _FileSource(terms, limit)
     raise ValueError(f"unknown source kind: {kind!r}")
 
 
-class _ListSource(sequences._Source):
-    """Replays a fixed list of arrays, with an optional known limit."""
+class _FileSource(sequences._Source):
+    """The terms of an iterable, each once, with an optional known limit."""
 
     def __init__(self, terms, limit=None):
-        self._terms = terms
+        self._terms = iter(terms)
         self._limit = limit
-        self._i = 0
+
+    def __iter__(self):
+        return self._terms
 
     def next_term(self):
-        if self._i >= len(self._terms):
-            raise StopIteration
-        t = self._terms[self._i]
-        self._i += 1
-        return t
+        return next(self._terms)
 
     def limit(self):
         return self._limit
@@ -252,8 +259,13 @@ class RunReport:
     the source defines one and the entry is an element), and the term count
     ``column + n + 1`` consumed to reach it.  ``events`` holds the
     :class:`~epsaccel.scalar_eps.SingularEvent` records of the table's
-    shadow, in firing order.  ``to_json`` and ``to_csv`` return the report
-    as text.
+    shadow, in firing order.  Each is the sink :func:`run` handed them to:
+    a list, which holds every record and which ``column``, ``errors`` and
+    ``best`` read, or a :class:`Spool`, which holds their text in a
+    temporary file.  ``len`` counts the records of either.  ``write_csv``
+    and ``write_json`` write the report as text to a stream, rendering a
+    list's records or copying a spool's text; ``to_csv`` and ``to_json``
+    return that text.
     """
 
     spec: dict
@@ -283,33 +295,54 @@ class RunReport:
                 return min(keyed, key=attrgetter(key))
         return None
 
-    def to_json(self):
-        """The report as indented JSON text, its fields in their order.
+    def write_json(self, out):
+        """Write the report to the text stream ``out`` as indented JSON, its
+        fields in their order, as ``json.dumps(indent=2)`` lays them out.
 
         An entry is an object of its column, superscript, term count, norm
         and validity, then its error and residual where it has them; an
         event is an object of its fields."""
-        blob = dict(vars(self), entries=[_json_entry(e) for e in self.entries],
-                    events=[asdict(ev) for ev in self.events])
-        return json.dumps(blob, indent=2, default=_json_default)
+        head = {k: v for k, v in vars(self).items() if k not in ("entries", "events", "notes")}
+        # the head's text up to its closing brace, then the rest of the fields
+        out.write(_ENCODER.encode(head)[:-2])
+        for kind in ("entries", "events"):
+            records = getattr(self, kind)
+            out.write(f',\n  "{kind}": ')
+            if not len(records):
+                out.write("[]")
+                continue
+            out.write("[\n    ")
+            _write_records(records, "json", kind, out)
+            out.write("\n  ]")
+        out.write(',\n  "notes": ' + _ENCODER.encode(self.notes).replace("\n", "\n  ") + "\n}")
 
-    def to_csv(self):
-        """Entries as CSV text; run-level facts ride along as # comments.
+    def write_csv(self, out):
+        """Write the entries to the text stream ``out`` as CSV; run-level
+        facts ride along as # comments.
 
         The rows are those ``csv.writer`` writes: ``\\r\\n`` line ends, ``str``
         of each value and an empty field for a missing one; the values are
         numbers and booleans, which no field quotes."""
-        lines = [f"# sigma={self.sigma} peak_slots={self.peak_slots}"
-                 f" n_terms={self.n_terms} wall_time_s={self.wall_time_s:.6f}\n"
-                 + ",".join(Entry._fields)]
-        lines += [",".join("" if v is None else str(v) for v in e) for e in self.entries]
-        # one join, so the text is built once
-        lines.append("")
-        return "\r\n".join(lines)
+        out.write(f"# sigma={self.sigma} peak_slots={self.peak_slots}"
+                  f" n_terms={self.n_terms} wall_time_s={self.wall_time_s:.6f}\n"
+                  + ",".join(Entry._fields) + "\r\n")
+        _write_records(self.entries, "csv", "entries", out)
+
+    def to_json(self):
+        """The report as the text :meth:`write_json` writes."""
+        out = io.StringIO()
+        self.write_json(out)
+        return out.getvalue()
+
+    def to_csv(self):
+        """The report as the text :meth:`write_csv` writes."""
+        out = io.StringIO()
+        self.write_csv(out)
+        return out.getvalue()
 
 
 def _json_entry(e):
-    """An entry as its JSON object (:meth:`RunReport.to_json`)."""
+    """An entry as its JSON object (:meth:`RunReport.write_json`)."""
     row = {"col": e.col, "n": e.n, "terms": e.terms, "norm_inf": e.norm_inf,
            "valid": e.valid}
     if e.error_inf is not None:
@@ -329,6 +362,98 @@ def _json_default(x):
     raise TypeError(f"not JSON-serializable: {type(x)!r}")
 
 
+_ENCODER = json.JSONEncoder(indent=2, default=_json_default)
+
+
+def _json_items(objs, i):
+    """The objects of a list that is a field of the report, from its
+    ``i``-th on, each laid out two levels deep after the separator from the
+    object before it."""
+    texts = [_ENCODER.encode(obj).replace("\n", "\n    ") for obj in objs]
+    return (",\n    " if i else "") + ",\n    ".join(texts)
+
+
+# the text of a run of consecutive records, by format and kind, given the
+# records and the index of the first; CSV shows no events
+_RENDER = {
+    ("csv", "entries"): lambda batch, i: "".join(
+        [",".join(["" if v is None else str(v) for v in e]) + "\r\n" for e in batch]),
+    ("csv", "events"): None,
+    ("json", "entries"): lambda batch, i: _json_items(map(_json_entry, batch), i),
+    ("json", "events"): lambda batch, i: _json_items(map(asdict, batch), i),
+}
+
+
+def _write_records(records, fmt, kind, out):
+    """Write the text of a report's entries or events, a list or a spool."""
+    if isinstance(records, Spool):
+        if (records.fmt, records.kind) != (fmt, kind):
+            raise ValueError(f"a spool of {records.fmt} {records.kind} cannot be"
+                             f" written as {fmt} {kind}")
+        records.copy_to(out)
+    else:
+        out.write(_RENDER[fmt, kind](records, 0))
+
+
+class Spool:
+    """A report sink that holds the text of its records, not the records.
+
+    The records :func:`run` hands it are rendered as ``fmt`` (``csv`` or
+    ``json``) renders entries or events, as ``kind`` says, about ``BATCH``
+    at a time, and written to a temporary file as UTF-8; the spool holds
+    that file, the record count, which ``len`` gives, and the few records
+    not yet rendered.  CSV shows no events, so a CSV events spool keeps the
+    count alone.  :meth:`RunReport.write_csv` or ``write_json`` copies the
+    text out in blocks; ``close``, or leaving a ``with`` block, deletes the
+    file.
+    """
+
+    BATCH = 64
+
+    def __init__(self, fmt, kind="entries"):
+        self.fmt = fmt
+        self.kind = kind
+        self._render = _RENDER[fmt, kind]
+        self._file = None if self._render is None else tempfile.TemporaryFile()
+        self._count = 0
+        self._batch = []
+
+    def extend(self, records):
+        batch = self._batch
+        batch += records
+        if len(batch) >= self.BATCH:
+            self._flush()
+
+    def _flush(self):
+        batch = self._batch
+        if self._file is not None and batch:
+            self._file.write(self._render(batch, self._count).encode())
+        self._count += len(batch)
+        batch.clear()
+
+    def __len__(self):
+        return self._count + len(self._batch)
+
+    def copy_to(self, out):
+        """Write the spooled text to the text stream ``out``, 8 KiB of its
+        UTF-8 at a time."""
+        self._flush()
+        self._file.seek(0)
+        decode = codecs.getincrementaldecoder("utf-8")().decode
+        for block in iter(partial(self._file.read, 1 << 13), b""):
+            out.write(decode(block))
+
+    def close(self):
+        if self._file is not None:
+            self._file.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+
 # the metrics a run can note, by name: each reads the recorded shadow of a
 # scalar or a simplified table, whose columns stop at 2 * max_k + 2
 _NOTES = {
@@ -345,15 +470,17 @@ def _max_abs(x, out=None):
     return float(np.maximum.reduce(np.abs(x, out=out), axis=None))
 
 
-def run(spec):
+def run(spec, entries=None, events=None):
     """Execute one experiment, given its spec dict (module docstring), and
     return its :class:`RunReport`.
 
     ``source``, ``algorithm`` and ``n_terms`` are required; ``functional``
     defaults to ``{"kind": "auto"}``, ``seed`` to 0, ``label`` to ``""``
-    and ``metrics`` to None.  A key the run does not read is an error.  The report's ``spec`` holds the keys in the
-    order the module docstring lists them, with defaults filled in, a file
-    source's parsed ``terms`` left out and ``metrics`` only when given.
+    and ``metrics`` to None.  A key the run does not read is an error.  The
+    report's ``spec`` holds the keys in the order the module docstring lists
+    them, with defaults filled in, a file source's ``terms`` left out,
+    ``metrics`` only when given and, for an ``n_terms`` of None, the count
+    of terms the run took.
     The limit, when the source knows one, must have the terms' shape;
     another shape raises :class:`~epsaccel.vectorspace.DimensionMismatchError`
     before any term is fed, whatever the table.  Equation residuals are
@@ -366,6 +493,16 @@ def run(spec):
     table (``tea1``, ``tea2``) has no shadow, so its notes stay empty.  A
     metric name not among these is an error.  The report's events are
     the shadow's own records of each append's firings.
+
+    ``entries`` and ``events`` are the sinks the run hands the
+    :class:`Entry` records and the events to, through ``extend``, and which
+    the report keeps; each is a new list when not given, and a
+    :class:`Spool` keeps their text instead.  Each append's entries are
+    handed on once it is done, and its events once the next append is done,
+    since that append's repairs mark them treated.  Apart from a list sink
+    and the metrics' recorder, the run holds the term being fed, the table,
+    the first term, the limit and one append's entries and events, whatever
+    the stream's length.
 
     Every table's entries are reported through one loop, which chooses by
     the shape of what the table is fed: the scalar table's numbers (``()``)
@@ -392,6 +529,8 @@ def run(spec):
     unknown = set(metrics or ()) - set(_NOTES)
     if unknown:
         raise ValueError(f"unknown metrics: {sorted(unknown)}")
+    entries = [] if entries is None else entries
+    events = [] if events is None else events
     src = build_source(source, spec["seed"])
     # the first term sets the functional's shape, and is fed like the rest
     first = src.next_term()
@@ -411,22 +550,25 @@ def run(spec):
     shadow = table if scalar else getattr(table, "scalar", None)
     noted = list(metrics or ()) if shadow is not None else []
     rec = Recorder(table) if noted else None
-    collect_residuals = hasattr(src, "residual") and spec["n_terms"] <= 200 and not scalar
+    n_terms = spec["n_terms"]
+    collect_residuals = (hasattr(src, "residual") and not scalar
+                         and n_terms is not None and n_terms <= 200)
     if limit is not None:
         limit = functional(as_term(limit)) if scalar else as_term(limit)
     # scratch for an array entry's magnitudes and, by the entry's dtype, for
     # its difference from the limit
     mag = np.empty(shape) if shape else None
     diffs = {}
+    # the events of the latest append, which the next one's repairs may mark
     fired = []
 
-    entries = []
     # an entry is built as the plain tuple it is, without Entry's keyword
     # parsing: the report makes one per even entry of every append
     new_entry = tuple.__new__
     t0 = time.perf_counter()
-    for term in itertools.islice(itertools.chain([first], src), spec["n_terms"]):
+    for term in itertools.islice(itertools.chain([first], src), n_terms):
         fed = functional(as_term(term)) if scalar else term
+        made = []
         for col, n, value in (rec or table).append(fed):
             if col % 2:
                 continue
@@ -446,16 +588,21 @@ def run(spec):
                 error = float(_abs_any(value - limit))
             if collect_residuals and valid:
                 residual = src.residual(value)
-            entries.append(new_entry(Entry, (col, n, col + n + 1, norm, error, residual, valid)))
+            made.append(new_entry(Entry, (col, n, col + n + 1, norm, error, residual, valid)))
+        entries.extend(made)
         if shadow is not None:
-            fired += shadow.fired
+            events.extend(fired)
+            fired = shadow.fired
+    events.extend(fired)
     wall = time.perf_counter() - t0
+    if n_terms is None:
+        spec["n_terms"] = table.n_terms
 
     notes = {metric: _NOTES[metric](rec) for metric in noted}
     return RunReport(
         spec=spec, sigma=getattr(table, "sigma", 0),
         peak_slots=getattr(table, "peak_slots", 0), n_terms=table.n_terms,
-        wall_time_s=wall, entries=entries, events=fired, notes=notes)
+        wall_time_s=wall, entries=entries, events=events, notes=notes)
 
 
 # -- measurement helpers ------------------------------------------------------
@@ -533,10 +680,10 @@ def reproduce(name, dim=None, p=None, seed=0, kmax=None, jobs=1):
     consumption.  ``p``, the kernel tables' detection threshold in digits,
     applies only to the kernel protocols.  ``dim``, ``p`` and ``kmax``
     left as None take the protocol's defaults (``p`` 12); a ``dim`` below
-    1, a ``kmax`` below 0 or a ``p`` given to a solver protocol raises
-    ValueError before anything is built.
+    1, a ``kmax`` or ``p`` below 0 or a ``p`` given to a solver protocol
+    raises ValueError before anything is built.
     """
-    for arg, value, least in (("dim", dim, 1), ("kmax", kmax, 0)):
+    for arg, value, least in (("dim", dim, 1), ("kmax", kmax, 0), ("p", p, 0)):
         if value is not None and value < least:
             raise ValueError(f"{arg} must be >= {least}, not {value}")
     if name in ("kernel-vector", "kernel-matrix"):

@@ -14,25 +14,31 @@ anything python's ``complex()`` does, so ``1.5``, ``-2e-3``, and ``3+4j``
 all work; a file with no complex entries loads as float.  A term with a
 non-finite number (``nan``, ``inf``) is rejected.
 
-Reading is one pass over the file, a line at a time.  Each line is parsed
-with ``float`` into one float64 buffer that holds every term; only a line
-that ``float`` rejects is parsed again, token by token, with ``complex()``,
-which also names a bad token.  ``float`` accepts a subset of what
-``complex()`` does and rounds it alike, so every number is the one
-``complex()`` gives.  A term whose imaginary parts are all zero is real,
-and once one term is complex every term is complex128.  A bad number or
-width is reported as its line is read; a non-finite term, by the line of
-its first number, once the whole file is read.
+Reading streams: :func:`read_terms` yields each term as it is parsed, and
+holds one term and one line of the file, whatever its length.  Each line is
+parsed with ``float``; only a line that ``float`` rejects is parsed again,
+token by token, with ``complex()``, which also names a bad token.  ``float``
+accepts a subset of what ``complex()`` does and rounds it alike, so every
+number is the one ``complex()`` gives.  A term whose imaginary parts are
+all zero is real, and once one term is complex every term is complex128.
+``complex()`` gives an imaginary part only to a token with a ``j`` or
+``J``, so a file whose bytes hold neither is read once; one that holds
+either is first parsed, keeping nothing, up to its first number with a
+nonzero imaginary part or to its end, to settle the dtype before any term
+is yielded.  A bad number or width is reported as its line is read; a
+non-finite term, by the line of its first number, once the whole file is
+read, and no term after it is yielded.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
+from contextlib import closing
+from functools import partial
 
 import numpy as np
 
-__all__ = ["read_terms", "write_terms", "FormatError"]
+__all__ = ["read_terms", "first_term", "write_terms", "FormatError"]
 
 
 class FormatError(ValueError):
@@ -80,74 +86,133 @@ def _parse_header(header, lineno):
     raise FormatError(f"line {lineno}: unknown kind {fields[0]!r}")
 
 
-def read_terms(path):
-    """Read a sequence file; returns a list of numpy arrays.
+def _parse(path):
+    """The header's term shape, then ``(line, reals, imags)`` for each term
+    in file order: the line of its first number, a list of its real parts,
+    and a list of its imaginary parts (0.0 on a line ``float`` read) when
+    one of its lines needed ``complex()``, else None.
 
-    Scalars come back as 0-d arrays, vectors as 1-d, matrices as 2-d, each a
-    view of one array that holds every term; dtype is float64 unless any
-    entry is complex.  Raises :class:`FormatError` on a file with no terms,
-    and naming the line of a term's first number when the term is not finite.
-    """
+    Raises :class:`FormatError` on a bad header, number or width as its line
+    is read, then on a trailing partial matrix block, then on a file with no
+    terms."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = _significant_lines(fh)
         lineno, header = next(lines, (None, None))
         if header is None:
             raise FormatError("empty sequence file")
         shape = _parse_header(header, lineno)
-        size = math.prod(shape)
+        yield shape
         # a scalar line holds any count of terms, a vector or matrix line one
         # row of a term
         width = shape[-1] if shape else None
-        reals = array("d")  # the real part of every number, in file order
-        imags = {}          # a complex line's imaginary parts, by its first number
-        firsts = []         # the line of each term's first number
+        size = width * shape[0] if len(shape) == 2 else width
+        reals, imags, first, count = [], None, None, 0
         for lineno, line in lines:
             tokens = line.split()
-            start = len(reals)
             if width is None:
-                firsts += [lineno] * len(tokens)
-            elif len(tokens) != width:
+                try:
+                    values = list(map(float, tokens))
+                except ValueError:
+                    for v in [_parse_number(t, lineno) for t in tokens]:
+                        yield lineno, [v.real], [v.imag]
+                else:
+                    for x in values:
+                        yield lineno, [x], None
+                count += len(tokens)
+                continue
+            if len(tokens) != width:
                 raise FormatError(
                     f"line {lineno}: expected {width} numbers, got {len(tokens)}")
-            elif start % size == 0:
-                firsts.append(lineno)
+            start = len(reals)
+            if not start:
+                first = lineno
             try:
-                reals.extend(map(float, tokens))
+                reals += map(float, tokens)
             except ValueError:
                 # complex() reads the line instead, and names a bad token;
                 # float accepts a subset of what it does, rounded alike
                 del reals[start:]
                 values = [_parse_number(t, lineno) for t in tokens]
-                reals.extend([v.real for v in values])
-                imags[start] = [v.imag for v in values]
-    if len(reals) % size:
-        raise FormatError(
-            f"trailing partial matrix block of {len(reals) % size // width} rows")
-    if not reals:
+                reals += [v.real for v in values]
+                imags = [0.0] * start if imags is None else imags
+                imags += [v.imag for v in values]
+            else:
+                if imags is not None:
+                    imags += [0.0] * width
+            if len(reals) == size:
+                yield first, reals, imags
+                reals, imags = [], None
+                count += 1
+    if reals:
+        raise FormatError(f"trailing partial matrix block of {len(reals) // width} rows")
+    if not count:
         raise FormatError("input has a header but no terms")
 
-    n = len(firsts)
-    terms = np.frombuffer(reals, dtype=np.float64)
-    finite = np.isfinite(terms)
-    if imags:
-        imag = np.zeros(len(reals))
-        for start, values in imags.items():
-            imag[start:start + len(values)] = values
-        finite &= np.isfinite(imag)
-    if not finite.all():
-        raise FormatError(
-            f"line {firsts[int(np.argmin(finite)) // size]}: term is not finite")
-    terms = terms.reshape((n,) + shape)
-    if imags:
-        # a term whose imaginary parts are all zero is real, so a -0.0 among
-        # them is dropped, and every term is complex once one is
-        imag = imag.reshape(n, size)
-        real = ~(imag != 0).any(axis=1)
-        if not real.all():
-            imag[real] = 0.0
-            terms = terms.astype(np.complex128)
-            terms.imag = imag.reshape(terms.shape)
-    return [terms[i, ...] for i in range(n)]
+
+def _complex_file(path):
+    """Whether any term of the file is complex: any number with a nonzero
+    imaginary part.  A file that holds no ``j`` or ``J`` is not read past
+    that check; otherwise every line is parsed up to the first such number,
+    and a format error met before it is raised."""
+    with open(path, "rb") as fh:
+        if not any(b"j" in block or b"J" in block
+                   for block in iter(partial(fh.read, 1 << 14), b"")):
+            return False
+    with closing(_parse(path)) as terms:
+        next(terms)
+        return any(imags is not None and any(imags) for _, _, imags in terms)
+
+
+def read_terms(path):
+    """Yield the terms of a sequence file, each as it is parsed.
+
+    Scalars come back as 0-d arrays, vectors as 1-d, matrices as 2-d; each
+    term is its own array, and dtype is float64 unless some term is complex,
+    when every term is complex128.  Holds one term and one line of the file
+    at a time.  Raises :class:`FormatError`: on a bad header, number or
+    width as its line is reached; then, at the end of the file, on a
+    trailing partial matrix block or a file with no terms; then on a term
+    that is not finite, naming the line of its first number.  No term after
+    a non-finite one is yielded, and the rest of the file is still checked
+    for the errors above before that one is raised.
+    """
+    as_complex = _complex_file(path)
+    terms = _parse(path)
+    shape = next(terms)
+    # a vector is the 1-d float64 array of its list
+    flat = len(shape) == 1
+    bad = None
+    for lineno, reals, imags in terms:
+        if bad is not None:
+            continue
+        term = np.array(reals)
+        if as_complex:
+            # a term whose imaginary parts are all zero is real, so a -0.0
+            # among them is dropped
+            term = term.astype(np.complex128)
+            if imags is not None and any(imags):
+                term.imag = imags
+            finite = np.isfinite(term).all()
+        else:
+            # a finite sum has finite terms; only a sum that is not, which
+            # finite terms can give by overflowing, needs each one checked
+            finite = math.isfinite(sum(reals)) or np.isfinite(term).all()
+        if not finite:
+            bad = lineno
+            continue
+        yield term if flat else term.reshape(shape)
+    if bad is not None:
+        raise FormatError(f"line {bad}: term is not finite")
+
+
+def first_term(path):
+    """The first term of a sequence file, after every term of it has been
+    read and checked as :func:`read_terms` checks them."""
+    terms = read_terms(path)
+    first = next(terms)
+    for _ in terms:
+        pass
+    return first
 
 
 def _parse_size(token, lineno):

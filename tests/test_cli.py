@@ -1,8 +1,10 @@
 """Command line behaviour: exit codes, formats, seed handling."""
 
 import csv
+import gc
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,8 +65,8 @@ def test_accelerate_out_file_and_limit(ln2_file, tmp_path, capsys):
 
 def test_accelerate_reads_each_input_file_once(ln2_file, tmp_path, capsys,
                                                monkeypatch):
-    # the command line parses the input to check it and hands the parsed
-    # terms to the harness, which reads only the limit file
+    # the command line takes the input's first term for its shape and hands
+    # the rest of the stream to the harness, which reads only the limit file
     from epsaccel import seqio
 
     limit = tmp_path / "limit.txt"
@@ -206,6 +208,25 @@ def test_negative_kmax_exits_2(ln2_file, capsys):
         assert "--kmax" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--seed", "--p"])
+def test_negative_seed_or_p_exits_2(ln2_file, capsys, flag):
+    # a negative seed is no seed numpy takes, and a negative digit count
+    # puts the trigger above 1, or overflows it: both are argument errors,
+    # for every subcommand that takes the flag
+    argvs = [["accelerate", ln2_file, "--algo", algo]
+             for algo in ("scalar", "stea1", "stea2", "tea1", "tea2")]
+    argvs += [["reproduce", name] for name in ("kernel-vector", "kernel-matrix")]
+    if flag == "--seed":
+        argvs.append(["reproduce", "ns"])
+    for argv in argvs:
+        for value in ("-1", "-400"):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, flag, value])
+            assert exc.value.code == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == "" and flag in captured.err, argv
+
+
 def test_reproduce_takes_kmax_0_and_rejects_dim_0(capsys):
     # 0 is a value, not "use the default": kmax 0 runs kmax 0, and a
     # dimension below 1 is an argument error
@@ -286,3 +307,80 @@ def test_trace_y_weights_by_the_y_file_or_a_seeded_random_y(tmp_path, capsys):
         weights = np.random.default_rng(seed).random((2, 3))
         assert report("--seed", str(seed)) == ({"kind": "trace_weighted"}, direct(weights))
     assert direct(Y) != direct(np.random.default_rng(0).random((2, 3)))
+
+
+# a long vector-3 file, by the fault near its end: the terms before the
+# fault are fed and their rows spooled before it is read
+_LONG_FAULTS = {
+    "bad number": ("vector 3", "1 2 apple", "line 1992: bad number 'apple'"),
+    "bad width": ("vector 3", "1 2", "line 1992: expected 3 numbers, got 2"),
+    "partial block": ("matrix 3 3", None, "trailing partial matrix block of 2 rows"),
+    "non-finite": ("vector 3", "1 inf 2", "line 1992: term is not finite"),
+}
+
+
+def _long_file(path, fault):
+    header, line, _ = _LONG_FAULTS[fault]
+    rows = [f"{1 + 0.9 ** n!r} {2 - 0.5 ** n!r} {0.25 ** n!r}" for n in range(2000)]
+    if line is not None:
+        rows[1990] = line
+    else:
+        # 666 whole 3 x 3 blocks and the first two rows of one more
+        rows = rows[:3 * 666 + 2]
+    path.write_text("\n".join([header, *rows]) + "\n")
+
+
+@pytest.mark.parametrize("out", [False, True])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("fault", sorted(_LONG_FAULTS))
+def test_a_fault_near_the_end_of_a_long_file_writes_nothing(tmp_path, capsys, fault,
+                                                             fmt, out):
+    path, report = tmp_path / "long.txt", tmp_path / "report.txt"
+    _long_file(path, fault)
+    argv = ["accelerate", str(path), "--format", fmt] + (["--out", str(report)] if out else [])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not report.exists()
+    assert captured.err == f"epsaccel: {_LONG_FAULTS[fault][2]}\n"
+
+
+def test_a_bad_number_after_a_non_finite_term_is_the_error(tmp_path, capsys):
+    # every line is read before a non-finite term is reported, so a format
+    # error later in the file is reported instead, as when the whole file
+    # was read first
+    path = tmp_path / "long.txt"
+    _long_file(path, "bad number")
+    text = path.read_text().splitlines()
+    text[11] = "1 nan 2"
+    path.write_text("\n".join(text) + "\n")
+    assert main(["accelerate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "epsaccel: line 1992: bad number 'apple'\n"
+
+
+def test_accelerate_memory_does_not_grow_with_the_stream(tmp_path):
+    # the input is read a term at a time and the rows are spooled to a
+    # temporary file, so ten times the terms take the same peak; it grew
+    # about tenfold when the command held the file and every row.  Garbage
+    # left by earlier calls is collected first, so that what a run reuses
+    # of it does not move the peak from run to run
+    from epsaccel.harness import build_source
+
+    src = build_source({"kind": "geometric_modes", "dim": 10,
+                        "rates": [0.99, 0.98, 0.97, 0.96, 0.95]}, 3)
+    terms = src.take(5000)
+    peaks = []
+    for count in (500, 5000):
+        path, out = tmp_path / f"geo{count}.txt", tmp_path / "report.csv"
+        write_terms(path, terms[:count])
+        argv = ["accelerate", str(path), "--algo", "stea2", "--out", str(out)]
+        assert main(argv) == 0
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks

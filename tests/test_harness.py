@@ -1,6 +1,7 @@
 """Experiment harness: specs, runs, reports, fits, protocols."""
 
 import gc
+import io
 import json
 import math
 import re
@@ -369,6 +370,43 @@ def test_a_report_keeps_a_few_hundred_bytes_per_entry(variant):
     assert kept / len(rep.entries) <= 280
 
 
+def _five_modes_file(path, count):
+    """A five-mode geometric stream of dim 20 written to ``path``, and its
+    limit; it repairs on most terms."""
+    rng = np.random.default_rng(5)
+    source = build_source({"kind": "geometric_modes", "limit": rng.random(20) + 0.5,
+                           "amps": [1.0] * 5, "rates": [0.9, 0.8, 0.7, 0.6, 0.5],
+                           "modes": [rng.random(20) + 0.5 for _ in range(5)]})
+    write_terms(path, source.take(count))
+    return source.limit()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("variant", ["scalar", "stea1", "stea2", "tea1", "tea2"])
+def test_a_spooled_report_writes_the_text_of_a_listed_one(tmp_path, variant, fmt):
+    # the spool renders each append's entries, and its events once the next
+    # append's repairs have marked them, as the listed report renders them
+    # at the end; a budget of None reads the whole file and records its count
+    from epsaccel.harness import Spool
+
+    path, limit_path = tmp_path / "terms.txt", tmp_path / "limit.txt"
+    write_terms(limit_path, [_five_modes_file(path, 150)])
+    spec = {"source": {"kind": "file", "path": str(path), "limit_path": str(limit_path)},
+            "algorithm": {"variant": variant, "max_k": 4}, "n_terms": 150}
+    listed = run(spec)
+    assert variant.startswith("tea") or any(ev.treated for ev in listed.events)
+    with Spool(fmt) as entries, Spool(fmt, "events") as events:
+        spooled = run(dict(spec, n_terms=None), entries, events)
+        assert (len(entries), len(events)) == (len(listed.entries), len(listed.events))
+        out = io.StringIO()
+        getattr(spooled, f"write_{fmt}")(out)
+    timing = r'"?wall_time_s"?[:=]\s*[-+0-9.eE]+'
+    assert spooled.spec["n_terms"] == 150
+    assert re.sub(timing, "", out.getvalue()) == re.sub(timing, "", getattr(listed, f"to_{fmt}")())
+    with pytest.raises(ValueError, match="cannot be written"):
+        spooled.write_csv(io.StringIO()) if fmt == "json" else spooled.write_json(io.StringIO())
+
+
 def test_report_best_prefers_smallest_error():
     rep = run(dict(KERNEL_SPEC))
     best = rep.best()
@@ -511,6 +549,20 @@ def test_reproduce_rejects_a_bad_dim_or_kmax_before_building(monkeypatch, name, 
     monkeypatch.setattr(harness.sequences, "KernelRecurrence", unbuilt)
     with pytest.raises(ValueError, match=f"^{arg} must be >= "):
         reproduce(name, **{arg: value})
+
+
+@pytest.mark.parametrize("name", ["kernel-vector", "kernel-matrix"])
+def test_kernel_protocols_reject_a_negative_p_before_building(monkeypatch, name):
+    # 10**-p above 1 would make every pair fire, and -p past 308 overflows
+    from epsaccel import harness
+
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("built before p was checked")
+
+    monkeypatch.setattr(harness.sequences, "KernelRecurrence", unbuilt)
+    for p in (-1, -400):
+        with pytest.raises(ValueError, match=f"^p must be >= 0, not {p}$"):
+            reproduce(name, p=p)
 
 
 @pytest.mark.parametrize("name", ["kaczmarz", "ns", "qpow", "stein"])

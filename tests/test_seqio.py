@@ -11,7 +11,7 @@ from epsaccel.seqio import FormatError, read_terms, write_terms
 def roundtrip(tmp_path, terms, comment=None):
     path = tmp_path / "seq.txt"
     write_terms(path, terms, comment=comment)
-    return read_terms(path)
+    return list(read_terms(path))
 
 
 def test_scalar_roundtrip(tmp_path):
@@ -50,7 +50,7 @@ def test_comments_and_blank_lines_ignored(tmp_path):
     path = tmp_path / "seq.txt"
     path.write_text(
         "# produced by hand\n\nvector 2\n1 2\n# midway note\n\n3 4\n")
-    back = read_terms(path)
+    back = list(read_terms(path))
     assert np.array_equal(back[0], [1.0, 2.0])
     assert np.array_equal(back[1], [3.0, 4.0])
 
@@ -58,7 +58,7 @@ def test_comments_and_blank_lines_ignored(tmp_path):
 def test_matrix_blocks_with_separators(tmp_path):
     path = tmp_path / "seq.txt"
     path.write_text("matrix 2 2\n1 0\n0 1\n\n2 0\n0 2\n")
-    back = read_terms(path)
+    back = list(read_terms(path))
     assert np.array_equal(back[1], 2 * np.eye(2))
 
 
@@ -67,30 +67,30 @@ def test_empty_file_rejected(tmp_path):
     for text in ("# nothing here\n", "# a header alone\nvector 3\n"):
         path.write_text(text)
         with pytest.raises(FormatError):
-            read_terms(path)
+            list(read_terms(path))
 
 
 def test_bad_header_rejected(tmp_path):
     path = tmp_path / "seq.txt"
     path.write_text("tensor 2 2 2\n1\n")
     with pytest.raises(FormatError):
-        read_terms(path)
+        list(read_terms(path))
     path.write_text("vector\n1\n")
     with pytest.raises(FormatError):
-        read_terms(path)
+        list(read_terms(path))
     path.write_text("vector -3\n1\n")
     with pytest.raises(FormatError):
-        read_terms(path)
+        list(read_terms(path))
 
 
 def test_bad_number_and_width_rejected(tmp_path):
     path = tmp_path / "seq.txt"
     path.write_text("vector 2\n1 apple\n")
     with pytest.raises(FormatError):
-        read_terms(path)
+        list(read_terms(path))
     path.write_text("vector 2\n1 2 3\n")
     with pytest.raises(FormatError):
-        read_terms(path)
+        list(read_terms(path))
 
 
 def test_non_finite_terms_rejected(tmp_path):
@@ -103,14 +103,14 @@ def test_non_finite_terms_rejected(tmp_path):
                        ("matrix 2 2\n1 0\n0 1\n\n1 0\n0 inf\n", 5)):
         path.write_text(text)
         with pytest.raises(FormatError, match=f"line {line}:"):
-            read_terms(path)
+            list(read_terms(path))
 
 
 def test_partial_matrix_block_rejected(tmp_path):
     path = tmp_path / "seq.txt"
     path.write_text("matrix 2 2\n1 0\n")
     with pytest.raises(FormatError):
-        read_terms(path)
+        list(read_terms(path))
 
 
 def test_write_guards(tmp_path):
@@ -189,7 +189,7 @@ def sequence_texts(draw):
 def test_reader_matches_a_complex_parse_of_every_token(tmp_path, text):
     path = tmp_path / "seq.txt"
     path.write_text(text, encoding="utf-8")
-    got, want = read_terms(path), reference_terms(text)
+    got, want = list(read_terms(path)), reference_terms(text)
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
@@ -208,7 +208,7 @@ def test_reader_matches_a_complex_parse_of_every_token(tmp_path, text):
 def test_reader_odd_tokens(tmp_path, text):
     path = tmp_path / "seq.txt"
     path.write_text(text)
-    got, want = read_terms(path), reference_terms(text)
+    got, want = list(read_terms(path)), reference_terms(text)
     assert [(a.dtype, a.shape, a.tobytes()) for a in got] == \
         [(b.dtype, b.shape, b.tobytes()) for b in want]
 
@@ -229,7 +229,46 @@ def test_reader_errors_name_their_line(tmp_path, text, message):
     path = tmp_path / "seq.txt"
     path.write_text(text)
     with pytest.raises(FormatError, match=f"^{message}$"):
-        read_terms(path)
+        list(read_terms(path))
+
+
+def test_a_complex_last_term_makes_every_term_complex(tmp_path):
+    # the dtype is settled before the first term is yielded: a real term
+    # comes back complex128 with +0.0 imaginary parts, -0j included
+    path = tmp_path / "seq.txt"
+    rows = [f"{0.5 ** n!r} {-0.0 if n == 3 else 1.0}" for n in range(50)]
+    path.write_text("vector 2\n" + "\n".join(rows) + "\n1 2-0j\n3 4j\n")
+    terms = list(read_terms(path))
+    assert len(terms) == 52
+    assert all(t.dtype == np.complex128 for t in terms)
+    assert all(not np.signbit(t.imag).any() for t in terms)
+    assert terms[-1].tolist() == [3, 4j] and terms[3].tolist() == [0.125, -0.0]
+
+
+@pytest.mark.parametrize("comment", ["# just a j", "# JJ", "#j"])
+def test_a_j_outside_the_numbers_keeps_the_terms_real(tmp_path, comment):
+    path = tmp_path / "seq.txt"
+    path.write_text(f"{comment}\nmatrix 1 2\n1 2\n{comment}\n3 (4+0j)\n")
+    terms = list(read_terms(path))
+    assert [t.dtype for t in terms] == [np.float64, np.float64]
+    assert terms[1].tolist() == [[3.0, 4.0]]
+
+
+def test_no_term_is_yielded_after_a_non_finite_one(tmp_path):
+    # the terms before it are yielded as they are read; the rest of the
+    # file is still checked before the non-finite term is reported
+    path = tmp_path / "seq.txt"
+    rows = [f"{n} {n + 1}" for n in range(10)]
+    rows[6] = "1 -inf"
+    path.write_text("vector 2\n" + "\n".join(rows) + "\n")
+    got = []
+    with pytest.raises(FormatError, match="^line 8: term is not finite$"):
+        for term in read_terms(path):
+            got.append(term.tolist())
+    assert got == [[n, n + 1] for n in range(6)]
+    path.write_text("vector 2\n" + "\n".join(rows) + "\n1 2 3\n")
+    with pytest.raises(FormatError, match="^line 12: expected 2 numbers, got 3$"):
+        list(read_terms(path))
 
 
 def test_write_terms_is_repr_of_each_number(tmp_path):

@@ -24,7 +24,8 @@ where each firing's repair lands, the positions in ``invalid`` and
 ``peak_slots``/``peak_total``.  A command, or a ``harness.run`` report,
 gives its exit code and output, with
 ``wall_time_s`` removed; for each one that differs, the lines that differ
-are printed.  A file ``seqio.write_terms`` writes for the commands gives
+are printed.  A command run with ``--out`` also gives the SHA-256 of the
+file's bytes, ``wall_time_s`` removed, or that it wrote none.  A file ``seqio.write_terms`` writes for the commands gives
 the SHA-256 of its bytes.  Each public source of ``epsaccel.sequences``
 gives the digest of its first 60 terms (the ``entries`` part) and, as its
 output, the digest of its ``limit()`` and the ``residual`` of its last term,
@@ -402,10 +403,29 @@ def _call(argv, workdir=None):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(argv)
-    text = re.sub(r'"?wall_time_s"?[:=]\s*[-+0-9.eE]+', "wall_time_s", out.getvalue())
+    text = re.sub(_TIMING, "wall_time_s", out.getvalue())
     if workdir:
         text = text.replace(workdir, "<workdir>")
     return {"output": f"exit {code}\n{text}"}
+
+
+_TIMING = r'"?wall_time_s"?[:=]\s*[-+0-9.eE]+'
+
+
+def _call_out(argv, out, workdir):
+    """:func:`_call` with ``--out out``, and the SHA-256 of the bytes the
+    command wrote there, the timing and the temporary directory's name taken
+    out, or that it wrote no file."""
+    result = _call([*argv, "--out", out], workdir)
+    if os.path.exists(out):
+        with open(out, "rb") as fh:
+            data = re.sub(_TIMING.encode(), b"wall_time_s", fh.read())
+        data = data.replace(workdir.encode(), b"<workdir>")
+        os.remove(out)
+        result["output"] += f"\n--out sha256 {hashlib.sha256(data).hexdigest()}"
+    else:
+        result["output"] += "\n--out: no file"
+    return result
 
 
 def _cli_configs(tmp):
@@ -445,7 +465,15 @@ def _cli_configs(tmp):
                   None),
         "above-block": ([0.3 + 0.8 ** n * u + 0.5 ** n * v for n in range(6)],
                         np.full(dim, 0.3)),
+        # a matrix file whose last term alone is complex
+        "matrix-complex-last": ([S.reshape(4, 5) for S in terms[:29]]
+                                + [terms[29].reshape(4, 5) * (1 - 0.5j)], lim.reshape(4, 5)),
     }
+    # a length-10 stream of 2,000 terms, which the command reads a term at
+    # a time and reports through a spool
+    src = harness.build_source({"kind": "geometric_modes", "dim": 10,
+                                "rates": [0.99, 0.98, 0.97, 0.96, 0.95]}, 3)
+    inputs["long-10"] = (src.take(2000), src.limit())
     # each file's path, and its limit file's; the bytes write_terms wrote
     files = {}
     for name, (seq, limit) in inputs.items():
@@ -467,7 +495,9 @@ def _cli_configs(tmp):
         if n % 3 == 0:
             lines += ["# between terms", ""]
     lines.append("1_0 1E3 +.5")
-    for name, more in (("hand", []), ("hand-complex", ["1j 2 -0.5j"])):
+    # the third file holds a j and a J in comments only, so its terms are real
+    for name, more in (("hand", []), ("hand-complex", ["1j 2 -0.5j"]),
+                       ("hand-j", ["# a j and a J in a comment"])):
         files[name] = [os.path.join(tmp, f"{name}.txt")]
         with open(files[name][0], "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines + more) + "\n")
@@ -478,6 +508,31 @@ def _cli_configs(tmp):
                     argv = ["accelerate", path, "--algo", algo, "--format", fmt, *more]
                     label = f"accelerate {name} {algo} {fmt}" + (" limit" if more else "")
                     yield label, lambda a=argv: _call(a, tmp)
+    # the report written to a file instead of stdout
+    out = os.path.join(tmp, "report.out")
+    for name in ("real", "complex", "hand-complex", "long-10"):
+        path, *limit = files[name]
+        for fmt in ("csv", "json"):
+            argv = ["accelerate", path, "--format", fmt, *[a for lp in limit
+                                                         for a in ("--limit-file", lp)]]
+            yield f"accelerate {name} {fmt} --out", lambda a=argv: _call_out(a, out, tmp)
+    # a fault near the end of a long file: the exit code, and nothing on
+    # stdout or in the --out file
+    rows = [f"{1 + 0.9 ** n!r} {2 - 0.5 ** n!r} {0.25 ** n!r}" for n in range(2000)]
+    faults = {"bad-number": ("vector 3", {1990: "1 2 apple"}),
+              "bad-width": ("vector 3", {1990: "1 2"}),
+              "non-finite": ("vector 3", {1990: "1 inf 2"}),
+              "non-finite-then-bad-number": ("vector 3", {10: "1 nan 2", 1990: "1 2 apple"}),
+              "partial-block": ("matrix 3 3", {})}
+    for name, (header, changed) in faults.items():
+        path = os.path.join(tmp, f"fault-{name}.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join([header, *[changed.get(n, row) for n, row in enumerate(rows)]])
+                     + "\n")
+        for fmt in ("csv", "json"):
+            argv = ["accelerate", path, "--format", fmt]
+            yield f"accelerate fault {name} {fmt}", lambda a=argv: _call(a, tmp)
+            yield f"accelerate fault {name} {fmt} --out", lambda a=argv: _call_out(a, out, tmp)
     const = os.path.join(tmp, "const.txt")
     seqio.write_terms(const, [np.full(4, 2.5)] * 7)
     for algo in ("stea1", "stea2"):
