@@ -15,10 +15,7 @@ runs through identical code paths.  Its keys, which :func:`run` reads:
 ``seed``
     feeds every random choice in the run, default 0;
 ``label``
-    a name carried into the report, default ``""``;
-``metrics``
-    names of shadow metrics to note (``ratio_series``,
-    ``stability_margin``), default None.
+    a name carried into the report, default ``""``.
 
 Any other key is an error, as it is in every builder's dict.  Running one
 produces a :class:`RunReport` of per-entry norms, errors when the source
@@ -34,16 +31,16 @@ reported through one path, which chooses by the shape of an entry (a number
 of the scalar table, or an array of an element table) and never by the
 table's kind; a limit must have the terms' shape, whatever the table.
 
-The module also carries the measurement helpers shared by the test-suite and
-the command line: least-squares convergence-rate fits (geometric and power
-law), term-budget bookkeeping, and canned comparison protocols for the
-benchmark families (``reproduce``).  The kernel protocols read the one entry
-they compare straight off each table, without a report.
+The module also carries measurement helpers: least-squares convergence-rate
+fits (geometric and power law) and term-budget bookkeeping, which the
+test-suite reads reports with, and canned comparison protocols for the
+benchmark families (``reproduce``), which the command line runs.  The
+kernel protocols read the one entry they compare straight off each table,
+without a report.
 """
 
 from __future__ import annotations
 
-import codecs
 import io
 import itertools
 import json
@@ -59,7 +56,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import sequences
-from .topo_eps import Recorder, TeaTable, TopoEpsTable, ratio_series, stability_margin
+from .topo_eps import TeaTable, TopoEpsTable
 from .scalar_eps import ScalarEpsTable, _abs_any
 from .vectorspace import DimensionMismatchError, Functional, as_term
 
@@ -275,7 +272,6 @@ class RunReport:
     wall_time_s: float
     entries: list
     events: list = field(default_factory=list)
-    notes: dict = field(default_factory=dict)
 
     def column(self, col):
         """Entries of one even column, ordered by superscript."""
@@ -302,7 +298,7 @@ class RunReport:
         An entry is an object of its column, superscript, term count, norm
         and validity, then its error and residual where it has them; an
         event is an object of its fields."""
-        head = {k: v for k, v in vars(self).items() if k not in ("entries", "events", "notes")}
+        head = {k: v for k, v in vars(self).items() if k not in ("entries", "events")}
         # the head's text up to its closing brace, then the rest of the fields
         out.write(_ENCODER.encode(head)[:-2])
         for kind in ("entries", "events"):
@@ -314,7 +310,7 @@ class RunReport:
             out.write("[\n    ")
             _write_records(records, "json", kind, out)
             out.write("\n  ]")
-        out.write(',\n  "notes": ' + _ENCODER.encode(self.notes).replace("\n", "\n  ") + "\n}")
+        out.write("\n}")
 
     def write_csv(self, out):
         """Write the entries to the text stream ``out`` as CSV; run-level
@@ -398,17 +394,15 @@ def _write_records(records, fmt, kind, out):
 class Spool:
     """A report sink that holds the text of its records, not the records.
 
-    The records :func:`run` hands it are rendered as ``fmt`` (``csv`` or
-    ``json``) renders entries or events, as ``kind`` says, about ``BATCH``
-    at a time, and written to a temporary file as UTF-8; the spool holds
-    that file, the record count, which ``len`` gives, and the few records
-    not yet rendered.  CSV shows no events, so a CSV events spool keeps the
-    count alone.  :meth:`RunReport.write_csv` or ``write_json`` copies the
-    text out in blocks; ``close``, or leaving a ``with`` block, deletes the
-    file.
+    The records each ``extend`` hands it are rendered at once as ``fmt``
+    (``csv`` or ``json``) renders entries or events, as ``kind`` says, and
+    written to a temporary file; the spool holds that file and the record
+    count, which ``len`` gives.  The text is ASCII: the records are numbers
+    and booleans, and JSON escapes anything else.  CSV shows no events, so
+    a CSV events spool keeps the count alone.
+    :meth:`RunReport.write_csv` or ``write_json`` copies the text out in
+    blocks; ``close``, or leaving a ``with`` block, deletes the file.
     """
-
-    BATCH = 64
 
     def __init__(self, fmt, kind="entries"):
         self.fmt = fmt
@@ -416,32 +410,23 @@ class Spool:
         self._render = _RENDER[fmt, kind]
         self._file = None if self._render is None else tempfile.TemporaryFile()
         self._count = 0
-        self._batch = []
 
     def extend(self, records):
-        batch = self._batch
-        batch += records
-        if len(batch) >= self.BATCH:
-            self._flush()
-
-    def _flush(self):
-        batch = self._batch
-        if self._file is not None and batch:
-            self._file.write(self._render(batch, self._count).encode())
-        self._count += len(batch)
-        batch.clear()
+        # most appends fire no events, and an empty list renders as a stray
+        # separator
+        if self._file is not None and records:
+            self._file.write(self._render(records, self._count).encode("ascii"))
+        self._count += len(records)
 
     def __len__(self):
-        return self._count + len(self._batch)
+        return self._count
 
     def copy_to(self, out):
-        """Write the spooled text to the text stream ``out``, 8 KiB of its
-        UTF-8 at a time."""
-        self._flush()
+        """Write the spooled text to the text stream ``out``, 8 KiB at a
+        time."""
         self._file.seek(0)
-        decode = codecs.getincrementaldecoder("utf-8")().decode
         for block in iter(partial(self._file.read, 1 << 13), b""):
-            out.write(decode(block))
+            out.write(block.decode("ascii"))
 
     def close(self):
         if self._file is not None:
@@ -454,17 +439,6 @@ class Spool:
         self.close()
 
 
-# the metrics a run can note, by name: each reads the recorded shadow of a
-# scalar or a simplified table, whose columns stop at 2 * max_k + 2
-_NOTES = {
-    "ratio_series": lambda rec: {
-        str(k): series for k, series in ratio_series(rec).items()},
-    "stability_margin": lambda rec: {
-        str(k): stability_margin(rec, k)
-        for k in range(rec.shadow.table.max_col // 2 - 1)},
-}
-
-
 def _max_abs(x, out=None):
     """``max |x|`` as a float, with ``|x|`` written into ``out`` if given."""
     return float(np.maximum.reduce(np.abs(x, out=out), axis=None))
@@ -475,34 +449,28 @@ def run(spec, entries=None, events=None):
     return its :class:`RunReport`.
 
     ``source``, ``algorithm`` and ``n_terms`` are required; ``functional``
-    defaults to ``{"kind": "auto"}``, ``seed`` to 0, ``label`` to ``""``
-    and ``metrics`` to None.  A key the run does not read is an error.  The
-    report's ``spec`` holds the keys in the order the module docstring lists
-    them, with defaults filled in, a file source's ``terms`` left out,
-    ``metrics`` only when given and, for an ``n_terms`` of None, the count
-    of terms the run took.
+    defaults to ``{"kind": "auto"}``, ``seed`` to 0 and ``label`` to ``""``.
+    A key the run does not read is an error.  The report's ``spec`` holds
+    the keys in the order the module docstring lists them, with defaults
+    filled in, a file source's ``terms`` left out and, for an ``n_terms`` of
+    None, the count of terms the run took.
     The limit, when the source knows one, must have the terms' shape;
     another shape raises :class:`~epsaccel.vectorspace.DimensionMismatchError`
     before any term is fed, whatever the table.  Equation residuals are
     evaluated when the source has a ``residual`` method and the run is small
-    enough to afford it.  The metrics (``ratio_series``,
-    ``stability_margin``) read the recorded shadow of a table that has one,
-    the scalar table (its own shadow) or a simplified one (``stea1``,
-    ``stea2``): only a run that asks such a table for one appends through a
-    :class:`~epsaccel.topo_eps.Recorder`, and its notes hold them.  A full
-    table (``tea1``, ``tea2``) has no shadow, so its notes stay empty.  A
-    metric name not among these is an error.  The report's events are
-    the shadow's own records of each append's firings.
+    enough to afford it.  The report's events are the shadow's own records
+    of each append's firings: the scalar table is its own shadow, a
+    simplified one (``stea1``, ``stea2``) has one, and a full one (``tea1``,
+    ``tea2``) has none, so its events stay empty.
 
     ``entries`` and ``events`` are the sinks the run hands the
     :class:`Entry` records and the events to, through ``extend``, and which
     the report keeps; each is a new list when not given, and a
     :class:`Spool` keeps their text instead.  Each append's entries are
     handed on once it is done, and its events once the next append is done,
-    since that append's repairs mark them treated.  Apart from a list sink
-    and the metrics' recorder, the run holds the term being fed, the table,
-    the first term, the limit and one append's entries and events, whatever
-    the stream's length.
+    since that append's repairs mark them treated.  Apart from a list sink,
+    the run holds the term being fed, the table, the first term, the limit
+    and one append's entries and events, whatever the stream's length.
 
     Every table's entries are reported through one loop, which chooses by
     the shape of what the table is fed: the scalar table's numbers (``()``)
@@ -522,13 +490,7 @@ def run(spec, entries=None, events=None):
         "seed": conf.pop("seed", 0),
         "label": conf.pop("label", ""),
     }
-    metrics = conf.pop("metrics", None)
-    if metrics:
-        spec["metrics"] = list(metrics)
     _spent(conf, "spec")
-    unknown = set(metrics or ()) - set(_NOTES)
-    if unknown:
-        raise ValueError(f"unknown metrics: {sorted(unknown)}")
     entries = [] if entries is None else entries
     events = [] if events is None else events
     src = build_source(source, spec["seed"])
@@ -545,11 +507,8 @@ def run(spec, entries=None, events=None):
     # with the reduced limit, and residuals are of elements only
     scalar = isinstance(table, ScalarEpsTable)
     shape = () if scalar else np.shape(first)
-    # the shadow, whose firings are the report's events; the metrics are
-    # noted only of a table with one, which alone makes it record
+    # the shadow, whose firings are the report's events
     shadow = table if scalar else getattr(table, "scalar", None)
-    noted = list(metrics or ()) if shadow is not None else []
-    rec = Recorder(table) if noted else None
     n_terms = spec["n_terms"]
     collect_residuals = (hasattr(src, "residual") and not scalar
                          and n_terms is not None and n_terms <= 200)
@@ -569,7 +528,7 @@ def run(spec, entries=None, events=None):
     for term in itertools.islice(itertools.chain([first], src), n_terms):
         fed = functional(as_term(term)) if scalar else term
         made = []
-        for col, n, value in (rec or table).append(fed):
+        for col, n, value in table.append(fed):
             if col % 2:
                 continue
             norm = _max_abs(value, mag) if shape else float(np.abs(value))
@@ -598,11 +557,10 @@ def run(spec, entries=None, events=None):
     if n_terms is None:
         spec["n_terms"] = table.n_terms
 
-    notes = {metric: _NOTES[metric](rec) for metric in noted}
     return RunReport(
         spec=spec, sigma=getattr(table, "sigma", 0),
         peak_slots=getattr(table, "peak_slots", 0), n_terms=table.n_terms,
-        wall_time_s=wall, entries=entries, events=events, notes=notes)
+        wall_time_s=wall, entries=entries, events=events)
 
 
 # -- measurement helpers ------------------------------------------------------

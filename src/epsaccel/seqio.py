@@ -25,7 +25,8 @@ all zero is real, and once one term is complex every term is complex128.
 ``J``, so a file whose bytes hold neither is read once; one that holds
 either is first parsed, keeping nothing, up to its first number with a
 nonzero imaginary part or to its end, to settle the dtype before any term
-is yielded.  A bad number or width is reported as its line is read; a
+is yielded.  A bad number or width is reported as its line is read, and
+bytes that are not UTF-8, by the file's name, as they are read; a
 non-finite term, by the line of its first number, once the whole file is
 read, and no term after it is yielded.
 """
@@ -49,14 +50,18 @@ def _significant_lines(fh):
     """``(line number, stripped line)`` of each line that is neither blank nor
     a comment, read one line at a time.  Lines are numbered as
     ``str.splitlines`` splits them, which also breaks at form feeds and the
-    other separators a text file's lines may hold."""
+    other separators a text file's lines may hold.  Raises
+    :class:`FormatError` naming the file when its bytes are not UTF-8."""
     lineno = 0
-    for raw in fh:
-        for line in raw.splitlines() or ("",):
-            lineno += 1
-            line = line.strip()
-            if line and not line.startswith("#"):
-                yield lineno, line
+    try:
+        for raw in fh:
+            for line in raw.splitlines() or ("",):
+                lineno += 1
+                line = line.strip()
+                if line and not line.startswith("#"):
+                    yield lineno, line
+    except UnicodeDecodeError:
+        raise FormatError(f"{fh.name}: not UTF-8 text") from None
 
 
 def _parse_number(token, lineno):
@@ -92,9 +97,9 @@ def _parse(path):
     and a list of its imaginary parts (0.0 on a line ``float`` read) when
     one of its lines needed ``complex()``, else None.
 
-    Raises :class:`FormatError` on a bad header, number or width as its line
-    is read, then on a trailing partial matrix block, then on a file with no
-    terms."""
+    Raises :class:`FormatError` on bytes that are not UTF-8 or a bad
+    header, number or width as its line is read, then on a trailing partial
+    matrix block, then on a file with no terms."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = _significant_lines(fh)
         lineno, header = next(lines, (None, None))
@@ -169,12 +174,12 @@ def read_terms(path):
     Scalars come back as 0-d arrays, vectors as 1-d, matrices as 2-d; each
     term is its own array, and dtype is float64 unless some term is complex,
     when every term is complex128.  Holds one term and one line of the file
-    at a time.  Raises :class:`FormatError`: on a bad header, number or
-    width as its line is reached; then, at the end of the file, on a
-    trailing partial matrix block or a file with no terms; then on a term
-    that is not finite, naming the line of its first number.  No term after
-    a non-finite one is yielded, and the rest of the file is still checked
-    for the errors above before that one is raised.
+    at a time.  Raises :class:`FormatError`: on bytes that are not UTF-8 or
+    a bad header, number or width as its line is reached; then, at the end
+    of the file, on a trailing partial matrix block or a file with no terms;
+    then on a term that is not finite, naming the line of its first number.
+    No term after a non-finite one is yielded, and the rest of the file is
+    still checked for the errors above before that one is raised.
     """
     as_complex = _complex_file(path)
     terms = _parse(path)

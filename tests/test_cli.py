@@ -118,6 +118,20 @@ def test_non_finite_input_exits_2(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("role", [[], ["--limit-file"], ["--functional", "dot", "--y-file"]],
+                         ids=["input", "limit", "y"])
+def test_a_file_that_is_not_utf8_exits_2(tmp_path, capsys, role):
+    # unusable input, not a breakdown, in whichever role the file is read
+    good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+    write_terms(good, [np.array([1.0, 2.0]) * 0.5 ** n + 1 for n in range(7)])
+    bad.write_bytes(b"vector 2\n1 2\n\xff\xfe 3\n4 5\n")
+    argv = [str(bad)] if not role else [str(good), *role, str(bad)]
+    assert main(["accelerate", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"epsaccel: {bad}: not UTF-8 text\n"
+
+
 # arguments that do not fit a vector-3 file's terms, by case; "{...}" names
 # a file the test writes
 _MISFITS = {

@@ -9,13 +9,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epsaccel import ScalarEpsTable, SingularEvent, TopoEpsTable, Functional
 from epsaccel.harness import (
     Entry,
     RunReport,
+    Spool,
     build_functional,
     build_source,
     build_table,
@@ -51,6 +52,8 @@ def test_builders_reject_unknown_keys():
     # and so is a top-level spec key run does not read
     with pytest.raises(ValueError, match="n_term'"):
         run(dict(KERNEL_SPEC, n_term=11))
+    with pytest.raises(ValueError, match="unknown spec keys: \\['metrics'\\]"):
+        run(dict(KERNEL_SPEC, metrics=["stability_margin"]))
 
 
 def test_run_is_deterministic():
@@ -79,72 +82,24 @@ def test_iterations_to_tolerance_none_when_unmet():
     assert iterations_to_tolerance([(0, 1.0), (1, 0.5)], 2, 1e-12) is None
 
 
-def test_metrics_ride_in_notes():
-    spec = dict(KERNEL_SPEC, metrics=["ratio_series", "stability_margin"])
-    rep = run(spec)
-    assert set(rep.notes) == {"ratio_series", "stability_margin"}
-    assert "0" in rep.notes["stability_margin"]
-
-
-def test_run_rejects_unknown_metrics():
-    with pytest.raises(ValueError, match="ratio_serie"):
-        run(dict(KERNEL_SPEC, metrics=["stability_margin", "ratio_serie"]))
-
-
-def test_events_surface_in_report():
-    rep = run(dict(KERNEL_SPEC))
-    treated = [ev for ev in rep.events if ev.treated]
-    assert len(treated) == 2
-    assert all(ev.ratio < 1e-10 for ev in treated)
-
-
-@pytest.mark.parametrize("variant", ["stea2", "tea2", "scalar"])
-def test_run_records_only_for_the_metrics_that_read_it(monkeypatch, variant):
-    # a report's events come from each append's firings, so a run records
-    # nothing, and keeps no element copies, unless a metric reads the
-    # recorded shadow; a full table has no shadow, so only a scalar or a
-    # simplified table's notes hold those metrics, and no full table is
-    # recorded for them
+def test_events_surface_in_report(monkeypatch):
+    # the report's events are every firing of the table's shadow: the scalar
+    # table itself, or the one a simplified table keeps, which is fed the
+    # same reduced terms and so fires alike
     from epsaccel import harness
 
-    built, recorded = [], []
-
-    def build_table(conf, functional):
-        built.append(real(conf, functional))
-        return built[-1]
-
-    class Recorder(harness.Recorder):
-        def __init__(self, table):
-            recorded.append(table)
-            super().__init__(table)
-
-    real = harness.build_table
-    monkeypatch.setattr(harness, "build_table", build_table)
-    monkeypatch.setattr(harness, "Recorder", Recorder)
-    spec = dict(KERNEL_SPEC, algorithm=dict(KERNEL_SPEC["algorithm"], variant=variant))
-    plain = run(spec)
-    traced = run(dict(spec, metrics=["ratio_series", "stability_margin"]))
-    noted = variant != "tea2"
-    assert recorded == (built[1:] if noted else [])
-    if variant != "tea2":
-        shadow = getattr(built[0], "scalar", built[0])
-        assert len(plain.events) == len(shadow.events) > 0
-    assert plain.events == traced.events
-    assert plain.entries == traced.entries
-    assert plain.notes == {}
-    assert set(traced.notes) == ({"ratio_series", "stability_margin"} if noted else set())
-    assert traced.spec["algorithm"] == spec["algorithm"]
-
-
-def test_scalar_notes_are_a_simplified_tables_shadow_notes():
-    # a scalar run's recorder is its own shadow: its table is the one a
-    # simplified table's shadow is, fed the same reduced terms
-    metrics = ["ratio_series", "stability_margin"]
-    simplified = run(dict(KERNEL_SPEC, metrics=metrics))
-    scalar = run(dict(KERNEL_SPEC, metrics=metrics,
-                      algorithm=dict(KERNEL_SPEC["algorithm"], variant="scalar")))
-    assert json.dumps(scalar.notes) == json.dumps(simplified.notes)
-    assert list(scalar.notes["stability_margin"]) == ["0", "1", "2", "3", "4"]
+    built = []
+    build_table = harness.build_table
+    monkeypatch.setattr(harness, "build_table",
+                        lambda *args: built.append(build_table(*args)) or built[-1])
+    reports = [run(dict(KERNEL_SPEC, algorithm=dict(KERNEL_SPEC["algorithm"], variant=v)))
+               for v in ("stea2", "scalar")]
+    for rep, table in zip(reports, built):
+        assert len(rep.events) == len(getattr(table, "scalar", table).events) > 0
+    assert reports[0].events == reports[1].events
+    treated = [ev for ev in reports[0].events if ev.treated]
+    assert len(treated) == 2
+    assert all(ev.ratio < 1e-10 for ev in treated)
 
 
 def _report_cases():
@@ -303,9 +258,8 @@ def _ref_to_csv(fields, entries):
 def _ref_to_json(fields, entries, events):
     from epsaccel.harness import _json_default
 
-    blob = dict(fields, entries=entries, events=events, notes=fields["notes"])
-    order = ("spec", "sigma", "peak_slots", "n_terms", "wall_time_s", "entries", "events",
-             "notes")
+    blob = dict(fields, entries=entries, events=events)
+    order = ("spec", "sigma", "peak_slots", "n_terms", "wall_time_s", "entries", "events")
     return json.dumps({key: blob[key] for key in order}, indent=2, default=_json_default)
 
 
@@ -328,22 +282,63 @@ _EVENTS = st.builds(
 @settings(max_examples=200, deadline=None)
 @given(rows=st.lists(_ROWS, max_size=12), events=st.lists(_EVENTS, max_size=6),
        sigma=st.integers(0, 50), peak_slots=st.integers(0, 50), n_terms=st.integers(0, 10_000),
-       wall=st.floats(0, 1e4), label=st.text(max_size=8),
-       notes=st.sampled_from([{}, {"stability_margin": {"0": 1.5}}]))
+       wall=st.floats(0, 1e4), label=st.text(max_size=8))
 def test_report_text_is_that_of_the_dict_rows(rows, events, sigma, peak_slots, n_terms,
-                                              wall, label, notes):
+                                              wall, label):
     # records render as the dicts did, byte for byte: the CSV fills a
     # missing error or residual with an empty field, and the JSON entry
     # names col, n, terms, norm_inf and valid before error_inf and residual
     fields = {"spec": {"label": label, "n_terms": n_terms}, "sigma": sigma,
-              "peak_slots": peak_slots, "n_terms": n_terms, "wall_time_s": wall,
-              "notes": notes}
+              "peak_slots": peak_slots, "n_terms": n_terms, "wall_time_s": wall}
     entries = [Entry(**dict({"error_inf": None, "residual": None}, **row)) for row in rows]
     fired = [SingularEvent(**dict(ev, victim=None if ev["victim"] is None else tuple(ev["victim"])))
              for ev in events]
     rep = RunReport(entries=entries, events=fired, **fields)
     assert rep.to_csv() == _ref_to_csv(fields, rows)
     assert rep.to_json() == _ref_to_json(fields, rows, events)
+
+
+@st.composite
+def _chunks(draw, records):
+    """A drawn list of records split into consecutive runs, some of them
+    empty, as a run's appends hand them to a sink."""
+    items = draw(records)
+    cuts = sorted(draw(st.lists(st.integers(0, len(items)), max_size=8)))
+    bounds = [0, *cuts, len(items)]
+    return [items[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+_ENTRY_CHUNKS = _chunks(st.lists(_ROWS.map(
+    lambda row: Entry(**dict({"error_inf": None, "residual": None}, **row))), max_size=12))
+_EVENT_CHUNKS = _chunks(st.lists(_EVENTS.map(
+    lambda ev: SingularEvent(**dict(ev, victim=None if ev["victim"] is None
+                                    else tuple(ev["victim"])))), max_size=6))
+# over 8 KiB of text in either format, so that copying the spool crosses
+# block bounds
+_LONG = [Entry(col, n, col + n + 1, 0.1 * n, None if n % 3 else 2.0 ** -n, 1e-3 * n, n % 7 > 0)
+         for n in range(80) for col in (0, 2, 4)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(entries=_ENTRY_CHUNKS, events=_EVENT_CHUNKS, fmt=st.sampled_from(["csv", "json"]))
+@example(entries=[[], _LONG[:37], [], _LONG[37:]],
+         events=[[SingularEvent(2, n, 1e-12, True, False, (4, n - 1))] for n in range(1, 40)],
+         fmt="json")
+@example(entries=[_LONG[:100], [], _LONG[100:]], events=[[], []], fmt="csv")
+def test_a_spool_writes_the_text_of_the_list_of_its_appends(entries, events, fmt):
+    # each append's records are rendered as they come, an empty append adds
+    # no text, and the text is copied out as the whole list renders it
+    fields = {"spec": {"label": ""}, "sigma": 1, "peak_slots": 2, "n_terms": 3,
+              "wall_time_s": 0.5}
+    with Spool(fmt) as entry_sink, Spool(fmt, "events") as event_sink:
+        for sink, chunks in ((entry_sink, entries), (event_sink, events)):
+            for chunk in chunks:
+                sink.extend(chunk)
+        spooled = RunReport(entries=entry_sink, events=event_sink, **fields)
+        text = getattr(spooled, f"to_{fmt}")()
+    listed = RunReport(entries=sum(entries, []), events=sum(events, []), **fields)
+    assert (len(entry_sink), len(event_sink)) == (len(listed.entries), len(listed.events))
+    assert text == getattr(listed, f"to_{fmt}")()
 
 
 @pytest.mark.parametrize("variant", ["stea2", "tea2"])
@@ -387,8 +382,6 @@ def test_a_spooled_report_writes_the_text_of_a_listed_one(tmp_path, variant, fmt
     # the spool renders each append's entries, and its events once the next
     # append's repairs have marked them, as the listed report renders them
     # at the end; a budget of None reads the whole file and records its count
-    from epsaccel.harness import Spool
-
     path, limit_path = tmp_path / "terms.txt", tmp_path / "limit.txt"
     write_terms(limit_path, [_five_modes_file(path, 150)])
     spec = {"source": {"kind": "file", "path": str(path), "limit_path": str(limit_path)},

@@ -360,31 +360,26 @@ def _digest_source(src):
 
 
 def _run_configs():
-    """``harness.run`` reports of every table, with the metrics that read
-    the shadow's history and without, on the kernel stream and on a
-    five-mode stream long enough to repair on most terms; and of ``stea2``
+    """``harness.run`` reports of every table, on the kernel stream and on
+    a five-mode stream long enough to repair on most terms; and of ``stea2``
     and ``tea2`` on the solver sources, whose entries carry residuals."""
     from epsaccel import harness
 
-    metric_sets = (None, ["ratio_series", "stability_margin"])
     kernel = {"kind": "kernel_recurrence", "dim": 20, "seed": 1}
     for name, source, n_terms in (("kernel", kernel, 11),
                                   ("five-modes", _five_modes(20, 5), 400)):
         for algo in harness._VARIANT_GRID + [{"variant": "scalar"}]:
-            for metrics in metric_sets:
-                spec = {"source": source, "n_terms": n_terms,
-                        "algorithm": dict(algo, max_k=5, p=10), "metrics": metrics}
-                label = f"run/{name}/{harness._label(algo)}/metrics={bool(metrics)}"
-                yield label, lambda sp=spec: _report(sp)
+            spec = {"source": source, "n_terms": n_terms,
+                    "algorithm": dict(algo, max_k=5, p=10)}
+            yield f"run/{name}/{harness._label(algo)}", lambda sp=spec: _report(sp)
     solvers = {"kaczmarz": {"kind": "kaczmarz_parter", "dim": 12},
                "stein": {"kind": "smith_stein", "dim": 8, "seed": 2},
                "ns": {"kind": "ns_iteration", "dim": 6, "seed": 3}}
     for name, source in solvers.items():
         for variant in ("stea2", "tea2"):
-            for metrics in metric_sets:
-                spec = {"source": source, "n_terms": 17, "metrics": metrics,
-                        "algorithm": {"variant": variant, "max_k": 3}}
-                yield f"run/{name}/{variant}/metrics={bool(metrics)}", lambda sp=spec: _report(sp)
+            spec = {"source": source, "n_terms": 17,
+                    "algorithm": {"variant": variant, "max_k": 3}}
+            yield f"run/{name}/{variant}", lambda sp=spec: _report(sp)
 
 
 def _report(spec):
@@ -625,10 +620,11 @@ def main(argv):
                 if x != y:
                     bad.append(f"    odd coefficient ({pos}): {x} -> {y}")
         if "output" in parts:
-            lines = difflib.unified_diff(a["output"].splitlines(),
-                                         b["output"].splitlines(), lineterm="", n=0)
-            bad.extend(f"    {line}" for line in lines
-                       if line[:1] in "+-" and line[:3] not in ("+++", "---"))
+            # past the two file headers, so that a line of its own that
+            # starts with "--" (the --out digest) is shown too
+            lines = list(difflib.unified_diff(a["output"].splitlines(),
+                                              b["output"].splitlines(), lineterm="", n=0))
+            bad.extend(f"    {line}" for line in lines[2:] if line[:1] in "+-")
     for name, (re0, im0, scale) in old["trace_weighted"].items():
         re1, im1, _ = new["trace_weighted"][name]
         err = abs(complex(re1, im1) - complex(re0, im0)) / scale
