@@ -48,7 +48,7 @@ import math
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import partial
 from operator import attrgetter
 from typing import NamedTuple
@@ -337,15 +337,31 @@ class RunReport:
         return out.getvalue()
 
 
-def _json_entry(e):
-    """An entry as its JSON object (:meth:`RunReport.write_json`)."""
-    row = {"col": e.col, "n": e.n, "terms": e.terms, "norm_inf": e.norm_inf,
-           "valid": e.valid}
-    if e.error_inf is not None:
-        row["error_inf"] = e.error_inf
-    if e.residual is not None:
-        row["residual"] = e.residual
-    return row
+def _json_record(fields, values):
+    """A report's record, given as its fields' names and values, as the JSON
+    object ``json.dumps(indent=2)`` lays out two levels deep: each field in
+    order that is not None, bar an event's ``victim``."""
+    return "{" + ",".join([f'\n      "{name}": {_json_value(v)}' for name, v in zip(fields, values)
+                           if v is not None or name == "victim"]) + "\n    }"
+
+
+def _json_value(v):
+    """A field's value as the JSON encoder spells it: a float's ``repr``, or
+    ``NaN``, ``Infinity`` or ``-Infinity``; a pair as a list one level
+    deeper."""
+    if v is None or v is True or v is False:
+        return "null" if v is None else "true" if v else "false"
+    if isinstance(v, float):
+        return ("NaN" if v != v else "Infinity" if v == math.inf
+                else "-Infinity" if v == -math.inf else float.__repr__(v))
+    if isinstance(v, tuple):
+        return "[\n        " + ",\n        ".join(map(_json_value, v)) + "\n      ]"
+    return "%d" % v
+
+
+# the fields of an entry's and an event's JSON object, in order
+_ENTRY_JSON = ("col", "n", "terms", "norm_inf", "valid", "error_inf", "residual")
+_EVENT_JSON = ("k", "n", "ratio", "treated", "suppressed", "victim")
 
 
 def _json_default(x):
@@ -361,12 +377,13 @@ def _json_default(x):
 _ENCODER = json.JSONEncoder(indent=2, default=_json_default)
 
 
-def _json_items(objs, i):
-    """The objects of a list that is a field of the report, from its
-    ``i``-th on, each laid out two levels deep after the separator from the
-    object before it."""
-    texts = [_ENCODER.encode(obj).replace("\n", "\n    ") for obj in objs]
-    return (",\n    " if i else "") + ",\n    ".join(texts)
+def _json_items(records, fields, i):
+    """The records of a list that is a field of the report, from its
+    ``i``-th on, as JSON objects of the named fields, each after the
+    separator from the one before it."""
+    values = attrgetter(*fields)
+    return (",\n    " if i else "") + ",\n    ".join(
+        [_json_record(fields, values(r)) for r in records])
 
 
 # the text of a run of consecutive records, by format and kind, given the
@@ -375,8 +392,8 @@ _RENDER = {
     ("csv", "entries"): lambda batch, i: "".join(
         [",".join(["" if v is None else str(v) for v in e]) + "\r\n" for e in batch]),
     ("csv", "events"): None,
-    ("json", "entries"): lambda batch, i: _json_items(map(_json_entry, batch), i),
-    ("json", "events"): lambda batch, i: _json_items(map(asdict, batch), i),
+    ("json", "entries"): lambda batch, i: _json_items(batch, _ENTRY_JSON, i),
+    ("json", "events"): lambda batch, i: _json_items(batch, _EVENT_JSON, i),
 }
 
 

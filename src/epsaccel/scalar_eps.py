@@ -36,23 +36,33 @@ endangered entry is already the one being repaired, so it is suppressed.  The
 counter ``sigma`` counts the repairs actually applied.
 
 Cost.  An append does O(max_col) work however long the stream: a scheduled
-repair carries the event it treats, and the suppression test reads only the
-firings of the previous diagonal, so a converged stream that repairs on
-every term stays linear in its length.  (With ``max_col=None`` the diagonals
-themselves grow, and an append is O(N).)  The work is one sweep over Python
-numbers, so its cost is the interpreter's, not numpy's per-call overhead:
-the test's trigger and the watched parities are fixed at construction, the
-finiteness tests are ``math.isfinite`` (``cmath.isfinite`` once the table has
-seen a complex term), and ``1/d`` is Python's IEEE division, with the
-infinity of d's sign at ``d == 0`` (``inf+0j`` for a complex zero).  That is
-bit for bit what numpy's scalar division gives a float.  A complex modulus
-too large for a float reads as inf in the test instead of raising.
+repair carries the firing it treats, and the suppression test reads only
+which columns fired on the previous diagonal, so a converged stream that
+repairs on every term stays linear in its length.  (With ``max_col=None``
+the diagonals themselves grow, and an append is O(N).)  The work is one
+sweep over Python numbers, so its cost is the interpreter's, not numpy's
+per-call overhead.  Each column takes one difference ``d = hi - lo`` of the
+pair west of its new entry, which serves both the test and the rhombus
+rule, and one finiteness test of ``d``, ``math.isfinite`` (``cmath.isfinite``
+once the table has seen a complex term): a finite ``d`` has finite
+operands, and finite operands whose difference overflows are too far apart
+for the test to fire.  The test's trigger and the watched parities are
+fixed at construction.  A firing is kept as a tuple, and becomes a
+:class:`SingularEvent` only when ``fired`` is read.  ``1/d`` is Python's
+IEEE division, with the infinity of d's sign at ``d == 0`` (``inf+0j`` for
+a complex zero).  That is bit for bit what numpy's scalar division gives a
+float.  A complex modulus too large for a float reads as inf in the test
+instead of raising.
 
 Storage.  The table holds O(max_col) numbers however many terms it has
 seen: the last three diagonals, which are all the rhombus rule, the cross
-rule and the topological tables' coefficient forms read, and the firings on
-the newest two.  ``n_terms`` and ``sigma`` are counters, and ``events``
-counts the firings without keeping them, so only ``len(events)`` reads it.
+rule and the topological tables' coefficient forms read, the firings of
+the newest one, and which columns fired on the newest two.  Each kept
+diagonal holds the boundary column -1 (zero) at index 0, so column k sits
+at index k + 1: the rhombus rule and the cross rule read the boundary like
+any other entry, and the coefficient forms index the diagonals as they are.
+``n_terms`` and ``sigma`` are counters, and ``events`` counts the firings
+without keeping them, so only ``len(events)`` reads it.
 ``entry`` of a diagonal older than the last three raises LookupError.
 :attr:`ScalarEpsTable.fired` gives the events of the latest append, which
 a repair on the next one marks treated, and ``last_diagonal`` the newest
@@ -135,18 +145,23 @@ class ScalarEpsTable:
         self.sigma = 0
         self.n_terms = 0
         self.events = _Tally()
-        # the last three diagonals
+        # the last three diagonals, each holding the boundary column -1 (zero)
+        # at index 0, so that column k sits at index k + 1
         self._diags = []
-        # firings of the test on the diagonal being built and on the previous
-        # one, the only one the suppression test reads, by pair
-        self._fired = {}
-        self._fired_prev = {}
-        self._pending_next = {}
-        # the sweep's constants: whether the test watches column j, by j % 2,
-        # and its relative trigger
+        # the firings of the latest append, each the tuple of its event's
+        # fields until ``fired`` makes the event; the columns whose test
+        # fired on it and on the one before, which is all the suppression
+        # test reads, as bit masks (bit j for column j); and the repairs
+        # scheduled for the next diagonal, in ascending victim column
+        self._fired = []
+        self._fired_cols = 0
+        self._fired_cols_prev = 0
+        self._pending = []
+        # the sweep's constants: whether the test watches the pair in column
+        # t - 1, by t % 2 of the column t it feeds, and its relative trigger
         detect = particular_rules and p_threshold is not None
-        self._watch = (detect and singular_parity != "odd",
-                       detect and singular_parity != "even")
+        self._watch = (detect and singular_parity != "even",
+                       detect and singular_parity != "odd")
         self._trigger = 10.0 ** (-p_threshold) if detect else None
         # set by the first complex term: from then on entries may be complex
         self._complex = False
@@ -161,11 +176,9 @@ class ScalarEpsTable:
         """
         N = self.n_terms
         diags = self._diags
-        prev = diags[-1] if N else []
-        pending = self._pending_next
-        self._pending_next = {}
-        self._fired_prev, self._fired = self._fired, self._fired_prev
-        self._fired.clear()
+        prev = diags[-1] if N else None
+        pending, self._pending, self._fired = self._pending, [], []
+        self._fired_cols_prev, self._fired_cols = self._fired_cols, 0
 
         if type(s) is not float:
             s = complex(s) if isinstance(s, complex) or np.iscomplexobj(s) else float(s)
@@ -177,48 +190,52 @@ class ScalarEpsTable:
                                 else (_inv_real_zero, math.isfinite, abs))
         watch = self._watch
         trigger = self._trigger
-        new = [s]
+        new = [0.0, s]
+        push = new.append
         top = N if self.max_col is None else min(N, self.max_col)
+        # the column of the next scheduled repair; 0 for none
+        due = pending[0][0] if pending else 0
 
         for t in range(1, top + 1):
-            j = t - 1
-            hi = new[j]      # eps_j^(N - t + 1)
-            lo = prev[j]     # eps_j^(N - t)
+            hi = new[t]     # eps_{t-1}^(N - t + 1)
+            lo = prev[t]    # eps_{t-1}^(N - t)
+            d = hi - lo
 
-            # the near-coincidence test on the pair (hi, lo)
+            # the near-coincidence test on the pair (hi, lo); a finite d has
+            # finite operands, and finite operands whose difference
+            # overflows are too far apart to fire
             sched = None
-            if watch[j & 1] and finite(hi) and finite(lo):
-                d = mag(hi - lo)
+            if watch[t & 1] and finite(d):
                 if lo != 0:
-                    ratio = d / mag(lo)
-                    fired = ratio < trigger
+                    ratio = mag(d) / mag(lo)
+                    hit = ratio < trigger
                 else:
-                    ratio = d
-                    fired = d < _EPS
-                if fired:
-                    sched = self._fire(j, N - t, ratio, prev, new)
+                    ratio = mag(d)
+                    hit = ratio < _EPS
+                if hit:
+                    sched = self._fire(t - 1, N - t, ratio, prev, new)
 
-            if t in pending:
-                info = pending[t]
-                value = _cross_east(info["C"], info["N"], new[t - 2], info["W"], finite)
+            if t == due:
+                _, C, north, west, log, i = pending.pop(0)
+                value = _cross_east(C, north, new[t - 1], west, finite)
                 self.sigma += 1
-                event = info["event"]
-                event.treated = True
-                event.victim = (t, N - t)
+                event = log[i]
+                if type(event) is SingularEvent:    # ``fired`` gave it out
+                    event.treated = True
+                    event.victim = (t, N - t)
+                due = pending[0][0] if pending else 0
             else:
-                base = prev[t - 2] if t >= 2 else 0.0
-                d = hi - lo
-                value = base + (1.0 / d if d else at_zero(d))
+                value = prev[t - 1] + (1.0 / d if d else at_zero(d))
 
-            new.append(value)
+            push(value)
             if sched is not None:
-                sched["C"] = value
+                sched[1] = value
 
         diags.append(new)
         if len(diags) > 3:
             del diags[0]
         self.n_terms = N + 1
-        return [(t, N - t, value) for t, value in enumerate(new)]
+        return [(k, N - k, value) for k, value in enumerate(new[1:])]
 
     def extend(self, terms):
         """Append every term of an iterable; returns the table itself."""
@@ -233,14 +250,16 @@ class ScalarEpsTable:
 
         Unless suppressed, schedules the cross-rule repair of the entry three
         columns east and one superscript down, which the next diagonal will
-        reach.  The schedule record carries the event, which the repair marks
-        treated.  Returns the record so the caller can fill in the centre
-        entry once it is computed, or None.
+        reach.  The schedule carries the firing, whose event, once ``fired``
+        has made it, the repair marks treated.  Returns the schedule so the caller can fill in the
+        centre entry once it is computed, or None.
         """
-        suppressed = (j - 2, n_pair + 1) in self._fired_prev and j >= 2
-        event = SingularEvent(j, n_pair, ratio, suppressed=suppressed)
-        self._fired[(j, n_pair)] = event
-        self.events.append(event)
+        # suppressed when column j - 2 fired on the previous diagonal
+        suppressed = bool(self._fired_cols_prev << 2 >> j & 1)
+        self._fired_cols |= 1 << j
+        fired = self._fired
+        fired.append((j, n_pair, ratio, False, suppressed))
+        self.events.count += 1
         if suppressed:
             return None
 
@@ -248,22 +267,26 @@ class ScalarEpsTable:
         # victim inside the table: both require n_pair >= 1.  The victim
         # column j + 3 must also clear the cap.
         t = j + 1
-        if n_pair < 1 or t >= len(prev):
+        if n_pair < 1 or t + 1 >= len(prev):
             return None
         if self.max_col is not None and t + 2 > self.max_col:
             return None
-        west = new[j - 1] if j >= 1 else 0.0
-        sched = {"event": event, "N": prev[t], "W": west, "C": None}
-        self._pending_next[t + 2] = sched
+        # victim column, centre, north and west neighbours, and the firing
+        sched = [t + 2, None, prev[t + 1], new[j], fired, len(fired) - 1]
+        self._pending.append(sched)
         return sched
 
     # -- access -------------------------------------------------------------
 
     @property
     def fired(self):
-        """The events of the latest append, in firing order; a repair later
-        marks its event treated."""
-        return list(self._fired.values())
+        """The events of the latest append, in firing order; a repair on the
+        next append marks its event treated.  Each firing becomes its event
+        here, once: a table whose ``fired`` no one reads makes none."""
+        # in place: a schedule of the next append's repair holds the list
+        self._fired[:] = [ev if type(ev) is SingularEvent else SingularEvent(*ev)
+                          for ev in self._fired]
+        return list(self._fired)
 
     def entry(self, k, n):
         """``eps_k^(n)``; the boundary column k = -1 is identically zero.
@@ -281,11 +304,11 @@ class ScalarEpsTable:
             raise LookupError(f"entry ({k}, {n}) is older than the last three diagonals"
                               " the table keeps: record the table with a Recorder")
         diag = self._diags[i]
-        return diag[k] if k < len(diag) else None
+        return diag[k + 1] if k + 1 < len(diag) else None
 
     @property
     def last_diagonal(self):
-        return list(self._diags[-1]) if self._diags else []
+        return self._diags[-1][1:] if self._diags else []
 
 
 class _Tally:
@@ -297,10 +320,8 @@ class _Tally:
     def __init__(self):
         self.count = 0
 
-    def append(self, item):
+    def add(self, item):
         self.count += 1
-
-    add = append
 
     def __len__(self):
         return self.count

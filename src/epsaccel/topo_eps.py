@@ -115,6 +115,7 @@ they keep.  The copies a :class:`Recorder` keeps never change.
 from __future__ import annotations
 
 import cmath
+import math
 
 import numpy as np
 
@@ -190,9 +191,9 @@ class _ElementTable:
         cur[0] = S
         out = [(0, N, S)]
         peak = held + ties
+        update, push = self._update, out.append
 
         for j in range(1, jmax + 1):
-            n = N - 2 * j
             base = prev[j - 1]              # E_{2k}^(n+1), one diagonal back
             if first:
                 hi, lo = base, older[j - 1]     # E_{2k}^(n), two back
@@ -206,14 +207,14 @@ class _ElementTable:
                 e = self._tie_update(j, base, coeff, lo)
                 ties = self._tie_slots()
             else:
-                e = self._update(base, coeff, hi, lo, lo if j >= 2 else None)
+                e = update(base, coeff, hi, lo, lo if j >= 2 else None)
             held -= lo is not None
             cur[j] = e
             if e is None:
-                self.invalid.add((2 * j, n))
+                self.invalid.add((2 * j, N - 2 * j))
             else:
                 held += 1
-                out.append((2 * j, n, e))
+                push((2 * j, N - 2 * j, e))
             if held + ties > peak:
                 peak = held + ties
         if trail:
@@ -254,34 +255,42 @@ class _ElementTable:
         coefficient is not finite.
 
         The result is complex128 if the coefficient or an operand is
-        complex, and float64 otherwise.  It goes into ``into``, a table-made
+        complex, and float64 otherwise.  A float coefficient (``np.float64``
+        is one) whose three operands have the float64 dtype, as in every
+        update of a float64 table, settles that with three identity tests
+        and ``math.isfinite``; anything else takes the general rule, with
+        ``cmath.isfinite``.  The result goes into ``into``, a table-made
         operand the sweep drops after this update, when that has the
-        result's dtype, and into a new buffer otherwise.  The difference and
-        the product go through the table's scratch: one direct call each for
-        an element of at most one block, block by block above that.
+        result's dtype, and into a new buffer otherwise.  The difference
+        and the product go through the table's scratch: one direct call each
+        for an element of at most one block, block by block above that.
         ``into`` may be ``lo`` and ``base`` (second kind): each block of
         ``hi - lo`` lands in the scratch before that block of ``into`` is
         written.  The product goes to the second scratch block, not back
         into the difference: numpy's complex multiply does not round alike
         in place and out of place.
         """
-        if base is None or hi is None or lo is None or not cmath.isfinite(coeff):
+        if base is None or hi is None or lo is None:
             return None
-        dtype = (_C128 if base.dtype == _C128 or hi.dtype == _C128
-                 or lo.dtype == _C128 or isinstance(coeff, complex) else _F64)
+        real = isinstance(coeff, float) and base.dtype is hi.dtype is lo.dtype is _F64
+        if not (math.isfinite(coeff) if real else cmath.isfinite(coeff)):
+            return None
+        dtype = (_F64 if real else _C128 if _C128 in (base.dtype, hi.dtype, lo.dtype)
+                 or isinstance(coeff, complex) else _F64)
         # the operands share one shape: append checks every term's
-        if into is None or into.dtype != dtype:
+        if into is None or into.dtype is not dtype:
             into = np.empty(base.shape, dtype)
         size = base.size
-        if self._scratch is None or self._scratch[0].dtype != dtype:
+        scratch = self._scratch
+        if scratch is None or scratch[0].dtype is not dtype:
             # an element of at most one block is its own single block
             shape = base.shape if size <= BLOCK else (BLOCK,)
-            self._scratch = (np.empty(shape, dtype), np.empty(shape, dtype))
-        d, p = self._scratch
+            scratch = self._scratch = (np.empty(shape, dtype), np.empty(shape, dtype))
+        d, p = scratch
         if size <= BLOCK:
-            np.subtract(hi, lo, out=d)
-            np.multiply(d, coeff, out=p)
-            return np.add(base, p, out=into)
+            np.subtract(hi, lo, d)
+            np.multiply(d, coeff, p)
+            return np.add(base, p, into)
         out, base, hi, lo = (x.reshape(-1) for x in (into, base, hi, lo))
         for i in range(0, size, BLOCK):
             j = min(i + BLOCK, size)
@@ -372,6 +381,9 @@ class TopoEpsTable(_ElementTable):
         self._tie_due = None
         self._tie_now = False
         self._tie_cols = ()
+        # the rule feeds column 4, so a table without column 4 keeps no
+        # slot for it
+        self._tie_rule = variant == "stea1" and max_k >= 2
 
     @property
     def sigma(self):
@@ -383,18 +395,17 @@ class TopoEpsTable(_ElementTable):
         """Add one term; returns new even entries as ``(column, n, array)``."""
         S = self._term(S)
         N = self.n_terms
-        self.scalar.append(self.functional(S))
-        coeffs = self._coefficients(self.scalar._diags, min(N, 2 * self.max_k) // 2)
+        scalar = self.scalar
+        scalar.append(self.functional(S))
+        coeffs = self._coefficients(scalar._diags, min(N, 2 * self.max_k) // 2)
 
-        # a column-0 tie (S_{N-1}, S_N) the shadow detected just now, a
-        # firing on the pair (0, N - 1) (column-0 firings are never
-        # suppressed); the rule feeds column 4, so a table without column 4
-        # keeps no slot for it
-        self._tie_now = (self.variant == "stea1" and self.max_k >= 2
-                         and (0, N - 1) in self.scalar._fired)
-        self._tie_due, self._tie_diff = self._tie_diff, None
-        cols = (1,) if self._tie_now or self._tie_off is not None else ()
-        self._tie_cols = cols + (2,) if self._tie_due is not None else cols
+        if self._tie_rule:
+            # a column-0 tie (S_{N-1}, S_N) the shadow detected just now, a
+            # column-0 firing on this append (those are never suppressed)
+            self._tie_now = bool(scalar._fired_cols & 1)
+            self._tie_due, self._tie_diff = self._tie_diff, None
+            cols = (1,) if self._tie_now or self._tie_off is not None else ()
+            self._tie_cols = cols + (2,) if self._tie_due is not None else cols
         return self._sweep(S, coeffs)
 
     def _tie_update(self, j, base, coeff, lo):
@@ -429,14 +440,14 @@ class TopoEpsTable(_ElementTable):
         of the newest diagonal, read off ``diags``, the shadow's kept
         diagonals.
 
-        Every form reads only the last three, where the entries of column c
-        sit at index c + 1 once the boundary column -1 (zero) is prepended.
+        Every form reads only the last three, which are all the shadow
+        keeps once a coefficient is due, and where the entries of column c
+        sit at index c + 1, after the boundary column -1 (zero).
         """
         if not jmax:
             return []
-        rows = [[0.0, *d] for d in diags[-3:]]
         (r1, c1), (r2, c2), (r3, c3), (r4, c4) = self._reads
-        a, b, c, d = rows[r1], rows[r2], rows[r3], rows[r4]
+        a, b, c, d = diags[r1], diags[r2], diags[r3], diags[r4]
         combiner = self._combiner
         return [combiner(a[i + c1] - b[i + c2], c[i + c3] - d[i + c4])
                 for i in range(0, 2 * jmax, 2)]
@@ -567,8 +578,8 @@ _OFFSETS = {
 # the same entries as TopoEpsTable._coefficients reads them: with
 # n = N - 2k - 2 on the append of term N, eps_{2k+i}^(n+m) lies on diagonal
 # N - 2 + i + m, one of the shadow's last three (index i + m of them), at
-# column 2k + i, which is index 2k + i + 1 of that diagonal with column -1
-# prepended
+# column 2k + i, which is index 2k + i + 1 of that diagonal, whose index 0
+# holds column -1
 _FORMS = {key: (tuple((i + m, i + 1) for i, m in offsets), combiner)
           for key, (offsets, combiner) in _OFFSETS.items()}
 

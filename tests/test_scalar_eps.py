@@ -203,15 +203,18 @@ class _UnscannableLog(list):
 
 def test_repairs_do_not_scan_the_event_log():
     # a stream converged in float64 repairs on almost every term; scanning
-    # the whole log on each repair made such streams quadratic
-    tab = ScalarEpsTable(max_col=10)
+    # the whole log on each repair made such streams quadratic.  The table
+    # keeps no log, and a repair marks the event ``fired`` gave out, which
+    # the recorder logs without scanning its log
+    tab = Recorder(ScalarEpsTable(max_col=10))
     tab.events = _UnscannableLog()
     n_terms = 400
     for n in range(n_terms):
         tab.append(1.0 + 0.5**n + 0.3**n + 0.8**n)
     events = [tab.events[i] for i in range(len(tab.events))]
     treated = [ev for ev in events if ev.treated]
-    assert tab.sigma == len(treated) > n_terms // 2
+    assert len(events) == len(tab.table.events)
+    assert tab.table.sigma == len(treated) > n_terms // 2
 
 
 @st.composite
@@ -250,6 +253,18 @@ def test_event_bookkeeping(terms, max_col, p, parity):
         assert ev.suppressed == (ev.k >= 2 and (ev.k - 2, ev.n + 1) in fired)
         assert not (ev.suppressed and ev.treated)
     assert tab.table.sigma == sum(ev.treated for ev in tab.events)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_an_overflowing_difference_fires_no_event(kind):
+    # finite consecutive terms whose difference overflows are as far apart
+    # as numbers get: even a trigger of 1e300 must not fire on them
+    terms = [(-1) ** n * (1.0 + n / 16) * 1e308 for n in range(12)]
+    if kind == "complex":
+        terms = [complex(x, -0.9 * x) for x in terms]
+    tab = Recorder(ScalarEpsTable(max_col=1, p_threshold=-300))
+    tab.extend(terms)
+    assert len(tab.table.events) == 0 and tab.events == []
 
 
 def test_signed_zero_difference_gives_signed_infinity():
@@ -382,6 +397,11 @@ def shadow_streams(draw):
 # column-1 entries near 1e308 in both parts, whose difference's modulus
 # overflows: abs() raised OverflowError out of append
 @example(terms=[0j, 7e-309 * (1 + 1j), 0j, 7e-309 * (1 + 1j), 0j], max_col=None,
+         p=10, rules=True, parity="both")
+# finite consecutive terms whose difference overflows: the table skips the
+# pair on its difference's finiteness, the reference tests its finite terms
+# and takes a ratio of inf, which never fires
+@example(terms=[1e308, -1e308, 1.5e308, -1e308, 1e308, 1e308, -1.7e308], max_col=None,
          p=10, rules=True, parity="both")
 # a repair whose operands are inf and NaN: its NaN's sign is CPython's choice
 @example(terms=[math.nan, math.nan, 0.512438087268418, 0.5124380872684186,

@@ -282,6 +282,10 @@ def configurations(workdir):
     tied = list(scal[:60])
     for i, rel in ((5, 0.0), (17, 1e-13), (30, 0.0), (31, 1e-15), (44, 1e-11)):
         tied[i] = tied[i - 1] * (1.0 + rel)
+    # finite consecutive terms whose difference overflows, real and with
+    # both parts near 1e308
+    big = [(-1) ** n * (1.0 + n / 16) * 1e308 for n in range(12)]
+    cbig = [complex(x, -0.9 * x) for x in big]
     scalar_streams = {
         "tied": tied,
         "signed-zero": [0.0, -0.0, 0.0, 1.0, -0.0, -0.0, 2.0, 2.0, 0.0],
@@ -291,6 +295,8 @@ def configurations(workdir):
         "mixed": tied[:10] + [complex(s, 1e-3) for s in tied[10:20]] + tied[20:30],
         "numpy-scalars": [np.float64(s) for s in tied],
         "constant": [3.25] * 12,
+        "overflow": big,
+        "overflow-complex": cbig,
     }
     for sname, terms in scalar_streams.items():
         for parity in ("both", "even", "odd"):
@@ -302,6 +308,14 @@ def configurations(workdir):
                                _digest_table(lambda: ScalarEpsTable(
                                    max_col=mc, p_threshold=pp, particular_rules=r,
                                    singular_parity=pa), t))
+
+    # the overflowing streams as dim-1 elements through the simplified tables
+    f = Functional.dot(np.ones(1))
+    for name, terms in (("overflow", big), ("overflow-complex", cbig)):
+        for tname, make in _all_tables(f).items():
+            if tname.startswith("stea"):
+                yield (f"{name}-dim1/{tname}",
+                       lambda m=make, t=[np.array([x]) for x in terms]: _digest_table(m, t))
 
     # parity and rules through the element tables
     src = KernelRecurrence(50, "vector", seed=0)
