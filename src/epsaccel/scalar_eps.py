@@ -36,7 +36,7 @@ endangered entry is already the one being repaired, so it is suppressed.  The
 counter ``sigma`` counts the repairs actually applied.
 
 Cost.  An append does O(max_col) work however long the stream: a scheduled
-repair carries the firing it treats, and the suppression test reads only
+repair carries the event it treats, and the suppression test reads only
 which columns fired on the previous diagonal, so a converged stream that
 repairs on every term stays linear in its length.  (With ``max_col=None``
 the diagonals themselves grow, and an append is O(N).)  The work is one
@@ -47,16 +47,14 @@ rule, and one finiteness test of ``d``, ``math.isfinite`` (``cmath.isfinite``
 once the table has seen a complex term): a finite ``d`` has finite
 operands, and finite operands whose difference overflows are too far apart
 for the test to fire.  The test's trigger and the watched parities are
-fixed at construction.  A firing is kept as a tuple, and becomes a
-:class:`SingularEvent` only when ``fired`` is read.  ``1/d`` is Python's
-IEEE division, with the infinity of d's sign at ``d == 0`` (``inf+0j`` for
-a complex zero).  That is bit for bit what numpy's scalar division gives a
-float.  A complex modulus too large for a float reads as inf in the test
-instead of raising.
+fixed at construction.  ``1/d`` is Python's IEEE division, with the
+infinity of d's sign at ``d == 0`` (``inf+0j`` for a complex zero).  That
+is bit for bit what numpy's scalar division gives a float.  A complex
+modulus too large for a float reads as inf in the test instead of raising.
 
 Storage.  The table holds O(max_col) numbers however many terms it has
 seen: the last three diagonals, which are all the rhombus rule, the cross
-rule and the topological tables' coefficient forms read, the firings of
+rule and the topological tables' coefficient forms read, the events of
 the newest one, and which columns fired on the newest two.  Each kept
 diagonal holds the boundary column -1 (zero) at index 0, so column k sits
 at index k + 1: the rhombus rule and the cross rule read the boundary like
@@ -148,11 +146,10 @@ class ScalarEpsTable:
         # the last three diagonals, each holding the boundary column -1 (zero)
         # at index 0, so that column k sits at index k + 1
         self._diags = []
-        # the firings of the latest append, each the tuple of its event's
-        # fields until ``fired`` makes the event; the columns whose test
-        # fired on it and on the one before, which is all the suppression
-        # test reads, as bit masks (bit j for column j); and the repairs
-        # scheduled for the next diagonal, in ascending victim column
+        # the events of the latest append; the columns whose test fired on
+        # it and on the one before, which is all the suppression test reads,
+        # as bit masks (bit j for column j); and the repairs scheduled for
+        # the next diagonal, in ascending victim column
         self._fired = []
         self._fired_cols = 0
         self._fired_cols_prev = 0
@@ -216,13 +213,11 @@ class ScalarEpsTable:
                     sched = self._fire(t - 1, N - t, ratio, prev, new)
 
             if t == due:
-                _, C, north, west, log, i = pending.pop(0)
+                _, C, north, west, event = pending.pop(0)
                 value = _cross_east(C, north, new[t - 1], west, finite)
                 self.sigma += 1
-                event = log[i]
-                if type(event) is SingularEvent:    # ``fired`` gave it out
-                    event.treated = True
-                    event.victim = (t, N - t)
+                event.treated = True
+                event.victim = (t, N - t)
                 due = pending[0][0] if pending else 0
             else:
                 value = prev[t - 1] + (1.0 / d if d else at_zero(d))
@@ -250,16 +245,16 @@ class ScalarEpsTable:
 
         Unless suppressed, schedules the cross-rule repair of the entry three
         columns east and one superscript down, which the next diagonal will
-        reach.  The schedule carries the firing, whose event, once ``fired``
-        has made it, the repair marks treated.  Returns the schedule so the caller can fill in the
-        centre entry once it is computed, or None.
+        reach.  The schedule carries the event, which the repair marks
+        treated.  Returns the schedule so the caller can fill in the centre
+        entry once it is computed, or None.
         """
         # suppressed when column j - 2 fired on the previous diagonal
         suppressed = bool(self._fired_cols_prev << 2 >> j & 1)
         self._fired_cols |= 1 << j
-        fired = self._fired
-        fired.append((j, n_pair, ratio, False, suppressed))
-        self.events.count += 1
+        event = SingularEvent(j, n_pair, ratio, False, suppressed)
+        self._fired.append(event)
+        self.events.append(event)
         if suppressed:
             return None
 
@@ -271,8 +266,8 @@ class ScalarEpsTable:
             return None
         if self.max_col is not None and t + 2 > self.max_col:
             return None
-        # victim column, centre, north and west neighbours, and the firing
-        sched = [t + 2, None, prev[t + 1], new[j], fired, len(fired) - 1]
+        # victim column, centre, north and west neighbours, and the event
+        sched = [t + 2, None, prev[t + 1], new[j], event]
         self._pending.append(sched)
         return sched
 
@@ -281,11 +276,7 @@ class ScalarEpsTable:
     @property
     def fired(self):
         """The events of the latest append, in firing order; a repair on the
-        next append marks its event treated.  Each firing becomes its event
-        here, once: a table whose ``fired`` no one reads makes none."""
-        # in place: a schedule of the next append's repair holds the list
-        self._fired[:] = [ev if type(ev) is SingularEvent else SingularEvent(*ev)
-                          for ev in self._fired]
+        next append marks its event treated."""
         return list(self._fired)
 
     def entry(self, k, n):
@@ -320,8 +311,10 @@ class _Tally:
     def __init__(self):
         self.count = 0
 
-    def add(self, item):
+    def append(self, item):
         self.count += 1
+
+    add = append
 
     def __len__(self):
         return self.count

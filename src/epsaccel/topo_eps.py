@@ -256,10 +256,11 @@ class _ElementTable:
 
         The result is complex128 if the coefficient or an operand is
         complex, and float64 otherwise.  A float coefficient (``np.float64``
-        is one) whose three operands have the float64 dtype, as in every
-        update of a float64 table, settles that with three identity tests
-        and ``math.isfinite``; anything else takes the general rule, with
-        ``cmath.isfinite``.  The result goes into ``into``, a table-made
+        is one) is tested with ``math.isfinite``, any other with
+        ``cmath.isfinite``, and a float one whose three operands have the
+        float64 dtype, as in every update of a float64 table, settles the
+        dtype with three identity tests; anything else takes the general
+        rule.  The result goes into ``into``, a table-made
         operand the sweep drops after this update, when that has the
         result's dtype, and into a new buffer otherwise.  The difference
         and the product go through the table's scratch: one direct call each
@@ -272,10 +273,11 @@ class _ElementTable:
         """
         if base is None or hi is None or lo is None:
             return None
-        real = isinstance(coeff, float) and base.dtype is hi.dtype is lo.dtype is _F64
+        real = isinstance(coeff, float)
         if not (math.isfinite(coeff) if real else cmath.isfinite(coeff)):
             return None
-        dtype = (_F64 if real else _C128 if _C128 in (base.dtype, hi.dtype, lo.dtype)
+        dtype = (_F64 if real and base.dtype is hi.dtype is lo.dtype is _F64
+                 else _C128 if _C128 in (base.dtype, hi.dtype, lo.dtype)
                  or isinstance(coeff, complex) else _F64)
         # the operands share one shape: append checks every term's
         if into is None or into.dtype is not dtype:

@@ -8,7 +8,8 @@ of its own, and the two are timed in alternating rounds, which of the two
 goes first alternating too, so that both see the same drift of the host's
 speed.  A round builds a fresh table and appends every term of a stream to
 it, and gives the CPU time (``time.process_time``) of the round over its
-number of appends.
+number of appends.  After each append the round reads the events of the
+table's scalar shadow (``fired``), as ``harness.run`` does for its report.
 
 The streams are the five-mode geometric family (rates 0.9 .. 0.5, random
 directions and a random nonzero limit, seed 1) at dim 100: ``solvers``,
@@ -71,10 +72,16 @@ def round_us(pkg, table, terms, f):
     else:
         tab = pkg.TeaTable(f, 5, variant=table)
     append = tab.append
+    shadow = tab if table in ("shadow", "scalar") else getattr(tab, "scalar", None)
     t0 = time.process_time()
     if table == "scalar":
         for S in terms:
             append(f(S))
+            shadow.fired
+    elif shadow is not None:
+        for S in terms:
+            append(S)
+            shadow.fired
     else:
         for S in terms:
             append(S)
