@@ -28,7 +28,6 @@ written, or a negative ``--kmax``, ``--p`` or ``--seed``.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -105,16 +104,15 @@ def _build_parser():
                      help="singular detection threshold digits (kernel protocols only)")
     rep.add_argument("--kmax", type=_order, default=None)
     rep.add_argument("--seed", type=_order, default=0)
-    rep.add_argument("--jobs", type=int, default=1,
-                     help="worker threads for independent runs")
+    rep.add_argument("--jobs", type=int, choices=(1,), default=1,
+                     help="kept for compatibility; runs are serial")
     rep.add_argument("--format", choices=("table", "json"), default="table")
     rep.add_argument("--out", metavar="FILE")
     return parser
 
 
-def _functional_conf(args, shape):
-    """The harness's functional spec for ``--functional`` and ``--y-file``,
-    for terms of ``shape``."""
+def _functional_conf(args):
+    """The harness's functional spec for ``--functional`` and ``--y-file``."""
     kind, key = _FUNCTIONALS[args.functional]
     conf = {"kind": kind}
     if args.y_file:
@@ -122,8 +120,6 @@ def _functional_conf(args, shape):
             raise argparse.ArgumentError(
                 None, f"--y-file needs --functional dot or trace-y, not {args.functional}")
         conf[key] = seqio.first_term(args.y_file).tolist()
-    elif kind == "dot" and shape == ():
-        conf["y"] = 1.0
     return conf
 
 
@@ -157,18 +153,14 @@ class _Rows(harness.Spool):
 def _cmd_accelerate(args):
     with _Rows(args.format) as rows, harness.Spool(args.format, "events") as events:
         try:
-            terms = seqio.read_terms(args.input)
-            # the first term's shape picks dot's y; it is fed like the rest
-            first = next(terms)
-            source = {"kind": "file", "path": args.input,
-                      "terms": itertools.chain([first], terms)}
+            source = {"kind": "file", "path": args.input}
             if args.limit_file:
                 source["limit_path"] = args.limit_file
             algo = {"variant": args.algo, "form": args.form, "max_k": args.kmax,
                     "p": args.p, "rules": not args.no_rules, "parity": args.parity}
             report = harness.run({
                 "source": source, "algorithm": algo,
-                "functional": _functional_conf(args, first.shape),
+                "functional": _functional_conf(args),
                 "n_terms": None, "seed": args.seed,
                 "label": os.path.basename(args.input)}, rows, events)
         except (OSError, argparse.ArgumentError, seqio.FormatError,
@@ -199,9 +191,6 @@ def _format_protocol_table(result):
     lines.append("  " + "  ".join(f"{k}={v}" for k, v in meta.items()
                                   if not isinstance(v, dict)))
     rows = result["rows"]
-    if not rows:
-        lines.append("  (no rows)")
-        return "\n".join(lines)
     cols = list(rows[0].keys())
     widths = {c: max(len(c), *(len(_cell(r.get(c))) for r in rows)) for c in cols}
     lines.append("  " + "  ".join(c.ljust(widths[c]) for c in cols))
@@ -225,7 +214,7 @@ def _cell(v):
 def _cmd_reproduce(args):
     try:
         result = harness.reproduce(args.name, dim=args.dim, p=args.p,
-                                   seed=args.seed, kmax=args.kmax, jobs=args.jobs)
+                                   seed=args.seed, kmax=args.kmax)
     except ValueError as exc:
         print(f"epsaccel: {exc}", file=sys.stderr)
         return 2

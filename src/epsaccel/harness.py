@@ -47,7 +47,6 @@ import json
 import math
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from operator import attrgetter
@@ -167,9 +166,12 @@ def build_functional(conf, shape, seed=0):
 
 
 def _functional(conf, shape, seed):
-    """The functional ``build_functional`` makes, popping the keys it reads."""
+    """The functional ``build_functional`` makes, popping the keys it reads.
+
+    Only a branch that draws makes an rng of ``seed``, so a functional that
+    draws nothing leaves ``numpy.random``, a costly import, unimported.
+    """
     kind = conf.pop("kind", "auto")
-    rng = np.random.default_rng(seed)
     if kind == "auto":
         kind = "trace" if len(shape) == 2 else "dot"
     if kind == "dot":
@@ -178,14 +180,14 @@ def _functional(conf, shape, seed):
             y = np.ones(shape) if shape else np.array(1.0)
         return Functional.dot(np.asarray(y))
     if kind == "random_dot":
-        y = rng.random(shape) if shape else np.array(rng.random())
-        return Functional.dot(y)
+        # size () draws a 0-d array of the first double, as a scalar draw would
+        return Functional.dot(np.random.default_rng(seed).random(shape))
     if kind == "trace":
         return Functional.trace()
     if kind == "trace_weighted":
         Y = conf.pop("Y", None)
         if Y is None:
-            Y = rng.random(shape)
+            Y = np.random.default_rng(seed).random(shape)
         return Functional.trace_weighted(np.asarray(Y))
     if kind == "bilinear":
         if len(shape) != 2:
@@ -193,10 +195,10 @@ def _functional(conf, shape, seed):
                 f"bilinear functional wants matrix terms, not shape {shape}")
         u = conf.pop("u", None)
         v = conf.pop("v", None)
-        if u is None:
-            u = rng.random(shape[0])
-        if v is None:
-            v = rng.random(shape[1])
+        if u is None or v is None:
+            rng = np.random.default_rng(seed)
+            u = rng.random(shape[0]) if u is None else u
+            v = rng.random(shape[1]) if v is None else v
         return Functional.bilinear(np.asarray(u), np.asarray(v))
     raise ValueError(f"unknown functional kind: {kind!r}")
 
@@ -644,12 +646,13 @@ def _label(algo):
     return f"{v} form {algo['form']}" if "form" in algo else v
 
 
-def reproduce(name, dim=None, p=None, seed=0, kmax=None, jobs=1):
+def reproduce(name, dim=None, p=None, seed=0, kmax=None):
     """Run a canned benchmark protocol; returns a dict with labelled rows.
 
     ``kernel-vector`` and ``kernel-matrix`` sweep every algorithm variant
     over the adversarial recurrence sequence, with and without singular
-    repairs, on ``jobs`` threads.  ``kaczmarz``, ``ns``, ``qpow``, and
+    repairs.  Runs are serial, one table after another (the command line's
+    ``--jobs`` is accepted only as 1).  ``kaczmarz``, ``ns``, ``qpow``, and
     ``stein`` accelerate the application iterations with one ``stea2``
     table and compare against the plain iterates at equal term
     consumption.  ``p``, the kernel tables' detection threshold in digits,
@@ -662,7 +665,7 @@ def reproduce(name, dim=None, p=None, seed=0, kmax=None, jobs=1):
         if value is not None and value < least:
             raise ValueError(f"{arg} must be >= {least}, not {value}")
     if name in ("kernel-vector", "kernel-matrix"):
-        return _reproduce_kernel(name, dim, p, seed, kmax, jobs)
+        return _reproduce_kernel(name, dim, p, seed, kmax)
     if name not in _SOLVERS:
         raise ValueError(f"unknown protocol: {name!r}")
     if p is not None:
@@ -681,7 +684,7 @@ _SOLVERS = {
 }
 
 
-def _reproduce_kernel(name, dim, p, seed, kmax, jobs):
+def _reproduce_kernel(name, dim, p, seed, kmax):
     space = "vector" if name == "kernel-vector" else "matrix"
     dim = 50 if dim is None else dim
     p = 12 if p is None else p
@@ -702,20 +705,13 @@ def _reproduce_kernel(name, dim, p, seed, kmax, jobs):
         # the recurrence's limit is exactly zero, so the error is the norm
         return (None if value is None else _max_abs(value)), getattr(table, "sigma", 0)
 
-    # a full table reads neither p nor rules, so it is built once and its
-    # error fills both columns
-    cases = [dict(algo, max_k=kmax, p=p, rules=rules) for algo in _VARIANT_GRID
-             for rules in ((True,) if algo["variant"] in _FULL else (True, False))]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(final, cases))
-    else:
-        results = list(map(final, cases))
-    results = iter(results)
     rows = []
     for algo in _VARIANT_GRID:
-        on, sigma = next(results)
-        off = on if algo["variant"] in _FULL else next(results)[0]
+        algo = dict(algo, max_k=kmax, p=p)
+        on, sigma = final(dict(algo, rules=True))
+        # a full table reads neither p nor rules, so it is built once and
+        # its error fills both columns
+        off = on if algo["variant"] in _FULL else final(dict(algo, rules=False))[0]
         rows.append({
             "algorithm": _label(algo),
             "sigma": sigma,

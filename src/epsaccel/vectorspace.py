@@ -232,7 +232,8 @@ def _pairwise_dot(yuse, x, lo=None):
     or ``(yuse * (x - lo)).sum()`` given ``lo``; ``(x - lo).sum()`` when
     ``yuse`` is None.
 
-    The scratch is made per call: a functional may be shared by threads.
+    The scratch is made per call, in the dtype of the call's operands,
+    which the functional does not fix; it is at most one block long.
     """
     diff = None if lo is None else np.empty(BLOCK, np.result_type(x, lo))
     scratch = diff if yuse is None else np.empty(

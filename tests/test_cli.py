@@ -4,6 +4,9 @@ import csv
 import gc
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -65,8 +68,8 @@ def test_accelerate_out_file_and_limit(ln2_file, tmp_path, capsys):
 
 def test_accelerate_reads_each_input_file_once(ln2_file, tmp_path, capsys,
                                                monkeypatch):
-    # the command line takes the input's first term for its shape and hands
-    # the rest of the stream to the harness, which reads only the limit file
+    # the command line names the input and the limit file, and the harness
+    # reads each of them once
     from epsaccel import seqio
 
     limit = tmp_path / "limit.txt"
@@ -241,6 +244,29 @@ def test_negative_seed_or_p_exits_2(ln2_file, capsys, flag):
             assert captured.out == "" and flag in captured.err, argv
 
 
+def test_reproduce_jobs_is_accepted_only_as_1(capsys):
+    # the benchmark's argument form: --jobs 1 changes nothing, and runs are
+    # serial, so any other count is an argument error
+    argv = ["reproduce", "kernel-vector", "--dim", "12", "--format", "json"]
+    assert main(argv) == 0
+    serial = capsys.readouterr().out
+    assert main([*argv, "--jobs", "1"]) == 0
+    assert capsys.readouterr().out == serial
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--jobs", "2"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--jobs" in captured.err
+
+
+def test_reproduce_table_of_a_solver_column_with_no_entry(capsys):
+    # columns 14 to 18 have no entry and so no row; the table is formatted
+    assert main(["reproduce", "ns", "--kmax", "9"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "protocol: ns" and "kmax=9" in lines[1]
+    assert [ln.split()[0] for ln in lines[3:]] == [str(c) for c in range(0, 13, 2)]
+
+
 def test_reproduce_takes_kmax_0_and_rejects_dim_0(capsys):
     # 0 is a value, not "use the default": kmax 0 runs kmax 0, and a
     # dimension below 1 is an argument error
@@ -291,6 +317,48 @@ def test_y_file_for_a_functional_without_y_exits_2(tmp_path, capsys, functional,
     err = captured.err.splitlines()
     assert captured.out == "" and len(err) == 1, err
     assert err[0].startswith("epsaccel: --y-file needs --functional dot or trace-y")
+
+
+def test_y_file_for_a_functional_without_y_is_reported_before_the_input(
+        tmp_path, capsys):
+    # the --y-file is checked before the input file is read, so its error
+    # is the one reported even when the input is malformed
+    path, y = tmp_path / "bad.txt", tmp_path / "y.txt"
+    path.write_text("# tensor 2 2 2\n1 2 3\n")
+    write_terms(y, [np.ones(3)])
+    assert main(["accelerate", str(path), "--functional", "trace", "--y-file", str(y)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("epsaccel: --y-file needs --functional dot or trace-y, "
+                            "not trace\n")
+
+
+@pytest.mark.parametrize("terms", [[np.array(s) for s in LN2_SUMS],
+                                   [np.array([s, 2 * s]) for s in LN2_SUMS]],
+                         ids=["scalar", "vector"])
+def test_dot_without_y_is_recorded_as_its_kind_alone(tmp_path, capsys, terms):
+    # dot weighs by ones, which the spec does not spell out, for a scalar
+    # file as for a vector file
+    path = str(tmp_path / "terms.txt")
+    write_terms(path, terms)
+    assert main(["accelerate", path, "--functional", "dot", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["spec"]["functional"] == {"kind": "dot"}
+
+
+@pytest.mark.parametrize("functional, imported", [("auto", False), ("random-dot", True)])
+def test_accelerate_imports_numpy_random_only_to_draw(ln2_file, functional, imported):
+    # in a fresh process: the default functional draws nothing, so
+    # numpy.random, a costly import, stays unimported; random-dot draws
+    code = ("import sys\n"
+            "from epsaccel.cli import main\n"
+            f"assert main(['accelerate', {ln2_file!r}, '--functional', "
+            f"{functional!r}, '--out', {os.devnull!r}]) == 0\n"
+            "print('numpy.random' in sys.modules)\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{imported}\n"
 
 
 def test_trace_y_weights_by_the_y_file_or_a_seeded_random_y(tmp_path, capsys):

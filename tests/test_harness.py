@@ -36,7 +36,7 @@ from epsaccel.harness import (
 )
 from epsaccel.seqio import write_terms
 from epsaccel.sequences import KernelRecurrence
-from epsaccel.vectorspace import BLOCK, as_term
+from epsaccel.vectorspace import as_term
 
 KERNEL_SPEC = {
     "source": {"kind": "kernel_recurrence", "dim": 20, "seed": 1},
@@ -501,35 +501,26 @@ def test_kernel_protocol_makes_its_terms_once(monkeypatch):
     assert counts == {"init": 1, "next_term": 11}
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_kernel_protocol_builds_each_full_table_once(monkeypatch, jobs):
+def test_kernel_protocol_builds_each_full_table_once(monkeypatch):
     # a full table reads neither p nor rules, so one build of tea1 and one
-    # of tea2 fill both of their columns
+    # of tea2 fill both of their columns; each simplified table is built with
+    # rules on, then off, in grid order
     from epsaccel import harness
 
     built = []
+    build_table = harness.build_table
 
-    class CountedTeaTable(harness.TeaTable):
-        def __init__(self, functional, max_k, variant):
-            built.append(variant)
-            super().__init__(functional, max_k, variant)
+    def recorded(conf, functional):
+        built.append((harness._label(conf), conf["rules"]))
+        return build_table(conf, functional)
 
-    monkeypatch.setattr(harness, "TeaTable", CountedTeaTable)
-    out = reproduce("kernel-vector", dim=12, jobs=jobs)
-    assert sorted(built) == ["tea1", "tea2"]
+    monkeypatch.setattr(harness, "build_table", recorded)
+    out = reproduce("kernel-vector", dim=12)
+    assert built == [("tea1", True), ("tea2", True)] + [
+        (f"{v} form {f}", rules) for v in ("stea1", "stea2") for f in (1, 2, 3, 4)
+        for rules in (True, False)]
     full = [row for row in out["rows"] if row["algorithm"] in ("tea1", "tea2")]
     assert len(full) == 2 and all(row["error"] == row["error_plain"] for row in full)
-
-
-@pytest.mark.parametrize("name, dim", [
-    ("kernel-vector", 12), ("kernel-matrix", 12),
-    # above one block a full table's f(hi, lo) sums through per-call scratch
-    ("kernel-vector", BLOCK + 7)])
-def test_reproduce_kernel_threads_share_the_terms(name, dim):
-    # the threads share the terms and the one functional
-    serial = reproduce(name, dim=dim, p=10, jobs=1)
-    threaded = reproduce(name, dim=dim, p=10, jobs=2)
-    assert json.dumps(serial) == json.dumps(threaded)
 
 
 def test_kernel_rows_are_the_reports_entries():
@@ -621,3 +612,11 @@ def test_reproduce_qpow_rows_are_the_runs_best_residuals():
         assert row["plain_same_terms"] == [r for n, r in residuals(0) if n < row["terms"]][-1]
     # the plain iterates themselves converge to rounding
     assert out["rows"][0]["best"] < 1e-12 and out["rows"][0]["gain_orders"] == 0.0
+
+
+def test_a_solver_column_with_no_entry_has_no_row():
+    # kmax 9 asks for columns up to 18, but the 16 NS iterates form no entry
+    # past column 12, so those columns have no series and give no row
+    out = reproduce("ns", kmax=9)
+    assert (out["kmax"], out["n_terms"]) == (9, 16)
+    assert [row["column"] for row in out["rows"]] == [0, 2, 4, 6, 8, 10, 12]

@@ -443,9 +443,8 @@ def _cli_configs(tmp):
     from epsaccel import harness, seqio
     from epsaccel.vectorspace import BLOCK
 
-    kernel = [[name, *p, *j] for name in ("kernel-vector", "kernel-matrix")
-              for p in ([], ["--p", "10"], ["--p", "7"])
-              for j in ([], ["--jobs", "2"])]
+    kernel = [[name, *p] for name in ("kernel-vector", "kernel-matrix")
+              for p in ([], ["--p", "10"], ["--p", "7"])]
     # the benchmark's solvers workload runs these argument sets
     sys.path.insert(0, os.path.join(ROOT, "bench"))
     from workloads import PROTOCOLS
@@ -517,6 +516,10 @@ def _cli_configs(tmp):
                     argv = ["accelerate", path, "--algo", algo, "--format", fmt, *more]
                     label = f"accelerate {name} {algo} {fmt}" + (" limit" if more else "")
                     yield label, lambda a=argv: _call(a, tmp)
+    # dot of ones, which the spec records without its y, on scalar terms
+    for name in ("scalar", "complex-scalar"):
+        argv = ["accelerate", files[name][0], "--functional", "dot", "--format", "json"]
+        yield f"accelerate {name} dot json", lambda a=argv: _call(a, tmp)
     # the report written to a file instead of stdout
     out = os.path.join(tmp, "report.out")
     for name in ("real", "complex", "hand-complex", "long-10"):
