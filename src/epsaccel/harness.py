@@ -126,9 +126,8 @@ def _source(conf, seed):
         # the file's terms, as read_terms yields them, or an iterable of
         # terms the caller has begun to read or parsed itself
         terms = conf.pop("terms", None)
-        path = conf.pop("path") if terms is None else conf.pop("path", None)
         if terms is None:
-            terms = seqio.read_terms(path)
+            terms = seqio.read_terms(conf.pop("path"))
         limit_path = conf.pop("limit_path", None)
         limit = seqio.first_term(limit_path) if limit_path else None
         return _FileSource(terms, limit)

@@ -38,8 +38,7 @@ counter ``sigma`` counts the repairs actually applied.
 Cost.  An append does O(max_col) work however long the stream: a scheduled
 repair carries the event it treats, and the suppression test reads only
 which columns fired on the previous diagonal, so a converged stream that
-repairs on every term stays linear in its length.  (With ``max_col=None``
-the diagonals themselves grow, and an append is O(N).)  The work is one
+repairs on every term stays linear in its length.  The work is one
 sweep over Python numbers, so its cost is the interpreter's, not numpy's
 per-call overhead.  Each column takes one difference ``d = hi - lo`` of the
 pair west of its new entry, which serves both the test and the rhombus
@@ -55,17 +54,20 @@ modulus too large for a float reads as inf in the test instead of raising.
 Storage.  The table holds O(max_col) numbers however many terms it has
 seen: the last three diagonals, which are all the rhombus rule, the cross
 rule and the topological tables' coefficient forms read, the events of
-the newest one, and which columns fired on the newest two.  Each kept
-diagonal holds the boundary column -1 (zero) at index 0, so column k sits
-at index k + 1: the rhombus rule and the cross rule read the boundary like
-any other entry, and the coefficient forms index the diagonals as they are.
-``n_terms`` and ``sigma`` are counters, and ``events`` counts the firings
-without keeping them, so only ``len(events)`` reads it.
+the newest one, which columns fired on the newest two, and the repairs
+due on the next one.  A scheduled repair is its victim column and its
+event: the cross rule's centre, north and west neighbours are entries of
+the last two diagonals when it is applied, so it reads them there.  Each
+kept diagonal holds the boundary column -1 (zero) at index 0, so column k
+sits at index k + 1: the rhombus rule and the cross rule read the boundary
+like any other entry, and the coefficient forms index the diagonals as
+they are.  ``n_terms`` and ``sigma`` are counters, and ``events`` counts
+the firings without keeping them, so only ``len(events)`` reads it.
 ``entry`` of a diagonal older than the last three raises LookupError.
-:attr:`ScalarEpsTable.fired` gives the events of the latest append, which
-a repair on the next one marks treated, and ``last_diagonal`` the newest
-diagonal.  What grows with the stream, every diagonal and the event log
-with the readers of old entries, is kept outside the table by
+``fired`` is the list of the latest append's events, which a repair on
+the next one marks treated, and ``last_diagonal`` the newest diagonal.
+What grows with the stream, every diagonal and the event log with the
+readers of old entries, is kept outside the table by
 :class:`epsaccel.topo_eps.Recorder`.
 """
 
@@ -73,6 +75,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,16 +113,16 @@ class ScalarEpsTable:
 
     Parameters
     ----------
-    max_col : int or None
+    max_col : int
         Highest column to compute (``2 * k_max`` to reach the k-th even
-        column).  ``None`` computes full diagonals.
-    p_threshold : int or None
+        column).  A cap past the stream's length computes full diagonals.
+    p_threshold : int
         Fire the near-coincidence test when the relative difference of a
-        vertical pair drops below ``10**-p_threshold``.  ``None`` disables
-        detection (as does ``particular_rules=False``).
+        vertical pair drops below ``10**-p_threshold``.
     particular_rules : bool
-        Apply the cross-rule repair on detection.  Off means plain rhombus
-        rule everywhere, which is the right baseline for comparisons.
+        Detect and apply the cross-rule repair.  Off means plain rhombus
+        rule everywhere and no events, which is the right baseline for
+        comparisons.
     singular_parity : {"both", "even", "odd"}
         Which columns the coincidence test watches.  Blocks of practical
         interest announce themselves in even columns, but the test is cheap
@@ -133,13 +136,16 @@ class ScalarEpsTable:
         Number of terms appended.
     events : count
         The number of firings of the test, treated or not, ``len(events)``.
+    fired : list of SingularEvent
+        The events of the latest append, in firing order; a repair on the
+        next append marks its event treated.  Each append makes a new list.
     """
 
-    def __init__(self, max_col=None, p_threshold=10, particular_rules=True,
+    def __init__(self, max_col, p_threshold=10, particular_rules=True,
                  singular_parity="both"):
         if singular_parity not in ("both", "even", "odd"):
             raise ValueError(f"bad singular_parity: {singular_parity!r}")
-        self.max_col = max_col
+        self.max_col = operator.index(max_col)
         self.sigma = 0
         self.n_terms = 0
         self.events = _Tally()
@@ -150,16 +156,15 @@ class ScalarEpsTable:
         # it and on the one before, which is all the suppression test reads,
         # as bit masks (bit j for column j); and the repairs scheduled for
         # the next diagonal, in ascending victim column
-        self._fired = []
+        self.fired = []
         self._fired_cols = 0
         self._fired_cols_prev = 0
         self._pending = []
         # the sweep's constants: whether the test watches the pair in column
         # t - 1, by t % 2 of the column t it feeds, and its relative trigger
-        detect = particular_rules and p_threshold is not None
-        self._watch = (detect and singular_parity != "even",
-                       detect and singular_parity != "odd")
-        self._trigger = 10.0 ** (-p_threshold) if detect else None
+        self._watch = (particular_rules and singular_parity != "even",
+                       particular_rules and singular_parity != "odd")
+        self._trigger = 10.0 ** -p_threshold
         # set by the first complex term: from then on entries may be complex
         self._complex = False
 
@@ -174,7 +179,7 @@ class ScalarEpsTable:
         N = self.n_terms
         diags = self._diags
         prev = diags[-1] if N else None
-        pending, self._pending, self._fired = self._pending, [], []
+        pending, self._pending, self.fired = self._pending, [], []
         self._fired_cols_prev, self._fired_cols = self._fired_cols, 0
 
         if type(s) is not float:
@@ -189,7 +194,7 @@ class ScalarEpsTable:
         trigger = self._trigger
         new = [0.0, s]
         push = new.append
-        top = N if self.max_col is None else min(N, self.max_col)
+        top = min(N, self.max_col)
         # the column of the next scheduled repair; 0 for none
         due = pending[0][0] if pending else 0
 
@@ -201,7 +206,6 @@ class ScalarEpsTable:
             # the near-coincidence test on the pair (hi, lo); a finite d has
             # finite operands, and finite operands whose difference
             # overflows are too far apart to fire
-            sched = None
             if watch[t & 1] and finite(d):
                 if lo != 0:
                     ratio = mag(d) / mag(lo)
@@ -210,11 +214,14 @@ class ScalarEpsTable:
                     ratio = mag(d)
                     hit = ratio < _EPS
                 if hit:
-                    sched = self._fire(t - 1, N - t, ratio, prev, new)
+                    self._fire(t - 1, N - t, ratio)
 
             if t == due:
-                _, C, north, west, event = pending.pop(0)
-                value = _cross_east(C, north, new[t - 1], west, finite)
+                # the cross rule centred on eps_{t-2}^(N-t+1), whose north
+                # and west neighbours the last two diagonals hold
+                event = pending.pop(0)[1]
+                value = _cross_east(prev[t - 1], diags[-2][t - 1], new[t - 1],
+                                    prev[t - 3], finite)
                 self.sigma += 1
                 event.treated = True
                 event.victim = (t, N - t)
@@ -223,8 +230,6 @@ class ScalarEpsTable:
                 value = prev[t - 1] + (1.0 / d if d else at_zero(d))
 
             push(value)
-            if sched is not None:
-                sched[1] = value
 
         diags.append(new)
         if len(diags) > 3:
@@ -240,44 +245,27 @@ class ScalarEpsTable:
 
     # -- singular machinery -------------------------------------------------
 
-    def _fire(self, j, n_pair, ratio, prev, new):
+    def _fire(self, j, n_pair, ratio):
         """Record a firing of the test on the pair in column j at ``n_pair``.
 
         Unless suppressed, schedules the cross-rule repair of the entry three
         columns east and one superscript down, which the next diagonal will
-        reach.  The schedule carries the event, which the repair marks
-        treated.  Returns the schedule so the caller can fill in the centre
-        entry once it is computed, or None.
+        reach.  The schedule is the victim column and the event, which the
+        repair marks treated.
         """
         # suppressed when column j - 2 fired on the previous diagonal
         suppressed = bool(self._fired_cols_prev << 2 >> j & 1)
         self._fired_cols |= 1 << j
         event = SingularEvent(j, n_pair, ratio, False, suppressed)
-        self._fired.append(event)
+        self.fired.append(event)
         self.events.append(event)
-        if suppressed:
-            return None
-
         # The repair needs eps_{j+1}^(n_pair - 1) (north of the centre) and a
         # victim inside the table: both require n_pair >= 1.  The victim
         # column j + 3 must also clear the cap.
-        t = j + 1
-        if n_pair < 1 or t + 1 >= len(prev):
-            return None
-        if self.max_col is not None and t + 2 > self.max_col:
-            return None
-        # victim column, centre, north and west neighbours, and the event
-        sched = [t + 2, None, prev[t + 1], new[j], event]
-        self._pending.append(sched)
-        return sched
+        if not suppressed and n_pair >= 1 and j + 3 <= self.max_col:
+            self._pending.append((j + 3, event))
 
     # -- access -------------------------------------------------------------
-
-    @property
-    def fired(self):
-        """The events of the latest append, in firing order; a repair on the
-        next append marks its event treated."""
-        return list(self._fired)
 
     def entry(self, k, n):
         """``eps_k^(n)``; the boundary column k = -1 is identically zero.

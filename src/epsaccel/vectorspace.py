@@ -112,14 +112,15 @@ class Functional:
     Construct through the classmethods:
 
     ``dot(y)``
-        ``sum(conj(y) * x)`` for scalars and vectors.  With ``conjugate=False``
-        the form is bilinear instead of sesquilinear.
+        ``sum(conj(y) * x)`` for scalars and vectors; ``dot(conj(y))`` is
+        the bilinear ``sum(y * x)``.
     ``trace()``
         matrix trace.
     ``trace_weighted(Y)``
-        ``trace(Y^H X)`` for matrices (``trace(Y X)`` when not conjugated).
+        ``trace(Y^H X)`` for matrices; ``trace_weighted(conj(Y).T)`` is
+        ``trace(Y X)``.
     ``bilinear(u, v)``
-        ``u^H X v`` for matrices.
+        ``u^H X v`` for matrices; ``bilinear(conj(u), v)`` is ``u^T X v``.
     """
 
     def __init__(self, kind, apply_fn, label):
@@ -128,11 +129,11 @@ class Functional:
         self.label = label
 
     @classmethod
-    def dot(cls, y, conjugate=True):
+    def dot(cls, y):
         yarr = np.asarray(y, dtype=complex if np.iscomplexobj(np.asarray(y)) else float)
         if yarr.ndim > 1:
             raise DimensionMismatchError("dot functional wants a scalar or vector y")
-        yuse = np.conj(yarr) if conjugate else yarr
+        yuse = np.conj(yarr)
         # a float64 y of ones: on float64 operands the product is the
         # operand bit for bit, so the sum is taken without it (module docstring)
         ones = yuse.dtype == _F64 and bool((yuse == 1.0).all())
@@ -168,13 +169,13 @@ class Functional:
         return cls("trace", apply_fn, "trace")
 
     @classmethod
-    def trace_weighted(cls, Y, conjugate=True):
+    def trace_weighted(cls, Y):
         Yarr = np.asarray(Y)
         if Yarr.ndim != 2:
             raise DimensionMismatchError("trace_weighted wants a matrix Y")
-        # trace(Y^H X) = sum(conj(Y) * X) and trace(Y X) = sum(Y^T * X): the
-        # elementwise sum is O(s^2) and makes no s x s product
-        W = np.ascontiguousarray(np.conj(Yarr) if conjugate else Yarr.T)
+        # trace(Y^H X) = sum(conj(Y) * X): the elementwise sum is O(s^2) and
+        # makes no s x s product
+        W = np.ascontiguousarray(np.conj(Yarr))
 
         def apply_fn(x):
             if x.ndim != 2 or x.shape != Yarr.shape:
@@ -186,12 +187,12 @@ class Functional:
         return cls("trace_weighted", apply_fn, "trace_weighted")
 
     @classmethod
-    def bilinear(cls, u, v, conjugate=True):
+    def bilinear(cls, u, v):
         uarr = np.asarray(u)
         varr = np.asarray(v)
         if uarr.ndim != 1 or varr.ndim != 1:
             raise DimensionMismatchError("bilinear functional wants two vectors")
-        uuse = np.conj(uarr) if conjugate else uarr
+        uuse = np.conj(uarr)
 
         def apply_fn(x):
             if x.ndim != 2 or x.shape != (uarr.shape[0], varr.shape[0]):

@@ -345,6 +345,25 @@ def test_dot_without_y_is_recorded_as_its_kind_alone(tmp_path, capsys, terms):
     assert json.loads(capsys.readouterr().out)["spec"]["functional"] == {"kind": "dot"}
 
 
+def test_complex_y_is_recorded_as_real_and_imaginary_parts(tmp_path, capsys):
+    from epsaccel import Functional, TopoEpsTable
+
+    terms = [np.array([s, 2 * s]) for s in LN2_SUMS]
+    y = np.array([1.0 - 0.5j, -2.0 + 0.25j])
+    path, y_file = str(tmp_path / "terms.txt"), str(tmp_path / "y.txt")
+    write_terms(path, terms)
+    write_terms(y_file, [y])
+    assert main(["accelerate", path, "--functional", "dot", "--y-file", y_file,
+                 "--format", "json"]) == 0
+    blob = json.loads(capsys.readouterr().out)
+    # JSON has no complex number: each weight is spelled as its two parts
+    assert blob["spec"]["functional"] == {
+        "kind": "dot", "y": [{"re": 1.0, "im": -0.5}, {"re": -2.0, "im": 0.25}]}
+    tab = TopoEpsTable(Functional.dot(y), max_k=5)
+    assert [(e["col"], e["n"], e["norm_inf"]) for e in blob["entries"]] == [
+        (col, n, float(np.max(np.abs(e)))) for S in terms for col, n, e in tab.append(S)]
+
+
 @pytest.mark.parametrize("functional, imported", [("auto", False), ("random-dot", True)])
 def test_accelerate_imports_numpy_random_only_to_draw(ln2_file, functional, imported):
     # in a fresh process: the default functional draws nothing, so

@@ -50,6 +50,9 @@ def test_builders_reject_unknown_keys():
     # a nested key no builder reads is an error, not a silent default
     with pytest.raises(ValueError, match="dimm"):
         build_source(dict(KERNEL_SPEC["source"], dimm=30))
+    # a file source reads its terms from a path or is given them, not both
+    with pytest.raises(ValueError, match="unknown source keys: \\['path'\\]"):
+        build_source({"kind": "file", "terms": [1.0, 0.5], "path": "terms.txt"})
     with pytest.raises(ValueError, match="conjugat"):
         build_functional({"kind": "dot", "conjugat": False}, (20,))
     with pytest.raises(ValueError, match="kmax"):

@@ -145,7 +145,16 @@ def test_parity_restriction():
     assert kernel_shadow(10, parity="even").table.sigma == 2
     assert kernel_shadow(10, parity="odd").table.sigma == 0
     with pytest.raises(ValueError):
-        ScalarEpsTable(singular_parity="sideways")
+        ScalarEpsTable(max_col=4, singular_parity="sideways")
+
+
+def test_the_cap_and_the_trigger_are_numbers():
+    # a cap past the stream's length computes full diagonals, and
+    # particular_rules=False turns detection off: neither is spelled None
+    with pytest.raises(TypeError):
+        ScalarEpsTable(None)
+    with pytest.raises(TypeError):
+        ScalarEpsTable(4, p_threshold=None)
 
 
 def test_rules_disabled_means_no_repairs():
@@ -231,7 +240,9 @@ def tied_geometric_streams(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(terms=tied_geometric_streams(), max_col=st.sampled_from([4, 6, 10, None]),
+# a cap of 42 is past every stream's length (at most 40 terms), so no
+# diagonal reaches it
+@given(terms=tied_geometric_streams(), max_col=st.sampled_from([4, 6, 10, 42]),
        p=st.sampled_from([8, 10, 12]), parity=st.sampled_from(["both", "even", "odd"]))
 def test_event_bookkeeping(terms, max_col, p, parity):
     tab = Recorder(ScalarEpsTable(max_col=max_col, p_threshold=p,
@@ -302,14 +313,13 @@ def _reference_shadow(terms, max_col, p, rules, parity):
         prev = diags[-1] if diags else []
         due, pending = pending, {}
         new = [s]
-        top = N if max_col is None else min(N, max_col)
+        top = min(N, max_col)
         for t in range(1, top + 1):
             j, n_pair = t - 1, N - t
             hi, lo = new[j], prev[j]
             sched = None
             watched = parity == "both" or (j % 2 == 0) == (parity == "even")
-            if (rules and p is not None and watched
-                    and np.isfinite(hi) and np.isfinite(lo)):
+            if rules and watched and np.isfinite(hi) and np.isfinite(lo):
                 d = mag(hi - lo)
                 ratio = d / mag(lo) if lo != 0 else d
                 if (ratio < 10.0 ** -p) if lo != 0 else (d < np.finfo(float).eps):
@@ -318,8 +328,7 @@ def _reference_shadow(terms, max_col, p, rules, parity):
                     events.append(ev)
                     if j >= 2 and (j - 2, n_pair + 1) in fired:
                         ev[4] = True
-                    elif (n_pair >= 1 and t < len(prev)
-                          and (max_col is None or t + 2 <= max_col)):
+                    elif n_pair >= 1 and t < len(prev) and t + 2 <= max_col:
                         sched = {"ev": ev, "N": prev[t],
                                  "W": new[j - 1] if j >= 1 else 0.0}
                         pending[t + 2] = sched
@@ -393,18 +402,20 @@ def shadow_streams(draw):
 @settings(max_examples=400, deadline=None)
 # column-1 entries near 1e308 in both parts, whose difference's modulus
 # overflows: abs() raised OverflowError out of append
-@example(terms=[0j, 7e-309 * (1 + 1j), 0j, 7e-309 * (1 + 1j), 0j], max_col=None,
+@example(terms=[0j, 7e-309 * (1 + 1j), 0j, 7e-309 * (1 + 1j), 0j], max_col=32,
          p=10, rules=True, parity="both")
 # finite consecutive terms whose difference overflows: the table skips the
 # pair on its difference's finiteness, the reference tests its finite terms
 # and takes a ratio of inf, which never fires
-@example(terms=[1e308, -1e308, 1.5e308, -1e308, 1e308, 1e308, -1.7e308], max_col=None,
+@example(terms=[1e308, -1e308, 1.5e308, -1e308, 1e308, 1e308, -1.7e308], max_col=32,
          p=10, rules=True, parity="both")
 # a repair whose operands are inf and NaN: its NaN's sign is CPython's choice
 @example(terms=[math.nan, math.nan, 0.512438087268418, 0.5124380872684186,
-                0.5124380872684186], max_col=None, p=10, rules=True, parity="both")
-@given(terms=shadow_streams(), max_col=st.sampled_from([2, 4, 6, 10, None]),
-       p=st.sampled_from([None, 7, 10, 12]), rules=st.booleans(),
+                0.5124380872684186], max_col=32, p=10, rules=True, parity="both")
+# a cap of 32 is past every stream's length (at most 30 terms), so no
+# diagonal reaches it
+@given(terms=shadow_streams(), max_col=st.sampled_from([2, 4, 6, 10, 32]),
+       p=st.sampled_from([7, 10, 12]), rules=st.booleans(),
        parity=st.sampled_from(["both", "even", "odd"]))
 def test_sweep_matches_the_reference_rhombus_bit_for_bit(terms, max_col, p, rules,
                                                          parity):

@@ -499,7 +499,7 @@ def test_full_tables_invert_a_signed_zero_as_the_scalar_table_does():
     # numpy's sums turn -0.0 into +0.0, so the functional here returns the
     # 0-d difference itself: 1 / (-0.0 - 0.0) is -inf in every table
     ident = Functional("identity", lambda x: x[()], "identity")
-    shadow = ScalarEpsTable()
+    shadow = ScalarEpsTable(max_col=6)
     shadow.extend([0.0, -0.0])
     assert shadow.entry(1, 0) == -math.inf
     for variant in ("tea1", "tea2"):

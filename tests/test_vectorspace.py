@@ -51,7 +51,8 @@ def test_dot_functional_conjugates_y():
     f = Functional.dot(y)
     # sum(conj(y) * x) = (1 - 1j)(1j) + 2 = 3 + 1j
     assert f(x) == pytest.approx(3.0 + 1.0j)
-    g = Functional.dot(y, conjugate=False)
+    # weighing by conj(y) gives the bilinear sum(y * x)
+    g = Functional.dot(np.conj(y))
     assert g(x) == pytest.approx((1 + 1j) * 1j + 2.0)
     assert isinstance(f(np.ones(2)), complex)
     with pytest.raises(DimensionMismatchError):
@@ -108,11 +109,11 @@ def _python_type(value):
 @settings(max_examples=150, deadline=None)
 @given(m=st.one_of(st.sampled_from(EDGES), st.integers(1, 3 * BLOCK + 8)),
        seed=st.integers(0, 2**32 - 1), y_kind=st.sampled_from(Y_KINDS),
-       x_complex=st.booleans(), conjugate=st.booleans(),
+       x_complex=st.booleans(), conj_y=st.booleans(),
        spread=st.integers(0, 12), special=st.booleans())
 @np.errstate(all="ignore")  # the special entries overflow or make NaN
 def test_blocked_dot_is_the_plain_sum_bit_for_bit(m, seed, y_kind, x_complex,
-                                                  conjugate, spread, special):
+                                                  conj_y, spread, special):
     # the blocked sum follows numpy's own pairwise split block by block;
     # the result must be (yuse * x).sum() exactly, whichever sum the
     # functional picks at this length and for this y
@@ -123,10 +124,12 @@ def test_blocked_dot_is_the_plain_sum_bit_for_bit(m, seed, y_kind, x_complex,
         x = x + 1j * rng.standard_normal(m)
     if special:
         x = _sprinkle(rng, x)
-    yuse = np.conj(y) if conjugate else y
+    # the weights passed in are y or conj(y), so yuse is conj(y) or y
+    weights = np.conj(y) if conj_y else y
+    yuse = np.conj(weights)
     want = (yuse * x).sum()
     assert _bits(_pairwise_dot(yuse, x)) == _bits(want)
-    got = Functional.dot(y, conjugate=conjugate)(x)
+    got = Functional.dot(weights)(x)
     assert type(got) is _python_type(want)
     assert _bits(got) == _bits(want)
 
@@ -135,10 +138,10 @@ def test_blocked_dot_is_the_plain_sum_bit_for_bit(m, seed, y_kind, x_complex,
 @given(m=st.one_of(st.sampled_from(EDGES), st.integers(1, 3 * BLOCK + 8)),
        seed=st.integers(0, 2**32 - 1), y_kind=st.sampled_from(Y_KINDS),
        hi_complex=st.booleans(), lo_complex=st.booleans(),
-       conjugate=st.booleans(), special=st.booleans())
+       conj_y=st.booleans(), special=st.booleans())
 @np.errstate(all="ignore")  # the special entries overflow or make NaN
 def test_functional_of_a_difference_is_bit_identical(m, seed, y_kind, hi_complex,
-                                                     lo_complex, conjugate, special):
+                                                     lo_complex, conj_y, special):
     # the blocked sum forms hi - lo leaf by leaf; f(hi, lo) must give
     # f(hi - lo) exactly, of the same Python type
     rng = np.random.default_rng(seed)
@@ -149,11 +152,12 @@ def test_functional_of_a_difference_is_bit_identical(m, seed, y_kind, hi_complex
         return _sprinkle(rng, v) if special else v
 
     y, hi, lo = _y(y_kind, rng, m), draw(hi_complex), draw(lo_complex)
-    f = Functional.dot(y, conjugate=conjugate)
+    weights = np.conj(y) if conj_y else y
+    f = Functional.dot(weights)
     got, want = f(hi, lo), f(hi - lo)
     assert type(got) is type(want)
     assert _bits(got) == _bits(want)
-    yuse = np.conj(y) if conjugate else y
+    yuse = np.conj(weights)
     # the difference is held, so numpy cannot multiply into it in place: its
     # in-place complex product can round otherwise
     diff = hi - lo
@@ -287,23 +291,30 @@ def test_trace_of_a_difference_reads_only_the_diagonals(s, complex_):
 
 
 @pytest.mark.parametrize("complex_", [False, True])
-@pytest.mark.parametrize("conjugate", [True, False])
-def test_trace_weighted_is_the_trace_of_the_product(complex_, conjugate):
-    # the functional sums W * X elementwise instead of forming Y^H @ X; the
-    # two round differently, each within about s * eps of sum |Y| |X|
+@pytest.mark.parametrize("form", ["trace(Y^H X)", "trace(Y X)"])
+@pytest.mark.parametrize("m", [150, 60])
+def test_trace_weighted_is_the_trace_of_the_product(complex_, form, m):
+    # trace(Y^H X) weighs an s x m X by Y, and trace(Y X) by conj(Y).T; the
+    # functional sums conj(W) * X elementwise instead of forming the
+    # product, and the two round differently, each within about s * eps of
+    # sum |W| |X|
     s = 150
     rng = np.random.default_rng(17)
+    yshape = (s, m) if form == "trace(Y^H X)" else (m, s)
     for trial in range(4):
-        Y, X = rng.standard_normal((2, s, s))
+        Y, X = rng.standard_normal(yshape), rng.standard_normal((s, m))
         if complex_:
-            Y = Y + 1j * rng.standard_normal((s, s))
-            X = X + 1j * rng.standard_normal((s, s))
+            Y = Y + 1j * rng.standard_normal(yshape)
+            X = X + 1j * rng.standard_normal((s, m))
         if trial % 2:
             X = np.asfortranarray(X)
-        want = np.trace((Y.conj().T if conjugate else Y) @ X)
-        got = Functional.trace_weighted(Y, conjugate=conjugate)(X)
+        if form == "trace(Y^H X)":
+            W, want = Y, np.trace(Y.conj().T @ X)
+        else:
+            W, want = np.conj(Y).T, np.trace(Y @ X)
+        got = Functional.trace_weighted(W)(X)
         assert isinstance(got, complex if complex_ else float)
-        scale = np.abs(Y).ravel() @ np.abs(X).ravel()
+        scale = np.abs(W).ravel() @ np.abs(X).ravel()
         assert abs(got - want) <= 2 * s * np.finfo(float).eps * scale
 
 

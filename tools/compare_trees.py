@@ -227,7 +227,8 @@ def configurations(workdir):
         "complex": (cgeo, Functional.dot(y)),
         "complex-y": (cgeo, Functional.dot(y + 1j * y[::-1])),
         "real-complex-y": (geo, Functional.dot(y + 1j * y[::-1])),
-        "complex-y-noconj": (cgeo, Functional.dot(y + 1j * y[::-1], conjugate=False)),
+        # weighed by conj(y): the bilinear sum(y * x)
+        "complex-y-noconj": (cgeo, Functional.dot(np.conj(y + 1j * y[::-1]))),
         # a real stream that turns complex, and one with a strided term
         "real-then-complex": (geo[:20] + cgeo[20:], Functional.dot(y)),
         "strided-term": (geo[:20] + [np.repeat(geo[20], 2)[::2]] + geo[21:],
@@ -258,8 +259,7 @@ def configurations(workdir):
         for name, terms, f in (("real", real, Functional.dot(y)),
                                ("complex", cplx, Functional.dot(cy)),
                                ("real-complex-y", real, Functional.dot(cy)),
-                               ("complex-y-noconj", cplx,
-                                Functional.dot(cy, conjugate=False)),
+                               ("complex-y-noconj", cplx, Functional.dot(np.conj(cy))),
                                ("ones", real, Functional.dot(np.ones(dim))),
                                ("complex-ones", cplx, Functional.dot(np.ones(dim)))):
             yield from _stream_configs(f"above-block-{dim}/{name}", terms, f)
@@ -300,9 +300,10 @@ def configurations(workdir):
     }
     for sname, terms in scalar_streams.items():
         for parity in ("both", "even", "odd"):
-            for p in (None, 7, 10, 12):
+            for p in (7, 10, 12):
                 for rules in (True, False):
-                    for max_col in (4, 10, None):
+                    # the last cap is past the stream's length: full diagonals
+                    for max_col in (4, 10, len(terms) + 2):
                         yield (f"scalar/{sname}/{parity}/p={p}/rules={rules}/max_col={max_col}",
                                lambda t=terms, pa=parity, pp=p, r=rules, mc=max_col:
                                _digest_table(lambda: ScalarEpsTable(
@@ -553,8 +554,9 @@ def _cli_configs(tmp):
 
 
 def _trace_weighted_values():
-    """``trace_weighted`` of random 150x150 matrices, real and complex, with
-    ``conjugate`` on and off, beside the sum of the absolute products."""
+    """``trace_weighted`` of random 150x150 matrices, real and complex,
+    weighed by ``Y`` (``trace(Y^H X)``) and by ``conj(Y).T``
+    (``trace(Y X)``), beside the sum of the absolute products."""
     import numpy as np
 
     from epsaccel import Functional
@@ -566,10 +568,10 @@ def _trace_weighted_values():
         if kind == "complex":
             Y = Y + 1j * rng.standard_normal((150, 150))
             X = X + 1j * rng.standard_normal((150, 150))
-        for conj in (True, False):
-            value = complex(Functional.trace_weighted(Y, conjugate=conj)(X))
-            scale = float(np.abs(Y).ravel() @ np.abs(X).ravel())
-            out[f"{kind}/conjugate={conj}"] = [value.real, value.imag, scale]
+        for form, W in (("Y", Y), ("conj(Y).T", np.conj(Y).T)):
+            value = complex(Functional.trace_weighted(W)(X))
+            scale = float(np.abs(W).ravel() @ np.abs(X).ravel())
+            out[f"{kind}/{form}"] = [value.real, value.imag, scale]
     return out
 
 
