@@ -118,7 +118,9 @@ class ScalarEpsTable:
         column).  A cap past the stream's length computes full diagonals.
     p_threshold : int
         Fire the near-coincidence test when the relative difference of a
-        vertical pair drops below ``10**-p_threshold``.
+        vertical pair drops below ``10**-p_threshold``.  A negative one
+        fires on wider gaps; below -308, where that float overflows, it
+        raises ValueError.
     particular_rules : bool
         Detect and apply the cross-rule repair.  Off means plain rhombus
         rule everywhere and no events, which is the right baseline for
@@ -164,7 +166,11 @@ class ScalarEpsTable:
         # t - 1, by t % 2 of the column t it feeds, and its relative trigger
         self._watch = (particular_rules and singular_parity != "even",
                        particular_rules and singular_parity != "odd")
-        self._trigger = 10.0 ** -p_threshold
+        try:
+            self._trigger = 10.0 ** -p_threshold
+        except OverflowError:
+            raise ValueError(f"p_threshold {p_threshold} is below -308: its trigger"
+                             f" 10**{-p_threshold} overflows") from None
         # set by the first complex term: from then on entries may be complex
         self._complex = False
 

@@ -15,8 +15,10 @@ all work; a file with no complex entries loads as float.  A term with a
 non-finite number (``nan``, ``inf``) is rejected.
 
 Reading streams: :func:`read_terms` yields each term as it is parsed, and
-holds one term and one line of the file, whatever its length.  Each line is
-parsed with ``float``; only a line that ``float`` rejects is parsed again,
+holds one term and one line of the file, whatever its length.  Each row of
+a vector or matrix is parsed by one ``np.array(tokens, np.float64)``, which
+reads every token with ``float`` and writes it into the term, and a line of
+scalars by ``float``; only a line that ``float`` rejects is parsed again,
 token by token, with ``complex()``, which also names a bad token.  ``float``
 accepts a subset of what ``complex()`` does and rounds it alike, so every
 number is the one ``complex()`` gives.  A term whose imaginary parts are
@@ -33,7 +35,6 @@ read, and no term after it is yielded.
 
 from __future__ import annotations
 
-import math
 from contextlib import closing
 from functools import partial
 
@@ -93,9 +94,9 @@ def _parse_header(header, lineno):
 
 def _parse(path):
     """The header's term shape, then ``(line, reals, imags)`` for each term
-    in file order: the line of its first number, a list of its real parts,
-    and a list of its imaginary parts (0.0 on a line ``float`` read) when
-    one of its lines needed ``complex()``, else None.
+    in file order: the line of its first number, a flat float64 array of
+    its real parts, and a list of its imaginary parts (0.0 on a line numpy
+    read) when one of its lines needed ``complex()``, else None.
 
     Raises :class:`FormatError` on bytes that are not UTF-8 or a bad
     header, number or width as its line is read, then on a trailing partial
@@ -111,7 +112,7 @@ def _parse(path):
         # row of a term
         width = shape[-1] if shape else None
         size = width * shape[0] if len(shape) == 2 else width
-        reals, imags, first, count = [], None, None, 0
+        reals, imags, first, count, start = None, None, None, 0, 0
         for lineno, line in lines:
             tokens = line.split()
             if width is None:
@@ -119,37 +120,40 @@ def _parse(path):
                     values = list(map(float, tokens))
                 except ValueError:
                     for v in [_parse_number(t, lineno) for t in tokens]:
-                        yield lineno, [v.real], [v.imag]
+                        yield lineno, np.array([v.real]), [v.imag]
                 else:
                     for x in values:
-                        yield lineno, [x], None
+                        yield lineno, np.array([x]), None
                 count += len(tokens)
                 continue
             if len(tokens) != width:
                 raise FormatError(
                     f"line {lineno}: expected {width} numbers, got {len(tokens)}")
-            start = len(reals)
-            if not start:
-                first = lineno
             try:
-                reals += map(float, tokens)
+                # numpy reads each token with float(), which accepts a
+                # subset of what complex() does and rounds it alike
+                row = np.array(tokens, np.float64)
             except ValueError:
-                # complex() reads the line instead, and names a bad token;
-                # float accepts a subset of what it does, rounded alike
-                del reals[start:]
+                # complex() reads the line instead, and names a bad token
                 values = [_parse_number(t, lineno) for t in tokens]
-                reals += [v.real for v in values]
+                row = np.array([v.real for v in values])
                 imags = [0.0] * start if imags is None else imags
                 imags += [v.imag for v in values]
             else:
                 if imags is not None:
                     imags += [0.0] * width
-            if len(reals) == size:
+            if not start:
+                first = lineno
+                reals = row if width == size else np.empty(size)
+            if width != size:
+                reals[start:start + width] = row
+            start += width
+            if start == size:
                 yield first, reals, imags
-                reals, imags = [], None
+                imags, start = None, 0
                 count += 1
-    if reals:
-        raise FormatError(f"trailing partial matrix block of {len(reals) // width} rows")
+    if start:
+        raise FormatError(f"trailing partial matrix block of {start // width} rows")
     if not count:
         raise FormatError("input has a header but no terms")
 
@@ -184,25 +188,19 @@ def read_terms(path):
     as_complex = _complex_file(path)
     terms = _parse(path)
     shape = next(terms)
-    # a vector is the 1-d float64 array of its list
+    # a vector is the flat array it was parsed into
     flat = len(shape) == 1
     bad = None
-    for lineno, reals, imags in terms:
+    for lineno, term, imags in terms:
         if bad is not None:
             continue
-        term = np.array(reals)
         if as_complex:
             # a term whose imaginary parts are all zero is real, so a -0.0
             # among them is dropped
             term = term.astype(np.complex128)
             if imags is not None and any(imags):
                 term.imag = imags
-            finite = np.isfinite(term).all()
-        else:
-            # a finite sum has finite terms; only a sum that is not, which
-            # finite terms can give by overflowing, needs each one checked
-            finite = math.isfinite(sum(reals)) or np.isfinite(term).all()
-        if not finite:
+        if not np.isfinite(term).all():
             bad = lineno
             continue
         yield term if flat else term.reshape(shape)

@@ -46,6 +46,16 @@ numpy call at every length that never blocks, and ``f(hi, lo)`` is
 which subtracts each leaf into the scratch and sums it.  Any other ``y``,
 and operands that are not float64, keep the product: ``(1+0j) * x`` is not
 ``x`` where ``x`` has an infinity or a signed zero.
+
+Such a ``y`` of at most one block, 1-d, also gets a lean branch, decided
+once at construction: on float64 ndarrays of its shape, ``f(x)`` is
+``np.add.reduce(x)`` and ``f(hi, lo)`` is ``np.add.reduce`` of
+``np.subtract(hi, lo)`` written into a scratch of the functional's own,
+each returned as a float straight away, with none of the general path's
+conversions and checks.  These are ``x.sum()`` and ``(hi - lo).sum()`` bit
+for bit; any other operand takes the general path, which raises on a
+shape of its own.  The scratch makes a functional of this kind unsafe to
+evaluate from two threads at once.
 """
 
 from __future__ import annotations
@@ -123,6 +133,10 @@ class Functional:
         ``u^H X v`` for matrices; ``bilinear(conj(u), v)`` is ``u^T X v``.
     """
 
+    # the float of f(x) or f(x, lo) on the operands it takes, else None;
+    # None for a functional that has no such branch
+    _lean = None
+
     def __init__(self, kind, apply_fn, label):
         self.kind = kind
         self._apply = apply_fn
@@ -154,7 +168,10 @@ class Functional:
                 x = np.asarray(x - lo)
             return x.sum() if w is None else (w * x).sum()
 
-        return cls("dot", apply_fn, f"dot(dim={yarr.size})")
+        functional = cls("dot", apply_fn, f"dot(dim={yarr.size})")
+        if ones and yarr.ndim == 1 and yarr.size <= BLOCK:
+            functional._lean = _lean_sum(yarr.shape)
+        return functional
 
     @classmethod
     def trace(cls):
@@ -206,6 +223,10 @@ class Functional:
     def apply(self, x, lo=None):
         """Evaluate on an array, or on ``x - lo`` bit for bit when ``lo`` is
         given (module docstring); returns a python scalar."""
+        if self._lean is not None:
+            out = self._lean(x, lo)
+            if out is not None:
+                return out
         x = np.asarray(x)
         if lo is None:
             out = self._apply(x)
@@ -226,6 +247,26 @@ class Functional:
 
     def __repr__(self):
         return f"Functional({self.label})"
+
+
+def _lean_sum(shape):
+    """The lean branch of a float64 dot functional of ones of at most one
+    block (module docstring): on float64 ndarrays of ``shape``, the float of
+    ``np.add.reduce(x)``, or of ``x - lo`` written into a scratch of the
+    functional's own; None on any other operands."""
+    scratch = np.empty(shape)
+    add = np.add.reduce
+
+    def lean(x, lo):
+        if type(x) is not np.ndarray or x.dtype != _F64 or x.shape != shape:
+            return None
+        if lo is None:
+            return float(add(x))
+        if type(lo) is not np.ndarray or lo.dtype != _F64 or lo.shape != shape:
+            return None
+        return float(add(np.subtract(x, lo, out=scratch)))
+
+    return lean
 
 
 def _pairwise_dot(yuse, x, lo=None):

@@ -67,6 +67,19 @@ def test_builders_reject_unknown_keys():
         run(dict(KERNEL_SPEC, metrics=["stability_margin"]))
 
 
+@pytest.mark.parametrize("variant", ["scalar", "stea1", "stea2", "tea1", "tea2"])
+def test_a_negative_p_is_rejected_by_name(variant):
+    # as the command line and reproduce reject it, whatever the table, and
+    # before a scalar table's trigger could overflow
+    f = Functional.dot(np.ones(20))
+    for p in (-1, -309):
+        with pytest.raises(ValueError, match=f"^p must be >= 0, not {p}$"):
+            build_table({"variant": variant, "p": p}, f)
+        with pytest.raises(ValueError, match=f"^p must be >= 0, not {p}$"):
+            run(dict(KERNEL_SPEC, algorithm={"variant": variant, "p": p}))
+    assert build_table({"variant": variant, "p": 0}, f) is not None
+
+
 def test_run_is_deterministic():
     a = run(dict(KERNEL_SPEC))
     b = run(dict(KERNEL_SPEC))
@@ -137,8 +150,13 @@ def test_scalar_metrics_are_a_simplified_tables_shadow_metrics():
 
 def _report_cases():
     """Streams with a limit, by name: real, complex and matrix terms, a term
-    with an inf and one with a NaN, and a complex term whose modulus
-    overflows while its parts are finite."""
+    with an inf and one with a NaN, in vectors and in matrices, a complex
+    term whose modulus overflows while its parts are finite, a real stream
+    that turns complex, and one that turns real again, whose appends from
+    then on hand the report float64 and complex128 entries together; the
+    latter also at length 5,000, whose appends of up to three entries the
+    report stacks in one block and whose appends of four it reduces one
+    entry at a time."""
     rng = np.random.default_rng(4)
     y = rng.random(6) + 0.5
     geo = [0.3 + 0.8 ** n * y + 0.5 ** n * y[::-1] for n in range(14)]
@@ -147,13 +165,18 @@ def _report_cases():
     bad[5][2], bad[8][0] = np.inf, np.nan
     huge = [S + 0j for S in geo]
     huge[4][1] = 1.5e308 + 1.5e308j
+    mixed = geo[:7] + [(1 - 0.5j) * S for S in geo[7:10]] + geo[10:]
     return {
         "real": (geo, lim),
         "complex": ([(1 - 0.5j) * S for S in geo], (1 - 0.5j) * lim),
         "matrix": ([S.reshape(2, 3) for S in geo], lim.reshape(2, 3)),
         "scalars": ([S[:1].reshape(()) * (1 - 0.5j) for S in geo], np.array(0.3 - 0.15j)),
         "non-finite": (bad, lim),
+        "matrix-non-finite": ([S.reshape(3, 2) for S in bad], lim.reshape(3, 2)),
         "overflow": (huge, lim + 0j),
+        "real-then-complex": (geo[:7] + [(1 - 0.5j) * S for S in geo[7:]], lim),
+        "real-complex-real": (mixed, lim),
+        "long-real-complex-real": ([np.resize(S, 5000) for S in mixed], np.resize(lim, 5000)),
     }
 
 
@@ -179,7 +202,7 @@ def test_report_rows_are_the_plain_expressions(monkeypatch, tmp_path, case, vari
     terms, limit = _report_cases()[case]
     limit_path = tmp_path / "limit.txt"
     write_terms(limit_path, [limit])
-    plain = []
+    plain, kinds = [], []
 
     def build_table(conf, functional):
         table = real(conf, functional)
@@ -189,6 +212,7 @@ def test_report_rows_are_the_plain_expressions(monkeypatch, tmp_path, case, vari
 
         def recording(term):
             out = append(term)
+            kinds.append({np.asarray(v).dtype.kind for col, n, v in out if col % 2 == 0})
             plain.extend((col, n, float(np.max(np.abs(v))), bool(np.all(np.isfinite(v))),
                           float(np.max(_abs_or_inf(v - lim))))
                          for col, n, v in out if col % 2 == 0)
@@ -207,6 +231,11 @@ def test_report_rows_are_the_plain_expressions(monkeypatch, tmp_path, case, vari
     if case == "overflow":
         # |1.5e308 + 1.5e308j| overflows, yet the term is finite
         assert (0, 4, np.inf, True) == rows[[r[:2] for r in rows].index((0, 4))][:4]
+    if case.endswith("real-complex-real") and variant != "scalar":
+        # the real terms after the complex ones are column 0 of appends
+        # whose other entries are still complex: the report reduced both
+        # dtypes at once
+        assert {"f", "c"} in kinds
 
 
 def test_limit_of_another_shape_is_rejected_alike(tmp_path):

@@ -275,6 +275,15 @@ def test_an_overflowing_difference_fires_no_event(kind):
     assert len(tab.table.events) == 0 and tab.events == []
 
 
+def test_a_trigger_that_overflows_is_a_value_error():
+    # 10**308 is the largest power of ten a float holds; a p_threshold below
+    # -308 is refused as a bad value, naming it, not as a bare OverflowError
+    assert ScalarEpsTable(max_col=4, p_threshold=-308)._trigger == 1e308
+    for p in (-309, -1000):
+        with pytest.raises(ValueError, match=f"^p_threshold {p} is below -308"):
+            ScalarEpsTable(max_col=4, p_threshold=p)
+
+
 def test_signed_zero_difference_gives_signed_infinity():
     # 1/d at d == -0.0 is -inf, as IEEE division (and numpy's) gives it
     tab = ScalarEpsTable(max_col=4)

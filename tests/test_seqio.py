@@ -271,6 +271,32 @@ def test_no_term_is_yielded_after_a_non_finite_one(tmp_path):
         list(read_terms(path))
 
 
+@pytest.mark.parametrize("header", ["vector 3", "matrix 2 3"])
+def test_rows_hold_what_float_reads_of_each_token(tmp_path, header):
+    # numpy casts a row's tokens with float(): the odd spellings, an
+    # infinity, a negative NaN, and finite numbers whose sum overflows keep
+    # float()'s bits and the verdict each term deserves
+    from epsaccel.seqio import _parse
+
+    rows = [("1_0 +.5 1E3", True), ("1.5e308 1.7e308 -1e308", True),
+            ("1E3 infinity +.5", False), ("-nan 1_0 +.5", False)]
+    path = tmp_path / "seq.txt"
+    for row, finite in rows:
+        # a matrix term's first row is a plain one, its second the row tested
+        first = ["1 2 3"] if header.startswith("matrix") else []
+        path.write_text("\n".join([header, *first, row]) + "\n")
+        (_, reals, imags), = list(_parse(path))[1:]
+        assert imags is None and reals.dtype == np.float64
+        assert reals[-3:].tobytes() == np.array([float(t) for t in row.split()]).tobytes()
+        if finite:
+            term, = read_terms(path)
+            assert term.reshape(-1)[-3:].tobytes() == reals[-3:].tobytes()
+        else:
+            with pytest.raises(FormatError, match="^line 2: term is not finite$"):
+                list(read_terms(path))
+    assert not np.isfinite(sum(float(t) for t in rows[1][0].split()[:2]))
+
+
 def test_write_terms_is_repr_of_each_number(tmp_path):
     # float rows by repr; complex rows by repr, or the real part's repr when
     # the imaginary part is zero; other dtypes as float64 or complex128

@@ -247,6 +247,54 @@ def test_a_difference_of_elements_of_two_shapes_is_rejected(kind):
             f(x, lo)
 
 
+def test_matrix_functionals_reject_a_term_of_another_shape():
+    # trace_weighted wants a matrix Y, and it and bilinear a term of their
+    # own shape
+    with pytest.raises(DimensionMismatchError, match="matrix Y"):
+        Functional.trace_weighted(np.ones(3))
+    tw = Functional.trace_weighted(np.ones((2, 3)))
+    bl = Functional.bilinear(np.ones(2), np.ones(3))
+    assert tw(np.ones((2, 3))) == bl(np.ones((2, 3))) == 6.0
+    for x in (np.ones((3, 2)), np.ones(6), np.array(1.0), np.ones((2, 3, 1))):
+        for f, message in ((tw, r"trace_weighted shapes \(2, 3\) vs"),
+                           (bl, r"bilinear form of shape \(2, 3\) vs element")):
+            with pytest.raises(DimensionMismatchError, match=message):
+                f(x)
+
+
+@pytest.mark.parametrize("m", [1, 5, 100, BLOCK])
+@np.errstate(all="ignore")  # the special entries overflow or make NaN
+def test_the_lean_sum_of_ones_is_the_general_one(m):
+    # a float64 y of ones of at most one block sums float64 ndarrays of its
+    # shape through its lean branch, its scratch reused across calls, and
+    # gives the plain sum's bits, strided operands included; other operands
+    # take the general branch, and a shape of its own is rejected there
+    from epsaccel.vectorspace import _F64
+
+    rng = np.random.default_rng(m)
+    f = Functional.dot(np.ones(m))
+    assert f._lean is not None
+    assert Functional.dot(np.ones(BLOCK + 1))._lean is None
+    assert Functional.dot(np.ones(m, complex))._lean is None
+    assert Functional.dot(np.ones(m) * 2)._lean is None
+    for trial in range(6):
+        hi, lo = _sprinkle(rng, rng.standard_normal(m)), rng.standard_normal(2 * m)[::2]
+        for x in (hi, lo):
+            want = x.sum()
+            assert type(f(x)) is float and _bits(f(x)) == _bits(want)
+        want = (hi - lo).sum()
+        got = f(hi, lo)
+        assert type(got) is float and _bits(got) == _bits(want)
+        assert f._lean(hi, lo) == got or math.isnan(got)
+    x32 = hi.astype(np.float32)
+    for x, lo in ((x32, None), (hi, x32), (list(hi), None), (hi, hi + 0j)):
+        assert f._lean(x, lo) is None
+        assert _bits(f(x, lo)) == _bits(f(np.asarray(x, _F64) - (0 if lo is None else lo)))
+    for x, lo in ((np.ones(m + 1), None), (hi, np.ones(m + 1))):
+        with pytest.raises(DimensionMismatchError):
+            f(x, lo)
+
+
 def test_functional_of_a_difference_for_every_kind():
     # kinds without a blocked sum evaluate the difference itself
     rng = np.random.default_rng(5)

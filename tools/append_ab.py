@@ -50,15 +50,19 @@ def load(tree, name):
     return pkg
 
 
-def stream(pkg, n_terms, dim=100, seed=1):
-    """The first ``n_terms`` terms of the five-mode family, as the
-    package's ``harness.build_source`` makes them."""
+def source(pkg, dim=100, seed=1):
+    """The five-mode family, as the package's ``harness.build_source``
+    makes it."""
     rng = np.random.default_rng(seed)
     modes = [rng.random(dim) + 0.5 for _ in RATES]
     spec = {"kind": "geometric_modes", "limit": rng.random(dim) + 0.5,
             "amps": [1.0] * len(RATES), "rates": list(RATES), "modes": modes}
-    return importlib.import_module(pkg.__name__ + ".harness").build_source(
-        spec, seed).take(n_terms)
+    return importlib.import_module(pkg.__name__ + ".harness").build_source(spec, seed)
+
+
+def stream(pkg, n_terms, dim=100, seed=1):
+    """The first ``n_terms`` terms of the five-mode family."""
+    return source(pkg, dim, seed).take(n_terms)
 
 
 def round_us(pkg, table, terms, f):

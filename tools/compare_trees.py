@@ -329,7 +329,7 @@ def configurations(workdir):
                        lambda: TopoEpsTable(f, 5, variant=v, singular_parity=pa), terms))
 
     yield from _source_configs()
-    yield from _run_configs()
+    yield from _run_configs(workdir)
     yield from _cli_configs(workdir)
 
 
@@ -374,11 +374,19 @@ def _digest_source(src):
     return {"entries": h.hexdigest(), "output": "\n".join(out)}
 
 
-def _run_configs():
+def _run_configs(workdir):
     """``harness.run`` reports of every table, on the kernel stream and on
-    a five-mode stream long enough to repair on most terms; and of ``stea2``
-    and ``tea2`` on the solver sources, whose entries carry residuals."""
-    from epsaccel import harness
+    a five-mode stream long enough to repair on most terms; of ``stea2``
+    and ``tea2`` on the solver sources, whose entries carry residuals; and
+    of every table on lists of terms with a limit file under ``workdir``:
+    a real stream that turns complex, one that then turns real again, so
+    that its appends give float64 and complex128 entries together, the
+    latter also at length 5,000, where an append of more than three entries
+    is reduced one entry at a time, and one with a complex term whose
+    modulus overflows."""
+    import numpy as np
+
+    from epsaccel import harness, seqio
 
     kernel = {"kind": "kernel_recurrence", "dim": 20, "seed": 1}
     for name, source, n_terms in (("kernel", kernel, 11),
@@ -396,12 +404,37 @@ def _run_configs():
                     "algorithm": {"variant": variant, "max_k": 3}}
             yield f"run/{name}/{variant}", lambda sp=spec: _report(sp)
 
+    rng = np.random.default_rng(9)
+    y = rng.random(8) + 0.5
+    geo = [0.3 + 0.8 ** n * y + 0.5 ** n * y[::-1] for n in range(24)]
+    cgeo = [(1 - 0.5j) * S for S in geo]
+    huge = list(cgeo)
+    huge[9] = huge[9].copy()
+    huge[9][3] = 1.5e308 + 1.5e308j
+    lim = np.full(8, 0.3)
+    mixed = geo[:10] + cgeo[10:14] + geo[14:]
+    streams = {"real-then-complex": (geo[:10] + cgeo[10:], lim),
+               "real-complex-real": (mixed, lim),
+               "long-real-complex-real": ([np.resize(S, 5000) for S in mixed],
+                                          np.resize(lim, 5000)),
+               "overflow-modulus": (huge, (1 - 0.5j) * lim)}
+    for name, (terms, limit) in streams.items():
+        limit_path = os.path.join(workdir, f"run-{name}-limit.txt")
+        seqio.write_terms(limit_path, [limit])
+        for variant in ("scalar", "stea1", "stea2", "tea1", "tea2"):
+            spec = {"source": {"kind": "file", "terms": terms, "limit_path": limit_path},
+                    "algorithm": {"variant": variant, "max_k": 4}, "n_terms": None}
+            yield f"run/{name}/{variant}", lambda sp=spec: _report(sp, workdir)
 
-def _report(spec):
-    """A ``harness.run`` report as JSON, its timing taken out."""
+
+def _report(spec, workdir=None):
+    """A ``harness.run`` report as JSON, its timing and the temporary
+    directory's name taken out."""
     from epsaccel import harness
 
     text = harness.run(spec).to_json()
+    if workdir:
+        text = text.replace(workdir, "<workdir>")
     return {"output": re.sub(r'"wall_time_s":\s*[-+0-9.eE]+', "wall_time_s", text)}
 
 
@@ -478,6 +511,10 @@ def _cli_configs(tmp):
         "matrix-complex-last": ([S.reshape(4, 5) for S in terms[:29]]
                                 + [terms[29].reshape(4, 5) * (1 - 0.5j)], lim.reshape(4, 5)),
     }
+    # finite numbers near the largest float, whose rows' sums, differences
+    # and the functional overflow
+    inputs["huge"] = ([(-1) ** n * (1.0 - n / 64) * np.array([1.7e308, 1.1e308, -9e307])
+                       for n in range(20)], np.array([1.6e308, 1.2e308, -8e307]))
     # a length-10 stream of 2,000 terms, which the command reads a term at
     # a time and reports through a spool
     src = harness.build_source({"kind": "geometric_modes", "dim": 10,
