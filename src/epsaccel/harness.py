@@ -31,12 +31,10 @@ reported through one path, which chooses by the shape of an entry (a number
 of the scalar table, or an array of an element table) and never by the
 table's kind; a limit must have the terms' shape, whatever the table.
 
-The module also carries measurement helpers: least-squares convergence-rate
-fits (geometric and power law) and term-budget bookkeeping, which the
-test-suite reads reports with, and canned comparison protocols for the
-benchmark families (``reproduce``), which the command line runs.  The
-kernel protocols read the one entry they compare straight off each table,
-without a report.
+The module also carries canned comparison protocols for the benchmark
+families (``reproduce``), which the command line runs.  The kernel
+protocols read the one entry they compare straight off each table, without
+a report.
 """
 
 from __future__ import annotations
@@ -67,9 +65,6 @@ __all__ = [
     "build_functional",
     "build_table",
     "run",
-    "fit_geometric_rate",
-    "fit_algebraic_exponent",
-    "iterations_to_tolerance",
     "reproduce",
 ]
 
@@ -653,54 +648,6 @@ def run(spec, entries=None, events=None):
         spec=spec, sigma=getattr(table, "sigma", 0),
         peak_slots=getattr(table, "peak_slots", 0), n_terms=table.n_terms,
         wall_time_s=wall, entries=entries, events=events)
-
-
-# -- measurement helpers ------------------------------------------------------
-
-
-def _log_fit(ns, errors, skip, x_of):
-    """Slope and intercept of the least-squares line through
-    ``(x_of(n), log e_n)``, after dropping any non-finite or non-positive
-    errors and then the first ``skip`` points (transients); None when fewer
-    than two points survive."""
-    pts = [(n, e) for n, e in zip(ns, errors) if np.isfinite(e) and e > 0.0][skip:]
-    if len(pts) < 2:
-        return None
-    return np.polyfit(x_of([p[0] for p in pts]), np.log([p[1] for p in pts]), 1)
-
-
-def fit_geometric_rate(ns, errors, skip=3):
-    """Least-squares per-step ratio of a geometrically decaying error series.
-
-    Fits ``log e_n ~ log c + n log r`` after dropping the first ``skip``
-    points (transients) and any non-finite or non-positive errors; returns
-    ``(rate, constant)`` or None when fewer than two points survive.
-    """
-    fit = _log_fit(ns, errors, skip, lambda n: np.array(n, dtype=float))
-    return None if fit is None else (float(np.exp(fit[0])), float(np.exp(fit[1])))
-
-
-def fit_algebraic_exponent(ns, errors, b=1.0, skip=3):
-    """Least-squares fit of ``e_n ~ c * (n + b)**-p``.
-
-    Returns ``(exponent p, constant c)`` after the same point filtering as
-    :func:`fit_geometric_rate`, or None.
-    """
-    fit = _log_fit(ns, errors, skip, lambda n: np.log([m + b for m in n]))
-    return None if fit is None else (float(-fit[0]), float(np.exp(fit[1])))
-
-
-def iterations_to_tolerance(errors, col, tol):
-    """Terms needed before column ``col`` first meets ``tol``.
-
-    ``errors`` is the ``(n, error)`` series of that column.  The entry at
-    superscript n consumes the first ``col + n + 1`` terms, which is the
-    count returned; None when the tolerance is never met.
-    """
-    for n, e in sorted(errors):
-        if np.isfinite(e) and e <= tol:
-            return col + n + 1
-    return None
 
 
 # -- canned comparison protocols ----------------------------------------------

@@ -66,9 +66,8 @@ the firings without keeping them, so only ``len(events)`` reads it.
 ``entry`` of a diagonal older than the last three raises LookupError.
 ``fired`` is the list of the latest append's events, which a repair on
 the next one marks treated, and ``last_diagonal`` the newest diagonal.
-What grows with the stream, every diagonal and the event log with the
-readers of old entries, is kept outside the table by
-:class:`epsaccel.topo_eps.Recorder`.
+What grows with the stream, every diagonal and the event log, is the
+caller's to keep, from what ``append`` returns and from ``fired``.
 """
 
 from __future__ import annotations
@@ -287,7 +286,7 @@ class ScalarEpsTable:
         i = d - self.n_terms + len(self._diags)
         if i < 0:
             raise LookupError(f"entry ({k}, {n}) is older than the last three diagonals"
-                              " the table keeps: record the table with a Recorder")
+                              " the table keeps: keep it from the append that returned it")
         diag = self._diags[i]
         return diag[k + 1] if k + 1 < len(diag) else None
 

@@ -75,7 +75,8 @@ The rest of a table's state is O(K) too, however many terms it has seen:
 the scalar shadow keeps its last three diagonals (:class:`ScalarEpsTable`,
 "Storage"), and ``invalid``, like the shadow's ``events``, only counts what
 it is given, so only ``len(invalid)`` reads it.  What grows with the
-stream is kept outside the tables, by a :class:`Recorder`.
+stream, every diagonal and the shadow's event log, is the caller's to keep,
+from what ``append`` returns and from the shadow's ``fired``.
 
 Updates in place.  One kernel forms every even entry of every table
 outside the first-kind tie rule (``_ElementTable._update``):
@@ -109,7 +110,7 @@ array where that was already a C-contiguous float64 or complex128 one, and
 otherwise a copy made once.  A second-kind entry (``stea2``, ``tea2``) in
 column 2 or above may be overwritten during the next append, a first-kind
 one (``stea1``, ``tea1``) during the append after that; callers copy what
-they keep.  The copies a :class:`Recorder` keeps never change.
+they keep.
 """
 
 from __future__ import annotations
@@ -122,13 +123,7 @@ import numpy as np
 from .scalar_eps import ScalarEpsTable, _inv_any, _Tally
 from .vectorspace import _C128, _F64, BLOCK, DimensionMismatchError, as_term
 
-__all__ = [
-    "TopoEpsTable",
-    "TeaTable",
-    "Recorder",
-    "ratio_series",
-    "stability_margin",
-]
+__all__ = ["TopoEpsTable", "TeaTable"]
 
 
 class _ElementTable:
@@ -585,182 +580,3 @@ _OFFSETS = {
 _FORMS = {key: (tuple((i + m, i + 1) for i, m in offsets), combiner)
           for key, (offsets, combiner) in _OFFSETS.items()}
 
-
-# -- diagnostics --------------------------------------------------------------
-
-class Recorder:
-    """Keeps, by position, what a table gives out as it streams, for
-    inspection and testing: everything that grows with the stream, which
-    the tables do not keep (module docstring, "Storage").
-
-    ``Recorder(table)`` takes a table that has no terms yet, and ``append``
-    and ``extend`` append through it, returning what the table returns.
-    After each append the recorder reads the newest diagonal through the
-    table's ``entry``: it keeps column 0 as given, a copy of every other
-    element entry, a full table's odd coefficients, and None where an entry
-    could not be formed, whose position it adds to ``invalid``.  A scalar
-    table's recorder is its own ``shadow``; a simplified table's shadow is a
-    recorder of its scalar table, a full table's None.  A shadow keeps each
-    ``last_diagonal`` of its table and, in ``events``, every
-    :class:`~epsaccel.scalar_eps.SingularEvent` the table fired
-    (``ScalarEpsTable.fired``), which a later repair marks treated as it
-    does in the table.  ``column`` and ``even_column`` read any recorder;
-    ``flag`` and ``diagonal_sum_identities`` read a shadow's entries.
-    """
-
-    def __init__(self, table):
-        if table.n_terms:
-            raise ValueError("a Recorder needs a table that has no terms yet")
-        self.table = table
-        # the recorded diagonals, by diagonal, each by column
-        self._diags = []
-        if isinstance(table, ScalarEpsTable):
-            self.shadow = self
-            self.events = []
-        else:
-            self.shadow = Recorder(table.scalar) if isinstance(table, TopoEpsTable) else None
-            self.invalid = set()
-
-    def append(self, term):
-        out = self.table.append(term)
-        self._record()
-        return out
-
-    def extend(self, terms):
-        for term in terms:
-            self.append(term)
-        return self
-
-    def _record(self):
-        """Keep the newest diagonal of the table, and of its shadow's."""
-        tab = self.table
-        if self.shadow is self:
-            self._diags.append(tab.last_diagonal)
-            self.events += tab.fired
-            return
-        N = tab.n_terms - 1
-        diag = [None] * (min(N, 2 * tab.max_k) + 1)
-        for col in range(0, len(diag), 1 if isinstance(tab, TeaTable) else 2):
-            e = tab.entry(col, N - col)
-            if e is None:
-                self.invalid.add((col, N - col))
-            elif col and col % 2 == 0:
-                e = e.copy()
-            diag[col] = e
-        self._diags.append(diag)
-        if self.shadow is not None:
-            self.shadow._record()
-
-    def entry(self, k, n):
-        """The recorded entry at ``(k, n)``; None where none was recorded
-        or it could not be formed.  A scalar table's boundary column
-        k = -1 is identically zero."""
-        if k == -1 and self.shadow is self:
-            return 0.0 if n >= 0 else None
-        d = k + n
-        if k < 0 or n < 0 or d >= len(self._diags):
-            return None
-        diag = self._diags[d]
-        return diag[k] if k < len(diag) else None
-
-    def column(self, k):
-        """All recorded entries of column k as ``(n, value)`` pairs."""
-        return [(d - k, diag[k]) for d, diag in enumerate(self._diags)
-                if d >= k and k < len(diag)]
-
-    def even_column(self, k):
-        """Column ``2k`` of limit estimates as ``(n, value)`` pairs."""
-        return self.column(2 * k)
-
-    def flag(self, k, n):
-        """'cross-rule' if the shadow entry was repaired, that is, is the
-        victim of a treated event, else None."""
-        return "cross-rule" if any(ev.victim == (k, n) for ev in self.events) else None
-
-    def diagonal_sum_identities(self, k, n):
-        """Both telescoping diagonal identities of the shadow at ``(k, n)``.
-
-        Returns the pair of reconstructions
-
-            s_{n+k} + sum_{i=1..k} 1/(eps_{2i-1}^(n+k-i+1) - eps_{2i-1}^(n+k-i)),
-            sum_{i=0..k}           1/(eps_{2i}^(n+k-i+1)   - eps_{2i}^(n+k-i)),
-
-        which telescope to ``eps_{2k}^(n)`` and ``eps_{2k+1}^(n)``.  Raises
-        LookupError if any required entry is not recorded yet.  Column c
-        adds its term, at ``i = (c + 1) // 2``, to the first sum when odd and
-        to the second when even.
-        """
-        sums = [self.entry(0, n + k), 0.0]
-        if sums[0] is None:
-            raise LookupError(f"entry (0, {n + k}) unavailable")
-        for col in range(2 * k + 1):
-            m = n + k - (col + 1) // 2
-            a, b = self.entry(col, m + 1), self.entry(col, m)
-            if a is None or b is None:
-                raise LookupError(f"column {col} unavailable")
-            sums[1 - col % 2] += _inv_any(a - b)
-        return tuple(sums)
-
-
-def ratio_series(recorder):
-    """Measured column-to-column improvement ratios of the scalar shadow.
-
-    For each order k returns the series ``(n, r_k^(n))`` with
-
-        r_k^(n) = (e_{2k+2}^(n) - e_{2k}^(n+1)) / (e_{2k}^(n+1) - e_{2k}^(n)).
-
-    ``|r|`` small means column 2k+2 genuinely improves on column 2k; for a
-    sequence dominated by one geometric mode with ratio ``lam`` the series
-    tends to ``lam / (1 - lam)``.  Reads the shadow of a :class:`Recorder`
-    of a scalar or a simplified table.
-    """
-    out = {}
-    kmax_col = max((len(d) for d in recorder.shadow._diags), default=0) - 1
-    for k in range(0, max(0, kmax_col // 2)):
-        series = []
-        for n, e22, ehi, elo in _shadow_steps(recorder, k):
-            den = ehi - elo
-            if den == 0 or not np.isfinite(np.abs(den)):
-                continue
-            series.append((n, (e22 - ehi) / den))
-        if series:
-            out[k] = series
-    return out
-
-
-def stability_margin(recorder, k):
-    """Rounding amplification bounds for column ``2k + 2`` of the shadow.
-
-    Returns the list of margins for n = 0, 1, ... (as far as the table
-    reaches), where
-
-        margin = |e_{2k+2}^(n) - e_{2k}^(n)| / |e_{2k}^(n+1) - e_{2k}^(n)|
-               + |e_{2k+2}^(n) - e_{2k}^(n+1)| / |e_{2k}^(n+1) - e_{2k}^(n)|.
-
-    A perturbation of the operand entries is magnified by at most this factor
-    (to first order), so margins near 1 mean a numerically safe step and huge
-    margins flag the steps where singular-block repairs earn their keep.  A
-    zero denominator (degenerate column, e.g. a kernel sequence transformed
-    exactly) gives a non-finite margin rather than a gap.  Reads the shadow
-    of a :class:`Recorder` of a scalar or a simplified table.
-    """
-    series = []
-    for n, e22, ehi, elo in _shadow_steps(recorder, k):
-        den = abs(ehi - elo)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            m = float(np.divide(abs(e22 - elo), den) + np.divide(abs(e22 - ehi), den))
-        series.append(m)
-    return series
-
-
-def _shadow_steps(recorder, k):
-    """The steps ``(n, e_{2k+2}^(n), e_{2k}^(n+1), e_{2k}^(n))`` of the
-    recorded shadow for n = 0, 1, .., up to the first with an entry not
-    recorded.  A shadow's entries are never None inside it, so every later
-    step lacks one too."""
-    sc = recorder.shadow
-    for n in range(len(sc._diags)):
-        e22, ehi, elo = sc.entry(2 * k + 2, n), sc.entry(2 * k, n + 1), sc.entry(2 * k, n)
-        if e22 is None or ehi is None or elo is None:
-            return
-        yield n, e22, ehi, elo

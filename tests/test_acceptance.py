@@ -17,19 +17,9 @@ import time
 import numpy as np
 import pytest
 
-from epsaccel import (
-    Functional,
-    Recorder,
-    ScalarEpsTable,
-    TeaTable,
-    TopoEpsTable,
-)
-from epsaccel import oracle, sequences
-from epsaccel.harness import (
-    fit_algebraic_exponent,
-    fit_geometric_rate,
-    reproduce,
-)
+from epsaccel import Functional, ScalarEpsTable, TeaTable, TopoEpsTable, oracle, sequences
+from epsaccel.harness import reproduce
+from recording import Recorder, fit_algebraic_exponent, fit_geometric_rate
 
 
 def _verdict(num, name, checks):

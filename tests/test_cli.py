@@ -267,6 +267,13 @@ def test_reproduce_table_of_a_solver_column_with_no_entry(capsys):
     assert [ln.split()[0] for ln in lines[3:]] == [str(c) for c in range(0, 13, 2)]
 
 
+def test_reproduce_table_prints_a_missing_value_as_a_dash(capsys):
+    # at dim 1 Kaczmarz is exact after one sweep: best and plain are 0, so
+    # the row has no gain
+    assert main(["reproduce", "kaczmarz", "--dim", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[3].split() == ["0", "0", "1", "2", "0", "-"]
+
+
 def test_reproduce_takes_kmax_0_and_rejects_dim_0(capsys):
     # 0 is a value, not "use the default": kmax 0 runs kmax 0, and a
     # dimension below 1 is an argument error

@@ -12,15 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from epsaccel import (
-    Functional,
-    Recorder,
-    ScalarEpsTable,
-    SingularEvent,
-    TopoEpsTable,
-    ratio_series,
-    stability_margin,
-)
+from epsaccel import Functional, ScalarEpsTable, SingularEvent, TopoEpsTable
 from epsaccel.harness import (
     Entry,
     RunReport,
@@ -28,15 +20,13 @@ from epsaccel.harness import (
     build_functional,
     build_source,
     build_table,
-    fit_algebraic_exponent,
-    fit_geometric_rate,
-    iterations_to_tolerance,
     reproduce,
     run,
 )
 from epsaccel.seqio import write_terms
 from epsaccel.sequences import KernelRecurrence
 from epsaccel.vectorspace import as_term
+from recording import Recorder, fit_algebraic_exponent, fit_geometric_rate
 
 KERNEL_SPEC = {
     "source": {"kind": "kernel_recurrence", "dim": 20, "seed": 1},
@@ -99,11 +89,7 @@ def test_kernel_annihilation_and_iteration_count():
     errs = rep.errors(10)
     assert errs and errs[0][1] <= 1e-8
     # the column-10 entry exists once 2k+1 = 11 terms are consumed
-    assert iterations_to_tolerance(errs, 10, 1e-6) == 11
-
-
-def test_iterations_to_tolerance_none_when_unmet():
-    assert iterations_to_tolerance([(0, 1.0), (1, 0.5)], 2, 1e-12) is None
+    assert errs[0][0] == 0
 
 
 def test_events_surface_in_report(monkeypatch):
@@ -126,10 +112,10 @@ def test_events_surface_in_report(monkeypatch):
     assert all(ev.ratio < 1e-10 for ev in treated)
 
 
-def test_scalar_metrics_are_a_simplified_tables_shadow_metrics():
-    # a scalar table's recorder is its own shadow: its table is the one a
-    # simplified table's shadow is, fed the same reduced terms, so the
-    # shadow metrics read alike for every order the table reaches
+def test_a_simplified_tables_shadow_is_the_scalar_table_of_its_reduced_terms():
+    # the table a simplified table's shadow records is a scalar table fed
+    # the same reduced terms: every entry it gives, bit for bit, and every
+    # event
     src = build_source(KERNEL_SPEC["source"])
     terms = [src.next_term() for _ in range(KERNEL_SPEC["n_terms"])]
     functional = build_functional(KERNEL_SPEC["functional"], np.shape(terms[0]))
@@ -138,14 +124,13 @@ def test_scalar_metrics_are_a_simplified_tables_shadow_metrics():
     for term in terms:
         simplified.append(term)
         scalar.append(functional(as_term(term)))
-    orders = range(scalar.shadow.table.max_col // 2 - 1)
-    assert list(orders) == [0, 1, 2, 3, 4]
-    for rec in (scalar, simplified):
-        assert rec.shadow.table.n_terms == len(terms)
-    assert json.dumps(ratio_series(scalar)) == json.dumps(ratio_series(simplified))
-    margins = [[stability_margin(rec, k) for k in orders] for rec in (scalar, simplified)]
-    assert json.dumps(margins[0]) == json.dumps(margins[1])
-    assert all(margins[0])
+    shadow = simplified.shadow
+    assert shadow.table.n_terms == scalar.table.n_terms == len(terms)
+    assert shadow.table.max_col == scalar.table.max_col == 12
+    at = [(k, n) for k in range(13) for n in range(len(terms) - k)]
+    assert (np.array([shadow.entry(k, n) for k, n in at]).tobytes()
+            == np.array([scalar.entry(k, n) for k, n in at]).tobytes())
+    assert shadow.events == scalar.events and scalar.table.sigma == 2
 
 
 def _report_cases():
@@ -465,6 +450,25 @@ def test_report_best_prefers_smallest_error():
     rep = run(dict(KERNEL_SPEC))
     best = rep.best()
     assert best.col == 10 and best.error_inf <= 1e-8
+
+
+def test_a_report_without_errors_or_residuals_has_no_best_entry():
+    # a source with neither a limit nor an equation: best() has nothing to
+    # choose by
+    rep = run({"source": {"kind": "file", "terms": [1.0, 0.5, 0.25]},
+               "algorithm": {"variant": "scalar"}, "n_terms": None})
+    assert rep.entries and rep.best() is None
+
+
+def test_a_specs_numpy_values_are_written_as_json_and_other_objects_refused():
+    y = np.array([1.0, 2.0])
+    spec = {"source": {"kind": "file", "terms": [y, 0.5 * y, 0.25 * y]},
+            "algorithm": {"variant": "stea2", "max_k": 1}, "n_terms": None,
+            "functional": {"kind": "dot", "y": y}, "seed": np.int64(3)}
+    blob = json.loads(run(spec).to_json())["spec"]
+    assert blob["functional"]["y"] == [1.0, 2.0] and blob["seed"] == 3
+    with pytest.raises(TypeError, match="not JSON-serializable"):
+        run(dict(spec, label={"a"})).to_json()
 
 
 def test_fit_geometric_rate():

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from epsaccel import Functional, Recorder, ScalarEpsTable
+from epsaccel import Functional, ScalarEpsTable
 from epsaccel.oracle import shanks_scalar
 from epsaccel.sequences import KernelRecurrence
+from recording import Recorder
 
 LN2_SUMS = [1.0, 0.5, 5.0 / 6.0, 7.0 / 12.0, 47.0 / 60.0]
 

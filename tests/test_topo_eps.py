@@ -10,21 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epsaccel import (
-    DimensionMismatchError,
-    Functional,
-    Recorder,
-    ScalarEpsTable,
-    TeaTable,
-    TopoEpsTable,
-    ratio_series,
-    stability_margin,
-)
-from epsaccel.harness import fit_geometric_rate
+from epsaccel import DimensionMismatchError, Functional, ScalarEpsTable, TeaTable, TopoEpsTable
 from epsaccel.oracle import shanks_topo, solve_tolerance
 from epsaccel.sequences import GeometricModes, KernelRecurrence, LogarithmicModes
 from epsaccel.topo_eps import _OFFSETS
 from epsaccel.vectorspace import BLOCK
+from recording import Recorder
 
 LN2_SUMS = [1.0, 0.5, 5.0 / 6.0, 7.0 / 12.0, 47.0 / 60.0,
             0.6166666666666667, 0.7595238095238095]
@@ -601,7 +592,7 @@ def test_a_recorder_changes_nothing_and_keeps_what_it_recorded(stream, K, count)
             assert sc.entry(0, N - 2) == shadow[N - 2]
             assert np.array_equal([sc.entry(*at) for at in last],
                                   [rec.shadow.entry(*at) for at in last], equal_nan=True)
-            with pytest.raises(LookupError, match="Recorder"):
+            with pytest.raises(LookupError, match="older than the last three diagonals"):
                 sc.entry(0, N - 3)
 
 
@@ -632,77 +623,24 @@ def test_coefficients_read_the_shadow_diagonals_directly(monkeypatch):
             assert formed > len(terms) and tab.sigma > 0, (variant, form)
 
 
-def test_ratio_series_single_mode():
-    lam = 0.5
-    terms = [np.zeros(4) + lam**n for n in range(10)]
-    tab = Recorder(TopoEpsTable(Functional.dot(np.ones(4)), max_k=2, form=3))
-    tab.extend(terms)
-    rs = ratio_series(tab)
-    assert 0 in rs
-    for _, r in rs[0]:
-        assert r == pytest.approx(lam / (1 - lam), abs=1e-8)
-
-
-def test_ratio_series_two_modes_converges_to_dominant():
-    terms, _ = two_mode_terms(30)
-    f = Functional.dot(np.random.default_rng(11).random(10))
-    tab = Recorder(TopoEpsTable(f, max_k=2, form=3))
-    tab.extend(terms)
-    rs = ratio_series(tab)
-    assert 0 in rs and 1 in rs
-    devs = [(n, abs(r - 9.0)) for n, r in rs[0] if abs(r - 9.0) > 1e-13]
-    rate, _ = fit_geometric_rate([n for n, _ in devs], [d for _, d in devs],
-                                 skip=3)
-    assert rate == pytest.approx(5.0 / 9.0, rel=0.2)
-
-
-def test_ratio_series_matches_element_step_in_dim_one():
-    # with a width-1 space the element table and its scalar shadow coincide,
-    # so the shadow ratio must reproduce the measured element-norm step
+def test_element_steps_are_the_shadows_in_dim_one():
+    # with a width-1 space and a functional of one, the element table and
+    # its scalar shadow coincide, so each element step from column 2k to
+    # 2k + 2 is the shadow's
     terms, _ = smooth_terms(20, 1, 12)
-    f = Functional.dot(np.ones(1))
-    tab = Recorder(TopoEpsTable(f, max_k=2, form=3))
+    tab = Recorder(TopoEpsTable(Functional.dot(np.ones(1)), max_k=2, form=3))
     tab.extend(terms)
-    rs = ratio_series(tab)
     checked = 0
-    for k, series in rs.items():
-        for n, r in series:
-            e_new = tab.entry(2 * k + 2, n)
-            hi = tab.entry(2 * k, n + 1)
-            lo = tab.entry(2 * k, n)
-            if e_new is None or hi is None or lo is None:
-                continue
-            step = _norm(e_new - hi) / max(_norm(hi - lo), 1e-30)
-            assert step == pytest.approx(abs(r), rel=1e-6)
+    for k in range(2):
+        for n in range(len(terms) - 2 * k - 2):
+            e_new, hi, lo = (tab.entry(2 * k + 2, n), tab.entry(2 * k, n + 1),
+                             tab.entry(2 * k, n))
+            s_new, s_hi, s_lo = (tab.shadow.entry(2 * k + 2, n), tab.shadow.entry(2 * k, n + 1),
+                                 tab.shadow.entry(2 * k, n))
+            step = _norm(e_new - hi) / _norm(hi - lo)
+            assert step == pytest.approx(abs((s_new - s_hi) / (s_hi - s_lo)), rel=1e-6)
             checked += 1
     assert checked >= 10
-
-
-def test_stability_margin_examples():
-    f = Functional.dot(np.ones(1))
-    tab = Recorder(TopoEpsTable(f, max_k=2, form=3))
-    tab.extend([np.array([x]) for x in LN2_SUMS * 2][:14])
-    margins = stability_margin(tab, 1)
-    assert margins and all(m <= 10 for m in margins[:11])
-
-    lam = 0.5
-    tab = Recorder(TopoEpsTable(Functional.dot(np.ones(3)), max_k=1, form=3))
-    tab.extend([np.zeros(3) + lam**n for n in range(10)])
-    margins = stability_margin(tab, 0)
-    assert margins == pytest.approx([3.0] * len(margins))
-
-    # near-coincident seeds blow the k=1 margins up by ~the pair ratio
-    src = KernelRecurrence(10, "vector", seed=0)
-    tab = Recorder(TopoEpsTable(Functional.dot(np.ones(10)), max_k=3, form=3,
-                                particular_rules=False))
-    tab.extend([src.next_term() for _ in range(10)])
-    margins = stability_margin(tab, 1)
-    assert margins and max(margins) > 1e9
-
-    # an exact tie in the first column gives a non-finite margin, not a gap
-    tab = Recorder(TopoEpsTable(f, max_k=1, form=3))
-    tab.extend([np.array([2.0])] * 5)
-    assert any(not math.isfinite(m) for m in stability_margin(tab, 0))
 
 
 def test_diagonal_scaling_covariance():
@@ -767,6 +705,7 @@ def test_best_returns_highest_finite_column():
     terms, _ = smooth_terms(30, 4, 9)
     f = Functional.dot(np.ones(4))
     tab = TopoEpsTable(f, max_k=3, form=3)
+    assert tab.best() is None
     tab.extend(terms)
     col, n, e = tab.best()
     assert col == 6 and col + n == len(terms) - 1

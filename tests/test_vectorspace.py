@@ -65,6 +65,15 @@ def test_real_dot_returns_python_float():
     assert isinstance(out, float) and out == 4.0
 
 
+def test_a_value_of_another_numpy_type_is_a_python_number():
+    # the trace of an integer matrix is an np.int64, outside the map of
+    # float64 and complex128 to Python types
+    f = Functional.trace()
+    out = f(np.eye(3, dtype=np.int64))
+    assert type(out) is float and out == 3.0
+    assert repr(f) == "Functional(trace)"
+
+
 def _bits(z):
     # any NaN as the one NaN: where both halves of a sum are NaN, numpy's
     # compiled pairwise sum and the blocked sum's Python-level add of the
@@ -252,6 +261,8 @@ def test_matrix_functionals_reject_a_term_of_another_shape():
     # own shape
     with pytest.raises(DimensionMismatchError, match="matrix Y"):
         Functional.trace_weighted(np.ones(3))
+    with pytest.raises(DimensionMismatchError, match="two vectors"):
+        Functional.bilinear(np.ones((2, 2)), np.ones(2))
     tw = Functional.trace_weighted(np.ones((2, 3)))
     bl = Functional.bilinear(np.ones(2), np.ones(3))
     assert tw(np.ones((2, 3))) == bl(np.ones((2, 3))) == 6.0

@@ -7,11 +7,14 @@ the parent commit, exported with ``git archive``, and the working tree).
 Each tree's ``src`` is imported in its own subprocess, which runs the fixed
 list of configurations in :func:`configurations`.  A table gives two
 SHA-256 digests, so that a change of counters cannot hide a change of
-entries.  A table is run once, appending through a ``Recorder`` of it:
-the counters digest is read off the recorder and must match the old
-tree's, and the entries, the odd coefficients and the table's own counts,
-``sigma``, ``len(events)``, ``len(invalid)``, ``peak_slots``/``peak_total``
-and ``n_terms``, must match too (the ``counts`` part).  The entries digest
+entries.  A table is run once, appending through a ``Recorder`` of it,
+the one in ``tests/recording.py`` of this script's own checkout, which
+reads only what every table hands out, so that any two trees are run
+through the same recorder: the counters digest is read off the recorder
+and must match the old tree's, and the entries, the odd coefficients and
+the table's own counts, ``sigma``, ``len(events)``, ``len(invalid)``,
+``peak_slots``/``peak_total`` and ``n_terms``, must match too (the
+``counts`` part).  The entries digest
 covers the bytes (any NaN as the canonical one), dtype, shape and Python
 type of every entry each ``append`` returned and, for the full tables, of
 every finite odd coefficient of the newest diagonal after each ``append``
@@ -90,8 +93,7 @@ def _digest_table(make, terms):
     recorder keeps; also the full tables' non-finite odd coefficients by
     position, and the counts the table keeps."""
     import numpy as np
-
-    from epsaccel import Recorder
+    from recording import Recorder
 
     tab = make()
     rec = Recorder(tab)
@@ -309,6 +311,18 @@ def configurations(workdir):
                                _digest_table(lambda: ScalarEpsTable(
                                    max_col=mc, p_threshold=pp, particular_rules=r,
                                    singular_parity=pa), t))
+
+    # the scalar kernel with ties planted at terms 1-2, 3-4 or both, exact
+    # or of gap 1e-11 r, at every r the cross-identity property draws: some
+    # of them fire in column 1, whose repairs read a column-0 neighbour
+    from recording import planted_kernel
+    for where in ("1-2", "3-4", "both"):
+        for gap in (0.0, 1e-11):
+            for i in range(1, 41):
+                terms = planted_kernel(i / 20, gap, where)
+                yield (f"scalar-kernel/tie={where}/gap={gap:g}/r={i / 20:g}",
+                       lambda t=terms: _digest_table(
+                           lambda: ScalarEpsTable(max_col=10, p_threshold=10), t))
 
     # the overflowing streams as dim-1 elements through the simplified tables
     f = Functional.dot(np.ones(1))
@@ -613,6 +627,8 @@ def _trace_weighted_values():
 
 
 def child():
+    # the recorder, and the planted-tie streams, of this checkout's tests
+    sys.path.insert(0, os.path.join(ROOT, "tests"))
     with tempfile.TemporaryDirectory(prefix="compare-trees-") as workdir:
         digests = {name: thunk() for name, thunk in configurations(workdir)}
     json.dump({"digests": digests, "trace_weighted": _trace_weighted_values()},
