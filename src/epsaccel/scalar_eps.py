@@ -18,6 +18,10 @@ identity that links each entry C to its four compass neighbours,
 
     1/(E - C) + 1/(W - C) = 1/(N - C) + 1/(S - C).
 
+With C = eps_k^(n), the neighbours are N = eps_k^(n-1), S = eps_k^(n+1),
+W = eps_{k-2}^(n+1) and E = eps_{k+2}^(n-1): W lies on N's diagonal, E on
+S's, and C on the diagonal between them (Wynn, 1963).
+
 Centred on the blown-up entry C, solved for the eastern neighbour E, and
 rearranged so the huge centre cancels analytically rather than in floating
 point, the rule reads
@@ -222,11 +226,12 @@ class ScalarEpsTable:
                     self._fire(t - 1, N - t, ratio)
 
             if t == due:
-                # the cross rule centred on eps_{t-2}^(N-t+1), whose north
-                # and west neighbours the last two diagonals hold
+                # the cross rule centred on eps_{t-2}^(N-t+1), on the last
+                # diagonal, whose north and west neighbours lie on the one
+                # before it
                 event = pending.pop(0)[1]
                 value = _cross_east(prev[t - 1], diags[-2][t - 1], new[t - 1],
-                                    prev[t - 3], finite)
+                                    diags[-2][t - 3], finite)
                 self.sigma += 1
                 event.treated = True
                 event.victim = (t, N - t)

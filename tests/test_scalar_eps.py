@@ -3,6 +3,7 @@
 import math
 import struct
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from epsaccel import Functional, ScalarEpsTable
 from epsaccel.oracle import shanks_scalar
 from epsaccel.sequences import KernelRecurrence
-from recording import Recorder
+from recording import Recorder, planted_kernel
 
 LN2_SUMS = [1.0, 0.5, 5.0 / 6.0, 7.0 / 12.0, 47.0 / 60.0]
 
@@ -340,7 +341,7 @@ def _reference_shadow(terms, max_col, p, rules, parity):
                         ev[4] = True
                     elif n_pair >= 1 and t < len(prev) and t + 2 <= max_col:
                         sched = {"ev": ev, "N": prev[t],
-                                 "W": new[j - 1] if j >= 1 else 0.0}
+                                 "W": prev[j - 1] if j >= 1 else 0.0}
                         pending[t + 2] = sched
             if t in due:
                 C, Nn, S, W = due[t]["C"], due[t]["N"], new[t - 2], due[t]["W"]
@@ -445,3 +446,67 @@ def test_sweep_matches_the_reference_rhombus_bit_for_bit(terms, max_col, p, rule
         (k, n, struct.pack("<d", r), tr, su, vi) for k, n, r, tr, su, vi in events]
     size = len(terms) + 1
     assert {(k, n) for k in range(size) for n in range(size) if tab.flag(k, n)} == flags
+
+def test_a_column_one_repair_reads_its_west_neighbour_on_the_norths_diagonal():
+    # the exact tie at terms 1-2 makes eps_1^(5) = eps_1^(6) exactly too;
+    # the repair of eps_4^(4) that this column-1 firing schedules reads
+    # W = eps_0^(6), on the diagonal of its north neighbour eps_2^(4)
+    terms = planted_kernel(0.3, 0.0, "1-2")
+    tab = Recorder(ScalarEpsTable(max_col=10, p_threshold=10)).extend(terms)
+    assert [ev.victim for ev in tab.events if ev.treated and ev.k == 1] == [(4, 4)]
+    # the float64 oracle gives -4.0e-14; W off by one diagonal gave 0.239
+    assert abs(tab.entry(10, 0) - shanks_scalar(terms, 0, 5)) < 1e-10
+
+
+_U = 2.0 ** -53
+
+
+def _cross_identity(rec, ev):
+    """The victim E of a treated repair, the E the cross identity
+
+        1/(E - C) + 1/(W - C) = 1/(N - C) + 1/(S - C)
+
+    gives from the four neighbours as the shadow stored them, in 50 digits,
+    and the bound the repair's own float64 rounding sets on their distance;
+    None where the identity gives no finite E from finite neighbours.  By
+    Wynn's geometry, with E = eps_{k+2}^(n-1): C = eps_k^(n), N = eps_k^(n-1),
+    S = eps_k^(n+1) and W = eps_{k-2}^(n+1), the boundary column -1 being 0.
+    """
+    kv, nv = ev.victim
+    E = rec.entry(kv, nv)
+    C, N, S, W = (rec.entry(kv - 2, nv + 1), rec.entry(kv - 2, nv),
+                  rec.entry(kv - 2, nv + 2), rec.entry(kv - 4, nv + 2))
+    if not all(map(math.isfinite, (N, S, W))) or math.isnan(C):
+        return None
+    with mpmath.workdps(50):
+        if math.isinf(C):
+            # the identity's limit as the centre grows, E = N + S - W: two
+            # roundings
+            return E, mpmath.mpf(N) + S - W, 2 * _U * (abs(N) + abs(S) + abs(W))
+        C = mpmath.mpf(C)
+        inv = 1 / (N - C) + 1 / (S - C) - 1 / (W - C) if C not in (N, S, W) else 0
+        if not inv:
+            return None
+        # the repair takes E = C psi / (1 + psi), psi = S/(C-S) + N/(C-N) -
+        # W/(C-W): two roundings in each term of psi, two in their sum and
+        # three in E; twice that first-order bound
+        terms = (S / (C - S), N / (C - N), W / (C - W))
+        psi = terms[0] + terms[1] - terms[2]
+        bound = 2 * _U * (4 * abs(C) * sum(map(abs, terms)) / (1 + psi) ** 2 + 3 * abs(E))
+        return E, C + 1 / inv, bound
+
+
+@settings(max_examples=200, deadline=None)
+@example(r=0.3, gap=0.0, where="1-2")
+# r on the 0.05 grid of the planted-tie sweep: its simple seed ratios are
+# what make a column-1 coincidence, and so a column-1 repair, occur
+@given(r=st.integers(1, 40).map(lambda i: i / 20), gap=st.sampled_from([0.0, 1e-11]),
+       where=st.sampled_from(["1-2", "3-4", "both"]))
+def test_every_treated_repair_satisfies_the_cross_identity(r, gap, where):
+    tab = Recorder(ScalarEpsTable(max_col=10, p_threshold=10))
+    tab.extend(planted_kernel(r, gap, where))
+    for ev in tab.events:
+        got = _cross_identity(tab, ev) if ev.treated else None
+        if got is not None:
+            E, want, bound = got
+            assert abs(E - want) <= bound, (ev, E, want, bound)

@@ -23,9 +23,9 @@ instead, so that each one that differs is printed: which infinity a
 coefficient ``1/f(hi, lo)`` is at ``f = 0`` depends on the sign of the
 zero.  The counters digest covers ``sigma``, the event log (k, n, ratio,
 treated, suppressed, victim), the repair flags as ``flag()`` gives them
-where each firing's repair lands, the positions in ``invalid`` and
-``peak_slots``/``peak_total``.  A command, or a ``harness.run`` report,
-gives its exit code and output, with
+where each firing's repair lands, a simplified table's shadow entries,
+the positions in ``invalid`` and ``peak_slots``/``peak_total``.  A
+command, or a ``harness.run`` report, gives its exit code and output, with
 ``wall_time_s`` removed; for each one that differs, the lines that differ
 are printed.  A command run with ``--out`` also gives the SHA-256 of the
 file's bytes, ``wall_time_s`` removed, or that it wrote none.  A file ``seqio.write_terms`` writes for the commands gives
@@ -136,6 +136,11 @@ def _digest_table(make, terms):
         # entries a flag can name
         spots = sorted({(ev.k + 3, ev.n - 1) for ev in log.events})
         h.update(repr([(k, n, log.flag(k, n)) for k, n in spots]).encode())
+        if log is not rec:
+            # a simplified table's shadow entries, which reach its element
+            # entries only through the coefficients, and not all of them
+            for diag in log._diags:
+                _feed(h, diag)
     for attr, value in kept.items():
         h.update(f"{attr}={sorted(rec.invalid) if attr == 'invalid' else value}".encode())
     out["counters"] = h.hexdigest()
