@@ -447,6 +447,7 @@ def test_sweep_matches_the_reference_rhombus_bit_for_bit(terms, max_col, p, rule
     size = len(terms) + 1
     assert {(k, n) for k in range(size) for n in range(size) if tab.flag(k, n)} == flags
 
+
 def test_a_column_one_repair_reads_its_west_neighbour_on_the_norths_diagonal():
     # the exact tie at terms 1-2 makes eps_1^(5) = eps_1^(6) exactly too;
     # the repair of eps_4^(4) that this column-1 firing schedules reads
