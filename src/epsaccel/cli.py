@@ -81,8 +81,6 @@ def _build_parser():
                      help="singular detection threshold digits (default 10)")
     acc.add_argument("--no-rules", action="store_true",
                      help="disable singular-block repairs")
-    acc.add_argument("--parity", choices=("both", "even", "odd"), default="both",
-                     help="columns watched by the singular test (default both)")
     acc.add_argument("--functional", choices=_FUNCTIONALS, default="auto",
                      help="scalar reduction driving the table (default auto)")
     acc.add_argument("--y-file", metavar="FILE",
@@ -97,8 +95,7 @@ def _build_parser():
     acc.add_argument("--out", metavar="FILE", help="write report here instead of stdout")
 
     rep = sub.add_parser("reproduce", help="run a canned benchmark protocol")
-    rep.add_argument("name", choices=("kernel-vector", "kernel-matrix",
-                                      "kaczmarz", "ns", "qpow", "stein"))
+    rep.add_argument("name", choices=harness.PROTOCOLS)
     rep.add_argument("--dim", type=_dim, default=None)
     rep.add_argument("--p", type=_order, default=None,
                      help="singular detection threshold digits (kernel protocols only)")
@@ -157,7 +154,7 @@ def _cmd_accelerate(args):
             if args.limit_file:
                 source["limit_path"] = args.limit_file
             algo = {"variant": args.algo, "form": args.form, "max_k": args.kmax,
-                    "p": args.p, "rules": not args.no_rules, "parity": args.parity}
+                    "p": args.p, "rules": not args.no_rules}
             report = harness.run({
                 "source": source, "algorithm": algo,
                 "functional": _functional_conf(args),

@@ -66,6 +66,7 @@ __all__ = [
     "build_table",
     "run",
     "reproduce",
+    "PROTOCOLS",
 ]
 
 
@@ -203,15 +204,14 @@ def build_table(conf, functional):
     ``variant``: scalar, tea1, tea2, stea1, stea2.  ``max_k`` bounds the
     transform order; ``form`` picks the coefficient formula for the
     simplified variants; ``p`` (decimal digits, at least 0) sets the
-    singular-block detection threshold and ``rules`` switches the repairs.
-    Any other key is an error.
+    singular-block detection threshold and ``rules`` switches the repairs;
+    the detection watches every column.  Any other key is an error.
     """
     conf = dict(conf)
     variant = conf.pop("variant", "stea2")
     max_k = conf.pop("max_k", 5)
     p = conf.pop("p", 10)
     rules = conf.pop("rules", True)
-    parity = conf.pop("parity", "both")
     form = conf.pop("form", 3)
     _spent(conf, "algorithm")
     if p < 0:
@@ -220,9 +220,9 @@ def build_table(conf, functional):
         if max_k < 0:
             raise ValueError("max_k must be >= 0")
         return ScalarEpsTable(max_col=2 * max_k + 2, p_threshold=p,
-                              particular_rules=rules, singular_parity=parity)
+                              particular_rules=rules)
     if variant in ("stea1", "stea2"):
-        return TopoEpsTable(functional, max_k, variant, form, p, rules, parity)
+        return TopoEpsTable(functional, max_k, variant, form, p, rules)
     if variant in ("tea1", "tea2"):
         return TeaTable(functional, max_k, variant)
     raise ValueError(f"unknown table variant: {variant!r}")
@@ -282,9 +282,11 @@ class RunReport:
         return [(e.n, e.error_inf) for e in self.column(col) if e.error_inf is not None]
 
     def best(self):
-        """Entry with the smallest known error, else smallest residual."""
+        """Entry with the smallest finite error, else smallest finite
+        residual; None where neither is finite anywhere."""
         for key in ("error_inf", "residual"):
-            keyed = [e for e in self.entries if getattr(e, key) is not None]
+            keyed = [e for e in self.entries
+                     if getattr(e, key) is not None and math.isfinite(getattr(e, key))]
             if keyed:
                 return min(keyed, key=attrgetter(key))
         return None
@@ -684,7 +686,7 @@ def reproduce(name, dim=None, p=None, seed=0, kmax=None):
     for arg, value, least in (("dim", dim, 1), ("kmax", kmax, 0), ("p", p, 0)):
         if value is not None and value < least:
             raise ValueError(f"{arg} must be >= {least}, not {value}")
-    if name in ("kernel-vector", "kernel-matrix"):
+    if name in _KERNELS:
         return _reproduce_kernel(name, dim, p, seed, kmax)
     if name not in _SOLVERS:
         raise ValueError(f"unknown protocol: {name!r}")
@@ -702,6 +704,9 @@ _SOLVERS = {
     "qpow": ("qpow_iteration", 20, 16, 3),
     "stein": ("smith_stein", 40, 25, 2),
 }
+_KERNELS = ("kernel-vector", "kernel-matrix")
+# every protocol name, in the order the command line lists them
+PROTOCOLS = _KERNELS + tuple(_SOLVERS)
 
 
 def _reproduce_kernel(name, dim, p, seed, kmax):

@@ -49,7 +49,7 @@ pair west of its new entry, which serves both the test and the rhombus
 rule, and one finiteness test of ``d``, ``math.isfinite`` (``cmath.isfinite``
 once the table has seen a complex term): a finite ``d`` has finite
 operands, and finite operands whose difference overflows are too far apart
-for the test to fire.  The test's trigger and the watched parities are
+for the test to fire.  The test watches every column, and its trigger is
 fixed at construction.  ``1/d`` is Python's IEEE division, with the
 infinity of d's sign at ``d == 0`` (``inf+0j`` for a complex zero).  That
 is bit for bit what numpy's scalar division gives a float.  A complex
@@ -68,8 +68,9 @@ like any other entry, and the coefficient forms index the diagonals as
 they are.  ``n_terms`` and ``sigma`` are counters, and ``events`` counts
 the firings without keeping them, so only ``len(events)`` reads it.
 ``entry`` of a diagonal older than the last three raises LookupError.
-``fired`` is the list of the latest append's events, which a repair on
-the next one marks treated, and ``last_diagonal`` the newest diagonal.
+``fired`` is the list of the latest append's events, in ascending column,
+which a repair on the next one marks treated, and ``last_diagonal`` the
+newest diagonal.
 What grows with the stream, every diagonal and the event log, is the
 caller's to keep, from what ``append`` returns and from ``fired``.
 """
@@ -128,10 +129,6 @@ class ScalarEpsTable:
         Detect and apply the cross-rule repair.  Off means plain rhombus
         rule everywhere and no events, which is the right baseline for
         comparisons.
-    singular_parity : {"both", "even", "odd"}
-        Which columns the coincidence test watches.  Blocks of practical
-        interest announce themselves in even columns, but the test is cheap
-        and the default watches both.
 
     Attributes
     ----------
@@ -142,14 +139,12 @@ class ScalarEpsTable:
     events : count
         The number of firings of the test, treated or not, ``len(events)``.
     fired : list of SingularEvent
-        The events of the latest append, in firing order; a repair on the
+        The events of the latest append, in firing order, which is
+        ascending column, so a column-0 event comes first; a repair on the
         next append marks its event treated.  Each append makes a new list.
     """
 
-    def __init__(self, max_col, p_threshold=10, particular_rules=True,
-                 singular_parity="both"):
-        if singular_parity not in ("both", "even", "odd"):
-            raise ValueError(f"bad singular_parity: {singular_parity!r}")
+    def __init__(self, max_col, p_threshold=10, particular_rules=True):
         self.max_col = operator.index(max_col)
         self.sigma = 0
         self.n_terms = 0
@@ -165,10 +160,9 @@ class ScalarEpsTable:
         self._fired_cols = 0
         self._fired_cols_prev = 0
         self._pending = []
-        # the sweep's constants: whether the test watches the pair in column
-        # t - 1, by t % 2 of the column t it feeds, and its relative trigger
-        self._watch = (particular_rules and singular_parity != "even",
-                       particular_rules and singular_parity != "odd")
+        # the sweep's constants: whether the test runs, and its relative
+        # trigger
+        self._watch = particular_rules
         try:
             self._trigger = 10.0 ** -p_threshold
         except OverflowError:
@@ -215,7 +209,7 @@ class ScalarEpsTable:
             # the near-coincidence test on the pair (hi, lo); a finite d has
             # finite operands, and finite operands whose difference
             # overflows are too far apart to fire
-            if watch[t & 1] and finite(d):
+            if watch and finite(d):
                 if lo != 0:
                     ratio = mag(d) / mag(lo)
                     hit = ratio < trigger

@@ -47,7 +47,6 @@ __all__ = [
     "SmithSource",
     "parter_matrix",
     "verify_totally_monotonic",
-    "spectral_radius_estimate",
 ]
 
 
@@ -443,30 +442,14 @@ class QpowIterationSource(_Source):
             S + self.A.conj().T @ _sym_power(S, -self.q) @ self.A - self.Q))
 
 
-def spectral_radius_estimate(A, iters=100, seed=0):
-    """Power-iteration estimate of the spectral radius of A."""
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(A.shape[0])
-    x /= np.linalg.norm(x)
-    rho = 0.0
-    for _ in range(iters):
-        y = A @ x
-        ny = np.linalg.norm(y)
-        if ny == 0:
-            return 0.0
-        rho = ny
-        x = y / ny
-    return float(rho)
-
-
 class SmithSource(FixedPointIteration):
     """Iterates ``S_{n+1} = F F^T + A S_n A^T`` for the Stein equation.
 
     Starting from zero the iterates climb monotonically to the solution of
     ``X - A X A^T = F F^T``; convergence is geometric with ratio around the
     squared spectral radius of A, so a radius near one makes a slow, very
-    accelerable sequence.  Requires (and checks, by power iteration) spectral
-    radius below one.
+    accelerable sequence.  Requires (and checks, from the eigenvalues) a
+    finite A of spectral radius below one.
     """
 
     def __init__(self, A, F):
@@ -474,9 +457,13 @@ class SmithSource(FixedPointIteration):
         self.F = np.asarray(F, dtype=float)
         if self.F.ndim == 1:
             self.F = self.F[:, None]
-        rho = spectral_radius_estimate(self.A)
+        # eigvals raises LinAlgError on a NaN, so finiteness is checked
+        # first; an empty A has no eigenvalue, and radius 0
+        if not np.isfinite(self.A).all():
+            raise ValueError("A has a non-finite entry")
+        rho = np.abs(np.linalg.eigvals(self.A)).max(initial=0.0)
         if rho >= 1.0:
-            raise ValueError(f"spectral radius estimate {rho:.3f} >= 1; iteration diverges")
+            raise ValueError(f"spectral radius {rho:.3f} >= 1; iteration diverges")
         self._G = self.F @ self.F.T
         self.x0 = np.zeros_like(self.A)
 

@@ -337,7 +337,7 @@ class TopoEpsTable(_ElementTable):
         second kind across n+1 and n+2.
     form : {1, 2, 3, 4}
         Which of the four equivalent coefficient formulas to use.
-    p_threshold, particular_rules, singular_parity
+    p_threshold, particular_rules
         Passed to the underlying scalar table; see :class:`ScalarEpsTable`.
 
     Attributes
@@ -352,8 +352,7 @@ class TopoEpsTable(_ElementTable):
     """
 
     def __init__(self, functional, max_k, variant="stea2", form=3,
-                 p_threshold=10, particular_rules=True,
-                 singular_parity="both"):
+                 p_threshold=10, particular_rules=True):
         if variant not in ("stea1", "stea2"):
             raise ValueError(f"bad variant: {variant!r}")
         if form not in (1, 2, 3, 4):
@@ -364,7 +363,7 @@ class TopoEpsTable(_ElementTable):
         self._reads, self._combiner = _FORMS[(variant, form)]
         self.scalar = ScalarEpsTable(
             max_col=2 * max_k + 2, p_threshold=p_threshold,
-            particular_rules=particular_rules, singular_parity=singular_parity)
+            particular_rules=particular_rules)
         # first-kind tie rule (module docstring): the column-2 offset kept
         # from the append that detected a column-0 tie, the column-2
         # difference it becomes one append later, and that difference while
@@ -398,8 +397,10 @@ class TopoEpsTable(_ElementTable):
 
         if self._tie_rule:
             # a column-0 tie (S_{N-1}, S_N) the shadow detected just now, a
-            # column-0 firing on this append (those are never suppressed)
-            self._tie_now = bool(scalar._fired_cols & 1)
+            # column-0 firing on this append (those are never suppressed),
+            # which leads the append's events when there is one
+            fired = scalar.fired
+            self._tie_now = bool(fired) and fired[0].k == 0
             self._tie_due, self._tie_diff = self._tie_diff, None
             cols = (1,) if self._tie_now or self._tie_off is not None else ()
             self._tie_cols = cols + (2,) if self._tie_due is not None else cols

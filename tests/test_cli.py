@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from epsaccel.cli import main
+from epsaccel.harness import PROTOCOLS
 from epsaccel.seqio import write_terms
 
 LN2_SUMS = [1.0, 0.5, 5.0 / 6.0, 7.0 / 12.0, 47.0 / 60.0, 37.0 / 60.0,
@@ -46,7 +47,7 @@ def test_accelerate_json_matches_report(ln2_file, capsys):
     from epsaccel.harness import run
     rep = run({"source": {"kind": "file", "path": ln2_file},
                "algorithm": {"variant": "stea2", "form": 3, "max_k": 5,
-                             "p": 10, "rules": True, "parity": "both"},
+                             "p": 10, "rules": True},
                "functional": {"kind": "auto"},
                "n_terms": len(LN2_SUMS), "seed": 0,
                "label": blob["spec"]["label"]})
@@ -242,6 +243,24 @@ def test_negative_seed_or_p_exits_2(ln2_file, capsys, flag):
             assert exc.value.code == 2, argv
             captured = capsys.readouterr()
             assert captured.out == "" and flag in captured.err, argv
+
+
+def test_accelerate_has_no_parity_flag(ln2_file, capsys):
+    # the singular test watches every column; no flag restricts it
+    with pytest.raises(SystemExit) as exc:
+        main(["accelerate", ln2_file, "--parity", "both"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--parity" in captured.err
+
+
+def test_reproduce_lists_the_harness_protocols(capsys):
+    assert PROTOCOLS == ("kernel-vector", "kernel-matrix", "kaczmarz", "ns", "qpow",
+                         "stein")
+    with pytest.raises(SystemExit) as exc:
+        main(["reproduce", "--help"])
+    assert exc.value.code == 0
+    assert "{kernel-vector,kernel-matrix,kaczmarz,ns,qpow,stein}" in capsys.readouterr().out
 
 
 def test_reproduce_jobs_is_accepted_only_as_1(capsys):

@@ -50,6 +50,10 @@ def test_builders_reject_unknown_keys():
     # a table has one storage mode; a Recorder keeps what grows with the stream
     with pytest.raises(ValueError, match="history"):
         build_table({"variant": "stea2", "history": True}, Functional.dot(np.ones(20)))
+    # and one singular test, which watches every column
+    for variant in ("scalar", "stea1", "stea2"):
+        with pytest.raises(ValueError, match="unknown algorithm keys: \\['parity'\\]"):
+            build_table({"variant": variant, "parity": "both"}, Functional.dot(np.ones(20)))
     # and so is a top-level spec key run does not read
     with pytest.raises(ValueError, match="n_term'"):
         run(dict(KERNEL_SPEC, n_term=11))
@@ -450,6 +454,18 @@ def test_report_best_prefers_smallest_error():
     rep = run(dict(KERNEL_SPEC))
     best = rep.best()
     assert best.col == 10 and best.error_inf <= 1e-8
+
+
+def test_report_best_skips_non_finite_keys():
+    # min keeps a NaN it starts from, so a NaN error first was chosen
+    bad = Entry(2, 0, 3, math.nan, math.nan, None, False)
+    good = Entry(0, 1, 2, 1.0, 1e-3, None, True)
+    fields = dict(spec={}, sigma=0, peak_slots=0, n_terms=2, wall_time_s=0.0)
+    assert RunReport(entries=[bad, good], **fields).best() == good
+    # a finite residual is chosen where no error is finite
+    resid = Entry(0, 1, 2, 1.0, math.inf, 0.5, True)
+    assert RunReport(entries=[bad, resid], **fields).best() == resid
+    assert RunReport(entries=[bad], **fields).best() is None
 
 
 def test_a_report_without_errors_or_residuals_has_no_best_entry():

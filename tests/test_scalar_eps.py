@@ -26,12 +26,11 @@ def smooth_sequence(seed, count):
             for n in range(count)]
 
 
-def kernel_shadow(p, n_terms=11, dim=50, parity="both", rules=True):
+def kernel_shadow(p, n_terms=11, dim=50, rules=True):
     """Recorded scalar shadow of the adversarial order-5 recurrence."""
     src = KernelRecurrence(dim, "vector", seed=0)
     f = Functional.dot(np.ones(dim))
-    tab = Recorder(ScalarEpsTable(max_col=10, p_threshold=p, particular_rules=rules,
-                                  singular_parity=parity))
+    tab = Recorder(ScalarEpsTable(max_col=10, p_threshold=p, particular_rules=rules))
     for _ in range(n_terms):
         tab.append(float(f(src.next_term())))
     return tab
@@ -143,13 +142,6 @@ def test_sigma_is_monotone_across_appends():
     assert seen[-1] == 2
 
 
-def test_parity_restriction():
-    assert kernel_shadow(10, parity="even").table.sigma == 2
-    assert kernel_shadow(10, parity="odd").table.sigma == 0
-    with pytest.raises(ValueError):
-        ScalarEpsTable(max_col=4, singular_parity="sideways")
-
-
 def test_the_cap_and_the_trigger_are_numbers():
     # a cap past the stream's length computes full diagonals, and
     # particular_rules=False turns detection off: neither is spelled None
@@ -245,10 +237,9 @@ def tied_geometric_streams(draw):
 # a cap of 42 is past every stream's length (at most 40 terms), so no
 # diagonal reaches it
 @given(terms=tied_geometric_streams(), max_col=st.sampled_from([4, 6, 10, 42]),
-       p=st.sampled_from([8, 10, 12]), parity=st.sampled_from(["both", "even", "odd"]))
-def test_event_bookkeeping(terms, max_col, p, parity):
-    tab = Recorder(ScalarEpsTable(max_col=max_col, p_threshold=p,
-                                  singular_parity=parity))
+       p=st.sampled_from([8, 10, 12]))
+def test_event_bookkeeping(terms, max_col, p):
+    tab = Recorder(ScalarEpsTable(max_col=max_col, p_threshold=p))
     tab.extend(terms)
     fired = {(ev.k, ev.n) for ev in tab.events}
     assert len(fired) == len(tab.events)  # each pair is tested once
@@ -263,6 +254,20 @@ def test_event_bookkeeping(terms, max_col, p, parity):
         assert ev.suppressed == (ev.k >= 2 and (ev.k - 2, ev.n + 1) in fired)
         assert not (ev.suppressed and ev.treated)
     assert tab.table.sigma == sum(ev.treated for ev in tab.events)
+
+
+@settings(max_examples=150, deadline=None)
+@given(terms=tied_geometric_streams(), max_col=st.sampled_from([4, 6, 10, 42]),
+       p=st.sampled_from([8, 10, 12]))
+def test_each_appends_events_come_in_ascending_column(terms, max_col, p):
+    # TopoEpsTable reads a column-0 tie on this append as fired[0].k == 0
+    tab = ScalarEpsTable(max_col=max_col, p_threshold=p)
+    for s in terms:
+        tab.append(s)
+        cols = [ev.k for ev in tab.fired]
+        assert cols == sorted(set(cols))
+        # each a pair of the newest diagonal's west neighbours
+        assert all(ev.n == tab.n_terms - 2 - ev.k for ev in tab.fired)
 
 
 @pytest.mark.parametrize("kind", ["real", "complex"])
@@ -296,7 +301,7 @@ def test_signed_zero_difference_gives_signed_infinity():
     assert tab.entry(1, 0) == np.inf
 
 
-def _reference_shadow(terms, max_col, p, rules, parity):
+def _reference_shadow(terms, max_col, p, rules):
     """The table's rhombus rule, detection and cross-rule repair, written
     plainly over the whole history with numpy's scalar division and
     finiteness test for real numbers (complex ones divide in Python).
@@ -329,8 +334,7 @@ def _reference_shadow(terms, max_col, p, rules, parity):
             j, n_pair = t - 1, N - t
             hi, lo = new[j], prev[j]
             sched = None
-            watched = parity == "both" or (j % 2 == 0) == (parity == "even")
-            if rules and watched and np.isfinite(hi) and np.isfinite(lo):
+            if rules and np.isfinite(hi) and np.isfinite(lo):
                 d = mag(hi - lo)
                 ratio = d / mag(lo) if lo != 0 else d
                 if (ratio < 10.0 ** -p) if lo != 0 else (d < np.finfo(float).eps):
@@ -414,27 +418,25 @@ def shadow_streams(draw):
 # column-1 entries near 1e308 in both parts, whose difference's modulus
 # overflows: abs() raised OverflowError out of append
 @example(terms=[0j, 7e-309 * (1 + 1j), 0j, 7e-309 * (1 + 1j), 0j], max_col=32,
-         p=10, rules=True, parity="both")
+         p=10, rules=True)
 # finite consecutive terms whose difference overflows: the table skips the
 # pair on its difference's finiteness, the reference tests its finite terms
 # and takes a ratio of inf, which never fires
 @example(terms=[1e308, -1e308, 1.5e308, -1e308, 1e308, 1e308, -1.7e308], max_col=32,
-         p=10, rules=True, parity="both")
+         p=10, rules=True)
 # a repair whose operands are inf and NaN: its NaN's sign is CPython's choice
 @example(terms=[math.nan, math.nan, 0.512438087268418, 0.5124380872684186,
-                0.5124380872684186], max_col=32, p=10, rules=True, parity="both")
+                0.5124380872684186], max_col=32, p=10, rules=True)
 # a cap of 32 is past every stream's length (at most 30 terms), so no
 # diagonal reaches it
 @given(terms=shadow_streams(), max_col=st.sampled_from([2, 4, 6, 10, 32]),
-       p=st.sampled_from([7, 10, 12]), rules=st.booleans(),
-       parity=st.sampled_from(["both", "even", "odd"]))
-def test_sweep_matches_the_reference_rhombus_bit_for_bit(terms, max_col, p, rules,
-                                                         parity):
+       p=st.sampled_from([7, 10, 12]), rules=st.booleans())
+def test_sweep_matches_the_reference_rhombus_bit_for_bit(terms, max_col, p, rules):
     # the sweep runs on Python numbers (IEEE 1/d, a signed infinity at zero,
     # math.isfinite); the reference uses numpy's division and isfinite
     tab = Recorder(ScalarEpsTable(max_col=max_col, p_threshold=p,
-                                  particular_rules=rules, singular_parity=parity))
-    outs, sigma, events, flags = _reference_shadow(terms, max_col, p, rules, parity)
+                                  particular_rules=rules))
+    outs, sigma, events, flags = _reference_shadow(terms, max_col, p, rules)
     for s, want in zip(terms, outs):
         got = tab.append(s)
         assert [(k, n) for k, n, _ in got] == [(k, n) for k, n, _ in want]

@@ -205,14 +205,22 @@ def test_smith_limit_matches_the_kronecker_solve():
 
 
 def test_smith_limit_of_a_nan_matrix_ends():
-    # rho >= 1 is False for NaN, so the constructor accepts it
-    src = seqs.SmithSource(np.full((2, 2), np.nan), np.ones(2))
+    # the constructor refuses a NaN A, so the NaN is set after it
+    src = seqs.SmithSource(np.zeros((2, 2)), np.ones(2))
+    src.A = np.full((2, 2), np.nan)
     assert np.isnan(src.limit()).all()
 
 
-def test_spectral_radius_estimate():
-    src = seqs.SmithSource.random(10, rho=0.9, seed=0)
-    assert seqs.spectral_radius_estimate(src.A) == pytest.approx(0.9, rel=1e-3)
+def test_smith_rejects_a_divergent_or_non_finite_matrix():
+    # non-normal, with the eigenvalue pair +-1.01i: power iteration never
+    # settles on it (it read 0.678), and the iterates reach 6.4e3 by term 200
+    with pytest.raises(ValueError, match="spectral radius 1.010 >= 1"):
+        seqs.SmithSource(1.01 * np.array([[0, 2.0], [-0.5, 0]]), np.ones(2))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            seqs.SmithSource(np.full((2, 2), bad), np.ones(2))
+    # an empty A has no eigenvalue to bound: its iterates stay empty
+    assert seqs.SmithSource.random(0).take(2)[1].shape == (0, 0)
 
 
 def test_same_seed_same_stream():

@@ -188,7 +188,7 @@ def configurations(workdir):
     write their input files under ``workdir``."""
     import numpy as np
 
-    from epsaccel import Functional, ScalarEpsTable, TopoEpsTable, harness
+    from epsaccel import Functional, ScalarEpsTable, harness
     from epsaccel.sequences import KernelRecurrence
 
     # the 3,000-term dim-100 stream of the benchmark's long workload, and
@@ -284,7 +284,7 @@ def configurations(workdir):
                     yield (f"kernel-vector-{dim}/{name}/p={p}/{tname}",
                            lambda m=make, t=terms: _digest_table(m, t))
 
-    # the scalar table alone: every parity and threshold, planted exact and
+    # the scalar table alone: every threshold, planted exact and
     # near ties, signed zeros, infinities, NaN, complex and mixed streams
     tied = list(scal[:60])
     for i, rel in ((5, 0.0), (17, 1e-13), (30, 0.0), (31, 1e-15), (44, 1e-11)):
@@ -306,16 +306,14 @@ def configurations(workdir):
         "overflow-complex": cbig,
     }
     for sname, terms in scalar_streams.items():
-        for parity in ("both", "even", "odd"):
-            for p in (7, 10, 12):
-                for rules in (True, False):
-                    # the last cap is past the stream's length: full diagonals
-                    for max_col in (4, 10, len(terms) + 2):
-                        yield (f"scalar/{sname}/{parity}/p={p}/rules={rules}/max_col={max_col}",
-                               lambda t=terms, pa=parity, pp=p, r=rules, mc=max_col:
-                               _digest_table(lambda: ScalarEpsTable(
-                                   max_col=mc, p_threshold=pp, particular_rules=r,
-                                   singular_parity=pa), t))
+        for p in (7, 10, 12):
+            for rules in (True, False):
+                # the last cap is past the stream's length: full diagonals
+                for max_col in (4, 10, len(terms) + 2):
+                    yield (f"scalar/{sname}/p={p}/rules={rules}/max_col={max_col}",
+                           lambda t=terms, pp=p, r=rules, mc=max_col:
+                           _digest_table(lambda: ScalarEpsTable(
+                               max_col=mc, p_threshold=pp, particular_rules=r), t))
 
     # the scalar kernel with ties planted at terms 1-2, 3-4 or both, exact
     # or of gap 1e-11 r, at every r the cross-identity property draws: some
@@ -336,16 +334,6 @@ def configurations(workdir):
             if tname.startswith("stea"):
                 yield (f"{name}-dim1/{tname}",
                        lambda m=make, t=[np.array([x]) for x in terms]: _digest_table(m, t))
-
-    # parity and rules through the element tables
-    src = KernelRecurrence(50, "vector", seed=0)
-    terms = [src.next_term() for _ in range(11)]
-    f = Functional.dot(np.ones(50))
-    for parity in ("even", "odd"):
-        for variant in ("stea1", "stea2"):
-            yield (f"kernel-vector/{variant}/parity={parity}",
-                   lambda v=variant, pa=parity: _digest_table(
-                       lambda: TopoEpsTable(f, 5, variant=v, singular_parity=pa), terms))
 
     yield from _source_configs()
     yield from _run_configs(workdir)
